@@ -38,7 +38,6 @@ fn run_parallel(
             time_limit: Some(time_limit),
             ..Default::default()
         },
-        ..Default::default()
     };
     let mut orc = Orchestrator::with_defaults();
     match orc.solve_parallel(problem, &opts) {

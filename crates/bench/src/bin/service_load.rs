@@ -10,8 +10,7 @@
 //! their clauses):
 //!
 //! 1. **cold** — `VARIANTS` distinct problems, submitted one at a time
-//!    (the first builds the warm session, the rest exercise the
-//!    session-pool tier);
+//!    (each a one-shot solve);
 //! 2. **resub** — the same problems byte-identically resubmitted (the
 //!    problem-cache tier: verdict + model replay, no solving);
 //! 3. **burst** — `2 × VARIANTS` fresh problems submitted all at once
@@ -27,10 +26,7 @@
 //! the regression limit of the checked-in baseline in
 //! `ABS_BENCH_BASELINE_DIR` (default `.`), throughput is at least half
 //! the baseline's, resubmission beats the cold p50 by more than 1.5x,
-//! the caches scored at least one hit, the warm-session pool served
-//! repeat declarations, at least one pooled session resumed a
-//! contraction cache carried over from an earlier request, and no
-//! worker aborted.
+//! the problem cache scored at least one hit, and no worker aborted.
 
 use absolver_core::parser;
 use absolver_core::{AbProblem, VarKind};
@@ -72,9 +68,8 @@ fn regression_limit_us(baseline_us: u64) -> u64 {
 /// One member of the shared-declaration problem family: the threshold
 /// skeleton (m int vars in `{-1,0,1}`, free atoms `aᵢ ⇔ xᵢ ≥ 1`, a
 /// required sum threshold) plus a variant-specific polarity pattern on
-/// the free atoms. Every variant renders the same declarations (same
-/// [`absolver_service::decl_key`]), so the warm-session tier applies;
-/// the clause sets differ, so the problem-cache tier does not (until a
+/// the free atoms. Every variant renders the same declarations, but the
+/// clause sets differ, so the problem-cache tier does not apply (until a
 /// byte-identical resubmission).
 fn variant_text(variant: usize) -> String {
     let mut b = AbProblem::builder();
@@ -97,8 +92,7 @@ fn variant_text(variant: usize) -> String {
     // A nonlinear coupling on the first two variables, identical in every
     // variant: x0² + x1² ≤ 2 keeps the family satisfiable (any values in
     // {-1,0,1} qualify) while forcing each solve through the interval
-    // cascade — so the cross-request contraction-cache gate below has a
-    // nonlinear search whose contraction work pooled sessions can share.
+    // cascade.
     let curve = b.atom(
         Expr::var(vars[0]) * Expr::var(vars[0]) + Expr::var(vars[1]) * Expr::var(vars[1]),
         CmpOp::Le,
@@ -243,15 +237,8 @@ fn main() {
     let resub_speedup = cold_p50_us as f64 / resub_p50_us as f64;
 
     let stats = server.stats();
-    let hits =
-        stats.problem_hits.load(Ordering::Relaxed) + stats.session_hits.load(Ordering::Relaxed);
-    let lookups = hits
-        + stats.problem_misses.load(Ordering::Relaxed).min(
-            // A problem-cache miss that then hits the session pool is one
-            // warm answer, not two lookups; count each request once.
-            stats.session_misses.load(Ordering::Relaxed)
-                + stats.session_hits.load(Ordering::Relaxed),
-        );
+    let hits = stats.problem_hits.load(Ordering::Relaxed);
+    let lookups = hits + stats.problem_misses.load(Ordering::Relaxed);
     let cache_hit_rate = if lookups == 0 {
         0.0
     } else {
@@ -259,7 +246,6 @@ fn main() {
     };
     let worker_aborts = stats.aborts.load(Ordering::Relaxed);
     let contraction_hits = stats.contraction_hits.load(Ordering::Relaxed);
-    let contraction_resumes = stats.contraction_resumes.load(Ordering::Relaxed);
 
     eprintln!(
         "  {total_requests} requests in {elapsed_us}us ({throughput_rps:.0} rps), \
@@ -269,10 +255,7 @@ fn main() {
         "  cold p50 {cold_p50_us}us vs resub p50 {resub_p50_us}us ({resub_speedup:.1}x), \
          cache hit rate {cache_hit_rate:.3}, aborts {worker_aborts}"
     );
-    eprintln!(
-        "  contraction cache: {contraction_hits} hits, {contraction_resumes} \
-         cross-request resumes"
-    );
+    eprintln!("  contraction cache: {contraction_hits} hits");
 
     // ---- report ------------------------------------------------------
     let mut obj = JsonObject::new();
@@ -346,23 +329,7 @@ fn main() {
             failed = true;
         }
         if hits == 0 {
-            eprintln!("  DEAD CACHE: zero problem/session cache hits under load");
-            failed = true;
-        }
-        // Cross-request warm-state gates. The cold phase reuses one
-        // declaration family, so the fingerprint-keyed pool must serve
-        // warm sessions, and those sessions must resume the persistent
-        // contraction cache written by earlier requests — interned
-        // constraint ids are what keep the carried entries valid.
-        if stats.session_hits.load(Ordering::Relaxed) == 0 {
-            eprintln!("  DEAD POOL: zero warm-session hits across repeat declarations");
-            failed = true;
-        }
-        if contraction_resumes == 0 {
-            eprintln!(
-                "  NO CROSS-REQUEST CONTRACTION SHARING: pooled sessions never \
-                 resumed a warm contraction cache"
-            );
+            eprintln!("  DEAD CACHE: zero problem-cache hits under load");
             failed = true;
         }
         if worker_aborts != 0 {
@@ -391,10 +358,11 @@ mod tests {
     fn variants_share_declarations_but_not_clauses() {
         let a: AbProblem = variant_text(1).parse().unwrap();
         let b: AbProblem = variant_text(2).parse().unwrap();
-        assert_eq!(
-            absolver_service::decl_key(&a),
-            absolver_service::decl_key(&b)
+        assert_eq!(a.arith_vars(), b.arith_vars());
+        assert_eq!(a.defs().count(), b.defs().count());
+        assert_ne!(
+            absolver_service::problem_key(&a),
+            absolver_service::problem_key(&b)
         );
-        assert_ne!(variant_text(1), variant_text(2));
     }
 }

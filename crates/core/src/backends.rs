@@ -35,8 +35,7 @@ use std::time::{Duration, Instant};
 /// A Boolean solver usable by the orchestrating control loop.
 ///
 /// `Send` is a supertrait so solver state (and everything holding it,
-/// up to a whole [`crate::Session`]) can move between threads — the
-/// `absolverd` worker pool hands warm sessions from worker to worker.
+/// up to a whole [`crate::Session`]) can move between threads.
 pub trait BooleanSolver: Send {
     /// Human-readable backend name (for statistics and logs).
     fn name(&self) -> &str;
@@ -403,8 +402,8 @@ impl fmt::Debug for dyn NonlinearBackend + '_ {
 ///
 /// The constructor installs a persistent contraction-cache handle (see
 /// [`NlOptions::persistent_cache`]), so one backend instance — e.g. the
-/// one a pooled session's orchestrator keeps alive — carries its
-/// contraction cache across `solve` calls. Sound because cache entries
+/// one a session's orchestrator keeps alive — carries its contraction
+/// cache across `solve` calls. Sound because cache entries
 /// are keyed on stable interned constraint ids, not per-solve indices.
 #[derive(Debug, Clone)]
 pub struct IntervalNonlinear {
@@ -493,8 +492,7 @@ impl NonlinearBackend for PenaltyNonlinear {
 ///
 /// Like [`IntervalNonlinear`], the constructor installs a persistent
 /// contraction-cache handle so contraction work is shared across the
-/// backend's `solve` calls — and, through the service's warm session
-/// pool, across requests resubmitting overlapping problems.
+/// backend's `solve` calls.
 #[derive(Debug, Clone)]
 pub struct CascadeNonlinear {
     /// Engine options.

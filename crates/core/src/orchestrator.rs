@@ -86,6 +86,16 @@ impl fmt::Display for SolveError {
 
 impl std::error::Error for SolveError {}
 
+/// The trace label of a solve result.
+pub(crate) fn outcome_label(result: &Result<Outcome, SolveError>) -> &'static str {
+    match result {
+        Ok(Outcome::Sat(_)) => "sat",
+        Ok(Outcome::Unsat) => "unsat",
+        Ok(Outcome::Unknown) => "unknown",
+        Err(_) => "iteration-limit",
+    }
+}
+
 /// Statistics of a solving run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OrchestratorStats {
@@ -141,10 +151,10 @@ pub struct OrchestratorStats {
     /// Nonlinear contraction-cache lookups that fell through to a revise.
     pub contraction_cache_misses: u64,
     /// Nonlinear solves that resumed a non-empty persistent contraction
-    /// cache — contraction work inherited from an *earlier* check (or, in
-    /// the service, an earlier request via a pooled session). Nonzero
-    /// proves cross-solve sharing actually happened; the stable interned
-    /// constraint ids are what keep the inherited entries valid.
+    /// cache — contraction work inherited from an *earlier* check or
+    /// solve on the same orchestrator. Nonzero proves cross-solve sharing
+    /// actually happened; the stable interned constraint ids are what
+    /// keep the inherited entries valid.
     pub contraction_cache_resumes: u64,
     /// Terms interned into the global hash-consed arena during the call
     /// (preprocessing included): structurally *new* terms that allocated
@@ -496,14 +506,9 @@ fn mix64(mut x: u64) -> u64 {
 /// Constraints contribute their interned [`absolver_nonlinear::ConstraintId`]:
 /// hash-consing makes structural equality id equality, so one `u64` mix
 /// per constraint replaces formatting the whole expression tree — O(1)
-/// per constraint instead of O(size).
-///
-/// The service layer reuses this as the warm-session / lemma-store bucket
-/// key: two problems with equal fingerprints *probably* share declarations
-/// and definitions, but the fingerprint is a hash — callers that need
-/// soundness (lemma reuse) must confirm structural equality separately.
-/// (Interned ids are process-local, so the fingerprint is only meaningful
-/// within one process — which is all the in-process caches need.)
+/// per constraint instead of O(size). (Interned ids are process-local, so
+/// the fingerprint is only meaningful within one process — which is all
+/// the in-process theory cache needs.)
 pub fn problem_fingerprint(problem: &AbProblem) -> u64 {
     let mut h = 0x9e37_79b9_7f4a_7c15u64;
     for v in problem.arith_vars() {
@@ -752,10 +757,10 @@ impl Orchestrator {
     }
 
     /// Cumulative effort counters of the incremental assertion stack.
-    /// The one-shot `solve*` entry points build a fresh stack per call,
-    /// so a zero snapshot reads the absolute values; persistent sessions
-    /// snapshot before each check and fold in only the delta — the same
-    /// stack survives across checks and its counters never reset.
+    /// [`Orchestrator::call_window`] snapshots them once the call's setup
+    /// has run: the one-shot `solve*` entry points build a fresh stack per
+    /// call, so the snapshot reads zero, while a persistent session's
+    /// stack survives across checks and only the delta is folded in.
     fn stack_counters(&self) -> StackCounters {
         match &self.incremental {
             Some(inc) => {
@@ -770,22 +775,10 @@ impl Orchestrator {
         }
     }
 
-    /// Folds the backend-counter deltas since `(lin0, nl0)` into
-    /// `self.stats` (called at the end of each `solve*` entry point),
-    /// plus the incremental session's own counters — its checks bypass
-    /// the one-shot backends entirely, so they are not in the snapshots.
-    fn absorb_backend_deltas(
-        &mut self,
-        lin0: LinearBackendStats,
-        nl0: NonlinearBackendStats,
-        term0: (u64, u64),
-    ) {
-        self.absorb_deltas_since(lin0, nl0, StackCounters::default(), term0);
-    }
-
-    /// Like [`Orchestrator::absorb_backend_deltas`], but also diffs the
-    /// assertion-stack counters against `stk0` instead of reading them
-    /// as absolutes.
+    /// Folds the counter deltas since the snapshots `(lin0, nl0, stk0,
+    /// term0)` into `self.stats`: the backends', the assertion stack's
+    /// (its checks bypass the one-shot backends entirely, so they are not
+    /// in the backend snapshots) and the term arena's.
     fn absorb_deltas_since(
         &mut self,
         lin0: LinearBackendStats,
@@ -833,11 +826,8 @@ impl Orchestrator {
         }
     }
 
-    /// Per-call session setup: rebuilds the interned constraint pool,
-    /// opens a fresh incremental linear session (when the first linear
-    /// backend provides one), and invalidates the theory cache if the
-    /// problem changed since the previous call.
-    fn prepare_session(&mut self, problem: &AbProblem) {
+    /// Rebuilds the interned per-definition constraint pool.
+    fn intern_defs(&mut self, problem: &AbProblem) {
         self.interned = problem
             .defs()
             .map(|(var, def)| {
@@ -850,6 +840,14 @@ impl Orchestrator {
                 )
             })
             .collect();
+    }
+
+    /// Per-call setup of the one-shot entry points: rebuilds the interned
+    /// constraint pool, opens a fresh incremental linear session (when
+    /// the first linear backend provides one), and invalidates the theory
+    /// cache if the problem changed since the previous call.
+    fn prepare_session(&mut self, problem: &AbProblem) {
+        self.intern_defs(problem);
         self.incremental = self
             .linear
             .first()
@@ -1026,16 +1024,10 @@ impl Orchestrator {
             let outcome = self.solve_under(&sub, &[]);
             total.accumulate(&self.stats);
             self.trace(|| {
-                let label = match &outcome {
-                    Ok(Outcome::Sat(_)) => "sat",
-                    Ok(Outcome::Unsat) => "unsat",
-                    Ok(Outcome::Unknown) => "unknown",
-                    Err(_) => "iteration-limit",
-                };
                 TraceEvent::new("analyze.component")
                     .field_u64("component", idx as u64)
                     .field_u64("size", partition.components()[idx].size() as u64)
-                    .field("outcome", label)
+                    .field("outcome", outcome_label(&outcome))
                     .duration(comp_started.elapsed())
             });
             match outcome {
@@ -1079,6 +1071,45 @@ impl Orchestrator {
         self.stats.elapsed += elapsed;
     }
 
+    /// The call window every solve entry point runs in: resets the
+    /// stats, emits `solve.start` (extended by `start`), runs `setup`,
+    /// snapshots the backend, assertion-stack and intern counters, runs
+    /// `body`, then stamps `elapsed`, folds the counter deltas into the
+    /// stats and emits `solve.end` (extended by `end`). The stack is
+    /// snapshotted after `setup` because setup may replace it.
+    fn call_window<T>(
+        &mut self,
+        problem: &AbProblem,
+        start: impl FnOnce(TraceEvent) -> TraceEvent,
+        setup: impl FnOnce(&mut Self),
+        body: impl FnOnce(&mut Self, Instant) -> T,
+        end: impl FnOnce(&T, TraceEvent) -> TraceEvent,
+    ) -> T {
+        let started = Instant::now();
+        self.stats = OrchestratorStats::default();
+        let lin0 = self.linear_snapshot();
+        let nl0 = self.nonlinear_snapshot();
+        let term0 = absolver_nonlinear::term::local_counters();
+        self.trace(|| {
+            start(
+                TraceEvent::new("solve.start")
+                    .field_u64("num_vars", problem.cnf().num_vars() as u64)
+                    .field_u64("num_defs", problem.defs().count() as u64),
+            )
+        });
+        setup(self);
+        let stk0 = self.stack_counters();
+        let out = body(self, started);
+        self.stats.elapsed = started.elapsed();
+        self.absorb_deltas_since(lin0, nl0, stk0, term0);
+        self.trace(|| {
+            end(&out, TraceEvent::new("solve.end"))
+                .field_u64("iterations", self.stats.boolean_iterations)
+                .duration(started.elapsed())
+        });
+        out
+    }
+
     /// Solves an AB-problem under assumption literals (a *cube*): the
     /// problem is decided together with the assumptions, without adding
     /// them as clauses. [`Outcome::Unsat`] then means *unsatisfiable under
@@ -1094,64 +1125,31 @@ impl Orchestrator {
         problem: &AbProblem,
         assumptions: &[Lit],
     ) -> Result<Outcome, SolveError> {
-        let started = Instant::now();
-        self.stats = OrchestratorStats::default();
-        let lin0 = self.linear_snapshot();
-        let nl0 = self.nonlinear_snapshot();
-        let term0 = absolver_nonlinear::term::local_counters();
-        self.trace(|| {
-            TraceEvent::new("solve.start")
-                .field_u64("num_vars", problem.cnf().num_vars() as u64)
-                .field_u64("num_defs", problem.defs().count() as u64)
-                .field_u64("assumptions", assumptions.len() as u64)
-        });
-        self.prepare_session(problem);
-        self.boolean.load(problem.cnf());
-        if !self.replay_imported_pool() {
-            // An imported lemma already contradicts the formula: the
-            // problem is unsat, no iteration needed.
-            self.stats.elapsed = started.elapsed();
-            self.absorb_backend_deltas(lin0, nl0, term0);
-            self.trace(|| {
-                TraceEvent::new("solve.end")
-                    .field("outcome", "unsat")
-                    .duration(started.elapsed())
-            });
-            return Ok(Outcome::Unsat);
-        }
-        if !self.boolean.set_assumptions(assumptions) {
-            // Backend without assumption support: a cube is equivalently
-            // the conjunction of its literals as unit clauses (the clause
-            // database is rebuilt by the next `load` anyway).
-            for &lit in assumptions {
-                if !self.boolean.add_clause(&[lit]) {
-                    self.stats.elapsed = started.elapsed();
-                    self.absorb_backend_deltas(lin0, nl0, term0);
-                    self.trace(|| {
-                        TraceEvent::new("solve.end")
-                            .field("outcome", "unsat")
-                            .duration(started.elapsed())
-                    });
+        self.call_window(
+            problem,
+            |e| e.field_u64("assumptions", assumptions.len() as u64),
+            |orc| orc.prepare_session(problem),
+            |orc, started| {
+                orc.boolean.load(problem.cnf());
+                if !orc.replay_imported_pool() {
+                    // An imported lemma already contradicts the formula:
+                    // the problem is unsat, no iteration needed.
                     return Ok(Outcome::Unsat);
                 }
-            }
-        }
-        let outcome = self.run_loop(problem, started);
-        self.stats.elapsed = started.elapsed();
-        self.absorb_backend_deltas(lin0, nl0, term0);
-        self.trace(|| {
-            let label = match &outcome {
-                Ok(Outcome::Sat(_)) => "sat",
-                Ok(Outcome::Unsat) => "unsat",
-                Ok(Outcome::Unknown) => "unknown",
-                Err(_) => "iteration-limit",
-            };
-            TraceEvent::new("solve.end")
-                .field("outcome", label)
-                .field_u64("iterations", self.stats.boolean_iterations)
-                .duration(started.elapsed())
-        });
-        outcome
+                // A backend without assumption support gets the cube as
+                // unit clauses instead (the clause database is rebuilt by
+                // the next `load` anyway).
+                if !orc.boolean.set_assumptions(assumptions)
+                    && assumptions
+                        .iter()
+                        .any(|&lit| !orc.boolean.add_clause(&[lit]))
+                {
+                    return Ok(Outcome::Unsat);
+                }
+                orc.run_loop(problem, started)
+            },
+            |outcome, e| e.field("outcome", outcome_label(outcome)),
+        )
     }
 
     /// Runs one check for a persistent [`crate::session::Session`].
@@ -1171,66 +1169,56 @@ impl Orchestrator {
         problem: &AbProblem,
         args: SessionSolveArgs<'_>,
     ) -> Result<Outcome, SolveError> {
-        let started = Instant::now();
-        self.stats = OrchestratorStats::default();
-        let lin0 = self.linear_snapshot();
-        let nl0 = self.nonlinear_snapshot();
-        let term0 = absolver_nonlinear::term::local_counters();
-        if args.rebuild_defs {
-            self.interned = problem
-                .defs()
-                .map(|(var, def)| {
-                    (
-                        var,
-                        def.constraints
-                            .iter()
-                            .map(|c| Arc::new(c.clone()))
-                            .collect(),
-                    )
-                })
-                .collect();
-        }
-        // The assertion stack survives across checks (that is where the
-        // cross-check warm starts come from); rebuild it only when the
-        // arithmetic variable count outgrew its columns, with headroom so
-        // a streaming deepening does not re-tableau on every step.
-        let num_arith = problem.arith_vars().len();
-        let needs_stack = match &self.incremental {
-            Some(inc) => inc.stack().num_vars() < num_arith,
-            None => true,
-        };
-        if needs_stack {
-            self.incremental = self
-                .linear
-                .first()
-                .and_then(|b| b.make_stack((num_arith * 2).max(4)))
-                .map(IncrementalLinear::new);
-        }
-        let stk0 = self.stack_counters();
-        self.session_lemmas = Some(Vec::new());
-        let trivially_unsat = if args.reload {
-            self.boolean.load(problem.cnf());
-            args.lemmas
-                .iter()
-                .any(|lemma| !self.boolean.add_clause(lemma))
-        } else {
-            self.boolean.reserve_vars(problem.cnf().num_vars());
-            args.new_clauses
-                .iter()
-                .any(|c| !self.boolean.add_clause(c.lits()))
-        };
-        self.boolean.set_assumptions(&[]);
-        let outcome = if trivially_unsat {
-            // A clause (or replayed lemma) already contradicts the
-            // formula at the root — sound, because lemmas are implied by
-            // the definitions they mention.
-            Ok(Outcome::Unsat)
-        } else {
-            self.run_loop(problem, started)
-        };
-        self.stats.elapsed = started.elapsed();
-        self.absorb_deltas_since(lin0, nl0, stk0, term0);
-        outcome
+        self.call_window(
+            problem,
+            |e| e.field("mode", "session"),
+            |orc| {
+                if args.rebuild_defs {
+                    orc.intern_defs(problem);
+                }
+                // The assertion stack survives across checks (that is
+                // where the cross-check warm starts come from); rebuild it
+                // only when the arithmetic variable count outgrew its
+                // columns, with headroom so a streaming deepening does not
+                // re-tableau on every step.
+                let num_arith = problem.arith_vars().len();
+                let needs_stack = match &orc.incremental {
+                    Some(inc) => inc.stack().num_vars() < num_arith,
+                    None => true,
+                };
+                if needs_stack {
+                    orc.incremental = orc
+                        .linear
+                        .first()
+                        .and_then(|b| b.make_stack((num_arith * 2).max(4)))
+                        .map(IncrementalLinear::new);
+                }
+            },
+            |orc, started| {
+                orc.session_lemmas = Some(Vec::new());
+                let trivially_unsat = if args.reload {
+                    orc.boolean.load(problem.cnf());
+                    args.lemmas
+                        .iter()
+                        .any(|lemma| !orc.boolean.add_clause(lemma))
+                } else {
+                    orc.boolean.reserve_vars(problem.cnf().num_vars());
+                    args.new_clauses
+                        .iter()
+                        .any(|c| !orc.boolean.add_clause(c.lits()))
+                };
+                orc.boolean.set_assumptions(&[]);
+                if trivially_unsat {
+                    // A clause (or replayed lemma) already contradicts the
+                    // formula at the root — sound, because lemmas are
+                    // implied by the definitions they mention.
+                    Ok(Outcome::Unsat)
+                } else {
+                    orc.run_loop(problem, started)
+                }
+            },
+            |outcome, e| e.field("outcome", outcome_label(outcome)),
+        )
     }
 
     /// Drains the theory-conflict clauses captured during the last
@@ -1273,67 +1261,50 @@ impl Orchestrator {
         problem: &AbProblem,
         max_models: usize,
     ) -> Result<Vec<AbModel>, SolveError> {
-        let started = Instant::now();
-        self.stats = OrchestratorStats::default();
-        let lin0 = self.linear_snapshot();
-        let nl0 = self.nonlinear_snapshot();
-        let term0 = absolver_nonlinear::term::local_counters();
-        self.trace(|| {
-            TraceEvent::new("solve.start")
-                .field("mode", "solve_all")
-                .field_u64("num_vars", problem.cnf().num_vars() as u64)
-                .field_u64("num_defs", problem.defs().count() as u64)
-        });
-        self.prepare_session(problem);
-        self.boolean.load(problem.cnf());
-        self.boolean.set_assumptions(&[]);
-        let mut models = Vec::new();
-        if !self.replay_imported_pool() {
-            // An imported lemma already contradicts the formula: there
-            // are no models to enumerate.
-            self.stats.elapsed = started.elapsed();
-            self.absorb_backend_deltas(lin0, nl0, term0);
-            self.trace(|| {
-                TraceEvent::new("solve.end")
-                    .field("outcome", "solve_all")
-                    .field_u64("models", 0)
-                    .duration(started.elapsed())
-            });
-            return Ok(models);
-        }
-        // Project on all Boolean variables so distinct Boolean models are
-        // enumerated (theory atoms and skeleton alike).
-        let all_vars: Vec<Var> = (0..problem.cnf().num_vars())
-            .map(|i| Var::new(i as u32))
-            .collect();
-        while models.len() < max_models {
-            match self.run_loop(problem, started)? {
-                Outcome::Sat(model) => {
-                    let blocking: Vec<Lit> = all_vars
-                        .iter()
-                        .filter_map(|&v| match model.boolean.value(v) {
-                            Tri::True => Some(v.negative()),
-                            Tri::False => Some(v.positive()),
-                            Tri::Unknown => None,
-                        })
-                        .collect();
-                    models.push(*model);
-                    if blocking.is_empty() || !self.boolean.add_clause(&blocking) {
-                        break;
+        self.call_window(
+            problem,
+            |e| e.field("mode", "solve_all"),
+            |orc| orc.prepare_session(problem),
+            |orc, started| {
+                orc.boolean.load(problem.cnf());
+                orc.boolean.set_assumptions(&[]);
+                let mut models = Vec::new();
+                if !orc.replay_imported_pool() {
+                    // An imported lemma already contradicts the formula:
+                    // there are no models to enumerate.
+                    return Ok(models);
+                }
+                // Project on all Boolean variables so distinct Boolean
+                // models are enumerated (theory atoms and skeleton alike).
+                let all_vars: Vec<Var> = (0..problem.cnf().num_vars())
+                    .map(|i| Var::new(i as u32))
+                    .collect();
+                while models.len() < max_models {
+                    match orc.run_loop(problem, started)? {
+                        Outcome::Sat(model) => {
+                            let blocking: Vec<Lit> = all_vars
+                                .iter()
+                                .filter_map(|&v| match model.boolean.value(v) {
+                                    Tri::True => Some(v.negative()),
+                                    Tri::False => Some(v.positive()),
+                                    Tri::Unknown => None,
+                                })
+                                .collect();
+                            models.push(*model);
+                            if blocking.is_empty() || !orc.boolean.add_clause(&blocking) {
+                                break;
+                            }
+                        }
+                        _ => break,
                     }
                 }
-                _ => break,
-            }
-        }
-        self.stats.elapsed = started.elapsed();
-        self.absorb_backend_deltas(lin0, nl0, term0);
-        self.trace(|| {
-            TraceEvent::new("solve.end")
-                .field("outcome", "solve_all")
-                .field_u64("models", models.len() as u64)
-                .duration(started.elapsed())
-        });
-        Ok(models)
+                Ok(models)
+            },
+            |models, e| {
+                e.field("outcome", "solve_all")
+                    .field_u64("models", models.as_ref().map_or(0, Vec::len) as u64)
+            },
+        )
     }
 
     /// The wall-clock deadline of a call that started at `started`: the

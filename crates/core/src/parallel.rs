@@ -29,7 +29,9 @@ use crate::backends::{
     CascadeNonlinear, CdclBoolean, IntervalNonlinear, PenaltyNonlinear, RestartingBoolean,
     SimplexLinear,
 };
-use crate::orchestrator::{Orchestrator, OrchestratorOptions, Outcome, SolveError, TimedLemma};
+use crate::orchestrator::{
+    outcome_label, Orchestrator, OrchestratorOptions, Outcome, SolveError, TimedLemma,
+};
 use crate::problem::{AbModel, AbProblem};
 use crate::structure::Partition;
 use absolver_logic::{Lit, Var};
@@ -85,11 +87,6 @@ pub struct ParallelOptions {
     /// instead of through a shared work queue, so each shard solves an
     /// input-determined cube set regardless of scheduling.
     pub deterministic: bool,
-    /// Number of variables to cube on (`Cubes` strategy); `0` picks
-    /// automatically from the number of jobs and available atoms.
-    pub cube_vars: usize,
-    /// Exchange theory-conflict clauses between cube shards.
-    pub share_clauses: bool,
     /// Control-loop options every shard starts from (the portfolio
     /// diversifies the *backends*, not these budgets). A `time_limit`
     /// here becomes one wall-clock deadline for the whole parallel call,
@@ -103,8 +100,6 @@ impl Default for ParallelOptions {
             jobs: 2,
             strategy: ParallelStrategy::Portfolio,
             deterministic: false,
-            cube_vars: 0,
-            share_clauses: true,
             base: OrchestratorOptions::default(),
         }
     }
@@ -458,12 +453,7 @@ fn solve_cubes(
             problem.cnf().num_vars()
         }
     };
-    let k = if options.cube_vars > 0 {
-        options.cube_vars.min(available).min(16)
-    } else {
-        auto_cube_vars(jobs, available)
-    };
-    let cube_vars = pick_cube_vars(problem, k);
+    let cube_vars = pick_cube_vars(problem, auto_cube_vars(jobs, available));
     let cubes = make_cubes(&cube_vars);
     let num_cubes = cubes.len();
 
@@ -477,15 +467,8 @@ fn solve_cubes(
 
     // Clause-sharing fabric: shard i receives on channel i and sends to
     // every sibling.
-    let mut inboxes: Vec<Option<mpsc::Receiver<TimedLemma>>> = Vec::new();
-    let mut senders: Vec<mpsc::Sender<TimedLemma>> = Vec::new();
-    if options.share_clauses {
-        for _ in 0..jobs {
-            let (tx, rx) = mpsc::channel();
-            senders.push(tx);
-            inboxes.push(Some(rx));
-        }
-    }
+    let (senders, inboxes): (Vec<mpsc::Sender<TimedLemma>>, Vec<_>) =
+        (0..jobs).map(|_| mpsc::channel()).unzip();
 
     // Work queue: deterministic mode assigns cube c to shard c % jobs;
     // otherwise shards pull from a shared counter.
@@ -494,11 +477,11 @@ fn solve_cubes(
 
     let mut reports: Vec<ShardReport> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..jobs)
-            .map(|shard| {
+            .zip(inboxes)
+            .map(|(shard, inbox)| {
                 let board = &board;
                 let next_cube = &next_cube;
                 let shard_base = &shard_base;
-                let inbox = inboxes.get_mut(shard).and_then(Option::take);
                 let outbox: Vec<mpsc::Sender<TimedLemma>> = senders
                     .iter()
                     .enumerate()
@@ -518,9 +501,7 @@ fn solve_cubes(
                     orc.set_cancel_token(Some(board.cancel.clone()));
                     orc.set_deadline(deadline);
                     orc.set_trace_sink(Arc::clone(&shard_sink));
-                    if let Some(inbox) = inbox {
-                        orc.set_clause_sharing(outbox, inbox);
-                    }
+                    orc.set_clause_sharing(outbox, inbox);
                     let mut stats = ShardStats::default();
                     let mut latency = None;
                     let mut result: Result<Outcome, SolveError> = Ok(Outcome::Unsat);
@@ -556,12 +537,7 @@ fn solve_cubes(
                         let cube_result = orc.solve_under(problem, cube);
                         let run = orc.stats();
                         if shard_sink.enabled() {
-                            let label = match &cube_result {
-                                Ok(Outcome::Sat(_)) => "sat",
-                                Ok(Outcome::Unsat) => "unsat",
-                                Ok(Outcome::Unknown) => "unknown",
-                                Err(_) => "iteration-limit",
-                            };
+                            let label = outcome_label(&cube_result);
                             shard_sink.emit(
                                 &TraceEvent::new("cube.end")
                                     .cube(cube_id)
@@ -762,12 +738,7 @@ fn solve_component_shards(
                         let comp_result = orc.solve_under(&sub, &[]);
                         let run = orc.stats();
                         if shard_sink.enabled() {
-                            let label = match &comp_result {
-                                Ok(Outcome::Sat(_)) => "sat",
-                                Ok(Outcome::Unsat) => "unsat",
-                                Ok(Outcome::Unknown) => "unknown",
-                                Err(_) => "iteration-limit",
-                            };
+                            let label = outcome_label(&comp_result);
                             shard_sink.emit(
                                 &TraceEvent::new("component.end")
                                     .field_u64("component", idx as u64)

@@ -217,21 +217,6 @@ impl Session {
         }
     }
 
-    /// Creates a session pre-loaded with an existing problem (frame 0).
-    pub fn from_problem(problem: &AbProblem) -> Session {
-        let mut s = Session::new();
-        s.problem = problem.clone();
-        s
-    }
-
-    /// Creates a session over a custom orchestrator, pre-loaded with an
-    /// existing problem (frame 0).
-    pub fn from_problem_with(problem: &AbProblem, orc: Orchestrator) -> Session {
-        let mut s = Session::with_orchestrator(orc);
-        s.problem = problem.clone();
-        s
-    }
-
     /// The current problem (frame 0 assertions plus every open frame).
     pub fn problem(&self) -> &AbProblem {
         &self.problem
@@ -279,68 +264,10 @@ impl Session {
     /// subsequent `check()`. Unlike the per-call
     /// [`crate::OrchestratorOptions::time_limit`], the deadline does not
     /// restart between checks, which makes it the right budget for a whole
-    /// session script or a service request: once it passes, every further
-    /// check returns [`Outcome::Unknown`] with
-    /// [`OrchestratorStats::timed_out`] set.
+    /// session script: once it passes, every further check returns
+    /// [`Outcome::Unknown`] with [`OrchestratorStats::timed_out`] set.
     pub fn set_deadline(&mut self, deadline: Option<std::time::Instant>) {
         self.orc.set_deadline(deadline);
-    }
-
-    /// Installs (or clears) a cooperative cancellation token polled by
-    /// subsequent `check()` calls. A cancelled check returns
-    /// [`Outcome::Unknown`] with [`OrchestratorStats::cancelled`] set.
-    pub fn set_cancel_token(
-        &mut self,
-        token: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    ) {
-        self.orc.set_cancel_token(token);
-    }
-
-    /// The theory lemmas currently retained, as bare clauses. Every
-    /// exported lemma is implied by the *definitions* (and, for nonlinear
-    /// problems, the *ranges*) currently in force — see the module docs.
-    /// The service layer harvests these from a retiring session to seed a
-    /// future session over the same declarations.
-    pub fn export_lemmas(&self) -> Vec<Vec<Lit>> {
-        self.lemmas.iter().map(|l| l.clause.clone()).collect()
-    }
-
-    /// Seeds the session with lemmas exported from another session.
-    ///
-    /// # Soundness
-    ///
-    /// The caller must guarantee each clause is implied by this session's
-    /// *current* definitions and ranges — in practice: it was exported by
-    /// [`Session::export_lemmas`] from a session whose frame-0 declarations,
-    /// definitions, and ranges are structurally identical to this one's.
-    /// Clauses mentioning Boolean variables this session has not allocated
-    /// are skipped (their indices could later be reallocated to unrelated
-    /// atoms). Forces a Boolean reload at the next check so the seeds are
-    /// replayed into the solver.
-    pub fn import_lemmas(&mut self, lemmas: impl IntoIterator<Item = Vec<Lit>>) {
-        self.seq += 1;
-        let num_vars = self.problem.cnf.num_vars();
-        let mut imported = 0u64;
-        for clause in lemmas {
-            if clause.is_empty() {
-                continue;
-            }
-            let max_var = clause.iter().map(|l| l.var().index()).max().unwrap_or(0);
-            if max_var >= num_vars {
-                continue;
-            }
-            self.lemmas.push(Lemma {
-                clause,
-                max_var,
-                seq: self.seq,
-            });
-            imported += 1;
-        }
-        if imported > 0 {
-            self.boolean_dirty = true;
-            self.invalidated();
-        }
-        self.trace(|| TraceEvent::new("session.lemma_import").field_u64("count", imported));
     }
 
     /// Whether lemma/cache validity depends on variable ranges — true as

@@ -9,8 +9,8 @@
 //! The constraint id the cascade passes in is the *interned*
 //! [`crate::term::ConstraintId`] — stable for the process lifetime, not a
 //! positional index — so entries stay valid across solves: a persistent
-//! session (or the service's warm-session pool) can carry one cache
-//! through many `check` calls and keep hitting on resubmitted boxes.
+//! session can carry one cache through many `check` calls and keep
+//! hitting on resubmitted boxes.
 //!
 //! Soundness rests on outward quantization
 //! ([`Interval::quantize_outward`]): the cache key is the quantized

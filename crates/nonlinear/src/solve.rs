@@ -39,8 +39,7 @@ pub struct NlSearchStats {
     pub contraction_cache_misses: u64,
     /// Solves that began with a non-empty persistent contraction cache —
     /// every counted resume proves entries written by an *earlier* solve
-    /// (or an earlier service request, via a pooled session) were carried
-    /// into this one. Interned [`crate::term::ConstraintId`]s are what
+    /// were carried into this one. Interned [`crate::term::ConstraintId`]s are what
     /// make those stale-looking entries sound to replay verbatim.
     pub contraction_cache_resumes: u64,
     /// Times the stagnation cutoff abandoned a box search early (see

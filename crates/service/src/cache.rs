@@ -1,50 +1,36 @@
-//! Cross-request warm state: the structural problem cache, the warm
-//! session pool, and the persistent lemma store.
+//! Cross-request warm state: the problem cache and the static-analysis
+//! cache, both keyed on the exact structural [`ProblemKey`].
 //!
 //! # Soundness
 //!
-//! Three layers, three different validity arguments:
+//! A [`ProblemKey`] is the exact clause list plus the declarations
+//! (arithmetic variables with kinds and ranges, every atom definition),
+//! so two requests share an entry only when they denote structurally
+//! identical problems (same clauses, definitions, variables, and ranges —
+//! whitespace and comment differences do not matter, literal order does).
+//! A cached verdict and model, or a cached static-analysis result, are
+//! then simply the memoized answer. `Unknown` is never cached: it
+//! reflects a budget, not a fact. The keys are exact values, not lossy
+//! hashes, so collisions are impossible.
 //!
-//! * **Problem cache** — keyed on [`ProblemKey`]: the exact clause list
-//!   plus the [`DeclKey`] declarations, so two requests share an entry
-//!   only when they denote structurally identical problems (same
-//!   clauses, definitions, variables, and ranges — whitespace and comment
-//!   differences do not matter, literal order does). A cached verdict and
-//!   model are then simply the memoized answer. `Unknown` is never
-//!   cached: it reflects a budget, not a fact.
-//! * **Session pool** — a warm [`Session`] is reusable for a request iff
-//!   the request's *declarations* (arithmetic variables with kinds and
-//!   ranges, plus every atom definition) are structurally identical to
-//!   the session's frame-0 state, which [`decl_key`] captures exactly.
-//!   Request clauses are asserted inside a pushed frame and popped
-//!   afterwards, so nothing request-specific leaks into the pooled state;
-//!   the session's retained lemmas and theory-verdict cache legitimately
-//!   carry over because their premises (definitions, ranges) are exactly
-//!   the shared declarations.
-//! * **Lemma store** — lemmas harvested from an evicted session, keyed on
-//!   the same [`decl_key`]. Seeding them into a fresh session over an
-//!   *equal* key is sound for the same reason; the keys are exact values
-//!   (not lossy hashes), so collisions are impossible.
-//!
-//! Both key types lean on the hash-consed term arena: a constraint is
+//! The key leans on the hash-consed term arena: a constraint is
 //! represented by its interned [`absolver_nonlinear::ConstraintId`],
 //! whose `u32` *is* the constraint up to structural equality. Building a
 //! key therefore costs O(1) per constraint — no expression rendering —
 //! and comparing keys compares ids, not trees. (Ids are process-local,
 //! which is exactly the scope of these in-process caches.)
 
-use absolver_core::{AbProblem, Outcome, Session, VarKind};
-use absolver_logic::{Clause, Lit};
+use absolver_core::{AbProblem, Outcome, VarKind};
+use absolver_logic::Clause;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 
 /// Exact structural key of a problem's *declarations* (arithmetic
 /// variables with kind and range, definitions sorted by Boolean
-/// variable): the equality key for warm-session reuse and the lemma
-/// store. Ranges are compared by bit pattern; constraints by interned
+/// variable). Ranges are compared by bit pattern; constraints by interned
 /// constraint id.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DeclKey {
+struct DeclKey {
     /// `(name, kind, range-lo bits, range-hi bits)` per arithmetic var.
     vars: Vec<(String, VarKind, u64, u64)>,
     /// `(boolean var index, interned constraint ids)` per definition.
@@ -52,7 +38,7 @@ pub struct DeclKey {
 }
 
 /// Builds the [`DeclKey`] of a problem.
-pub fn decl_key(problem: &AbProblem) -> DeclKey {
+fn decl_key(problem: &AbProblem) -> DeclKey {
     let vars = problem
         .arith_vars()
         .iter()
@@ -80,9 +66,9 @@ pub fn decl_key(problem: &AbProblem) -> DeclKey {
 }
 
 /// Exact structural key of a whole problem: the CNF skeleton (variable
-/// count and clause list, literal order preserved) plus the [`DeclKey`]
-/// declarations. This is the problem-cache key: equal keys denote
-/// identical problems, so a cached verdict transfers soundly.
+/// count and clause list, literal order preserved) plus the declarations.
+/// This is the key of both caches: equal keys denote identical problems,
+/// so a cached verdict transfers soundly.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ProblemKey {
     num_vars: usize,
@@ -210,160 +196,6 @@ impl AnalysisCache {
     }
 }
 
-/// Cap on lemmas kept per declaration key in the [`LemmaStore`].
-const MAX_LEMMAS_PER_KEY: usize = 256;
-
-/// Persistent store of theory lemmas harvested from evicted sessions,
-/// keyed on [`decl_key`]. Bounded in keys (FIFO) and in lemmas per key.
-#[derive(Debug)]
-pub struct LemmaStore {
-    map: HashMap<DeclKey, Vec<Vec<Lit>>>,
-    order: VecDeque<DeclKey>,
-    capacity: usize,
-}
-
-impl LemmaStore {
-    /// Creates a store holding lemmas for at most `capacity` declaration
-    /// keys (min 1).
-    pub fn new(capacity: usize) -> LemmaStore {
-        LemmaStore {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The stored lemmas for a declaration key, if any.
-    pub fn get(&self, key: &DeclKey) -> Option<&[Vec<Lit>]> {
-        self.map.get(key).map(Vec::as_slice)
-    }
-
-    /// Merges `lemmas` into the entry for `key`, dropping duplicates and
-    /// truncating at the per-key cap.
-    pub fn absorb(&mut self, key: &DeclKey, lemmas: Vec<Vec<Lit>>) {
-        if lemmas.is_empty() {
-            return;
-        }
-        if !self.map.contains_key(key) {
-            while self.map.len() >= self.capacity {
-                match self.order.pop_front() {
-                    Some(old) => {
-                        self.map.remove(&old);
-                    }
-                    None => break,
-                }
-            }
-            self.order.push_back(key.clone());
-            self.map.insert(key.clone(), Vec::new());
-        }
-        let entry = self.map.get_mut(key).expect("inserted above");
-        for lemma in lemmas {
-            if entry.len() >= MAX_LEMMAS_PER_KEY {
-                break;
-            }
-            if !entry.contains(&lemma) {
-                entry.push(lemma);
-            }
-        }
-    }
-
-    /// Number of declaration keys with stored lemmas.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// A pooled warm session and the declaration key it serves.
-#[derive(Debug)]
-struct PooledSession {
-    key: DeclKey,
-    session: Session,
-    /// Monotone use stamp for LRU eviction.
-    stamp: u64,
-}
-
-/// Bounded pool of warm sessions, one per declaration key, LRU-evicted.
-/// Eviction hands the retiring session back so the server can harvest
-/// its lemmas into the [`LemmaStore`].
-#[derive(Debug)]
-pub struct SessionPool {
-    slots: Vec<PooledSession>,
-    capacity: usize,
-    clock: u64,
-}
-
-impl SessionPool {
-    /// Creates a pool holding at most `capacity` sessions (min 1).
-    pub fn new(capacity: usize) -> SessionPool {
-        SessionPool {
-            slots: Vec::new(),
-            capacity: capacity.max(1),
-
-            clock: 0,
-        }
-    }
-
-    /// Takes the warm session for `key` out of the pool, if present.
-    /// (Ownership moves to the worker; a panicking solve simply never
-    /// returns it, which is exactly the containment we want.)
-    pub fn take(&mut self, key: &DeclKey) -> Option<Session> {
-        let at = self.slots.iter().position(|p| &p.key == key)?;
-        Some(self.slots.swap_remove(at).session)
-    }
-
-    /// Returns a session to the pool under `key`. When the pool is full,
-    /// the least-recently-used session is evicted and returned as
-    /// `(key, session)` for lemma harvesting. A session for the same key
-    /// replaces the old one (the newer session's caches are warmer).
-    pub fn put(&mut self, key: DeclKey, session: Session) -> Option<(DeclKey, Session)> {
-        self.clock += 1;
-        let stamp = self.clock;
-        let mut evicted = None;
-        if let Some(at) = self.slots.iter().position(|p| p.key == key) {
-            let old = std::mem::replace(
-                &mut self.slots[at],
-                PooledSession {
-                    key,
-                    session,
-                    stamp,
-                },
-            );
-            return Some((old.key, old.session));
-        }
-        if self.slots.len() >= self.capacity {
-            let at = self
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, p)| p.stamp)
-                .map(|(i, _)| i)?;
-            let old = self.slots.swap_remove(at);
-            evicted = Some((old.key, old.session));
-        }
-        self.slots.push(PooledSession {
-            key,
-            session,
-            stamp,
-        });
-        evicted
-    }
-
-    /// Number of pooled sessions.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,34 +264,5 @@ mod tests {
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&a), None, "FIFO evicts the oldest entry");
         assert_eq!(cache.get(&c), Some(true));
-    }
-
-    #[test]
-    fn lemma_store_dedupes_and_caps() {
-        let k = decl_key(&keyed(1));
-        let mut store = LemmaStore::new(4);
-        let lemma = vec![absolver_logic::Lit::from_dimacs(1)];
-        store.absorb(&k, vec![lemma.clone(), lemma.clone()]);
-        assert_eq!(store.get(&k).unwrap().len(), 1);
-        store.absorb(&k, vec![lemma]);
-        assert_eq!(store.get(&k).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn session_pool_lru_eviction_hands_back_the_session() {
-        let (a, b, c) = (
-            decl_key(&keyed(1)),
-            decl_key(&keyed(2)),
-            decl_key(&keyed(3)),
-        );
-        let mut pool = SessionPool::new(2);
-        assert!(pool.put(a.clone(), Session::new()).is_none());
-        assert!(pool.put(b.clone(), Session::new()).is_none());
-        // Touch `a` so `b` is the LRU entry.
-        let warm = pool.take(&a).expect("pooled");
-        assert!(pool.put(a, warm).is_none());
-        let evicted = pool.put(c, Session::new()).expect("evicts LRU");
-        assert_eq!(evicted.0, b);
-        assert_eq!(pool.len(), 2);
     }
 }

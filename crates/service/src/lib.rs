@@ -1,6 +1,6 @@
 //! The `absolverd` solve service: a long-running daemon that accepts
 //! AB-problems over a line protocol and answers them from a bounded
-//! worker pool with cross-request warm state.
+//! worker pool with cross-request caches.
 //!
 //! # Architecture
 //!
@@ -13,15 +13,15 @@
 //!                                          worker pool
 //!                                       (catch_unwind each)
 //!                                                │
-//!                    ┌──────────────┬──────────────┼──────────────────┐
-//!              VerdictCache   AnalysisCache   SessionPool         LemmaStore
-//!            (same problem ⇒ (static-unsat ⇒ (same decls ⇒       (same decls ⇒
-//!             cached answer)  no solve/worker) warm Session)      seeded lemmas)
+//!                          ┌─────────────────────┼──────────────────┐
+//!                    VerdictCache          AnalysisCache      Orchestrator::solve
+//!                  (same problem ⇒        (static-unsat ⇒     (a miss on both:
+//!                   cached answer)         no solve/worker)     one-shot solve)
 //! ```
 //!
 //! Statically unsatisfiable bodies — refuted by the interval-dataflow
 //! analysis of `absolver-analyze` — are answered with the distinct
-//! `static-unsat` verdict before any session is built; on resubmission
+//! `static-unsat` verdict before the solve loop runs; on resubmission
 //! the cached analysis answers at submission, without occupying a
 //! worker.
 //!
@@ -29,8 +29,8 @@
 //!   rendering, total over arbitrary input.
 //! * [`queue`] — the bounded three-band priority queue; a full queue is
 //!   backpressure (`overload` + retry hint), never a stall.
-//! * [`cache`] — the three warm-state layers and their soundness
-//!   arguments.
+//! * [`cache`] — the two warm-state layers and their soundness
+//!   argument.
 //! * [`server`] — the worker pool tying it together: per-request
 //!   deadlines, cooperative cancellation, and panic containment (a
 //!   worker panic becomes an `internal` error response and an `aborts`
@@ -44,10 +44,7 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 
-pub use cache::{
-    decl_key, problem_key, AnalysisCache, DeclKey, LemmaStore, ProblemKey, SessionPool,
-    VerdictCache,
-};
+pub use cache::{problem_key, AnalysisCache, ProblemKey, VerdictCache};
 pub use protocol::{
     CacheTier, ClientFrame, ErrCode, Priority, ProtoError, RequestDecoder, Response, SolveFrame,
     MAX_BODY_BYTES,

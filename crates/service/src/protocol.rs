@@ -98,9 +98,8 @@ pub enum CacheTier {
     /// The cached static analysis answered at submission (statically
     /// unsatisfiable body seen before — no worker involved).
     Analysis,
-    /// A pooled warm session over the same declarations solved it.
-    Session,
-    /// Solved from scratch (and warmed the pool for successors).
+    /// Answered by a one-shot solve (or, for a `static-unsat` body seen
+    /// for the first time, by the static analysis on a worker).
     Cold,
 }
 
@@ -110,7 +109,6 @@ impl CacheTier {
         match self {
             CacheTier::Problem => "problem",
             CacheTier::Analysis => "analysis",
-            CacheTier::Session => "session",
             CacheTier::Cold => "cold",
         }
     }
@@ -550,14 +548,14 @@ mod tests {
         let ok = Response::Ok {
             id: 4,
             verdict: "sat",
-            cache: CacheTier::Session,
+            cache: CacheTier::Cold,
             wait_us: 12,
             solve_us: 345,
             model: vec![("x".into(), "1/2".into())],
         };
         assert_eq!(
             ok.render(),
-            "ok id=4 verdict=sat cache=session wait_us=12 solve_us=345 model x=1/2"
+            "ok id=4 verdict=sat cache=cold wait_us=12 solve_us=345 model x=1/2"
         );
         let err = Response::Err {
             id: Some(5),

@@ -1,18 +1,17 @@
 //! The resident solve server: a bounded worker pool over a priority
 //! queue, with per-request deadlines, cooperative cancellation, and the
-//! three-layer warm-state stack from [`crate::cache`].
+//! two caches from [`crate::cache`]. A request that misses both is
+//! answered by one [`Orchestrator::solve`] call, the CLI's entry point.
 //!
 //! Workers never abort the process: each request is handled under
 //! `catch_unwind`, so a panic becomes an `internal` error response plus
-//! an `aborts` counter tick (and the possibly-poisoned session is simply
-//! not returned to the pool).
+//! an `aborts` counter tick (the request's orchestrator dies with it).
 
-use crate::cache::{decl_key, problem_key, AnalysisCache, LemmaStore, SessionPool, VerdictCache};
+use crate::cache::{problem_key, AnalysisCache, VerdictCache};
 use crate::protocol::{CacheTier, ErrCode, Response, SolveFrame};
 use crate::queue::JobQueue;
 use absolver_analyze::{dataflow, DataflowVerdict};
-use absolver_core::{AbProblem, Outcome, Session, SolveError};
-use absolver_num::Interval;
+use absolver_core::{AbProblem, Orchestrator, Outcome, SolveError};
 use absolver_trace::{saturating_micros, JsonObject, NullSink, TraceEvent, TraceSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -27,10 +26,6 @@ pub struct ServerOptions {
     pub workers: usize,
     /// Queue capacity; a full queue rejects with `overload` + retry hint.
     pub queue_capacity: usize,
-    /// Warm sessions kept across requests (LRU).
-    pub session_pool: usize,
-    /// Cached problem verdicts (FIFO).
-    pub problem_cache: usize,
     /// Deadline applied to requests that carry no `timeout_ms`.
     pub default_timeout: Option<Duration>,
     /// Reject problems with more Boolean variables than this.
@@ -46,8 +41,6 @@ impl Default for ServerOptions {
         ServerOptions {
             workers: 2,
             queue_capacity: 64,
-            session_pool: 8,
-            problem_cache: 256,
             default_timeout: None,
             max_bool_vars: 100_000,
             max_clauses: 500_000,
@@ -55,6 +48,9 @@ impl Default for ServerOptions {
         }
     }
 }
+
+/// Entries kept by each of the problem and static-analysis caches (FIFO).
+const PROBLEM_CACHE_CAPACITY: usize = 256;
 
 /// Monotone server counters, updated lock-free by workers and the
 /// submission path.
@@ -81,22 +77,10 @@ pub struct ServerStats {
     pub problem_misses: AtomicU64,
     /// Requests answered `static-unsat` by the interval-dataflow
     /// analysis — computed fresh on a worker or replayed from the
-    /// analysis cache at submission — without ever building a session.
+    /// analysis cache at submission — without entering the solve loop.
     pub static_unsat: AtomicU64,
-    /// Warm-session pool hits.
-    pub session_hits: AtomicU64,
-    /// Warm-session pool misses (fresh session built).
-    pub session_misses: AtomicU64,
-    /// Lemmas seeded into fresh sessions from the store.
-    pub lemmas_seeded: AtomicU64,
     /// Nonlinear contraction-cache hits summed over answered solves.
     pub contraction_hits: AtomicU64,
-    /// Contraction-cache resumes observed while answering requests served
-    /// from the warm-session pool. A pooled session's persistent cache
-    /// holds entries written by *earlier* requests, so a nonzero count
-    /// proves contraction work was shared across requests — the payoff of
-    /// keying the cache on stable interned constraint ids.
-    pub contraction_resumes: AtomicU64,
     /// Term-intern requests answered by the global arena (structural
     /// duplicates collapsed to an id copy) summed over answered solves.
     pub term_dedup_hits: AtomicU64,
@@ -129,7 +113,7 @@ impl ServerStats {
 
     /// Serialises the counters as one JSON object (the `stats` response
     /// payload).
-    pub fn to_json(&self, queue_depth: usize, pooled_sessions: usize) -> String {
+    pub fn to_json(&self, queue_depth: usize) -> String {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let mut obj = JsonObject::new();
         obj.field_u64("received", get(&self.received))
@@ -142,17 +126,12 @@ impl ServerStats {
             .field_u64("problem_hits", get(&self.problem_hits))
             .field_u64("problem_misses", get(&self.problem_misses))
             .field_u64("static_unsat", get(&self.static_unsat))
-            .field_u64("session_hits", get(&self.session_hits))
-            .field_u64("session_misses", get(&self.session_misses))
-            .field_u64("lemmas_seeded", get(&self.lemmas_seeded))
             .field_u64("contraction_hits", get(&self.contraction_hits))
-            .field_u64("contraction_resumes", get(&self.contraction_resumes))
             .field_u64("term_dedup_hits", get(&self.term_dedup_hits))
             .field_u64("wait_us_total", get(&self.wait_us_total))
             .field_u64("solve_us_total", get(&self.solve_us_total))
             .field_u64("ewma_solve_us", get(&self.ewma_solve_us))
-            .field_u64("queue_depth", queue_depth as u64)
-            .field_u64("pooled_sessions", pooled_sessions as u64);
+            .field_u64("queue_depth", queue_depth as u64);
         obj.finish()
     }
 }
@@ -174,13 +153,11 @@ struct Job {
     enqueued: Instant,
 }
 
-/// The warm-state layers, coordinated under one lock (taken briefly
-/// before and after a solve, never across one).
+/// The two caches, coordinated under one lock (taken briefly before and
+/// after a solve, never across one).
 struct Caches {
     problems: VerdictCache,
     analysis: AnalysisCache,
-    sessions: SessionPool,
-    lemmas: LemmaStore,
 }
 
 struct Shared {
@@ -240,16 +217,14 @@ impl Server {
         Server::with_trace(options, Arc::new(NullSink))
     }
 
-    /// Spawns a server emitting `request.*`/`queue.*`/`cache.*` events
-    /// through `sink`.
+    /// Spawns a server emitting `request.*`/`queue.*`/`cache.*` events,
+    /// and the solve events of every cache miss, through `sink`.
     pub fn with_trace(options: ServerOptions, sink: Arc<dyn TraceSink>) -> Server {
         let shared = Arc::new(Shared {
             queue: JobQueue::new(options.queue_capacity),
             caches: Mutex::new(Caches {
-                problems: VerdictCache::new(options.problem_cache),
-                analysis: AnalysisCache::new(options.problem_cache),
-                sessions: SessionPool::new(options.session_pool),
-                lemmas: LemmaStore::new(options.session_pool.max(8) * 4),
+                problems: VerdictCache::new(PROBLEM_CACHE_CAPACITY),
+                analysis: AnalysisCache::new(PROBLEM_CACHE_CAPACITY),
             }),
             stats: ServerStats::default(),
             sink,
@@ -274,8 +249,7 @@ impl Server {
 
     /// Statistics JSON (the `stats` response payload).
     pub fn stats_json(&self) -> String {
-        let pooled = lock_caches(&self.shared).sessions.len();
-        self.shared.stats.to_json(self.shared.queue.len(), pooled)
+        self.shared.stats.to_json(self.shared.queue.len())
     }
 
     /// Submits a solve request. Responses (including the backpressure
@@ -569,11 +543,11 @@ fn handle_request(shared: &Shared, job: &Job) -> Response {
         TraceEvent::new("cache.problem_miss").field_u64("id", job.id)
     });
 
-    // Static analysis: the interval-dataflow fixpoint refutes statically
-    // unsatisfiable bodies without building a session or entering the
-    // solve loop. The verdict is cached per problem key (both
-    // polarities, so resubmissions skip the analysis; a cached `true`
-    // answers at submission without reaching a worker at all).
+    // Layer 2: the interval-dataflow fixpoint refutes statically
+    // unsatisfiable bodies without entering the solve loop. The verdict
+    // is cached per problem key (both polarities, so resubmissions skip
+    // the analysis; a cached `true` answers at submission without
+    // reaching a worker at all).
     // (Bind the cache lookup first: a guard inside the match scrutinee
     // would live across the arms and deadlock against the insert below.)
     let cached_analysis = lock_caches(shared).analysis.get(&canonical);
@@ -609,101 +583,45 @@ fn handle_request(shared: &Shared, job: &Job) -> Response {
         };
     }
 
-    // Layer 2: a warm session over the same declarations. (Bind the
-    // pool lookup first: a guard inside the match scrutinee would live
-    // across the arms and deadlock against the lemma-store lock below.)
-    let key = decl_key(problem);
-    let pooled = lock_caches(shared).sessions.take(&key);
-    let (mut session, tier) = match pooled {
-        Some(session) => {
-            stats.bump(&stats.session_hits);
-            trace(shared, || {
-                TraceEvent::new("cache.session_hit").field_u64("id", job.id)
-            });
-            (session, CacheTier::Session)
-        }
-        None => {
-            stats.bump(&stats.session_misses);
-            trace(shared, || {
-                TraceEvent::new("cache.session_miss").field_u64("id", job.id)
-            });
-            let mut session = match session_for(problem) {
-                Ok(s) => s,
-                Err(e) => {
-                    return Response::Err {
-                        id: Some(job.id),
-                        code: ErrCode::Parse,
-                        retry_after_ms: None,
-                        message: e.to_string(),
-                    };
-                }
-            };
-            // Layer 3: seed lemmas harvested from retired sessions over
-            // the same declarations.
-            let seeds = lock_caches(shared)
-                .lemmas
-                .get(&key)
-                .map(<[Vec<absolver_logic::Lit>]>::to_vec)
-                .unwrap_or_default();
-            if !seeds.is_empty() {
-                let count = seeds.len() as u64;
-                stats.lemmas_seeded.fetch_add(count, Ordering::Relaxed);
-                trace(shared, || {
-                    TraceEvent::new("cache.lemma_seed")
-                        .field_u64("id", job.id)
-                        .field_u64("literals", count)
-                });
-                session.import_lemmas(seeds);
+    // A miss on both caches is one `Orchestrator::solve`, the CLI's entry
+    // point, with the default backends and no preprocessor. It carries
+    // the request's deadline and cancel token and the server's trace sink.
+    let mut orc = Orchestrator::with_defaults()
+        .with_cancel_token(job.cancel.clone())
+        .with_trace_sink(Arc::clone(&shared.sink));
+    orc.set_deadline(job.deadline);
+    let result = orc.solve(problem);
+    let solve_stats = orc.stats();
+    stats
+        .contraction_hits
+        .fetch_add(solve_stats.contraction_cache_hits, Ordering::Relaxed);
+    // Request-window dedup delta on this worker thread (the parse delta
+    // was added from `job.parse_dedup` above); the solve's own
+    // `term_dedup_hits` covers a sub-window, so it is not added again.
+    let (_, dedup1) = absolver_nonlinear::term::local_counters();
+    stats
+        .term_dedup_hits
+        .fetch_add(dedup1.saturating_sub(term0.1), Ordering::Relaxed);
+    match result {
+        Ok(_) if solve_stats.cancelled => {
+            stats.bump(&stats.cancelled);
+            Response::Err {
+                id: Some(job.id),
+                code: ErrCode::Cancelled,
+                retry_after_ms: None,
+                message: "cancelled mid-solve".to_string(),
             }
-            (session, CacheTier::Cold)
         }
-    };
-
-    let result = solve_on(&mut session, problem, job.deadline, job.cancel.clone());
-
-    let response = match &result {
+        Ok(_) if solve_stats.timed_out => Response::Err {
+            id: Some(job.id),
+            code: ErrCode::Deadline,
+            retry_after_ms: None,
+            message: "deadline expired mid-solve".to_string(),
+        },
         Ok(outcome) => {
-            let check_stats = session.check_stats();
-            stats
-                .contraction_hits
-                .fetch_add(check_stats.contraction_cache_hits, Ordering::Relaxed);
-            // Resumes are only attributed to pool-warm requests: their
-            // session's persistent cache holds entries written by earlier
-            // requests, so every resume there replays cross-request state.
-            if tier == CacheTier::Session {
-                stats
-                    .contraction_resumes
-                    .fetch_add(check_stats.contraction_cache_resumes, Ordering::Relaxed);
-            }
-            // Solve-window dedup delta on this worker thread (the parse
-            // delta was added from `job.parse_dedup` above); the
-            // per-check counter inside `check_stats` covers the same
-            // sub-window, so it is not added separately.
-            let (_, dedup1) = absolver_nonlinear::term::local_counters();
-            stats
-                .term_dedup_hits
-                .fetch_add(dedup1.saturating_sub(term0.1), Ordering::Relaxed);
-            if check_stats.cancelled {
-                stats.bump(&stats.cancelled);
-                Response::Err {
-                    id: Some(job.id),
-                    code: ErrCode::Cancelled,
-                    retry_after_ms: None,
-                    message: "cancelled mid-solve".to_string(),
-                }
-            } else if check_stats.timed_out {
-                Response::Err {
-                    id: Some(job.id),
-                    code: ErrCode::Deadline,
-                    retry_after_ms: None,
-                    message: "deadline expired mid-solve".to_string(),
-                }
-            } else {
-                lock_caches(shared)
-                    .problems
-                    .insert(canonical, outcome.clone());
-                ok_response(job.id, problem, outcome, tier)
-            }
+            let response = ok_response(job.id, problem, &outcome, CacheTier::Cold);
+            lock_caches(shared).problems.insert(canonical, outcome);
+            response
         }
         Err(SolveError::IterationLimit(n)) => Response::Err {
             id: Some(job.id),
@@ -711,65 +629,7 @@ fn handle_request(shared: &Shared, job: &Job) -> Response {
             retry_after_ms: None,
             message: format!("control loop exceeded {n} Boolean iterations"),
         },
-    };
-
-    // Return the session to the pool (warm for the next request over the
-    // same declarations), harvesting lemmas from whichever session the
-    // pool evicts to make room.
-    let evicted = lock_caches(shared).sessions.put(key, session);
-    if let Some((evicted_key, evicted_session)) = evicted {
-        let harvest = evicted_session.export_lemmas();
-        if !harvest.is_empty() {
-            lock_caches(shared).lemmas.absorb(&evicted_key, harvest);
-        }
     }
-    response
-}
-
-/// Builds a fresh session whose frame 0 is exactly the problem's
-/// declarations (arithmetic variables, ranges, definitions) — the shared
-/// state every request with the same [`decl_key`] agrees on.
-fn session_for(problem: &AbProblem) -> Result<Session, absolver_core::SessionError> {
-    let mut session = Session::new();
-    for v in problem.arith_vars() {
-        let id = session.arith_var(&v.name, v.kind)?;
-        if v.range != Interval::ENTIRE {
-            session.assert_range(id, v.range)?;
-        }
-    }
-    let mut defs: Vec<_> = problem.defs().collect();
-    defs.sort_by_key(|(var, _)| var.index());
-    for (var, def) in defs {
-        for constraint in &def.constraints {
-            session.define(var, constraint.clone())?;
-        }
-    }
-    Ok(session)
-}
-
-/// Solves one request on a (fresh or pooled) session: the request's
-/// clauses live in a pushed frame, popped before the session returns to
-/// the pool, so only declaration-implied state persists.
-fn solve_on(
-    session: &mut Session,
-    problem: &AbProblem,
-    deadline: Option<Instant>,
-    cancel: Arc<AtomicBool>,
-) -> Result<Outcome, SolveError> {
-    session.push();
-    while session.problem().cnf().num_vars() < problem.cnf().num_vars() {
-        session.bool_var();
-    }
-    for clause in problem.cnf().clauses() {
-        session.assert_clause(clause.lits().iter().copied());
-    }
-    session.set_deadline(deadline);
-    session.set_cancel_token(Some(cancel));
-    let result = session.check();
-    session.set_deadline(None);
-    session.set_cancel_token(None);
-    let _ = session.pop();
-    result
 }
 
 /// Sweep bound for the interval-dataflow analysis of a request body —
@@ -877,7 +737,7 @@ mod tests {
     const STATIC_UNSAT: &str = "p cnf 2 2\n1 0\n2 0\nc def real 1 x >= 1\nc def real 2 x <= 0\n";
 
     #[test]
-    fn statically_unsat_bodies_skip_sessions_and_cache_the_analysis() {
+    fn statically_unsat_bodies_skip_the_solve_and_cache_the_analysis() {
         let server = Server::new(ServerOptions {
             workers: 1,
             ..Default::default()
@@ -904,12 +764,6 @@ mod tests {
         }
         let stats = server.stats();
         assert_eq!(stats.static_unsat.load(Ordering::Relaxed), 1);
-        assert_eq!(
-            stats.session_misses.load(Ordering::Relaxed)
-                + stats.session_hits.load(Ordering::Relaxed),
-            0,
-            "no session is built for a statically-unsat body"
-        );
         // A resubmission answers at submission from the analysis cache,
         // without occupying a worker.
         let (tx, rx) = mpsc::channel();

@@ -19,8 +19,8 @@
 //! |------------------|---------------------|--------------------------------|
 //! | `preprocess.start` | orchestrator      | `pass`, `num_vars`, `num_clauses`, `num_defs` |
 //! | `preprocess.end` | orchestrator        | `result` (`shrunk`/`trivially-unsat`), `vars_eliminated`, `clauses_eliminated`, `atoms_eliminated`, `ranges_tightened`, `duration_us` |
-//! | `solve.start`    | orchestrator        | `vars`, `clauses`, `defs`      |
-//! | `solve.end`      | orchestrator        | `verdict`, `duration_us`       |
+//! | `solve.start`    | orchestrator        | `num_vars`, `num_defs`, then `assumptions` (solve) or `mode` (`solve_all`/`session`) |
+//! | `solve.end`      | orchestrator        | `outcome`, `models` (`solve_all`), `iterations`, `duration_us` |
 //! | `boolean.model`  | orchestrator        | `iteration`, `duration_us`     |
 //! | `theory.check`   | orchestrator        | `iteration`, `verdict`, `items`, `duration_us` |
 //! | `phase.linear`   | theory layer        | `start` (`warm`/`cold`), `reused_rows`, `pushed_rows`, `duration_us` |
@@ -44,8 +44,9 @@
 //! | `queue.reject`   | service             | `id`, `retry_after_ms`         |
 //! | `queue.expired`  | service             | `id`, `wait_us`                |
 //! | `cache.problem_hit` / `cache.problem_miss` | service | `id`          |
-//! | `cache.session_hit` / `cache.session_miss` | service | `id`          |
-//! | `cache.lemma_seed` | service            | `id`, `literals`              |
+//! | `cache.analysis_hit` | service          | `id`                          |
+//! | `cache.analysis_computed` | service     | `id`, `rounds`, `static_unsat` |
+//! | `request.static_unsat` | service        | `id`                          |
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

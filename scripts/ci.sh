@@ -38,6 +38,12 @@ cargo build --release --offline --workspace --all-targets
 echo "== test =="
 cargo test -q --offline --workspace
 
+echo "== benchmark harness tests (perfbench, its own cargo workspace) =="
+# perfbench builds against the repository's crates, so an API change that
+# stops the benchmark from building fails here rather than at benchmark
+# time.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== parallel differential suite (portfolio + cubes at jobs 1/2/4) =="
 cargo test -q --offline --test parallel_agreement
 
@@ -113,8 +119,8 @@ ABS_BENCH_DIR="$OBS_TMP" ABS_BENCH_BASELINE_DIR=. \
 # Solve-service load gate: cold / resubmission / mixed-priority burst
 # phases through an in-process absolverd server. Fails on a p99 latency
 # regression vs the checked-in baseline, a throughput collapse, a
-# resubmission p50 win of <= 1.5x over cold solves, a dead cache, or
-# any worker abort.
+# resubmission p50 win of <= 1.5x over cold solves, a problem cache with
+# no hits, or any worker abort.
 ABS_BENCH_DIR="$OBS_TMP" ABS_BENCH_BASELINE_DIR=. \
     ./target/release/service_load --check-regress
 if command -v python3 >/dev/null 2>&1; then

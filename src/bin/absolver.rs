@@ -80,7 +80,8 @@ use absolver::core::{
 use absolver::nonlinear::{ContractorConfig, NlOptions};
 use absolver::num::Interval;
 use absolver::trace::{saturating_micros, FileSink, JsonObject};
-use std::io::Read;
+use std::fmt::Display;
+use std::io::{self, Read, StdoutLock, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,6 +95,54 @@ const EXIT_ERROR: u8 = 2;
 const EXIT_CHECK_CLEAN: u8 = 0;
 const EXIT_CHECK_WARNINGS: u8 = 3;
 const EXIT_CHECK_ERRORS: u8 = 4;
+
+/// Stdout, for every mode: the one fallible writer all output goes
+/// through. The first write error is kept and later writes are skipped,
+/// so a reader that went away (`absolver FILE | head -1`) ends the run
+/// with its verdict's exit code instead of a panic.
+struct Out {
+    stdout: StdoutLock<'static>,
+    error: Option<io::Error>,
+}
+
+impl Out {
+    fn new() -> Out {
+        Out {
+            stdout: io::stdout().lock(),
+            error: None,
+        }
+    }
+
+    /// Writes `text` as is.
+    fn text(&mut self, text: &str) {
+        if self.error.is_none() {
+            self.error = self.stdout.write_all(text.as_bytes()).err();
+        }
+    }
+
+    /// Writes `line` and a newline.
+    fn line(&mut self, line: impl Display) {
+        self.text(&format!("{line}\n"));
+    }
+
+    /// Whether a write failed, so nothing more reaches the reader.
+    fn failed(&self) -> bool {
+        self.error.is_some()
+    }
+
+    /// The exit code of a run that reached the verdict (or check result)
+    /// `code`. A reader that went away (`BrokenPipe`) leaves the code
+    /// standing; any other write error is an IO error.
+    fn exit(mut self, code: u8) -> ExitCode {
+        match self.error.take().or_else(|| self.stdout.flush().err()) {
+            Some(e) if e.kind() != io::ErrorKind::BrokenPipe => {
+                eprintln!("cannot write to stdout: {e}");
+                ExitCode::from(EXIT_ERROR)
+            }
+            _ => ExitCode::from(code),
+        }
+    }
+}
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum StatsFormat {
@@ -340,18 +389,19 @@ fn check_main(args: &[String]) -> ExitCode {
         }
     };
     let report = absolver::analyze::check_source(&text);
+    let mut out = Out::new();
     if json {
-        println!("{}", report.render_json());
+        out.line(report.render_json());
     } else {
-        print!("{}", report.render_human(&label));
+        out.text(&report.render_human(&label));
     }
-    if report.errors() > 0 {
-        ExitCode::from(EXIT_CHECK_ERRORS)
+    out.exit(if report.errors() > 0 {
+        EXIT_CHECK_ERRORS
     } else if report.warnings() > 0 {
-        ExitCode::from(EXIT_CHECK_WARNINGS)
+        EXIT_CHECK_WARNINGS
     } else {
-        ExitCode::from(EXIT_CHECK_CLEAN)
-    }
+        EXIT_CHECK_CLEAN
+    })
 }
 
 /// Emits one compiler-style session diagnostic (the AB-code format of
@@ -487,8 +537,13 @@ fn session_main(args: &[String]) -> ExitCode {
     let mut session = Session::with_orchestrator(orc);
     session.set_deadline(budget.map(|d| Instant::now() + d));
     let mut last_exit: Option<u8> = None;
+    let mut out = Out::new();
 
     for (idx, raw) in text.lines().enumerate() {
+        if out.failed() {
+            // Nobody reads the verdicts of the remaining checks.
+            break;
+        }
         let line = idx + 1;
         let cmd = match parse_script_line(raw, line) {
             Ok(Some(cmd)) => cmd,
@@ -570,7 +625,7 @@ fn session_main(args: &[String]) -> ExitCode {
             ScriptCommand::Check => match session.check() {
                 Ok(outcome) => {
                     let (msg, code) = verdict_line(&outcome);
-                    println!("{msg}");
+                    out.line(msg);
                     last_exit = Some(code);
                     match config.stats {
                         Some(StatsFormat::Human) => {
@@ -594,7 +649,7 @@ fn session_main(args: &[String]) -> ExitCode {
                                     },
                                 )
                                 .field_raw("stats", &session.check_stats().to_json());
-                            println!("{}", obj.finish());
+                            out.line(obj.finish());
                         }
                         None => {}
                     }
@@ -610,10 +665,10 @@ fn session_main(args: &[String]) -> ExitCode {
             ScriptCommand::Model => match session.model() {
                 Some(m) => {
                     if !config.quiet {
-                        print_model(session.problem(), m);
+                        print_model(&mut out, session.problem(), m);
                     }
                 }
-                None => println!("c no model"),
+                None => out.line("c no model"),
             },
         }
     }
@@ -632,25 +687,25 @@ fn session_main(args: &[String]) -> ExitCode {
             obj.field_u64("checks", session.checks())
                 .field_u64("lemmas_retained", session.lemmas_retained() as u64)
                 .field_raw("cumulative", &session.cumulative_stats().to_json());
-            println!("{}", obj.finish());
+            out.line(obj.finish());
         }
         None => {}
     }
     if let Some(sink) = &trace_sink {
         let _ = sink.flush();
     }
-    ExitCode::from(last_exit.unwrap_or(0))
+    out.exit(last_exit.unwrap_or(0))
 }
 
-fn print_model(problem: &AbProblem, model: &absolver::core::AbModel) {
+fn print_model(out: &mut Out, problem: &AbProblem, model: &absolver::core::AbModel) {
     for (id, var) in problem.arith_vars().iter().enumerate() {
         match model.arith.value_exact(id) {
-            Some(exact) => println!("v {} = {}", var.name, exact),
-            None => println!(
+            Some(exact) => out.line(format_args!("v {} = {}", var.name, exact)),
+            None => out.line(format_args!(
                 "v {} = {}",
                 var.name,
                 model.arith.value_f64(id).unwrap_or(f64::NAN)
-            ),
+            )),
         }
     }
 }
@@ -658,10 +713,10 @@ fn print_model(problem: &AbProblem, model: &absolver::core::AbModel) {
 /// Prints the sequential statistics in the requested format. JSON goes to
 /// stdout (it is the machine-readable payload); the human form stays on
 /// stderr as a `c`-prefixed comment.
-fn print_stats(orc: &Orchestrator, format: StatsFormat) {
+fn print_stats(out: &mut Out, orc: &Orchestrator, format: StatsFormat) {
     match format {
         StatsFormat::Human => eprintln!("c stats: {}", orc.stats()),
-        StatsFormat::Json => println!("{}", orc.stats().to_json()),
+        StatsFormat::Json => out.line(orc.stats().to_json()),
     }
 }
 
@@ -742,27 +797,28 @@ fn main() -> ExitCode {
             let _ = sink.flush();
         }
     };
+    let mut out = Out::new();
 
     if let Some(max) = config.all_models {
         match orc.solve_all(&problem, max) {
             Ok(models) => {
                 if !config.quiet {
-                    println!("c {} model(s)", models.len());
+                    out.line(format_args!("c {} model(s)", models.len()));
                     for (i, m) in models.iter().enumerate() {
-                        println!("c model {}", i + 1);
-                        print_model(&problem, m);
+                        out.line(format_args!("c model {}", i + 1));
+                        print_model(&mut out, &problem, m);
                     }
                 }
                 if let Some(format) = config.stats {
-                    print_stats(&orc, format);
+                    print_stats(&mut out, &orc, format);
                 }
                 flush_trace();
                 return if models.is_empty() {
-                    println!("s UNSATISFIABLE");
-                    ExitCode::from(EXIT_UNSAT)
+                    out.line("s UNSATISFIABLE");
+                    out.exit(EXIT_UNSAT)
                 } else {
-                    println!("s SATISFIABLE");
-                    ExitCode::from(EXIT_SAT)
+                    out.line("s SATISFIABLE");
+                    out.exit(EXIT_SAT)
                 };
             }
             Err(e) => {
@@ -787,7 +843,6 @@ fn main() -> ExitCode {
             strategy: config.strategy,
             deterministic: config.deterministic,
             base,
-            ..Default::default()
         };
         match orc.solve_parallel(&problem, &popts) {
             Ok((o, pstats)) => {
@@ -806,7 +861,7 @@ fn main() -> ExitCode {
                             );
                         }
                     }
-                    Some(StatsFormat::Json) => println!("{}", parallel_stats_json(&pstats)),
+                    Some(StatsFormat::Json) => out.line(parallel_stats_json(&pstats)),
                     None => {}
                 }
                 o
@@ -823,34 +878,25 @@ fn main() -> ExitCode {
             Err(e) => {
                 eprintln!("{e}");
                 if let Some(format) = config.stats {
-                    print_stats(&orc, format);
+                    print_stats(&mut out, &orc, format);
                 }
                 flush_trace();
-                return ExitCode::from(EXIT_ITERATION_LIMIT);
+                return out.exit(EXIT_ITERATION_LIMIT);
             }
         }
     };
     if config.jobs.is_none() {
         if let Some(format) = config.stats {
-            print_stats(&orc, format);
+            print_stats(&mut out, &orc, format);
         }
     }
     flush_trace();
-    match outcome {
-        Outcome::Sat(model) => {
-            println!("s SATISFIABLE");
-            if !config.quiet {
-                print_model(&problem, &model);
-            }
-            ExitCode::from(EXIT_SAT)
-        }
-        Outcome::Unsat => {
-            println!("s UNSATISFIABLE");
-            ExitCode::from(EXIT_UNSAT)
-        }
-        Outcome::Unknown => {
-            println!("s UNKNOWN");
-            ExitCode::from(EXIT_UNKNOWN)
+    let (msg, code) = verdict_line(&outcome);
+    out.line(msg);
+    if let Outcome::Sat(model) = &outcome {
+        if !config.quiet {
+            print_model(&mut out, &problem, model);
         }
     }
+    out.exit(code)
 }

@@ -3,16 +3,16 @@
 //! Serves the line protocol of [`absolver::service::protocol`] over
 //! stdin/stdout, and additionally over a unix socket when `--socket` is
 //! given. Requests flow through a bounded priority queue into a worker
-//! pool with per-request deadlines, cooperative cancellation, and
-//! cross-request caching (problem verdicts, warm sessions, lemmas).
+//! pool with per-request deadlines, cooperative cancellation, and two
+//! cross-request caches (problem verdicts and static-analysis results);
+//! a request that misses both is one one-shot solve.
 //!
 //! ```text
-//! usage: absolverd [--workers N] [--queue N] [--sessions N]
+//! usage: absolverd [--workers N] [--queue N]
 //!                  [--timeout-ms N] [--socket PATH] [--trace FILE]
 //!
 //!   --workers N      worker threads (default 2)
 //!   --queue N        queue capacity before overload rejections (default 64)
-//!   --sessions N     warm sessions kept across requests (default 8)
 //!   --timeout-ms N   default per-request deadline (default: none)
 //!   --socket PATH    additionally listen on a unix socket
 //!   --trace FILE     write a JSONL event trace to FILE
@@ -41,7 +41,7 @@ struct Config {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: absolverd [--workers N] [--queue N] [--sessions N]\n\
+        "usage: absolverd [--workers N] [--queue N]\n\
          \x20                [--timeout-ms N] [--socket PATH] [--trace FILE]"
     );
     std::process::exit(2);
@@ -63,7 +63,6 @@ fn parse_args() -> Config {
         match arg.as_str() {
             "--workers" => config.options.workers = num(&mut args).max(1),
             "--queue" => config.options.queue_capacity = num(&mut args).max(1),
-            "--sessions" => config.options.session_pool = num(&mut args).max(1),
             "--timeout-ms" => {
                 config.options.default_timeout = Some(Duration::from_millis(num(&mut args) as u64));
             }

@@ -443,3 +443,29 @@ fn help_documents_exit_codes() {
         assert!(text.contains(needle), "--help must document `{needle}`");
     }
 }
+
+/// A reader that went away (`absolver --stats json FILE | head -1`) must
+/// not panic the CLI. Stdout is a pipe whose read end is already closed,
+/// so every write fails with `BrokenPipe`; each run still exits with the
+/// code of the verdict (or check result) it reached.
+#[test]
+fn closed_stdout_exits_with_the_verdict_code() {
+    let runs: [(&[&str], i32); 3] = [
+        (&[FIG2], 10),
+        (&["--stats", "json", FIG2], 10),
+        (&["check", FIG2], 0),
+    ];
+    for (args, code) in runs {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = absolver()
+            .args(args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("run absolver");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(exit_code(&out), code, "{args:?}: stderr: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: stderr: {stderr}");
+    }
+}

@@ -183,7 +183,6 @@ fn single_shard_portfolio_traces_like_the_sequential_loop() {
         strategy: ParallelStrategy::Portfolio,
         deterministic: true,
         base: OrchestratorOptions::default(),
-        ..Default::default()
     };
     let (par_outcome, _) = par
         .solve_parallel(&problem, &opts)

@@ -5,8 +5,9 @@
 use absolver::core::parser;
 use absolver::service::protocol::{CacheTier, ErrCode, Priority, Response, SolveFrame};
 use absolver::service::{Server, ServerOptions, Submission};
+use absolver::trace::{CollectingSink, TraceSink};
 use absolver_bench::workloads::threshold_problem;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// A problem the solver takes long enough on (hundreds of Boolean
@@ -238,7 +239,8 @@ fn high_priority_overtakes_queued_low() {
 }
 
 /// The heart of the caching story: a cached answer must be *identical*
-/// to a fresh solve — same verdict, same model — across all three tiers.
+/// to a fresh solve — same verdict, same model — and no request may
+/// inherit another's answer.
 #[test]
 fn cache_tiers_preserve_verdicts_and_models() {
     let server = Server::new(one_worker());
@@ -280,13 +282,13 @@ fn cache_tiers_preserve_verdicts_and_models() {
         other => panic!("unexpected {other:?}"),
     }
 
-    // Same declarations, different clauses: warm-session solve. The
-    // session path and a fresh server must agree on the verdict.
+    // Same declarations, different clauses: a cold one-shot solve. It
+    // and a fresh server must agree on the verdict.
     let variant =
         "p cnf 2 2\n-1 0\n2 0\nc def real 1 x >= 1\nc def real 2 x <= 3\nc range x -10 10\n";
     match &solve(3, variant) {
         Response::Ok { verdict, cache, .. } => {
-            assert_eq!(*cache, CacheTier::Session);
+            assert_eq!(*cache, CacheTier::Cold);
             assert_eq!(*verdict, "sat");
         }
         other => panic!("unexpected {other:?}"),
@@ -300,18 +302,17 @@ fn cache_tiers_preserve_verdicts_and_models() {
     }
     fresh.shutdown();
 
-    // An unsatisfiable variant over the same declarations: the warm
-    // session must answer unsat — i.e. not leak any previous request's
-    // clauses or a stale verdict. The contradiction is the classic
-    // width-2 Boolean square, which unit propagation and the interval
-    // dataflow cannot refute (no forced units), so it reaches the
-    // session pool instead of the static-analysis fast path (that path
-    // has its own test below).
+    // An unsatisfiable variant over the same declarations must answer
+    // unsat — i.e. not inherit any previous request's clauses or a stale
+    // verdict. The contradiction is the classic width-2 Boolean square,
+    // which unit propagation and the interval dataflow cannot refute (no
+    // forced units), so it reaches the solve loop instead of the
+    // static-analysis fast path (that path has its own test below).
     let unsat = "p cnf 2 4\n1 2 0\n1 -2 0\n-1 2 0\n-1 -2 0\n\
                  c def real 1 x >= 1\nc def real 2 x <= 3\nc range x -10 10\n";
     match &solve(4, unsat) {
         Response::Ok { verdict, cache, .. } => {
-            assert_eq!(*cache, CacheTier::Session);
+            assert_eq!(*cache, CacheTier::Cold);
             assert_eq!(*verdict, "unsat");
         }
         other => panic!("unexpected {other:?}"),
@@ -378,12 +379,20 @@ fn size_limits_reject_instead_of_solving() {
 /// Statically-unsatisfiable bodies are answered with the distinct
 /// `static-unsat` verdict: computed once on a worker (cold), then
 /// answered at submission from the analysis cache — without ever
-/// building or touching a session.
+/// entering the solve loop, which the server's trace sink would see as a
+/// `solve.start` event.
 #[test]
-fn statically_unsat_bodies_bypass_the_session_pool() {
-    let server = Server::new(one_worker());
+fn statically_unsat_bodies_never_start_a_solve() {
+    let sink = Arc::new(CollectingSink::new());
+    let server = Server::with_trace(one_worker(), sink.clone() as Arc<dyn TraceSink>);
     let (tx, rx) = mpsc::channel();
     let unsat = "p cnf 2 2\n1 0\n2 0\nc def real 1 x >= 1\nc def real 2 x <= 0\n";
+    let solve_starts = || {
+        sink.kinds()
+            .iter()
+            .filter(|kind| *kind == "solve.start")
+            .count()
+    };
 
     submit_ok(&server, frame(1, unsat), &tx);
     match rx.recv().expect("response") {
@@ -425,8 +434,17 @@ fn statically_unsat_bodies_bypass_the_session_pool() {
         stats.contains("\"static_unsat\":2"),
         "both answers must be counted: {stats}"
     );
-    // The session pool was never consulted for either request.
-    assert!(stats.contains("\"session_hits\":0"), "{stats}");
-    assert!(stats.contains("\"session_misses\":0"), "{stats}");
+    assert_eq!(solve_starts(), 0, "no solve for either static-unsat answer");
+
+    // A satisfiable body that misses both caches is exactly one solve.
+    submit_ok(&server, frame(3, EASY_SAT), &tx);
+    match rx.recv().expect("response") {
+        Response::Ok { verdict, cache, .. } => {
+            assert_eq!(verdict, "sat");
+            assert_eq!(cache, CacheTier::Cold);
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(solve_starts(), 1, "a cold sat body runs one solve");
     server.shutdown();
 }
