@@ -5,19 +5,19 @@
 //!     the time required for restarting the entire solving process
 //!     externally") — the incremental CDCL backend against
 //!     [`RestartingBoolean`] on a Sudoku instance.
-//! (b) **Minimal conflicts vs naive blocking** — the simplex backend with
-//!     and without the deletion-filter minimisation on FISCHER.
 //! (c) **Tight vs loose coupling** — the DPLL(T) baseline against
 //!     ABsolver's control loop on FISCHER (the architectural contrast of
 //!     Table 2).
+//!
+//! Ablation (b), a deletion filter shrinking each linear conflict, lost
+//! to the raw simplex certificate and was removed; EXPERIMENTS.md keeps
+//! its before/after numbers.
 
 use absolver_baselines::{MathSatLike, MathSatLikeOptions};
 use absolver_bench::fischer::fischer;
 use absolver_bench::harness::{env_seconds, format_duration, print_table};
 use absolver_bench::sudoku::{encode_mixed, generate, Difficulty};
-use absolver_core::{
-    CdclBoolean, Orchestrator, OrchestratorOptions, RestartingBoolean, SimplexLinear,
-};
+use absolver_core::{CdclBoolean, Orchestrator, OrchestratorOptions, RestartingBoolean};
 use std::time::{Duration, Instant};
 
 fn options(timeout: Duration) -> OrchestratorOptions {
@@ -57,7 +57,7 @@ fn main() {
             }
             .with_options(options(timeout));
             let started = Instant::now();
-            let models = orc.solve_all(problem, cap).expect("within budget");
+            let (models, _) = orc.solve_all(problem, cap).expect("within budget");
             rows.push(vec![
                 instance_label.to_string(),
                 label.to_string(),
@@ -67,49 +67,6 @@ fn main() {
         }
     }
     print_table(&["Instance", "Boolean backend", "models", "time"], &rows);
-
-    // ---- (b) minimal conflicts vs raw certificates ----------------------
-    println!("\nAblation (b): conflict minimisation in the linear solver\n");
-    let mut rows = Vec::new();
-    for (label, minimize) in [("deletion-filter cores", true), ("raw certificates", false)] {
-        let backend = if minimize {
-            SimplexLinear::new()
-        } else {
-            SimplexLinear::without_minimization()
-        };
-        let mut orc = Orchestrator::custom(Box::new(CdclBoolean::new()))
-            .with_linear(Box::new(backend))
-            .with_nonlinear(Box::new(absolver_core::CascadeNonlinear::default()))
-            .with_options(options(timeout));
-        let problem = fischer(8);
-        let started = Instant::now();
-        let outcome = orc.solve(&problem).expect("within budget");
-        let stats = orc.stats();
-        rows.push(vec![
-            label.to_string(),
-            format!("{outcome:?}").chars().take(8).collect(),
-            stats.boolean_iterations.to_string(),
-            format!(
-                "{:.1}",
-                if stats.conflicts_fed_back == 0 {
-                    0.0
-                } else {
-                    stats.conflict_literals as f64 / stats.conflicts_fed_back as f64
-                }
-            ),
-            format_duration(started.elapsed()),
-        ]);
-    }
-    print_table(
-        &[
-            "Conflict mode",
-            "verdict",
-            "iterations",
-            "avg core size",
-            "time",
-        ],
-        &rows,
-    );
 
     // ---- (c) tight vs loose coupling ------------------------------------
     println!("\nAblation (c): tight DPLL(T) vs loose control loop (FISCHER)\n");

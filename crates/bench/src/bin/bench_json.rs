@@ -18,26 +18,22 @@
 //! `ABS_BENCH_BASELINE_DIR` (default `.`). The run fails (exit 1) if
 //! any workload is more than 15% slower than its baseline or flips its
 //! verdict; an absolute grace of 50ms absorbs scheduler noise on
-//! sub-millisecond runs. The steering workload must additionally show a
-//! nonzero contraction-cache hit rate — it is the instance the cache
-//! exists for, so a zero reads as "the cache is wired but dead".
+//! sub-millisecond runs. It also fails if any deterministic work counter
+//! ([`absolver_bench::harness::WORK_COUNTERS`]: iterations, theory
+//! checks, conflict literals, pivots, contractions, components) differs
+//! from the baseline at all, printing `COUNTER CHANGED: <key> <baseline>
+//! -> <fresh>`; a change that moves a counter refreshes the baseline.
+//! The steering workload must additionally show a nonzero
+//! contraction-cache hit rate — it is the instance the cache exists for,
+//! so a zero reads as "the cache is wired but dead".
 
-use absolver_bench::harness::{env_seconds, format_duration, run_absolver_report};
+use absolver_bench::harness::{
+    counter_changes, env_seconds, format_duration, regression_limit_us, report_u64,
+    run_absolver_report,
+};
 use absolver_bench::workloads::bench_suite;
 use absolver_trace::saturating_micros;
 use std::path::PathBuf;
-
-/// Pulls `"elapsed_us":<n>` out of a baseline report without a JSON
-/// parser (the workspace is dependency-free).
-fn baseline_elapsed_us(report: &str) -> Option<u64> {
-    let key = "\"elapsed_us\":";
-    let at = report.rfind(key)? + key.len();
-    let digits: String = report[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
 
 /// Pulls the top-level `"verdict":"<s>"` out of a report.
 fn report_verdict(report: &str) -> Option<&str> {
@@ -55,12 +51,6 @@ fn report_cache_hit_rate(report: &str) -> Option<f64> {
         .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e' || *c == '+')
         .collect();
     num.parse().ok()
-}
-
-/// Tolerated slowdown: 15% relative, plus 50ms absolute grace so
-/// micro-benchmarks (fischer, sudoku) don't flake on timer noise.
-fn regression_limit_us(baseline_us: u64) -> u64 {
-    baseline_us + baseline_us * 3 / 20 + 50_000
 }
 
 fn main() {
@@ -113,7 +103,10 @@ fn main() {
         if check_regress {
             let base_path = baseline_dir.join(format!("BENCH_{key}.json"));
             let baseline = std::fs::read_to_string(&base_path).ok();
-            match baseline.as_deref().and_then(baseline_elapsed_us) {
+            match baseline
+                .as_deref()
+                .and_then(|r| report_u64(r, "elapsed_us"))
+            {
                 Some(base_us) => {
                     let fresh_us = saturating_micros(m.elapsed);
                     let limit_us = regression_limit_us(base_us);
@@ -129,6 +122,22 @@ fn main() {
                 }
                 None => {
                     eprintln!("  no usable baseline at {}", base_path.display());
+                    failed = true;
+                }
+            }
+            if let Some(baseline) = baseline.as_deref() {
+                let show = |v: Option<u64>| v.map_or_else(|| "missing".into(), |v| v.to_string());
+                let changes = counter_changes(baseline, &report);
+                for (counter, base, fresh) in &changes {
+                    eprintln!(
+                        "  COUNTER CHANGED: {counter} {} -> {}",
+                        show(*base),
+                        show(*fresh)
+                    );
+                }
+                if changes.is_empty() {
+                    eprintln!("  work counters identical to baseline");
+                } else {
                     failed = true;
                 }
             }
@@ -165,21 +174,6 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn elapsed_extraction_takes_the_outermost_stats_value() {
-        let report = r#"{"workload":"x","stats":{"phase":{"boolean_us":3},"elapsed_us":4211}}"#;
-        assert_eq!(baseline_elapsed_us(report), Some(4211));
-        assert_eq!(baseline_elapsed_us("{}"), None);
-    }
-
-    #[test]
-    fn regression_limit_adds_relative_and_absolute_grace() {
-        // 1s baseline: 15% + 50ms grace.
-        assert_eq!(regression_limit_us(1_000_000), 1_200_000);
-        // Micro-run: the absolute grace dominates.
-        assert_eq!(regression_limit_us(800), 50_920);
-    }
 
     #[test]
     fn report_field_extraction() {

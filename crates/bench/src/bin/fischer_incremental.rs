@@ -23,30 +23,13 @@
 //! UNSAT at every depth, both modes).
 
 use absolver_bench::fischer::FischerStream;
+use absolver_bench::harness::{regression_limit_us, report_u64};
 use absolver_core::{AbProblem, Orchestrator, Outcome};
 use absolver_trace::{saturating_micros, JsonObject};
 use std::path::PathBuf;
 use std::time::Instant;
 
 const N_MAX: usize = 11;
-
-/// Pulls a `"<key>":<integer>` field out of a report without a JSON
-/// parser (the workspace is dependency-free).
-fn report_u64(report: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = report.find(&needle)? + needle.len();
-    let digits: String = report[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Tolerated slowdown vs the checked-in baseline: 15% relative plus a
-/// 50ms absolute grace for timer noise (same policy as `bench_json`).
-fn regression_limit_us(baseline_us: u64) -> u64 {
-    baseline_us + baseline_us * 3 / 20 + 50_000
-}
 
 fn verdict_name(outcome: &Outcome) -> &'static str {
     match outcome {
@@ -217,25 +200,5 @@ fn main() {
     }
     if failed {
         std::process::exit(1);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn u64_extraction_finds_the_named_field() {
-        let report = r#"{"workload":"x","session_elapsed_us":4211,"scratch_elapsed_us":9000}"#;
-        assert_eq!(report_u64(report, "session_elapsed_us"), Some(4211));
-        assert_eq!(report_u64(report, "scratch_elapsed_us"), Some(9000));
-        assert_eq!(report_u64(report, "missing"), None);
-        assert_eq!(report_u64("{}", "session_elapsed_us"), None);
-    }
-
-    #[test]
-    fn regression_limit_adds_relative_and_absolute_grace() {
-        assert_eq!(regression_limit_us(1_000_000), 1_200_000);
-        assert_eq!(regression_limit_us(800), 50_920);
     }
 }

@@ -28,6 +28,7 @@
 //! the baseline's, resubmission beats the cold p50 by more than 1.5x,
 //! the problem cache scored at least one hit, and no worker aborted.
 
+use absolver_bench::harness::{regression_limit_us, report_u64};
 use absolver_core::parser;
 use absolver_core::{AbProblem, VarKind};
 use absolver_linear::CmpOp;
@@ -46,24 +47,6 @@ use std::time::Instant;
 const VARIANTS: usize = 24;
 /// Arithmetic variables per problem (solve cost scales with this).
 const M: usize = 14;
-
-/// Pulls a `"<key>":<integer>` field out of a report without a JSON
-/// parser (the workspace is dependency-free).
-fn report_u64(report: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = report.find(&needle)? + needle.len();
-    let digits: String = report[at..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
-}
-
-/// Tolerated slowdown vs the checked-in baseline: 15% relative plus a
-/// 50ms absolute grace for timer noise (same policy as `bench_json`).
-fn regression_limit_us(baseline_us: u64) -> u64 {
-    baseline_us + baseline_us * 3 / 20 + 50_000
-}
 
 /// One member of the shared-declaration problem family: the threshold
 /// skeleton (m int vars in `{-1,0,1}`, free atoms `aᵢ ⇔ xᵢ ≥ 1`, a

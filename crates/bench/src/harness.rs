@@ -211,6 +211,53 @@ pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
+/// Pulls a `"<key>":<integer>` field out of a report without a JSON
+/// parser (the workspace is dependency-free). The first occurrence wins.
+pub fn report_u64(report: &str, key: &str) -> Option<u64> {
+    let needle = format!("\"{key}\":");
+    let at = report.find(&needle)? + needle.len();
+    let digits: String = report[at..]
+        .chars()
+        .take_while(|c| c.is_ascii_digit())
+        .collect();
+    digits.parse().ok()
+}
+
+/// Tolerated slowdown vs a checked-in baseline: 15% relative, plus a
+/// 50ms absolute grace so micro-runs don't flake on timer noise.
+pub fn regression_limit_us(baseline_us: u64) -> u64 {
+    baseline_us + baseline_us * 3 / 20 + 50_000
+}
+
+/// The deterministic work counters of a `BENCH_<workload>.json` report.
+/// `bench_json --check-regress` requires each to equal its baseline
+/// value exactly, so a change that moves one must refresh the baseline
+/// on purpose.
+pub const WORK_COUNTERS: [&str; 8] = [
+    "components",
+    "boolean_iterations",
+    "theory_checks",
+    "conflict_literals",
+    "simplex_pivots",
+    "hc4_contractions",
+    "bc3_contractions",
+    "newton_contractions",
+];
+
+/// The [`WORK_COUNTERS`] whose values differ between a baseline and a
+/// fresh report, as `(key, baseline, fresh)`. A counter missing from
+/// either report counts as changed.
+pub fn counter_changes(
+    baseline: &str,
+    fresh: &str,
+) -> Vec<(&'static str, Option<u64>, Option<u64>)> {
+    WORK_COUNTERS
+        .iter()
+        .map(|&key| (key, report_u64(baseline, key), report_u64(fresh, key)))
+        .filter(|(_, base, now)| base.is_none() || base != now)
+        .collect()
+}
+
 /// Reads a duration (seconds) from an environment variable.
 pub fn env_seconds(name: &str, default_secs: u64) -> Duration {
     std::env::var(name)
@@ -240,6 +287,39 @@ mod tests {
         let nl: AbProblem = "p cnf 1 1\n1 0\nc def real 1 x * x >= 0\n".parse().unwrap();
         assert_eq!(run_mathsat_like(&nl, None).verdict, "rejected");
         assert_eq!(run_cvc_like(&nl, None).verdict, "rejected");
+    }
+
+    #[test]
+    fn u64_extraction_finds_the_named_field() {
+        let report = r#"{"workload":"x","raw_elapsed_us":7,"stats":{"phase":{"boolean_us":3},"elapsed_us":4211}}"#;
+        assert_eq!(report_u64(report, "elapsed_us"), Some(4211));
+        assert_eq!(report_u64(report, "raw_elapsed_us"), Some(7));
+        assert_eq!(report_u64(report, "missing"), None);
+        assert_eq!(report_u64("{}", "elapsed_us"), None);
+    }
+
+    #[test]
+    fn regression_limit_adds_relative_and_absolute_grace() {
+        // 1s baseline: 15% + 50ms grace.
+        assert_eq!(regression_limit_us(1_000_000), 1_200_000);
+        // Micro-run: the absolute grace dominates.
+        assert_eq!(regression_limit_us(800), 50_920);
+    }
+
+    #[test]
+    fn counter_changes_flags_any_difference() {
+        let base = r#"{"components":1,"stats":{"boolean_iterations":34,"theory_checks":34,"conflict_literals":5973,"simplex_pivots":861,"hc4_contractions":0,"bc3_contractions":0,"newton_contractions":0}}"#;
+        assert!(counter_changes(base, base).is_empty());
+        let one_more_pivot = base.replace("861", "862");
+        assert_eq!(
+            counter_changes(base, &one_more_pivot),
+            vec![("simplex_pivots", Some(861), Some(862))]
+        );
+        let missing = base.replace("\"components\":1,", "");
+        assert_eq!(
+            counter_changes(base, &missing),
+            vec![("components", Some(1), None)]
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!   (nonlinear-heavy, exercises the HC4/penalty cascade);
 //! * **threshold-reach** — a conflict-driven linear workload where the
 //!   Boolean search pays for every step toward the feasible region with
-//!   one minimised theory conflict;
+//!   one theory conflict;
 //! * **sudoku** — the Table 3 mixed encoding (Boolean-dominated with
 //!   integer side constraints);
 //! * **fischer** — the Table 2 mutual-exclusion family (linear real-time
@@ -24,9 +24,10 @@ use absolver_num::Rational;
 /// The threshold workload: `m` integer variables in `{-1, 0, 1}`, each
 /// with a free atom `aᵢ ⇔ xᵢ ≥ 1`, and a required atom forcing
 /// `Σ xᵢ ≥ ⌈0.55 m⌉`. Every Boolean model with too few true atoms is a
-/// theory conflict whose minimised core only rules out one more
-/// assignment, so the distance between the solver's starting phase and
-/// the threshold is paid in full, one conflict at a time.
+/// theory conflict refuted by branch-and-bound, so its core widens to
+/// every definition and rules out only that one assignment: the distance
+/// between the solver's starting phase and the threshold is paid in
+/// full, one conflict at a time.
 pub fn threshold_problem(m: usize) -> AbProblem {
     let mut b = AbProblem::builder();
     let vars: Vec<usize> = (0..m)

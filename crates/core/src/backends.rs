@@ -26,7 +26,7 @@ use absolver_sat::{SolveResult, Solver};
 use std::fmt;
 use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Boolean domain
@@ -219,8 +219,6 @@ pub struct LinearBackendStats {
     pub checks: u64,
     /// Simplex pivots across all checks.
     pub pivots: u64,
-    /// Wall-clock time spent minimising conflict cores.
-    pub conflict_min_time: Duration,
 }
 
 /// A linear-arithmetic solver usable by the theory layer (COIN role).
@@ -256,40 +254,17 @@ impl fmt::Debug for dyn LinearBackend + '_ {
     }
 }
 
-/// Exact-rational simplex backend, optionally minimising conflicts with
-/// the deletion filter (the paper's "smallest conflicting subset").
-#[derive(Debug, Clone)]
+/// Exact-rational simplex backend. A conflict is the simplex's row
+/// certificate, returned as is.
+#[derive(Debug, Clone, Default)]
 pub struct SimplexLinear {
-    minimize_conflicts: bool,
     stats: LinearBackendStats,
 }
 
-impl Default for SimplexLinear {
-    fn default() -> Self {
-        SimplexLinear::new()
-    }
-}
-
 impl SimplexLinear {
-    /// Creates the backend with conflict minimisation enabled.
+    /// Creates the backend.
     pub fn new() -> SimplexLinear {
-        SimplexLinear {
-            minimize_conflicts: true,
-            stats: LinearBackendStats::default(),
-        }
-    }
-
-    /// Creates the backend without the deletion-filter pass (ablation).
-    pub fn without_minimization() -> SimplexLinear {
-        SimplexLinear {
-            minimize_conflicts: false,
-            stats: LinearBackendStats::default(),
-        }
-    }
-
-    /// Number of feasibility checks performed.
-    pub fn checks(&self) -> u64 {
-        self.stats.checks
+        SimplexLinear::default()
     }
 }
 
@@ -302,25 +277,7 @@ impl LinearBackend for SimplexLinear {
         self.stats.checks += 1;
         let (feasibility, pivots) = check_conjunction_counted(constraints);
         self.stats.pivots += pivots;
-        match feasibility {
-            Feasibility::Infeasible(core) if self.minimize_conflicts => {
-                // Deletion filter over the already-small certificate.
-                let started = Instant::now();
-                let subset: Vec<LinearConstraint> =
-                    core.iter().map(|&i| constraints[i].clone()).collect();
-                let minimized = match absolver_linear::minimal_infeasible_subset(&subset) {
-                    Some(mini) => {
-                        let mut mapped: Vec<usize> = mini.into_iter().map(|i| core[i]).collect();
-                        mapped.sort_unstable();
-                        Feasibility::Infeasible(mapped)
-                    }
-                    None => Feasibility::Infeasible(core),
-                };
-                self.stats.conflict_min_time += started.elapsed();
-                minimized
-            }
-            other => other,
-        }
+        feasibility
     }
 
     fn stats(&self) -> LinearBackendStats {
@@ -328,7 +285,7 @@ impl LinearBackend for SimplexLinear {
     }
 
     fn make_stack(&self, num_vars: usize) -> Option<AssertionStack> {
-        Some(AssertionStack::new(num_vars, self.minimize_conflicts))
+        Some(AssertionStack::new(num_vars))
     }
 }
 
@@ -545,7 +502,7 @@ impl NonlinearBackend for CascadeNonlinear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use absolver_linear::{CmpOp, LinExpr};
+    use absolver_linear::CmpOp;
     use absolver_nonlinear::{Expr, NlConstraint};
     use absolver_num::{Interval, Rational};
 
@@ -604,26 +561,6 @@ mod tests {
         let a = run(&mut CdclBoolean::new());
         let b = run(&mut RestartingBoolean::new());
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn simplex_backend_minimizes() {
-        let cs = vec![
-            LinearConstraint::new(LinExpr::var(1), CmpOp::Ge, q(0)), // irrelevant
-            LinearConstraint::new(LinExpr::var(0), CmpOp::Ge, q(5)),
-            LinearConstraint::new(LinExpr::var(0), CmpOp::Le, q(3)),
-        ];
-        let mut with = SimplexLinear::new();
-        match with.check(&cs) {
-            Feasibility::Infeasible(core) => assert_eq!(core, vec![1, 2]),
-            other => panic!("{other:?}"),
-        }
-        assert_eq!(with.checks(), 1);
-        let mut without = SimplexLinear::without_minimization();
-        match without.check(&cs) {
-            Feasibility::Infeasible(core) => assert!(core.contains(&1) && core.contains(&2)),
-            other => panic!("{other:?}"),
-        }
     }
 
     #[test]

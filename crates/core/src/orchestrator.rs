@@ -6,9 +6,11 @@
 //! their negations, `¬(… = c)` splitting into `< c ∨ > c`); check it with
 //! the linear solver — and, "in case the output pin's value of the circuit
 //! is not yet known", the nonlinear solver; on theory conflict, feed the
-//! (minimised) conflicting subset back to the Boolean solver as a blocking
-//! clause and iterate, "until a solution is found, or all possible
-//! assignments have been shown infeasible".
+//! conflicting subset back to the Boolean solver as a blocking clause and
+//! iterate, "until a solution is found, or all possible assignments have
+//! been shown infeasible". A linear conflicting subset is the simplex's
+//! row certificate as is: the paper asks for "the smallest conflicting
+//! subset", and DESIGN.md records why no deletion filter shrinks it.
 //!
 //! The orchestrator's internal bookkeeping also enumerates *all* models
 //! ([`Orchestrator::solve_all`]), regardless of whether the Boolean
@@ -126,8 +128,9 @@ pub struct OrchestratorStats {
     pub linear_time: Duration,
     /// Wall-clock time spent in the nonlinear theory phase.
     pub nonlinear_time: Duration,
-    /// Wall-clock time spent minimising conflict cores (a subset of
-    /// [`OrchestratorStats::linear_time`]).
+    /// Always zero: linear conflicts are fed back as the simplex's row
+    /// certificate, with no minimisation pass to time. Kept so the
+    /// `conflict_min_us` JSON key and its readers stay stable.
     pub conflict_min_time: Duration,
     /// Simplex pivots performed by the linear backends.
     pub simplex_pivots: u64,
@@ -422,7 +425,6 @@ pub(crate) type TimedLemma = (Instant, Vec<Lit>);
 struct StackCounters {
     pivots: u64,
     warm_starts: u64,
-    min_time: Duration,
 }
 
 /// What one [`crate::session::Session`] check asks of the orchestrator —
@@ -571,7 +573,7 @@ impl Default for Orchestrator {
 }
 
 impl Orchestrator {
-    /// The default stack: CDCL Boolean, minimising simplex, interval +
+    /// The default stack: CDCL Boolean, exact simplex, interval +
     /// penalty nonlinear cascade.
     pub fn with_defaults() -> Orchestrator {
         Orchestrator {
@@ -735,7 +737,6 @@ impl Orchestrator {
             let s = b.stats();
             total.checks += s.checks;
             total.pivots += s.pivots;
-            total.conflict_min_time += s.conflict_min_time;
         }
         total
     }
@@ -768,7 +769,6 @@ impl Orchestrator {
                 StackCounters {
                     pivots: stack.pivots(),
                     warm_starts: stack.warm_starts(),
-                    min_time: stack.min_time(),
                 }
             }
             None => StackCounters::default(),
@@ -789,9 +789,6 @@ impl Orchestrator {
         let lin1 = self.linear_snapshot();
         let nl1 = self.nonlinear_snapshot();
         self.stats.simplex_pivots += lin1.pivots.saturating_sub(lin0.pivots);
-        self.stats.conflict_min_time += lin1
-            .conflict_min_time
-            .saturating_sub(lin0.conflict_min_time);
         self.stats.hc4_contractions += nl1.hc4_contractions.saturating_sub(nl0.hc4_contractions);
         self.stats.bc3_contractions += nl1.bc3_contractions.saturating_sub(nl0.bc3_contractions);
         self.stats.newton_contractions += nl1
@@ -809,7 +806,6 @@ impl Orchestrator {
         let stk1 = self.stack_counters();
         self.stats.simplex_pivots += stk1.pivots.saturating_sub(stk0.pivots);
         self.stats.simplex_warm_starts += stk1.warm_starts.saturating_sub(stk0.warm_starts);
-        self.stats.conflict_min_time += stk1.min_time.saturating_sub(stk0.min_time);
         let (int1, ded1) = absolver_nonlinear::term::local_counters();
         let interned = int1.saturating_sub(term0.0);
         let dedup = ded1.saturating_sub(term0.1);
@@ -1252,6 +1248,14 @@ impl Orchestrator {
     /// share their theory-literal projection (and arithmetic witness)
     /// while differing only on a free variable.
     ///
+    /// Alongside the models comes the outcome the enumeration ended on:
+    /// [`Outcome::Unsat`] when no further model exists,
+    /// [`Outcome::Unknown`] when a check was inconclusive (time limit,
+    /// cancellation, or a theory budget; more models may exist), and
+    /// [`Outcome::Sat`] with the last model when `max_models` was reached.
+    /// With `max_models == 0` nothing is examined and the end is
+    /// [`Outcome::Unknown`].
+    ///
     /// # Errors
     ///
     /// Returns [`SolveError::IterationLimit`] if the Boolean loop exceeds
@@ -1260,7 +1264,7 @@ impl Orchestrator {
         &mut self,
         problem: &AbProblem,
         max_models: usize,
-    ) -> Result<Vec<AbModel>, SolveError> {
+    ) -> Result<(Vec<AbModel>, Outcome), SolveError> {
         self.call_window(
             problem,
             |e| e.field("mode", "solve_all"),
@@ -1272,37 +1276,41 @@ impl Orchestrator {
                 if !orc.replay_imported_pool() {
                     // An imported lemma already contradicts the formula:
                     // there are no models to enumerate.
-                    return Ok(models);
+                    return Ok((models, Outcome::Unsat));
                 }
                 // Project on all Boolean variables so distinct Boolean
                 // models are enumerated (theory atoms and skeleton alike).
                 let all_vars: Vec<Var> = (0..problem.cnf().num_vars())
                     .map(|i| Var::new(i as u32))
                     .collect();
+                let mut end = Outcome::Unknown;
                 while models.len() < max_models {
-                    match orc.run_loop(problem, started)? {
-                        Outcome::Sat(model) => {
-                            let blocking: Vec<Lit> = all_vars
-                                .iter()
-                                .filter_map(|&v| match model.boolean.value(v) {
-                                    Tri::True => Some(v.negative()),
-                                    Tri::False => Some(v.positive()),
-                                    Tri::Unknown => None,
-                                })
-                                .collect();
-                            models.push(*model);
-                            if blocking.is_empty() || !orc.boolean.add_clause(&blocking) {
-                                break;
-                            }
-                        }
-                        _ => break,
+                    end = orc.run_loop(problem, started)?;
+                    let Outcome::Sat(model) = &end else {
+                        break;
+                    };
+                    let blocking: Vec<Lit> = all_vars
+                        .iter()
+                        .filter_map(|&v| match model.boolean.value(v) {
+                            Tri::True => Some(v.negative()),
+                            Tri::False => Some(v.positive()),
+                            Tri::Unknown => None,
+                        })
+                        .collect();
+                    models.push((**model).clone());
+                    if blocking.is_empty() || !orc.boolean.add_clause(&blocking) {
+                        // Blocking this model leaves no Boolean model.
+                        end = Outcome::Unsat;
+                        break;
                     }
                 }
-                Ok(models)
+                Ok((models, end))
             },
-            |models, e| {
-                e.field("outcome", "solve_all")
-                    .field_u64("models", models.as_ref().map_or(0, Vec::len) as u64)
+            |result, e| {
+                e.field("outcome", "solve_all").field_u64(
+                    "models",
+                    result.as_ref().map_or(0, |(models, _)| models.len()) as u64,
+                )
             },
         )
     }
@@ -1778,8 +1786,9 @@ c range y -10 10
         let text = "p cnf 2 1\n1 2 0\nc def real 1 x >= 0\nc def real 2 x <= 100\n";
         let problem: AbProblem = text.parse().unwrap();
         let mut orc = Orchestrator::with_defaults();
-        let models = orc.solve_all(&problem, usize::MAX).unwrap();
+        let (models, end) = orc.solve_all(&problem, usize::MAX).unwrap();
         assert_eq!(models.len(), 3);
+        assert!(end.is_unsat(), "enumeration must end exhausted");
         for m in &models {
             assert!(m.satisfies(&problem, 1e-9));
         }
@@ -1795,7 +1804,7 @@ c range y -10 10
         let text = "p cnf 2 1\n1 2 0\nc def real 1 x >= 0\n";
         let problem: AbProblem = text.parse().unwrap();
         let mut orc = Orchestrator::with_defaults();
-        let models = orc.solve_all(&problem, usize::MAX).unwrap();
+        let (models, _) = orc.solve_all(&problem, usize::MAX).unwrap();
         assert_eq!(models.len(), 3);
         for m in &models {
             assert!(m.satisfies(&problem, 1e-9));
@@ -1871,7 +1880,13 @@ c range y -10 10
         let text = "p cnf 2 1\n1 2 0\nc def real 1 x >= 0\nc def real 2 x <= 100\n";
         let problem: AbProblem = text.parse().unwrap();
         let mut orc = Orchestrator::with_defaults();
-        assert_eq!(orc.solve_all(&problem, 2).unwrap().len(), 2);
+        let (models, end) = orc.solve_all(&problem, 2).unwrap();
+        assert_eq!(models.len(), 2);
+        assert_eq!(
+            end.model(),
+            models.last(),
+            "a capped run ends on its last model"
+        );
     }
 
     #[test]

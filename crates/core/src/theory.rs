@@ -134,7 +134,7 @@ impl IncrementalLinear {
     }
 
     /// The underlying stack, for its effort counters (pivots, checks,
-    /// warm starts, minimisation time).
+    /// warm starts).
     pub fn stack(&self) -> &AssertionStack {
         &self.stack
     }
@@ -758,6 +758,7 @@ mod tests {
     use super::*;
     use crate::backends::{CascadeNonlinear, SimplexLinear};
     use absolver_nonlinear::Expr;
+    use absolver_testkit::{gen, property, Gen};
 
     fn q(n: i64) -> Rational {
         Rational::from_int(n)
@@ -988,7 +989,7 @@ mod tests {
         // exercise integer branch-and-bound and disequality splits, and
         // shrink as well as grow the asserted row set. Verdict kinds
         // (and unsat cores) must match the from-scratch path exactly.
-        let mut inc = IncrementalLinear::new(AssertionStack::new(1, true));
+        let mut inc = IncrementalLinear::new(AssertionStack::new(1));
         let (k, r) = ints(1);
         let queries: Vec<Vec<TheoryItem>> = vec![
             // 2 ≤ 3x ≤ 7: sat with integral witness.
@@ -1034,6 +1035,106 @@ mod tests {
         }
         // The session really did warm-start: one cold check, then reuse.
         assert!(inc.stack().warm_starts() > 0);
+    }
+
+    /// An affine item `Σ aᵢxᵢ ⋈ c` as `(terms (var, aᵢ), ⋈, c, positive)`.
+    type RawItem = (Vec<(usize, i64)>, CmpOp, i64, bool);
+
+    /// A random [`RawItem`] over variable indices `0..3` (reduced modulo
+    /// the case's variable count), asserted or negated. Equalities are
+    /// drawn twice as often, so negated ones exercise the lazy
+    /// disequality split.
+    fn affine_item() -> Gen<RawItem> {
+        let term = {
+            let var = gen::ints(0..3usize);
+            let coeff = gen::ints(-3i64..=3);
+            Gen::new(move |src| (var.generate(src), coeff.generate(src)))
+        };
+        let terms = gen::vec_of(term, 1..4);
+        let ops = [
+            CmpOp::Le,
+            CmpOp::Ge,
+            CmpOp::Lt,
+            CmpOp::Gt,
+            CmpOp::Eq,
+            CmpOp::Eq,
+        ];
+        let op = gen::from_slice(&ops);
+        let rhs = gen::ints(-4i64..=4);
+        let positive = gen::bool_any();
+        Gen::new(move |src| {
+            (
+                terms.generate(src),
+                op.generate(src),
+                rhs.generate(src),
+                positive.generate(src),
+            )
+        })
+    }
+
+    /// The items whose tags `tags` names.
+    fn tagged(items: &[TheoryItem], tags: &[usize]) -> Vec<TheoryItem> {
+        items
+            .iter()
+            .filter(|it| tags.contains(&it.tag))
+            .cloned()
+            .collect()
+    }
+
+    property! {
+        #![cases = 256]
+
+        /// An unsat answer on either linear path names a non-empty subset
+        /// of the input tags, and those items alone are still unsat. Every
+        /// int variable is boxed to `[-4, 4]` by two extra items, so
+        /// branch-and-bound stays finite.
+        fn theory_conflicts_are_sound_on_both_paths(
+            num_vars in gen::ints(1..=3usize),
+            int_mask in gen::ints(0..8u32),
+            raw in gen::vec_of(affine_item(), 1..5),
+        ) {
+            let kinds: Vec<VarKind> = (0..num_vars)
+                .map(|v| if int_mask >> v & 1 == 1 { VarKind::Int } else { VarKind::Real })
+                .collect();
+            let ranges = vec![Interval::new(-100.0, 100.0); num_vars];
+            let mut items: Vec<TheoryItem> = Vec::new();
+            for (terms, op, rhs, positive) in &raw {
+                let lhs = terms.iter().fold(Expr::int(0), |acc, &(v, a)| {
+                    acc + Expr::int(a) * Expr::var(v % num_vars)
+                });
+                items.push(item(items.len(), NlConstraint::new(lhs, *op, q(*rhs)), *positive));
+            }
+            for (v, _) in kinds.iter().enumerate().filter(|(_, k)| **k == VarKind::Int) {
+                for (op, bound) in [(CmpOp::Ge, -4), (CmpOp::Le, 4)] {
+                    let c = NlConstraint::new(Expr::var(v), op, q(bound));
+                    items.push(item(items.len(), c, true));
+                }
+            }
+            let all_tags: Vec<usize> = items.iter().map(|it| it.tag).collect();
+            let mut inc = IncrementalLinear::new(AssertionStack::new(num_vars));
+            let scratch = run(&items, kinds.clone(), ranges.clone());
+            let stack = run_inc(&mut inc, &items, kinds.clone(), ranges.clone());
+            for (path, verdict) in [("scratch", scratch), ("stack", stack)] {
+                let TheoryVerdict::Unsat(tags) = verdict else {
+                    continue;
+                };
+                assert!(!tags.is_empty(), "{path}: empty conflict");
+                assert!(
+                    tags.iter().all(|t| all_tags.contains(t)),
+                    "{path}: conflict {tags:?} names tags outside {all_tags:?}"
+                );
+                let core = tagged(&items, &tags);
+                let again = if path == "scratch" {
+                    run(&core, kinds.clone(), ranges.clone())
+                } else {
+                    run_inc(&mut inc, &core, kinds.clone(), ranges.clone())
+                };
+                assert!(
+                    matches!(again, TheoryVerdict::Unsat(_)),
+                    "{path}: conflict {tags:?} alone is {again:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -15,8 +15,11 @@
 //!   one simplex instance: `push`/`pop_to`/`check` with warm-started
 //!   re-checks, the engine behind the orchestrator's incremental theory
 //!   checks.
-//! * [`minimal_infeasible_subset`] — deletion-filter IIS extraction, the
-//!   paper's "smallest conflicting subset" refinement hint.
+//!
+//! A conflict is the certificate of the simplex row that cannot be
+//! repaired: the row's bound plus the bounds blocking every nonbasic
+//! variable on it. Both entry points return exactly that set; the control
+//! loop feeds it back to the Boolean solver as the paper's conflict hint.
 //!
 //! All arithmetic is exact ([`absolver_num::Rational`]); verdicts are never
 //! subject to floating-point error.
@@ -41,16 +44,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod conflict;
 mod constraint;
-mod optimize;
 mod qdelta;
 mod simplex;
 mod stack;
 
-pub use conflict::{minimal_infeasible_subset, minimal_infeasible_subset_counted};
 pub use constraint::{CmpOp, LinExpr, LinearConstraint, VarId};
-pub use optimize::OptOutcome;
 pub use qdelta::QDelta;
 pub use simplex::{
     check_conjunction, check_conjunction_counted, CheckResult, ConstraintId, Feasibility, Simplex,
@@ -80,89 +79,6 @@ mod proptests {
         })
     }
 
-    /// Historical counterexample (from the proptest era): a single
-    /// strict constraint `-2*x0 < -1` whose supremum of the objective
-    /// `-x0` is approached but never attained; the Q_delta optimum must
-    /// still dominate every feasible grid point.
-    #[test]
-    fn regression_strict_bound_supremum() {
-        let cs = vec![LinearConstraint::new(
-            LinExpr::from_terms([(0usize, Rational::from_int(-2))]),
-            CmpOp::Lt,
-            Rational::from_int(-1),
-        )];
-        check_optimum_dominates_grid(&cs, -1, 0);
-    }
-
-    /// Body of `optimum_dominates_grid`, shared with its regression test.
-    fn check_optimum_dominates_grid(cs: &[LinearConstraint], c0: i64, c1: i64) {
-        // Box the variables so the LP is bounded.
-        let mut all = cs.to_vec();
-        for v in 0..2 {
-            all.push(LinearConstraint::new(
-                LinExpr::var(v),
-                CmpOp::Ge,
-                Rational::from_int(-8),
-            ));
-            all.push(LinearConstraint::new(
-                LinExpr::var(v),
-                CmpOp::Le,
-                Rational::from_int(8),
-            ));
-        }
-        let objective = LinExpr::from_terms([
-            (0usize, Rational::from_int(c0)),
-            (1usize, Rational::from_int(c1)),
-        ]);
-        let mut s = Simplex::with_vars(2);
-        let mut feasible_input = true;
-        for c in &all {
-            if s.assert_constraint(c).is_err() {
-                feasible_input = false;
-                break;
-            }
-        }
-        absolver_testkit::assume!(feasible_input);
-        match s.maximize(&objective) {
-            OptOutcome::Optimal { value, model } => {
-                // The witness is feasible.
-                for c in &all {
-                    assert!(c.eval(&model), "witness violates {c}");
-                }
-                // The optimum (in Q_δ — a supremum may only be
-                // approached when a strict bound binds) dominates every
-                // feasible grid point.
-                for x in -8..=8i64 {
-                    for y in -8..=8i64 {
-                        let point = vec![Rational::from_int(x), Rational::from_int(y)];
-                        if all.iter().all(|c| c.eval(&point)) {
-                            let at_point = QDelta::real(objective.eval(&point));
-                            assert!(
-                                at_point <= value,
-                                "grid point ({x},{y}) beats the optimum: {at_point} > {value}"
-                            );
-                        }
-                    }
-                }
-            }
-            OptOutcome::Infeasible(_) => {
-                // Then no grid point may be feasible... only sound if the
-                // region truly is empty; check a coarse grid.
-                for x in -8..=8i64 {
-                    for y in -8..=8i64 {
-                        let point = vec![Rational::from_int(x), Rational::from_int(y)];
-                        assert!(
-                            !all.iter().all(|c| c.eval(&point)),
-                            "infeasible verdict but ({x},{y}) is feasible"
-                        );
-                    }
-                }
-            }
-            OptOutcome::Unbounded => panic!("boxed LP cannot be unbounded"),
-            OptOutcome::Budget => panic!("tiny LP cannot exhaust the budget"),
-        }
-    }
-
     property! {
         #![cases = 128]
 
@@ -186,36 +102,6 @@ mod proptests {
                     "certificate {core:?} is feasible on its own"
                 );
             }
-        }
-
-        /// The deletion filter agrees with the base check and is irredundant.
-        fn minimal_cores_are_minimal(cs in gen::vec_of(constraint_gen(2), 1..6)) {
-            match (check_conjunction(&cs).is_feasible(), minimal_infeasible_subset(&cs)) {
-                (true, found) => assert_eq!(found, None),
-                (false, None) => panic!("verdicts disagree"),
-                (false, Some(core)) => {
-                    for skip in 0..core.len() {
-                        let without: Vec<LinearConstraint> = core
-                            .iter()
-                            .enumerate()
-                            .filter(|&(k, _)| k != skip)
-                            .map(|(_, &i)| cs[i].clone())
-                            .collect();
-                        assert!(check_conjunction(&without).is_feasible());
-                    }
-                }
-            }
-        }
-
-
-        /// LP optimisation dominates every feasible grid point, and the
-        /// optimum is itself attained by a feasible witness.
-        fn optimum_dominates_grid(
-            cs in gen::vec_of(constraint_gen(2), 0..5),
-            c0 in gen::ints(-3i64..=3),
-            c1 in gen::ints(-3i64..=3),
-        ) {
-            check_optimum_dominates_grid(&cs, c0, c1);
         }
 
         /// Rational-grid ground truth: brute-force a small grid; if any grid

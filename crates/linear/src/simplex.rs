@@ -3,8 +3,9 @@
 //! This module plays the role COIN LP plays in the paper: deciding
 //! feasibility of the linear constraint system implied by a Boolean model,
 //! and producing either a rational witness or a conflicting subset of
-//! constraints ("the smallest conflicting subset is computed and returned
-//! as a hint for further queries to the SAT-solver", Sec. 4).
+//! constraints. The conflicting subset is the certificate of the row that
+//! cannot be repaired; the control loop returns it "as a hint for further
+//! queries to the SAT-solver" (Sec. 4) without shrinking it further.
 //!
 //! The algorithm is the general simplex of Dutertre & de Moura ("A fast
 //! linear-arithmetic solver for DPLL(T)"): each distinct linear form gets a
@@ -474,138 +475,6 @@ impl Simplex {
                 e.add_term(xj, &-c.clone());
                 e.add_scaled(&new_expr, &c);
                 self.rows[r].expr = e;
-            }
-        }
-    }
-
-    // ---- optimisation support (see `crate::optimize`) -------------------
-
-    /// Current β value of a variable.
-    pub(crate) fn value_of(&self, v: VarId) -> QDelta {
-        self.value[v].clone()
-    }
-
-    /// Current lower bound of a variable, if any.
-    pub(crate) fn lower_of(&self, v: VarId) -> Option<QDelta> {
-        self.lower[v].as_ref().map(|b| b.value.clone())
-    }
-
-    /// Current upper bound of a variable, if any.
-    pub(crate) fn upper_of(&self, v: VarId) -> Option<QDelta> {
-        self.upper[v].as_ref().map(|b| b.value.clone())
-    }
-
-    /// Rewrites a linear form over the current nonbasic variables by
-    /// substituting every basic variable with its defining row.
-    pub(crate) fn substitute_basics(&self, e: &LinExpr) -> LinExpr {
-        let mut out = LinExpr::zero();
-        for (v, k) in e.terms() {
-            match self.basic_row[*v] {
-                Some(r) => out.add_scaled(&self.rows[r].expr, k),
-                None => out.add_term(*v, k),
-            }
-        }
-        out
-    }
-
-    /// Evaluates a linear form at the current β assignment.
-    pub(crate) fn eval_qdelta(&self, e: &LinExpr) -> QDelta {
-        let mut acc = QDelta::zero();
-        for (v, k) in e.terms() {
-            acc = &acc + &self.value[*v].scale(k);
-        }
-        acc
-    }
-
-    /// Moves nonbasic `xj` as far as possible in the chosen direction
-    /// (`increase` = toward +∞). Stops at the first binding bound: either
-    /// `xj`'s own (the variable stays nonbasic at its bound) or a basic
-    /// variable's (pivot). Ties break toward the smallest basic id
-    /// (Bland's rule).
-    pub(crate) fn push_toward(&mut self, xj: VarId, increase: bool) -> crate::optimize::PushResult {
-        use crate::optimize::PushResult;
-        // Candidate step sizes δ ≥ 0 (movement magnitude along the
-        // direction), with the blocking entity.
-        #[derive(Clone)]
-        enum Blocker {
-            Own,
-            Basic(VarId, Rational),
-        }
-        let mut best: Option<(QDelta, Blocker)> = None;
-        let consider = |delta: QDelta, blocker: Blocker, best: &mut Option<(QDelta, Blocker)>| {
-            let replace = match best {
-                None => true,
-                Some((cur, cur_blocker)) => {
-                    delta < *cur
-                        || (delta == *cur
-                            && match (&blocker, cur_blocker) {
-                                (Blocker::Basic(b, _), Blocker::Basic(cb, _)) => b < cb,
-                                (Blocker::Own, Blocker::Basic(..)) => true,
-                                _ => false,
-                            })
-                }
-            };
-            if replace {
-                *best = Some((delta, blocker));
-            }
-        };
-
-        // xj's own bound.
-        let own_bound = if increase {
-            self.upper_of(xj)
-        } else {
-            self.lower_of(xj)
-        };
-        if let Some(b) = own_bound {
-            let slack = if increase {
-                &b - &self.value[xj]
-            } else {
-                &self.value[xj] - &b
-            };
-            consider(slack, Blocker::Own, &mut best);
-        }
-        // Basic variables through the rows.
-        for row in &self.rows {
-            let a = row.expr.coeff(xj);
-            if a.is_zero() {
-                continue;
-            }
-            // β(basic) changes by a·(±δ); the binding bound depends on the
-            // sign of the movement of the basic variable.
-            let movement_sign = if increase { a.clone() } else { -a.clone() };
-            let bound = if movement_sign.is_positive() {
-                self.upper_of(row.basic)
-            } else {
-                self.lower_of(row.basic)
-            };
-            if let Some(b) = bound {
-                let room = if movement_sign.is_positive() {
-                    &b - &self.value[row.basic]
-                } else {
-                    &self.value[row.basic] - &b
-                };
-                let delta = room.scale(&movement_sign.abs().recip());
-                consider(delta, Blocker::Basic(row.basic, a.clone()), &mut best);
-            }
-        }
-
-        match best {
-            None => PushResult::Unbounded,
-            Some((delta, Blocker::Own)) => {
-                let target = if increase {
-                    &self.value[xj] + &delta
-                } else {
-                    &self.value[xj] - &delta
-                };
-                self.update_nonbasic(xj, target);
-                PushResult::Moved
-            }
-            Some((delta, Blocker::Basic(b, a))) => {
-                // The basic variable hits its bound; pivot xj in.
-                let signed = if increase { delta } else { -&delta };
-                let target = &self.value[b] + &signed.scale(&a);
-                self.pivot_and_update(b, xj, &a, target);
-                PushResult::Moved
             }
         }
     }

@@ -11,17 +11,12 @@
 //! re-checking costs a few pivots instead of a full solve.
 //!
 //! Conflicts are reported as **stack positions** ([`RowId`]s), which the
-//! caller can map straight back to theory literals. When built with
-//! `minimize = true` the stack also minimises each conflict with an
-//! in-place deletion filter: a candidate drop re-asserts the remaining
-//! bounds onto the *same* tableau (rows and basis are reused), so each
-//! filter step costs bound updates plus a warm check rather than a fresh
-//! tableau construction as in [`crate::minimal_infeasible_subset`].
+//! caller can map straight back to theory literals. A conflict is the
+//! simplex's own row certificate, unshrunk.
 
 use crate::constraint::LinearConstraint;
 use crate::simplex::{CheckResult, Simplex};
 use absolver_num::Rational;
-use std::time::{Duration, Instant};
 
 /// Position of a pushed constraint on the stack: dense, 0-based,
 /// assigned in push order and compacted by [`AssertionStack::pop_to`].
@@ -32,8 +27,8 @@ pub type RowId = usize;
 pub enum StackResult {
     /// The pushed constraints are simultaneously satisfiable.
     Sat,
-    /// They are not; the payload holds stack positions of a conflicting
-    /// subset, minimised when the stack was created with `minimize`.
+    /// They are not; the payload holds the stack positions of the
+    /// simplex's conflict certificate.
     Unsat(Vec<RowId>),
 }
 
@@ -51,7 +46,7 @@ impl StackResult {
 /// use absolver_num::Rational;
 ///
 /// let c = |v, op, rhs: i64| LinearConstraint::new(LinExpr::var(v), op, Rational::from_int(rhs));
-/// let mut stack = AssertionStack::new(1, true);
+/// let mut stack = AssertionStack::new(1);
 /// stack.push(&c(0, CmpOp::Ge, 0)).unwrap();
 /// let mark = stack.len();
 /// stack.push(&c(0, CmpOp::Le, -1)).unwrap_err(); // conflicts with row 0
@@ -61,9 +56,8 @@ impl StackResult {
 #[derive(Debug)]
 pub struct AssertionStack {
     simplex: Simplex,
-    /// Pushed constraints in stack order; `RowId` indexes this.
-    entries: Vec<LinearConstraint>,
-    /// Undo-log mark taken immediately before each entry was asserted.
+    /// Undo-log mark taken immediately before each entry was asserted;
+    /// `RowId` indexes this.
     marks: Vec<usize>,
     /// Simplex constraint id → stack position of the entry that asserted
     /// it. One id is consumed per assertion attempt, and re-assertion
@@ -71,38 +65,31 @@ pub struct AssertionStack {
     /// is never truncated because restored bounds may still carry old
     /// ids as their reasons.
     owner: Vec<RowId>,
-    minimize: bool,
     checks: u64,
     warm_starts: u64,
-    min_time: Duration,
 }
 
 impl AssertionStack {
-    /// Creates an empty stack over `num_vars` problem variables. With
-    /// `minimize`, every [`AssertionStack::check`] conflict is reduced to
-    /// an irredundant core by the in-place deletion filter.
-    pub fn new(num_vars: usize, minimize: bool) -> AssertionStack {
+    /// Creates an empty stack over `num_vars` problem variables.
+    pub fn new(num_vars: usize) -> AssertionStack {
         AssertionStack {
             simplex: Simplex::with_vars(num_vars),
-            entries: Vec::new(),
             marks: Vec::new(),
             owner: Vec::new(),
-            minimize,
             checks: 0,
             warm_starts: 0,
-            min_time: Duration::ZERO,
         }
     }
 
     /// Number of constraints currently on the stack. Doubles as the mark
     /// to hand to [`AssertionStack::pop_to`] for restoring this state.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.marks.len()
     }
 
     /// Returns `true` when no constraints are pushed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.marks.is_empty()
     }
 
     /// Number of problem variables the stack was created over.
@@ -126,11 +113,6 @@ impl AssertionStack {
         self.warm_starts
     }
 
-    /// Wall-clock time spent minimising conflicts.
-    pub fn min_time(&self) -> Duration {
-        self.min_time
-    }
-
     /// Pushes a constraint; returns its stack position.
     ///
     /// # Errors
@@ -147,16 +129,20 @@ impl AssertionStack {
     /// Panics if the constraint mentions a variable `>= num_vars()`.
     pub fn push(&mut self, c: &LinearConstraint) -> Result<RowId, Vec<RowId>> {
         let mark = self.simplex.undo_mark();
-        let rid = self.entries.len();
-        match Self::assert_recording(&mut self.simplex, &mut self.owner, c, rid) {
-            Ok(()) => {
-                self.entries.push(c.clone());
+        let rid = self.marks.len();
+        let result = self.simplex.assert_constraint(c);
+        // One simplex id is consumed per attempt, also on failure.
+        self.owner.push(rid);
+        let rejected = self.owner.len() - 1;
+        match result {
+            Ok(cid) => {
+                debug_assert_eq!(cid, rejected, "owner table out of sync with simplex ids");
                 self.marks.push(mark);
                 Ok(rid)
             }
-            Err(core) => {
+            Err(cids) => {
                 self.simplex.undo_to(mark);
-                Err(core)
+                Err(self.rows_of(cids.into_iter().filter(|&cid| cid != rejected)))
             }
         }
     }
@@ -164,11 +150,10 @@ impl AssertionStack {
     /// Removes every constraint at position `mark` and above. Bounds are
     /// restored; the tableau and β assignment are kept for warm restarts.
     pub fn pop_to(&mut self, mark: usize) {
-        if mark >= self.entries.len() {
+        if mark >= self.marks.len() {
             return;
         }
         self.simplex.undo_to(self.marks[mark]);
-        self.entries.truncate(mark);
         self.marks.truncate(mark);
     }
 
@@ -181,17 +166,7 @@ impl AssertionStack {
         }
         match self.simplex.check() {
             CheckResult::Sat => StackResult::Sat,
-            CheckResult::Unsat(cids) => {
-                let mut core: Vec<RowId> = cids.iter().map(|&cid| self.owner[cid]).collect();
-                core.sort_unstable();
-                core.dedup();
-                if self.minimize && core.len() > 1 {
-                    let start = Instant::now();
-                    core = self.minimize_core(core);
-                    self.min_time += start.elapsed();
-                }
-                StackResult::Unsat(core)
-            }
+            CheckResult::Unsat(cids) => StackResult::Unsat(self.rows_of(cids)),
         }
     }
 
@@ -200,97 +175,13 @@ impl AssertionStack {
         self.simplex.model()
     }
 
-    /// Asserts `c` into the simplex, recording the freshly allocated
-    /// constraint id as owned by stack position `rid`. Exactly one id is
-    /// consumed per call (also on failure), keeping `owner` aligned with
-    /// the simplex id counter. Conflicts are mapped to stack positions
-    /// with the rejected constraint's own id filtered out.
-    fn assert_recording(
-        simplex: &mut Simplex,
-        owner: &mut Vec<RowId>,
-        c: &LinearConstraint,
-        rid: RowId,
-    ) -> Result<(), Vec<RowId>> {
-        let result = simplex.assert_constraint(c);
-        owner.push(rid);
-        let rejected = owner.len() - 1;
-        match result {
-            Ok(cid) => {
-                debug_assert_eq!(cid, rejected, "owner table out of sync with simplex ids");
-                Ok(())
-            }
-            Err(cids) => {
-                let mut core: Vec<RowId> = cids
-                    .into_iter()
-                    .filter(|&cid| cid != rejected)
-                    .map(|cid| owner[cid])
-                    .collect();
-                core.sort_unstable();
-                core.dedup();
-                Err(core)
-            }
-        }
-    }
-
-    /// Deletion filter run entirely on the stack's own tableau: each
-    /// trial pops *all* bounds and re-asserts the candidate subset, so a
-    /// step costs bound updates plus a warm check. A successful shrink
-    /// resumes from the current position — members already proven
-    /// necessary stay proven (a constraint whose removal makes the rest
-    /// feasible belongs to every infeasible subset of the remainder).
-    fn minimize_core(&mut self, mut core: Vec<RowId>) -> Vec<RowId> {
-        let mut i = 0;
-        while core.len() > 1 && i < core.len() {
-            match self.try_without(&core, i) {
-                Some(sub) => core = sub,
-                None => i += 1,
-            }
-        }
-        self.replay();
-        core.sort_unstable();
-        core
-    }
-
-    /// Re-asserts `core` minus position `skip` from a clean bound state;
-    /// returns the sub-conflict (as stack positions) if still infeasible.
-    fn try_without(&mut self, core: &[RowId], skip: usize) -> Option<Vec<RowId>> {
-        self.simplex.undo_to(0);
-        for (j, &rid) in core.iter().enumerate() {
-            if j == skip {
-                continue;
-            }
-            let result =
-                Self::assert_recording(&mut self.simplex, &mut self.owner, &self.entries[rid], rid);
-            if let Err(mut sub) = result {
-                sub.push(rid);
-                sub.sort_unstable();
-                sub.dedup();
-                return Some(sub);
-            }
-        }
-        match self.simplex.check() {
-            CheckResult::Sat => None,
-            CheckResult::Unsat(cids) => {
-                let mut sub: Vec<RowId> = cids.iter().map(|&cid| self.owner[cid]).collect();
-                sub.sort_unstable();
-                sub.dedup();
-                Some(sub)
-            }
-        }
-    }
-
-    /// Restores the full assertion state after minimisation trials. The
-    /// surviving entries were each accepted from exactly this prefix
-    /// state when originally pushed (LIFO discipline), so re-assertion
-    /// cannot conflict.
-    fn replay(&mut self) {
-        self.simplex.undo_to(0);
-        self.marks.clear();
-        for rid in 0..self.entries.len() {
-            self.marks.push(self.simplex.undo_mark());
-            Self::assert_recording(&mut self.simplex, &mut self.owner, &self.entries[rid], rid)
-                .expect("replaying previously accepted constraints cannot conflict");
-        }
+    /// Maps simplex constraint ids to the sorted, deduplicated stack
+    /// positions that own them.
+    fn rows_of(&self, cids: impl IntoIterator<Item = usize>) -> Vec<RowId> {
+        let mut rows: Vec<RowId> = cids.into_iter().map(|cid| self.owner[cid]).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        rows
     }
 }
 
@@ -314,7 +205,7 @@ mod tests {
 
     #[test]
     fn push_check_pop_roundtrip() {
-        let mut s = AssertionStack::new(2, true);
+        let mut s = AssertionStack::new(2);
         s.push(&c(&[(0, 1)], CmpOp::Ge, 0)).unwrap();
         s.push(&c(&[(1, 1)], CmpOp::Ge, 0)).unwrap();
         assert_eq!(s.check(), StackResult::Sat);
@@ -331,7 +222,7 @@ mod tests {
 
     #[test]
     fn push_conflict_reports_positions_and_leaves_stack_intact() {
-        let mut s = AssertionStack::new(1, true);
+        let mut s = AssertionStack::new(1);
         s.push(&c(&[(0, 1)], CmpOp::Le, 3)).unwrap();
         let err = s.push(&c(&[(0, 1)], CmpOp::Gt, 3)).unwrap_err();
         assert_eq!(err, vec![0]);
@@ -346,22 +237,31 @@ mod tests {
     }
 
     #[test]
-    fn minimized_core_filters_irrelevant_rows() {
-        let mut s = AssertionStack::new(2, true);
-        s.push(&c(&[(1, 1)], CmpOp::Ge, 0)).unwrap(); // irrelevant
-        s.push(&c(&[(0, 1), (1, 1)], CmpOp::Le, 2)).unwrap();
-        s.push(&c(&[(0, 1)], CmpOp::Ge, 2)).unwrap();
-        s.push(&c(&[(1, 1)], CmpOp::Ge, 1)).unwrap();
-        s.push(&c(&[(0, 1), (1, 1)], CmpOp::Le, 10)).unwrap(); // dominated
+    fn conflict_certificate_is_infeasible_and_pop_restores() {
+        let rows = [
+            c(&[(1, 1)], CmpOp::Ge, 0), // irrelevant
+            c(&[(0, 1), (1, 1)], CmpOp::Le, 2),
+            c(&[(0, 1)], CmpOp::Ge, 2),
+            c(&[(1, 1)], CmpOp::Ge, 1),
+            c(&[(0, 1), (1, 1)], CmpOp::Le, 10), // dominated
+        ];
+        let mut s = AssertionStack::new(2);
+        for row in &rows {
+            s.push(row).unwrap();
+        }
         match s.check() {
             StackResult::Unsat(core) => {
-                assert_eq!(core, vec![1, 2, 3], "expected the irredundant triangle");
+                let subset: Vec<LinearConstraint> = core.iter().map(|&r| rows[r].clone()).collect();
+                assert!(
+                    !check_conjunction(&subset).is_feasible(),
+                    "certificate {core:?} is feasible on its own"
+                );
             }
             StackResult::Sat => panic!("expected conflict"),
         }
-        // The stack is fully restored after minimisation: popping the
-        // middle of the core makes the rest feasible again.
+        // Popping the middle of the triangle makes the rest feasible again.
         s.pop_to(2);
+        assert_eq!(s.len(), 2);
         assert_eq!(s.check(), StackResult::Sat);
         let model = s.model();
         assert!(&model[0] + &model[1] <= q(2));
@@ -377,7 +277,7 @@ mod tests {
         ];
         let tight = c(&[(1, 1)], CmpOp::Ge, 5); // makes it infeasible
         let loose = c(&[(1, 1)], CmpOp::Ge, 1);
-        let mut s = AssertionStack::new(2, true);
+        let mut s = AssertionStack::new(2);
         for cst in &base {
             s.push(cst).unwrap();
         }
@@ -402,7 +302,7 @@ mod tests {
 
     #[test]
     fn equality_bounds_pop_cleanly() {
-        let mut s = AssertionStack::new(2, false);
+        let mut s = AssertionStack::new(2);
         s.push(&c(&[(0, 1), (1, 1)], CmpOp::Eq, 5)).unwrap();
         let mark = s.len();
         s.push(&c(&[(0, 1), (1, 1)], CmpOp::Eq, 6)).unwrap_err();
@@ -422,7 +322,7 @@ mod tests {
         let mut rng = TestRng::seed_from_u64(0x57AC_D1FF);
         for case in 0..200 {
             let num_vars = rng.gen_range(1..=3usize);
-            let mut stack = AssertionStack::new(num_vars, case % 2 == 0);
+            let mut stack = AssertionStack::new(num_vars);
             let mut live: Vec<LinearConstraint> = Vec::new();
             for _step in 0..24 {
                 match rng.gen_range(0..4u32) {

@@ -53,8 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Enumerate every consistent health assignment.
     let mut orc = Orchestrator::with_defaults();
-    let models = orc.solve_all(&problem, 10_000)?;
+    let (models, end) = orc.solve_all(&problem, 10_000)?;
     println!("{} consistent system states found", models.len());
+    if !end.is_unsat() {
+        println!("(the enumeration stopped early; more states may exist)");
+    }
 
     // Project onto fault sets and keep the subset-minimal ones.
     let mut fault_sets: Vec<Vec<usize>> = models

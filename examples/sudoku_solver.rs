@@ -64,14 +64,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print_grid(&grid);
 
     // All-models bookkeeping (the LSAT role): enumerate up to 2 solutions.
-    let solutions = orc.solve_all(&problem, 2)?;
+    let (solutions, end) = orc.solve_all(&problem, 2)?;
     println!(
         "solution count (capped at 2): {} — the puzzle {}",
         solutions.len(),
-        if solutions.len() == 1 {
-            "is unique"
-        } else {
-            "has multiple solutions"
+        match (solutions.len(), end) {
+            (1, Outcome::Unsat) => "is unique",
+            (2, _) => "has multiple solutions",
+            _ => "could not be decided",
         }
     );
     Ok(())

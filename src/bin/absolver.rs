@@ -20,11 +20,10 @@
 //!                            contractor cascade stages (default: hc4,bc3,newton)
 //!   --no-contraction-cache   disable the quantized-box contraction cache
 //!   --nl-jobs N              worker threads for the nonlinear box search
-//!   --no-minimize            disable conflict-core minimisation
 //!   --no-theory-cache        disable the theory-verdict cache
 //!   --preprocess             simplify before solving (default)
 //!   --no-preprocess          solve the problem exactly as written
-//!   --all-models N           enumerate up to N models
+//!   --all-models N           enumerate up to N models (N >= 1)
 //!   --time-limit SECS        wall-clock budget
 //!   --max-iterations N       cap on Boolean models examined
 //!   --jobs N                 solve with N parallel shards
@@ -157,7 +156,6 @@ struct Config {
     contractors: ContractorConfig,
     contraction_cache: bool,
     nl_jobs: usize,
-    minimize: bool,
     theory_cache: bool,
     preprocess: bool,
     all_models: Option<usize>,
@@ -175,14 +173,14 @@ fn usage() -> ! {
     eprintln!(
         "usage: absolver [--boolean cdcl|restart] [--nonlinear cascade|interval|penalty]\n\
          \x20               [--contractors hc4[,bc3][,newton]] [--no-contraction-cache]\n\
-         \x20               [--nl-jobs N] [--no-minimize] [--no-theory-cache] [--no-preprocess]\n\
+         \x20               [--nl-jobs N] [--no-theory-cache] [--no-preprocess]\n\
          \x20               [--all-models N] [--time-limit SECS]\n\
          \x20               [--max-iterations N] [--jobs N] [--strategy portfolio|cubes]\n\
          \x20               [--deterministic] [--stats [human|json]] [--trace FILE]\n\
          \x20               [--quiet] [FILE]\n\
          \x20      absolver check [--json] [FILE]\n\
-         \x20      absolver session [--boolean ...] [--nonlinear ...] [--no-minimize]\n\
-         \x20               [--no-theory-cache] [--time-limit SECS] [--max-iterations N]\n\
+         \x20      absolver session [--boolean ...] [--nonlinear ...] [--no-theory-cache]\n\
+         \x20               [--time-limit SECS] [--max-iterations N]\n\
          \x20               [--stats [human|json]] [--trace FILE] [--quiet] [FILE]\n\
          solve exit codes: 10 sat, 20 unsat, 30 unknown, 40 iteration limit, 2 error\n\
          check exit codes: 0 clean, 3 warnings, 4 errors, 2 error\n\
@@ -199,7 +197,6 @@ fn parse_args() -> Config {
         contractors: ContractorConfig::default(),
         contraction_cache: true,
         nl_jobs: 1,
-        minimize: true,
         theory_cache: true,
         preprocess: true,
         all_models: None,
@@ -232,13 +229,12 @@ fn parse_args() -> Config {
                     .unwrap_or_else(|| usage());
                 config.nl_jobs = n.max(1);
             }
-            "--no-minimize" => config.minimize = false,
             "--no-theory-cache" => config.theory_cache = false,
             "--preprocess" => config.preprocess = true,
             "--no-preprocess" => config.preprocess = false,
             "--all-models" => {
                 let n = args.next().and_then(|v| v.parse().ok());
-                config.all_models = Some(n.unwrap_or_else(|| usage()));
+                config.all_models = Some(n.filter(|&n| n > 0).unwrap_or_else(|| usage()));
             }
             "--time-limit" => {
                 let secs: u64 = args
@@ -311,12 +307,7 @@ fn build_orchestrator(config: &Config) -> Orchestrator {
             usage();
         }
     };
-    let linear = if config.minimize {
-        SimplexLinear::new()
-    } else {
-        SimplexLinear::without_minimization()
-    };
-    let mut orc = Orchestrator::custom(boolean).with_linear(Box::new(linear));
+    let mut orc = Orchestrator::custom(boolean).with_linear(Box::new(SimplexLinear::new()));
     let nl_options = NlOptions {
         contractors: config.contractors,
         contraction_cache: config.contraction_cache,
@@ -428,7 +419,6 @@ fn session_main(args: &[String]) -> ExitCode {
         contractors: ContractorConfig::default(),
         contraction_cache: true,
         nl_jobs: 1,
-        minimize: true,
         theory_cache: true,
         // Sessions solve the asserted problem as-is; the preprocessor
         // only runs in whole-problem mode.
@@ -448,7 +438,6 @@ fn session_main(args: &[String]) -> ExitCode {
         match arg.as_str() {
             "--boolean" => config.boolean = it.next().unwrap_or_else(|| usage()),
             "--nonlinear" => config.nonlinear = it.next().unwrap_or_else(|| usage()),
-            "--no-minimize" => config.minimize = false,
             "--no-theory-cache" => config.theory_cache = false,
             "--time-limit" => {
                 let secs: u64 = it
@@ -801,25 +790,31 @@ fn main() -> ExitCode {
 
     if let Some(max) = config.all_models {
         match orc.solve_all(&problem, max) {
-            Ok(models) => {
+            Ok((models, end)) => {
+                let inconclusive = end == Outcome::Unknown;
                 if !config.quiet {
                     out.line(format_args!("c {} model(s)", models.len()));
                     for (i, m) in models.iter().enumerate() {
                         out.line(format_args!("c model {}", i + 1));
                         print_model(&mut out, &problem, m);
                     }
+                    if inconclusive && !models.is_empty() {
+                        out.line("c enumeration incomplete");
+                    }
                 }
                 if let Some(format) = config.stats {
                     print_stats(&mut out, &orc, format);
                 }
                 flush_trace();
-                return if models.is_empty() {
-                    out.line("s UNSATISFIABLE");
-                    out.exit(EXIT_UNSAT)
-                } else {
-                    out.line("s SATISFIABLE");
-                    out.exit(EXIT_SAT)
+                // Found models make the problem sat however the search
+                // ended; with none, only an exhausted search means unsat.
+                let (msg, code) = match (models.is_empty(), inconclusive) {
+                    (false, _) => ("s SATISFIABLE", EXIT_SAT),
+                    (true, true) => ("s UNKNOWN", EXIT_UNKNOWN),
+                    (true, false) => ("s UNSATISFIABLE", EXIT_UNSAT),
                 };
+                out.line(msg);
+                return out.exit(code);
             }
             Err(e) => {
                 eprintln!("{e}");

@@ -73,6 +73,44 @@ fn unknown_verdict_exits_30() {
 }
 
 #[test]
+fn all_models_inconclusive_is_unknown_not_unsat() {
+    // Fig. 2 is satisfiable: an enumeration that found no model because
+    // its time ran out must not claim unsat.
+    let out = absolver()
+        .args(["--all-models", "3", "--time-limit", "0", FIG2])
+        .output()
+        .expect("run absolver");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(exit_code(&out), 30, "stdout: {stdout}");
+    assert!(stdout.contains("s UNKNOWN"), "stdout: {stdout}");
+    assert!(!stdout.contains("s UNSATISFIABLE"), "stdout: {stdout}");
+    // Asking for zero models is a usage error, not an empty enumeration.
+    let out = absolver()
+        .args(["--all-models", "0", FIG2])
+        .output()
+        .expect("run absolver");
+    assert_eq!(exit_code(&out), 2);
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("s UNSATISFIABLE"));
+}
+
+#[test]
+fn all_models_flags_an_incomplete_enumeration() {
+    // The penalty engine decides the models where atom 2 is false but
+    // never the one where it is true: two models, then an open end.
+    let input =
+        "p cnf 2 1\n1 -2 0\nc def real 1 x >= 0\nc def real 2 y * y <= -1\nc range y -10 10\n";
+    let out = run_stdin(&["--all-models", "5", "--nonlinear", "penalty"], input);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(exit_code(&out), 10, "stdout: {stdout}");
+    assert!(stdout.contains("c 2 model(s)"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("c enumeration incomplete"),
+        "stdout: {stdout}"
+    );
+    assert!(stdout.contains("s SATISFIABLE"), "stdout: {stdout}");
+}
+
+#[test]
 fn iteration_limit_exits_40() {
     let out = absolver()
         .args(["--max-iterations", "0", FIG2])

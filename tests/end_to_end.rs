@@ -124,8 +124,9 @@ c def int 3 x = 3
 ";
     let problem: AbProblem = text.parse().unwrap();
     let mut orc = Orchestrator::with_defaults();
-    let models = orc.solve_all(&problem, usize::MAX).unwrap();
+    let (models, end) = orc.solve_all(&problem, usize::MAX).unwrap();
     assert_eq!(models.len(), 3);
+    assert!(end.is_unsat(), "all models were enumerated");
     for m in &models {
         assert!(m.satisfies(&problem, 1e-9));
     }
@@ -190,8 +191,9 @@ fn solve_all_stops_at_unknown_without_fabricating_models() {
     let mut orc = Orchestrator::custom(Box::new(CdclBoolean::new()))
         .with_linear(Box::new(SimplexLinear::new()))
         .with_nonlinear(Box::new(PenaltyNonlinear::default()));
-    let models = orc.solve_all(&problem, usize::MAX).unwrap();
+    let (models, end) = orc.solve_all(&problem, usize::MAX).unwrap();
     assert!(models.is_empty());
+    assert_eq!(end, Outcome::Unknown, "an inconclusive end is not unsat");
     assert!(orc.stats().unknown_checks >= 1, "{}", orc.stats());
     assert_eq!(orc.solve(&problem).unwrap(), Outcome::Unknown);
 }
@@ -207,8 +209,13 @@ fn solve_all_mixes_decided_and_unknown_models() {
     let mut orc = Orchestrator::custom(Box::new(CdclBoolean::new()))
         .with_linear(Box::new(SimplexLinear::new()))
         .with_nonlinear(Box::new(PenaltyNonlinear::default()));
-    let models = orc.solve_all(&problem, usize::MAX).unwrap();
+    let (models, end) = orc.solve_all(&problem, usize::MAX).unwrap();
     assert!(!models.is_empty());
+    assert_eq!(
+        end,
+        Outcome::Unknown,
+        "the undecidable models leave it open"
+    );
     for m in &models {
         assert!(m.satisfies(&problem, 1e-9));
     }
