@@ -300,6 +300,8 @@ impl<'a> TightHook<'a> {
             sink: None,
             incremental: None,
             lin_activity: Default::default(),
+            escalate: false,
+            escalable: false,
         };
         match check(&items, &mut ctx) {
             TheoryVerdict::Sat(model) => {

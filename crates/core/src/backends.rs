@@ -15,7 +15,7 @@
 //! | COIN LP      | [`SimplexLinear`] (exact-rational simplex)             |
 //! | IPOPT        | [`PenaltyNonlinear`] (multistart penalty search)       |
 //! | —            | [`IntervalNonlinear`] (rigorous branch-and-prune)      |
-//! | —            | [`CascadeNonlinear`] (branch-and-prune, then penalty)  |
+//! | —            | [`CascadeNonlinear`] (probe pass, then refute pass)     |
 
 use absolver_linear::{check_conjunction_counted, AssertionStack, Feasibility, LinearConstraint};
 use absolver_logic::{Assignment, Cnf, Lit};
@@ -331,8 +331,26 @@ pub trait NonlinearBackend: Send {
     /// Human-readable backend name.
     fn name(&self) -> &str;
 
-    /// Attempts to decide feasibility of the problem.
+    /// Attempts to decide feasibility of the problem. For a two-pass
+    /// backend this is the cheap first pass; see
+    /// [`NonlinearBackend::escalate`].
     fn solve(&mut self, problem: &NlProblem) -> NlVerdict;
+
+    /// Whether [`NonlinearBackend::escalate`] is stronger than `solve`.
+    /// The orchestrator saves a Boolean model whose check ended `Unknown`
+    /// for a second pass only when some backend's is.
+    fn escalates(&self) -> bool {
+        false
+    }
+
+    /// The backend's full one-shot check, which the second pass runs at
+    /// every level of a check (disequality branches included). The
+    /// orchestrator runs that pass only once the Boolean side has no more
+    /// models. The default is `solve` itself: a backend whose
+    /// [`NonlinearBackend::escalates`] is false has nothing stronger.
+    fn escalate(&mut self, problem: &NlProblem) -> NlVerdict {
+        self.solve(problem)
+    }
 
     /// Installs a cooperative cancellation token and wall-clock deadline
     /// the engine should poll mid-search. Backends that cannot interrupt
@@ -444,8 +462,10 @@ impl NonlinearBackend for PenaltyNonlinear {
     }
 }
 
-/// The default nonlinear backend: branch-and-prune first, penalty search
-/// as fallback.
+/// The default nonlinear backend, in two passes: `solve` is the cheap
+/// [`NlProblem::probe`] (a short box search, then the penalty search),
+/// `escalate` the one-shot [`NlProblem::solve_with_stats`] (the box
+/// search under the whole budget, then the penalty search).
 ///
 /// Like [`IntervalNonlinear`], the constructor installs a persistent
 /// contraction-cache handle so contraction work is shared across the
@@ -484,6 +504,16 @@ impl NonlinearBackend for CascadeNonlinear {
     }
 
     fn solve(&mut self, problem: &NlProblem) -> NlVerdict {
+        let (verdict, run) = problem.probe(&self.options);
+        self.stats.absorb(run);
+        verdict
+    }
+
+    fn escalates(&self) -> bool {
+        true
+    }
+
+    fn escalate(&mut self, problem: &NlProblem) -> NlVerdict {
         let (verdict, run) = problem.solve_with_stats(&self.options);
         self.stats.absorb(run);
         verdict
@@ -587,5 +617,56 @@ mod tests {
             CascadeNonlinear::default().solve(&infeasible),
             NlVerdict::Unsat
         );
+        // Single-pass backends have nothing stronger to escalate to.
+        assert!(!IntervalNonlinear::default().escalates());
+        assert!(!PenaltyNonlinear::default().escalates());
+    }
+
+    #[test]
+    fn cascade_defers_deep_refutations_to_its_second_pass() {
+        // (x − y)² < −4 over [−10, 10]²: the refutation needs more boxes
+        // than the probe may explore, so only the second pass proves it.
+        let (x, y) = (Expr::var(0), Expr::var(1));
+        let mut problem = NlProblem::new(2);
+        problem.add_constraint(NlConstraint::new(
+            x.clone() * x.clone() - Expr::int(2) * x.clone() * y.clone() + y.clone() * y,
+            CmpOp::Lt,
+            q(-4),
+        ));
+        problem.bound_var(0, Interval::new(-10.0, 10.0));
+        problem.bound_var(1, Interval::new(-10.0, 10.0));
+        let mut cascade = CascadeNonlinear::default();
+        assert!(cascade.escalates());
+        assert_eq!(cascade.solve(&problem), NlVerdict::Unknown);
+        let probed = cascade.stats().boxes_explored;
+        assert!(probed <= absolver_nonlinear::PROBE_BOXES as u64 + 1);
+        assert_eq!(cascade.escalate(&problem), NlVerdict::Unsat);
+        let escalated = cascade.stats().boxes_explored - probed;
+        assert!(escalated > 2 * absolver_nonlinear::PROBE_BOXES as u64);
+    }
+
+    #[test]
+    fn cascade_second_pass_finds_the_witness_only_the_local_search_finds() {
+        // x² ≥ 100 ∧ y² − 20y + 100 + 10 − x ≤ 0 over [−10, 10]²: the only
+        // solution is the corner (10, 10). No box midpoint reaches it, but
+        // the local search does, by clamping to the bounds. The second
+        // pass must find it again: a negated equality that this witness
+        // violates is split on it, and the branches get their full check
+        // only if the split happens.
+        let (x, y) = (Expr::var(0), Expr::var(1));
+        let mut problem = NlProblem::new(2);
+        problem.add_constraint(NlConstraint::new(x.clone() * x.clone(), CmpOp::Ge, q(100)));
+        problem.add_constraint(NlConstraint::new(
+            y.clone() * y.clone() - Expr::int(20) * y + Expr::int(100) + Expr::int(10) - x,
+            CmpOp::Le,
+            q(0),
+        ));
+        problem.bound_var(0, Interval::new(-10.0, 10.0));
+        problem.bound_var(1, Interval::new(-10.0, 10.0));
+        let options = absolver_nonlinear::NlOptions::default();
+        let boxes_only = absolver_nonlinear::branch_and_prune_stats(&problem, &options);
+        assert_eq!(boxes_only.0, NlVerdict::Unknown);
+        let mut cascade = CascadeNonlinear::default();
+        assert_eq!(cascade.escalate(&problem), NlVerdict::Sat(vec![10.0, 10.0]));
     }
 }

@@ -12,6 +12,14 @@
 //! row certificate as is: the paper asks for "the smallest conflicting
 //! subset", and DESIGN.md records why no deletion filter shrinks it.
 //!
+//! The nonlinear solver runs in two passes. Each Boolean model gets the
+//! cheap first pass; a model it leaves `Unknown` is blocked, as the paper
+//! moves on to another Boolean model, and saved. Only when the Boolean
+//! side has no more models do the saved models get the second pass, each
+//! backend's full one-shot check
+//! ([`crate::backends::NonlinearBackend::escalate`]), in the order they
+//! were blocked.
+//!
 //! The orchestrator's internal bookkeeping also enumerates *all* models
 //! ([`Orchestrator::solve_all`]), regardless of whether the Boolean
 //! backend supports native enumeration (Sec. 4's LSAT discussion).
@@ -27,11 +35,11 @@ use crate::theory::{
     check, IncrementalLinear, LinActivity, TheoryBudget, TheoryContext, TheoryItem, TheoryTiming,
     TheoryVerdict,
 };
-use absolver_logic::{Clause, Lit, Tri, Var};
+use absolver_logic::{Assignment, Clause, Lit, Tri, Var};
 use absolver_nonlinear::NlConstraint;
 use absolver_num::Interval;
 use absolver_trace::{saturating_micros, JsonObject, NullSink, TraceEvent, TraceSink};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -111,6 +119,9 @@ pub struct OrchestratorStats {
     pub conflict_literals: u64,
     /// Theory checks that ended in `Unknown`.
     pub unknown_checks: u64,
+    /// Second-pass checks of Boolean models whose first check was
+    /// `Unknown`, run once the Boolean side had no more models.
+    pub escalated_checks: u64,
     /// Whether the last call hit its wall-clock limit.
     pub timed_out: bool,
     /// Whether the last call was stopped by a cancellation token.
@@ -198,7 +209,7 @@ impl fmt::Display for OrchestratorStats {
         write!(
             f,
             "iterations={} theory_checks={} conflicts={} avg_conflict_len={:.1} unknown={} \
-             timed_out={} cancelled={} shared={} imported={} pivots={} warm_starts={} \
+             escalated={} timed_out={} cancelled={} shared={} imported={} pivots={} warm_starts={} \
              cache_hits={} cache_misses={} contractions={}/{}/{} contraction_cache={}/{} \
              terms_interned={} term_dedup={} pre_vars={} pre_clauses={} pre_atoms={} pre_ranges={} \
              subsumed={} components={} static_unsat={} preprocess={:?} \
@@ -212,6 +223,7 @@ impl fmt::Display for OrchestratorStats {
                 self.conflict_literals as f64 / self.conflicts_fed_back as f64
             },
             self.unknown_checks,
+            self.escalated_checks,
             self.timed_out,
             self.cancelled,
             self.clauses_shared,
@@ -255,6 +267,7 @@ impl OrchestratorStats {
         self.conflicts_fed_back += other.conflicts_fed_back;
         self.conflict_literals += other.conflict_literals;
         self.unknown_checks += other.unknown_checks;
+        self.escalated_checks += other.escalated_checks;
         self.timed_out |= other.timed_out;
         self.cancelled |= other.cancelled;
         self.clauses_shared += other.clauses_shared;
@@ -345,6 +358,7 @@ impl OrchestratorStats {
             .field_u64("conflicts_fed_back", self.conflicts_fed_back)
             .field_u64("conflict_literals", self.conflict_literals)
             .field_u64("unknown_checks", self.unknown_checks)
+            .field_u64("escalated_checks", self.escalated_checks)
             .field_bool("timed_out", self.timed_out)
             .field_bool("cancelled", self.cancelled)
             .field_u64("clauses_shared", self.clauses_shared)
@@ -466,6 +480,39 @@ impl fmt::Debug for ClauseSharing {
     }
 }
 
+/// The theory obligations a Boolean model induces: `fixed` items hold in
+/// every branch, `choices` are the disjunctive alternatives of false
+/// multi-constraint definitions, and `involved` lists the model's defined
+/// literals (item tags index it).
+#[derive(Debug)]
+struct Obligations {
+    fixed: Vec<TheoryItem>,
+    choices: Vec<(Lit, Vec<Arc<NlConstraint>>)>,
+    involved: Vec<Lit>,
+}
+
+/// What every theory check of one control-loop run shares.
+struct CheckEnv {
+    kinds: Vec<VarKind>,
+    ranges: Vec<Interval>,
+    deadline: Option<Instant>,
+}
+
+/// The Boolean models of the current call window whose first theory
+/// check was `Unknown`. It outlives each control-loop run, so a
+/// [`Orchestrator::solve_all`] enumeration still knows the models its
+/// earlier runs blocked.
+#[derive(Debug, Default)]
+struct Undecided {
+    /// Models saved for the second nonlinear pass, in the order they were
+    /// blocked, with the obligations their check was built from.
+    saved: VecDeque<(Assignment, Obligations)>,
+    /// Some model is undecided for good: no backend had a second pass for
+    /// it, the second pass was inconclusive too, or (for an enumeration)
+    /// models that share a second-pass model's projection were skipped.
+    open: bool,
+}
+
 /// A memoized theory verdict. `Unknown` is never cached — it reflects a
 /// budget, not a fact about the assignment.
 #[derive(Debug, Clone)]
@@ -564,6 +611,8 @@ pub struct Orchestrator {
     /// ([`crate::session::Session`]) drain it after each check to build
     /// their persistent lemma store; `None` (the default) costs nothing.
     session_lemmas: Option<Vec<Vec<Lit>>>,
+    /// Undecided Boolean models of the current call window.
+    undecided: Undecided,
 }
 
 impl Default for Orchestrator {
@@ -591,6 +640,7 @@ impl Orchestrator {
             cache: TheoryCache::default(),
             preprocessor: None,
             session_lemmas: None,
+            undecided: Undecided::default(),
         }
     }
 
@@ -612,6 +662,7 @@ impl Orchestrator {
             cache: TheoryCache::default(),
             preprocessor: None,
             session_lemmas: None,
+            undecided: Undecided::default(),
         }
     }
 
@@ -1083,6 +1134,7 @@ impl Orchestrator {
     ) -> T {
         let started = Instant::now();
         self.stats = OrchestratorStats::default();
+        self.undecided = Undecided::default();
         let lin0 = self.linear_snapshot();
         let nl0 = self.nonlinear_snapshot();
         let term0 = absolver_nonlinear::term::local_counters();
@@ -1253,6 +1305,10 @@ impl Orchestrator {
     /// [`Outcome::Unknown`] when a check was inconclusive (time limit,
     /// cancellation, or a theory budget; more models may exist), and
     /// [`Outcome::Sat`] with the last model when `max_models` was reached.
+    /// A Boolean model whose first check was inconclusive is revisited
+    /// with the second nonlinear pass once the others run out, in any of
+    /// the enumeration's control-loop runs; if it stays undecided, the
+    /// end is [`Outcome::Unknown`].
     /// With `max_models == 0` nothing is examined and the end is
     /// [`Outcome::Unknown`].
     ///
@@ -1284,8 +1340,16 @@ impl Orchestrator {
                     .map(|i| Var::new(i as u32))
                     .collect();
                 let mut end = Outcome::Unknown;
+                // Set once blocking a model leaves no Boolean model: from
+                // then on only the saved models can still yield one.
+                let mut exhausted = false;
                 while models.len() < max_models {
-                    end = orc.run_loop(problem, started)?;
+                    end = if exhausted {
+                        let env = orc.check_env(problem, started);
+                        orc.settle_saved(problem, &env)
+                    } else {
+                        orc.run_loop(problem, started)?
+                    };
                     let Outcome::Sat(model) = &end else {
                         break;
                     };
@@ -1299,10 +1363,14 @@ impl Orchestrator {
                         .collect();
                     models.push((**model).clone());
                     if blocking.is_empty() || !orc.boolean.add_clause(&blocking) {
-                        // Blocking this model leaves no Boolean model.
-                        end = Outcome::Unsat;
-                        break;
+                        exhausted = true;
                     }
+                }
+                if exhausted && end.is_sat() && orc.undecided.saved.is_empty() {
+                    // The cap and the last model coincide, and no saved
+                    // model is left to try: the enumeration is over.
+                    let env = orc.check_env(problem, started);
+                    end = orc.settle_saved(problem, &env);
                 }
                 Ok((models, end))
             },
@@ -1373,17 +1441,25 @@ impl Orchestrator {
         }
     }
 
+    /// What the theory checks of a call that started at `started` share.
+    fn check_env(&self, problem: &AbProblem, started: Instant) -> CheckEnv {
+        CheckEnv {
+            kinds: problem.arith_vars().iter().map(|v| v.kind).collect(),
+            ranges: problem.arith_vars().iter().map(|v| v.range).collect(),
+            deadline: self.effective_deadline(started),
+        }
+    }
+
     fn run_loop(&mut self, problem: &AbProblem, started: Instant) -> Result<Outcome, SolveError> {
-        let kinds: Vec<VarKind> = problem.arith_vars().iter().map(|v| v.kind).collect();
-        let ranges: Vec<Interval> = problem.arith_vars().iter().map(|v| v.range).collect();
-        let mut had_unknown = false;
-        let deadline = self.effective_deadline(started);
+        let env = self.check_env(problem, started);
         // Let the nonlinear engines poll the token/deadline mid-search —
         // a 10-million-box branch-and-prune must not outlive the wall clock.
         for backend in self.nonlinear.iter_mut() {
-            backend.set_interrupt(self.cancel.clone(), deadline);
+            backend.set_interrupt(self.cancel.clone(), env.deadline);
         }
 
+        // Every exit below that finds the Boolean side out of models
+        // settles the saved models first (`settle_saved`).
         loop {
             if self.stats.boolean_iterations >= self.options.max_iterations {
                 return Err(SolveError::IterationLimit(self.options.max_iterations));
@@ -1392,28 +1468,20 @@ impl Orchestrator {
                 self.stats.cancelled = true;
                 return Ok(Outcome::Unknown);
             }
-            if let Some(deadline) = deadline {
+            if let Some(deadline) = env.deadline {
                 if Instant::now() >= deadline {
                     self.stats.timed_out = true;
                     return Ok(Outcome::Unknown);
                 }
             }
             if !self.drain_imports() {
-                return Ok(if had_unknown {
-                    Outcome::Unknown
-                } else {
-                    Outcome::Unsat
-                });
+                return Ok(self.settle_saved(problem, &env));
             }
             let bool_started = Instant::now();
             let model = self.boolean.next_model();
             self.stats.boolean_time += bool_started.elapsed();
             let Some(model) = model else {
-                return Ok(if had_unknown {
-                    Outcome::Unknown
-                } else {
-                    Outcome::Unsat
-                });
+                return Ok(self.settle_saved(problem, &env));
             };
             self.stats.boolean_iterations += 1;
             self.trace(|| {
@@ -1422,80 +1490,8 @@ impl Orchestrator {
                     .duration(bool_started.elapsed())
             });
 
-            // Induce theory obligations from the Boolean model, out of
-            // the interned pool (`Arc` bumps, no expression clones).
-            // `fixed` items hold in every branch; `choices` collects the
-            // disjunctive alternatives from false multi-constraint defs.
-            let mut fixed: Vec<TheoryItem> = Vec::new();
-            let mut choices: Vec<(Lit, Vec<Arc<NlConstraint>>)> = Vec::new();
-            let mut involved: Vec<Lit> = Vec::new();
-            for (var, constraints) in &self.interned {
-                match model.value(*var) {
-                    Tri::True => {
-                        involved.push(var.positive());
-                        let tag = involved.len() - 1;
-                        for c in constraints {
-                            fixed.push(TheoryItem {
-                                tag,
-                                constraint: Arc::clone(c),
-                                positive: true,
-                            });
-                        }
-                    }
-                    Tri::False => {
-                        involved.push(var.negative());
-                        let tag = involved.len() - 1;
-                        if constraints.len() == 1 {
-                            fixed.push(TheoryItem {
-                                tag,
-                                constraint: Arc::clone(&constraints[0]),
-                                positive: false,
-                            });
-                        } else {
-                            // ¬(c₁ ∧ … ∧ cₖ): at least one must fail.
-                            choices.push((var.negative(), constraints.clone()));
-                        }
-                    }
-                    Tri::Unknown => {}
-                }
-            }
-
-            let theory_started = Instant::now();
-            let verdict = match self.cached_verdict(&involved) {
-                Some(verdict) => {
-                    self.stats.theory_cache_hits += 1;
-                    self.trace(|| {
-                        TraceEvent::new("cache.hit").field_u64("literals", involved.len() as u64)
-                    });
-                    verdict
-                }
-                None => {
-                    if self.options.theory_cache {
-                        self.stats.theory_cache_misses += 1;
-                        self.trace(|| {
-                            TraceEvent::new("cache.miss")
-                                .field_u64("literals", involved.len() as u64)
-                        });
-                    }
-                    let verdict = self.check_with_choices(
-                        problem, &fixed, &choices, &involved, &kinds, &ranges, deadline,
-                    );
-                    self.store_verdict(&involved, &verdict);
-                    verdict
-                }
-            };
-            self.trace(|| {
-                let label = match &verdict {
-                    TheoryVerdict::Sat(_) => "sat",
-                    TheoryVerdict::Unsat(_) => "unsat",
-                    TheoryVerdict::Unknown => "unknown",
-                };
-                TraceEvent::new("theory.check")
-                    .field("verdict", label)
-                    .field_u64("obligations", fixed.len() as u64)
-                    .duration(theory_started.elapsed())
-            });
-
+            let obligations = self.obligations(&model);
+            let (verdict, escalable) = self.theory_check(problem, &obligations, &env, false);
             match verdict {
                 TheoryVerdict::Sat(arith) => {
                     return Ok(Outcome::Sat(Box::new(AbModel {
@@ -1505,7 +1501,7 @@ impl Orchestrator {
                 }
                 TheoryVerdict::Unsat(tags) => {
                     // Blocking clause: ¬(conjunction of conflicting literals).
-                    let clause: Vec<Lit> = tags.iter().map(|&t| !involved[t]).collect();
+                    let clause: Vec<Lit> = tags.iter().map(|&t| !obligations.involved[t]).collect();
                     self.stats.conflicts_fed_back += 1;
                     self.stats.conflict_literals += clause.len() as u64;
                     self.trace(|| {
@@ -1516,15 +1512,10 @@ impl Orchestrator {
                         log.push(clause.clone());
                     }
                     if !self.boolean.add_clause(&clause) {
-                        return Ok(if had_unknown {
-                            Outcome::Unknown
-                        } else {
-                            Outcome::Unsat
-                        });
+                        return Ok(self.settle_saved(problem, &env));
                     }
                 }
                 TheoryVerdict::Unknown => {
-                    had_unknown = true;
                     self.stats.unknown_checks += 1;
                     // An Unknown caused by interruption is not a solver
                     // limitation: stop here and attribute it, rather than
@@ -1533,53 +1524,191 @@ impl Orchestrator {
                         self.stats.cancelled = true;
                         return Ok(Outcome::Unknown);
                     }
-                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                    if env.deadline.is_some_and(|d| Instant::now() >= d) {
                         self.stats.timed_out = true;
                         return Ok(Outcome::Unknown);
                     }
-                    // Cannot decide this Boolean model; block its full
-                    // theory projection and move on (final verdict can
-                    // then be at best Unknown).
-                    let clause: Vec<Lit> = involved.iter().map(|&l| !l).collect();
+                    // Cannot decide this Boolean model now: block its full
+                    // theory projection and move on. The model is saved for
+                    // the second pass when one exists; otherwise the final
+                    // verdict can be at best Unknown.
+                    let clause: Vec<Lit> = obligations.involved.iter().map(|&l| !l).collect();
+                    if escalable {
+                        self.undecided.saved.push_back((model, obligations));
+                    } else {
+                        self.undecided.open = true;
+                    }
                     if clause.is_empty() || !self.boolean.add_clause(&clause) {
-                        return Ok(Outcome::Unknown);
+                        return Ok(self.settle_saved(problem, &env));
                     }
                 }
             }
         }
     }
 
+    /// The theory obligations a Boolean model induces, out of the interned
+    /// pool (`Arc` bumps, no expression clones).
+    fn obligations(&self, model: &Assignment) -> Obligations {
+        let mut ob = Obligations {
+            fixed: Vec::new(),
+            choices: Vec::new(),
+            involved: Vec::new(),
+        };
+        for (var, constraints) in &self.interned {
+            match model.value(*var) {
+                Tri::True => {
+                    ob.involved.push(var.positive());
+                    let tag = ob.involved.len() - 1;
+                    for c in constraints {
+                        ob.fixed.push(TheoryItem {
+                            tag,
+                            constraint: Arc::clone(c),
+                            positive: true,
+                        });
+                    }
+                }
+                Tri::False => {
+                    ob.involved.push(var.negative());
+                    let tag = ob.involved.len() - 1;
+                    if constraints.len() == 1 {
+                        ob.fixed.push(TheoryItem {
+                            tag,
+                            constraint: Arc::clone(&constraints[0]),
+                            positive: false,
+                        });
+                    } else {
+                        // ¬(c₁ ∧ … ∧ cₖ): at least one must fail.
+                        ob.choices.push((var.negative(), constraints.clone()));
+                    }
+                }
+                Tri::Unknown => {}
+            }
+        }
+        ob
+    }
+
+    /// One theory check of a Boolean model — the first pass, or with
+    /// `escalate` the second — answered from the verdict cache when it
+    /// can be. Emits `theory.check`. Returns the verdict and whether a
+    /// second pass may settle it if it is `Unknown`.
+    fn theory_check(
+        &mut self,
+        problem: &AbProblem,
+        ob: &Obligations,
+        env: &CheckEnv,
+        escalate: bool,
+    ) -> (TheoryVerdict, bool) {
+        let started = Instant::now();
+        let involved = &ob.involved;
+        let (verdict, escalable) = match self.cached_verdict(involved) {
+            Some(verdict) => {
+                self.stats.theory_cache_hits += 1;
+                self.trace(|| {
+                    TraceEvent::new("cache.hit").field_u64("literals", involved.len() as u64)
+                });
+                (verdict, false)
+            }
+            None => {
+                if self.options.theory_cache {
+                    self.stats.theory_cache_misses += 1;
+                    self.trace(|| {
+                        TraceEvent::new("cache.miss").field_u64("literals", involved.len() as u64)
+                    });
+                }
+                let (verdict, escalable) = self.check_with_choices(problem, ob, env, escalate);
+                self.store_verdict(involved, &verdict);
+                (verdict, escalable)
+            }
+        };
+        self.trace(|| {
+            let label = match &verdict {
+                TheoryVerdict::Sat(_) => "sat",
+                TheoryVerdict::Unsat(_) => "unsat",
+                TheoryVerdict::Unknown => "unknown",
+            };
+            TraceEvent::new("theory.check")
+                .field("verdict", label)
+                .field_u64("obligations", ob.fixed.len() as u64)
+                .field("pass", if escalate { "refute" } else { "probe" })
+                .duration(started.elapsed())
+        });
+        (verdict, escalable)
+    }
+
+    /// The Boolean side has no more models. Gives the models saved for
+    /// the second pass that pass, in the order they were blocked, with
+    /// the deadline and the cancellation token checked between checks,
+    /// and answers: the first model that turns out `sat`; otherwise
+    /// `unknown` if some model is still undecided, else `unsat`.
+    fn settle_saved(&mut self, problem: &AbProblem, env: &CheckEnv) -> Outcome {
+        while let Some((model, ob)) = self.undecided.saved.pop_front() {
+            if self.is_cancelled() {
+                self.stats.cancelled = true;
+                return Outcome::Unknown;
+            }
+            if env.deadline.is_some_and(|d| Instant::now() >= d) {
+                self.stats.timed_out = true;
+                return Outcome::Unknown;
+            }
+            self.stats.escalated_checks += 1;
+            match self.theory_check(problem, &ob, env, true).0 {
+                TheoryVerdict::Sat(arith) => {
+                    // The first pass blocked this model's whole theory
+                    // projection, so Boolean models that share it but
+                    // differ elsewhere were never visited: an enumeration
+                    // that goes on past this model is incomplete.
+                    if ob.involved.len() < problem.cnf().num_vars() {
+                        self.undecided.open = true;
+                    }
+                    return Outcome::Sat(Box::new(AbModel {
+                        boolean: model,
+                        arith,
+                    }));
+                }
+                TheoryVerdict::Unsat(_) => {}
+                TheoryVerdict::Unknown => {
+                    self.stats.unknown_checks += 1;
+                    self.undecided.open = true;
+                }
+            }
+        }
+        if self.undecided.open {
+            Outcome::Unknown
+        } else {
+            Outcome::Unsat
+        }
+    }
+
     /// Checks the theory obligations, exploring the disjunctive choices
-    /// from false multi-constraint definitions.
-    #[allow(clippy::too_many_arguments)]
+    /// from false multi-constraint definitions. Returns the verdict and
+    /// whether a second pass may settle it if it is `Unknown`.
     fn check_with_choices(
         &mut self,
         problem: &AbProblem,
-        fixed: &[TheoryItem],
-        choices: &[(Lit, Vec<Arc<NlConstraint>>)],
-        involved: &[Lit],
-        kinds: &[VarKind],
-        ranges: &[Interval],
-        deadline: Option<Instant>,
-    ) -> TheoryVerdict {
+        ob: &Obligations,
+        env: &CheckEnv,
+        escalate: bool,
+    ) -> (TheoryVerdict, bool) {
         // Branch count = Π |choiceᵢ|; refuse pathological blow-ups.
         let mut combos: usize = 1;
-        for (_, alts) in choices {
+        for (_, alts) in &ob.choices {
             combos = combos.saturating_mul(alts.len());
             if combos > self.options.max_def_branches {
-                return TheoryVerdict::Unknown;
+                return (TheoryVerdict::Unknown, false);
             }
         }
 
         let mut conflict_union: Vec<usize> = Vec::new();
         let mut any_unknown = false;
+        let mut escalable = false;
         for combo in 0..combos.max(1) {
-            let mut items: Vec<TheoryItem> = fixed.to_vec();
+            let mut items: Vec<TheoryItem> = ob.fixed.to_vec();
             let mut rest = combo;
-            for (lit, alts) in choices {
+            for (lit, alts) in &ob.choices {
                 let pick = rest % alts.len();
                 rest /= alts.len();
-                let tag = involved
+                let tag = ob
+                    .involved
                     .iter()
                     .position(|l| l == lit)
                     .expect("choice literal is involved");
@@ -1591,7 +1720,7 @@ impl Orchestrator {
             }
             self.stats.theory_checks += 1;
             let mut budget = self.options.theory.clone();
-            budget.deadline = deadline;
+            budget.deadline = env.deadline;
             budget.cancel = self.cancel.clone();
             let sink: Option<&dyn TraceSink> = if self.sink.enabled() {
                 Some(&*self.sink)
@@ -1600,8 +1729,8 @@ impl Orchestrator {
             };
             let mut ctx = TheoryContext {
                 num_vars: problem.arith_vars().len(),
-                kinds,
-                ranges,
+                kinds: &env.kinds,
+                ranges: &env.ranges,
                 linear: &mut self.linear,
                 nonlinear: &mut self.nonlinear,
                 budget,
@@ -1609,23 +1738,26 @@ impl Orchestrator {
                 sink,
                 incremental: self.incremental.as_mut(),
                 lin_activity: LinActivity::default(),
+                escalate,
+                escalable: false,
             };
             let verdict = check(&items, &mut ctx);
             let timing = ctx.timing;
+            escalable |= ctx.escalable;
             self.stats.linear_time += timing.linear;
             self.stats.nonlinear_time += timing.nonlinear;
             match verdict {
-                TheoryVerdict::Sat(m) => return TheoryVerdict::Sat(m),
+                TheoryVerdict::Sat(m) => return (TheoryVerdict::Sat(m), false),
                 TheoryVerdict::Unknown => any_unknown = true,
                 TheoryVerdict::Unsat(tags) => conflict_union.extend(tags),
             }
         }
         if any_unknown {
-            TheoryVerdict::Unknown
+            (TheoryVerdict::Unknown, escalable)
         } else {
             conflict_union.sort_unstable();
             conflict_union.dedup();
-            TheoryVerdict::Unsat(conflict_union)
+            (TheoryVerdict::Unsat(conflict_union), false)
         }
     }
 }

@@ -12,7 +12,9 @@
 //! 2. if genuinely nonlinear constraints are present, the full system is
 //!    handed to the nonlinear backend, whose verdict is final — mirroring
 //!    the paper's "if the output pin's value is not yet known, the
-//!    nonlinear solver is called".
+//!    nonlinear solver is called". A check runs the backends' cheap first
+//!    pass, or, when [`TheoryContext::escalate`] is set, their full check
+//!    ([`crate::backends::NonlinearBackend::escalate`]).
 //!
 //! Conflicts are reported as sets of *tags* (indices chosen by the caller,
 //! in practice identifying the Boolean literals that induced each
@@ -188,6 +190,14 @@ pub struct TheoryContext<'a> {
     pub incremental: Option<&'a mut IncrementalLinear>,
     /// Filled by the last linear phase: delta-assertion activity.
     pub lin_activity: LinActivity,
+    /// Run the nonlinear backends' full check
+    /// ([`crate::backends::NonlinearBackend::escalate`]) instead of their
+    /// first pass. The orchestrator sets it when it re-checks the Boolean
+    /// models whose first check was inconclusive.
+    pub escalate: bool,
+    /// Set by [`check`] when the nonlinear first pass left the check
+    /// `Unknown` and some backend has a second pass that may settle it.
+    pub escalable: bool,
 }
 
 /// Normalised internal form of a query: asserted constraints plus affine
@@ -653,7 +663,15 @@ fn solve_nonlinear(norm: &Normalised, ctx: &mut TheoryContext<'_>) -> TheoryVerd
         .collect();
 
     let mut splits = ctx.budget.max_nl_splits;
-    rec_nonlinear(constraints, &diseqs, &all_tags, ctx, &mut splits)
+    let verdict = rec_nonlinear(constraints, &diseqs, &all_tags, ctx, &mut splits);
+    if !ctx.escalate
+        && verdict == TheoryVerdict::Unknown
+        && !ctx.budget.interrupted()
+        && ctx.nonlinear.iter().any(|b| b.escalates())
+    {
+        ctx.escalable = true;
+    }
+    verdict
 }
 
 fn lin_to_expr(lin: &LinExpr) -> absolver_nonlinear::Expr {
@@ -685,7 +703,11 @@ fn rec_nonlinear(
 
     let mut verdict = NlVerdict::Unknown;
     for backend in ctx.nonlinear.iter_mut() {
-        verdict = backend.solve(&problem);
+        verdict = if ctx.escalate {
+            backend.escalate(&problem)
+        } else {
+            backend.solve(&problem)
+        };
         if verdict != NlVerdict::Unknown {
             break; // "the preceding solvers failed to provide a decent result"
         }
@@ -787,6 +809,8 @@ mod tests {
             sink: None,
             incremental: None,
             lin_activity: LinActivity::default(),
+            escalate: false,
+            escalable: false,
         };
         check(items, &mut ctx)
     }
@@ -812,6 +836,8 @@ mod tests {
             sink: None,
             incremental: Some(inc),
             lin_activity: LinActivity::default(),
+            escalate: false,
+            escalable: false,
         };
         check(items, &mut ctx)
     }

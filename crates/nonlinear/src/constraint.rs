@@ -119,15 +119,12 @@ impl NlConstraint {
     /// for nonlinear witnesses, so that downstream exact re-evaluation
     /// (e.g. simulating the original model) agrees with the solver.
     pub fn eval_robust(&self, point: &[f64], eq_tol: f64) -> bool {
-        let lhs = self.tape.eval_f64(point);
-        let rhs = self.rhs.to_f64();
-        match self.op {
-            CmpOp::Lt => lhs < rhs,
-            CmpOp::Le => lhs <= rhs,
-            CmpOp::Gt => lhs > rhs,
-            CmpOp::Ge => lhs >= rhs,
-            CmpOp::Eq => (lhs - rhs).abs() <= eq_tol,
-        }
+        holds_robust(
+            self.op,
+            self.tape.eval_f64(point),
+            self.rhs.to_f64(),
+            eq_tol,
+        )
     }
 
     /// Point evaluation with a tolerance on non-strict and equality
@@ -143,22 +140,6 @@ impl NlConstraint {
             CmpOp::Ge => lhs >= rhs - tol,
             CmpOp::Eq => (lhs - rhs).abs() <= tol,
         }
-    }
-
-    /// How far the point is from satisfying the constraint (`0` when
-    /// satisfied); the penalty the local search minimises. `margin` nudges
-    /// every inequality into the strict interior, so that accepted
-    /// witnesses satisfy the exact `f64` comparison and do not hug
-    /// boundaries.
-    pub fn violation(&self, point: &[f64], margin: f64) -> f64 {
-        let lhs = self.tape.eval_f64(point);
-        let rhs = self.rhs.to_f64();
-        let v = match self.op {
-            CmpOp::Lt | CmpOp::Le => lhs - rhs + margin,
-            CmpOp::Gt | CmpOp::Ge => rhs - lhs + margin,
-            CmpOp::Eq => return (lhs - rhs).abs(),
-        };
-        v.max(0.0)
     }
 
     /// The RHS as a sound enclosing interval: a point when the rational is
@@ -307,6 +288,30 @@ impl NlConstraint {
     }
 }
 
+/// [`NlConstraint::eval_robust`] on an already evaluated `lhs ⋈ rhs`.
+pub(crate) fn holds_robust(op: CmpOp, lhs: f64, rhs: f64, eq_tol: f64) -> bool {
+    match op {
+        CmpOp::Lt => lhs < rhs,
+        CmpOp::Le => lhs <= rhs,
+        CmpOp::Gt => lhs > rhs,
+        CmpOp::Ge => lhs >= rhs,
+        CmpOp::Eq => (lhs - rhs).abs() <= eq_tol,
+    }
+}
+
+/// How far an evaluated `lhs ⋈ rhs` is from holding (`0` when it holds);
+/// the penalty the local search minimises. `margin` nudges every
+/// inequality into the strict interior, so that accepted witnesses satisfy
+/// the exact `f64` comparison and do not hug boundaries.
+pub(crate) fn violation(op: CmpOp, lhs: f64, rhs: f64, margin: f64) -> f64 {
+    let v = match op {
+        CmpOp::Lt | CmpOp::Le => lhs - rhs + margin,
+        CmpOp::Gt | CmpOp::Ge => rhs - lhs + margin,
+        CmpOp::Eq => return (lhs - rhs).abs(),
+    };
+    v.max(0.0)
+}
+
 impl PartialEq for NlConstraint {
     fn eq(&self, other: &NlConstraint) -> bool {
         // Ids are canonical: equal ids ⇔ structurally equal constraints.
@@ -364,14 +369,11 @@ mod tests {
 
     #[test]
     fn violations() {
-        let c = NlConstraint::new(x(), CmpOp::Le, q(2));
-        assert_eq!(c.violation(&[1.0], 0.0), 0.0);
-        assert_eq!(c.violation(&[3.0], 0.0), 1.0);
-        let e = NlConstraint::new(x(), CmpOp::Eq, q(2));
-        assert_eq!(e.violation(&[5.0], 0.0), 3.0);
-        let g = NlConstraint::new(x(), CmpOp::Gt, q(0));
-        assert!(g.violation(&[0.0], 1e-3) > 0.0);
-        assert_eq!(g.violation(&[1.0], 1e-3), 0.0);
+        assert_eq!(violation(CmpOp::Le, 1.0, 2.0, 0.0), 0.0);
+        assert_eq!(violation(CmpOp::Le, 3.0, 2.0, 0.0), 1.0);
+        assert_eq!(violation(CmpOp::Eq, 5.0, 2.0, 0.0), 3.0);
+        assert!(violation(CmpOp::Gt, 0.0, 0.0, 1e-3) > 0.0);
+        assert_eq!(violation(CmpOp::Gt, 1.0, 0.0, 1e-3), 0.0);
     }
 
     #[test]

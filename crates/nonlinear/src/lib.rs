@@ -16,9 +16,12 @@
 //! * [`hc4`] — the HC4 forward–backward interval contractor, the cheap
 //!   first stage of the contractor [`cascade`] (HC4 → BC3 bound shaving
 //!   → interval [`newton`]), backed by a bounded contraction [`cache`].
-//! * [`NlProblem`] — feasibility of constraint conjunctions via rigorous
-//!   [`branch_and_prune`] (which can *prove* UNSAT over a box) cascaded
-//!   with an IPOPT-style multistart [`local_search`].
+//! * [`NlProblem`] — feasibility of constraint conjunctions in two
+//!   passes: a cheap [`NlProblem::probe`] ([`PROBE_BOXES`] boxes of
+//!   [`branch_and_prune`], then an IPOPT-style multistart
+//!   [`local_search`]) and the full [`NlProblem::solve`] (the box search
+//!   under the whole budget, which can *prove* UNSAT over a box, then the
+//!   local search).
 //!
 //! ```
 //! use absolver_linear::CmpOp;
@@ -60,7 +63,7 @@ pub use expr::{Expr, VarId};
 pub use newton::{newton_revise, NewtonConstraint};
 pub use solve::{
     branch_and_prune, branch_and_prune_stats, local_search, NlOptions, NlProblem, NlSearchStats,
-    NlVerdict,
+    NlVerdict, PROBE_BOXES,
 };
 pub use term::{ArenaStats, ConstraintId, TermId, TermTape};
 
@@ -107,6 +110,45 @@ mod proptests {
 
     fn expr_strategy() -> Gen<Expr> {
         expr_gen(3)
+    }
+
+    /// Random expressions over the whole operator set and variables
+    /// `0..3`, for points that bind only two variables: division by zero,
+    /// negative powers of zero, `ln`/`sqrt` of negative values and
+    /// unbound (NaN) variables all occur.
+    fn wild_expr_gen(depth: u32) -> Gen<Expr> {
+        let leaf = gen::one_of(vec![
+            gen::ints(-2i64..=2).map(Expr::int),
+            gen::ints(0usize..3).map(Expr::var),
+        ]);
+        if depth == 0 {
+            return leaf;
+        }
+        let inner = wild_expr_gen(depth - 1);
+        let binop = |f: fn(Expr, Expr) -> Expr| {
+            let inner = inner.clone();
+            Gen::new(move |src| f(inner.generate(src), inner.generate(src)))
+        };
+        let pow = {
+            let inner = inner.clone();
+            let n = gen::ints(-2i32..4);
+            Gen::new(move |src| inner.generate(src).pow(n.generate(src)))
+        };
+        gen::one_of(vec![
+            leaf,
+            binop(|a, b| a + b),
+            binop(|a, b| a - b),
+            binop(|a, b| a * b),
+            binop(|a, b| a / b),
+            inner.clone().map(|a| -a),
+            pow,
+            inner.clone().map(Expr::sin),
+            inner.clone().map(Expr::cos),
+            inner.clone().map(Expr::exp),
+            inner.clone().map(Expr::ln),
+            inner.clone().map(Expr::sqrt),
+            inner.map(Expr::abs),
+        ])
     }
 
     /// Real-definedness: every subexpression evaluates to a finite value
@@ -202,6 +244,45 @@ mod proptests {
                 assert!(
                     (sym - num).abs() / scale < 1e-3,
                     "{e}: symbolic {sym} vs numeric {num} at ({px},{py})"
+                );
+            }
+        }
+
+        /// Every root of a compiled [`term::DagProgram`] — expressions
+        /// sharing subterms, and their partial derivatives — has the same
+        /// bits as its own tape, or is NaN exactly when the tape is, and
+        /// the program holds one instruction per distinct node.
+        fn dag_program_matches_tapes_bitwise(
+            a in wild_expr_gen(3),
+            b in wild_expr_gen(3),
+            x in gen::one_of(vec![gen::f64_in(-4.0, 4.0), gen::from_slice(&[0.0, -0.0, -1.0])]),
+            y in gen::one_of(vec![gen::f64_in(-4.0, 4.0), gen::from_slice(&[0.0, 1.0, -2.0])]),
+        ) {
+            let exprs = [a.clone(), b.clone(), a.clone() + b.clone(), a.clone() * a.clone() / b];
+            let mut roots: Vec<TermId> = exprs.iter().map(term::intern).collect();
+            let partials: Vec<TermId> = roots.iter().map(|&r| term::derivative(r, 0)).collect();
+            roots.extend(partials);
+            let program = term::compile(&roots);
+            assert_eq!(program.len() as u64, term::sharing(&roots).1);
+            let point = [x, y];
+            let mut slots = Vec::new();
+            program.eval_f64(&point, &mut slots);
+            for (i, &r) in roots.iter().enumerate() {
+                let dag = program.root(&slots, i);
+                let tape = term::tape(r).eval_f64(&point);
+                // Rust leaves the sign and payload of a NaN that arithmetic
+                // produces unspecified: with two NaN operands of opposite
+                // signs, `a * b` may return either, depending on how the
+                // compiler orders the operands. So NaNs agree as NaNs.
+                let same = if tape.is_nan() {
+                    dag.is_nan()
+                } else {
+                    dag.to_bits() == tape.to_bits()
+                };
+                assert!(
+                    same,
+                    "root {i} ({}) at {point:?}: program {dag} vs tape {tape}",
+                    term::rebuild(r)
                 );
             }
         }

@@ -13,12 +13,19 @@
 //!   function, the IPOPT-like workhorse that quickly digs out a feasible
 //!   point of satisfiable instances.
 //!
-//! [`NlProblem::solve`] runs them in sequence and merges the verdicts.
+//! They compose into two passes. [`NlProblem::probe`] is the cheap one: a
+//! box search capped at [`PROBE_BOXES`] boxes, then the local search.
+//! [`NlProblem::solve`] is the full one: the box search under the whole
+//! budget, then the local search. The orchestrator probes every Boolean
+//! model first and gives the full check only to the models still open once
+//! the Boolean side has no more models.
 
 use crate::cache::ContractionCache;
 use crate::cascade::{ActiveSet, Cascade, ContractorConfig};
-use crate::constraint::{IntervalVerdict, NlConstraint};
+use crate::constraint::{holds_robust, violation, IntervalVerdict, NlConstraint};
 use crate::hc4::Contraction;
+use crate::term::{self, TermId};
+use absolver_linear::CmpOp;
 use absolver_num::Interval;
 use std::sync::{Arc, Mutex};
 
@@ -42,10 +49,6 @@ pub struct NlSearchStats {
     /// were carried into this one. Interned [`crate::term::ConstraintId`]s are what
     /// make those stale-looking entries sound to replay verbatim.
     pub contraction_cache_resumes: u64,
-    /// Times the stagnation cutoff abandoned a box search early (see
-    /// [`branch_and_prune_stats`]): the solver then leans on the local
-    /// search and, failing that, the surrounding CDCL loop.
-    pub stagnation_cuts: u64,
 }
 
 impl NlSearchStats {
@@ -217,8 +220,8 @@ impl NlProblem {
     }
 
     /// Solves the feasibility problem with the default engine cascade:
-    /// branch-and-prune first (possibly proving UNSAT), then the local
-    /// search for stubborn SAT instances.
+    /// branch-and-prune under the full budget first (possibly proving
+    /// UNSAT), then the local search for stubborn SAT instances.
     pub fn solve(&self) -> NlVerdict {
         self.solve_with(&NlOptions::default())
     }
@@ -231,7 +234,22 @@ impl NlProblem {
     /// Like [`NlProblem::solve_with`], but also reports the search-effort
     /// counters of the branch-and-prune stage.
     pub fn solve_with_stats(&self, opts: &NlOptions) -> (NlVerdict, NlSearchStats) {
-        let (verdict, stats) = branch_and_prune_inner(self, opts, true);
+        self.search_then_local(opts, opts.max_boxes)
+    }
+
+    /// The cheap witness pass: [`NlProblem::solve_with_stats`] with the
+    /// box search capped at [`PROBE_BOXES`] boxes (or `opts.max_boxes`, if
+    /// smaller). Decides the problems a short search proves or refutes and
+    /// the satisfiable ones the local search digs out; everything else is
+    /// left `Unknown` for the full check.
+    pub fn probe(&self, opts: &NlOptions) -> (NlVerdict, NlSearchStats) {
+        self.search_then_local(opts, opts.max_boxes.min(PROBE_BOXES))
+    }
+
+    /// The box search under `max_boxes` boxes, with the stagnation cutoff
+    /// armed, then, if that search is inconclusive, the [`local_search`].
+    fn search_then_local(&self, opts: &NlOptions, max_boxes: usize) -> (NlVerdict, NlSearchStats) {
+        let (verdict, stats) = branch_and_prune_inner(self, opts, max_boxes, true);
         let verdict = match verdict {
             NlVerdict::Unknown => match local_search(self, opts) {
                 Some(point) => NlVerdict::Sat(point),
@@ -242,6 +260,14 @@ impl NlProblem {
         (verdict, stats)
     }
 }
+
+/// Box cap of the [`NlProblem::probe`] pass: a short box search settles
+/// shallow refutations and wide feasible boxes, and leaves the rest to
+/// the local search and the full check. Steering runs fastest at 64 of
+/// the caps measured (64, 256, 1024), and across the test suite, Table 1
+/// and the bench workloads no model is refuted between 65 and 256 boxes
+/// (EXPERIMENTS.md).
+pub const PROBE_BOXES: usize = 64;
 
 /// Clamps a (possibly unbounded) domain to a finite sampling range.
 fn sampling_interval(iv: Interval) -> (f64, f64) {
@@ -370,33 +396,36 @@ fn examine_box(
 /// surrounding CDCL loop, which simply tries another assignment) get the
 /// remaining time. Searches that *do* reach tiny leaves are heading
 /// toward a witness or a tight refutation and are left alone, as are runs
-/// whose explicit `max_boxes` budget is below the window. The cutoff is
-/// sound: `Unknown` is always a valid (if weak) verdict.
+/// whose box budget is below the window. The cutoff is sound: `Unknown`
+/// is always a valid (if weak) verdict.
 ///
 /// The signal is only meaningful on a *fully bounded* root box: a box with
 /// an infinite dimension can never shrink below the width threshold along
 /// it, so the absence of tiny leaves says nothing there, and the cutoff
-/// stays disarmed. It is likewise disarmed in [`branch_and_prune_stats`]
-/// (the rigorous entry point, where no local-search fallback exists) and
-/// only armed inside [`NlProblem::solve_with_stats`].
+/// stays disarmed. It is armed inside [`NlProblem::solve_with_stats`] and
+/// [`NlProblem::probe`] (whose cap is below the window);
+/// [`branch_and_prune_stats`] always runs its full budget.
 const STAGNATION_WINDOW: usize = 2048;
 
 /// Like [`branch_and_prune`], but also reports the search-effort counters
 /// (boxes explored, per-contractor contractions, cache traffic) for the
 /// observability layer.
 ///
-/// Always runs the full `max_boxes` budget: the stagnation cutoff is only
-/// armed inside [`NlProblem::solve_with_stats`], where a failed cut can be
-/// rescued by the local search or a full-budget re-run.
+/// Always runs the full `max_boxes` budget: unlike
+/// [`NlProblem::solve_with_stats`], it never stops at the stagnation
+/// cutoff.
 pub fn branch_and_prune_stats(problem: &NlProblem, opts: &NlOptions) -> (NlVerdict, NlSearchStats) {
-    branch_and_prune_inner(problem, opts, false)
+    branch_and_prune_inner(problem, opts, opts.max_boxes, false)
 }
 
-/// Search body shared by the public entry point (stagnation cutoff armed)
-/// and the post-local-search rescue re-run (cutoff disarmed).
+/// Search body shared by [`branch_and_prune_stats`] (`opts.max_boxes`,
+/// cutoff disarmed), [`NlProblem::solve_with_stats`] (`opts.max_boxes`,
+/// cutoff armed) and [`NlProblem::probe`] (at most [`PROBE_BOXES`]
+/// boxes).
 fn branch_and_prune_inner(
     problem: &NlProblem,
     opts: &NlOptions,
+    max_boxes: usize,
     stagnation_cut: bool,
 ) -> (NlVerdict, NlSearchStats) {
     let mut stats = NlSearchStats::default();
@@ -418,7 +447,7 @@ fn branch_and_prune_inner(
             .iter()
             .all(|iv| iv.lo().is_finite() && iv.hi().is_finite());
     if opts.nl_jobs > 1 {
-        return parallel_branch_and_prune(problem, opts, stagnation_cut);
+        return parallel_branch_and_prune(problem, opts, max_boxes, stagnation_cut);
     }
     // Resume from the persistent cache when the caller keeps one: ids are
     // stable across solves, so old entries stay valid verbatim.
@@ -457,16 +486,15 @@ fn branch_and_prune_inner(
     while let Some((mut bx, dirty, mut active)) = stack.pop() {
         explored += 1;
         stats.boxes_explored += 1;
-        if explored > opts.max_boxes {
+        if explored > max_boxes {
             early = Some(NlVerdict::Unknown);
             break;
         }
         if stagnation_cut
             && explored == STAGNATION_WINDOW
-            && opts.max_boxes > STAGNATION_WINDOW
+            && max_boxes > STAGNATION_WINDOW
             && !inconclusive
         {
-            stats.stagnation_cuts += 1;
             early = Some(NlVerdict::Unknown);
             break;
         }
@@ -519,6 +547,7 @@ fn branch_and_prune_inner(
 fn parallel_branch_and_prune(
     problem: &NlProblem,
     opts: &NlOptions,
+    max_boxes: usize,
     stagnation_cut: bool,
 ) -> (NlVerdict, NlSearchStats) {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -539,7 +568,6 @@ fn parallel_branch_and_prune(
     let explored = AtomicUsize::new(0);
     let done = AtomicBool::new(false);
     let out_of_budget = AtomicBool::new(false);
-    let stagnated = AtomicBool::new(false);
     let inconclusive = AtomicBool::new(false);
     let witness: Mutex<Option<Vec<f64>>> = Mutex::new(None);
     let totals: Mutex<NlSearchStats> = Mutex::new(NlSearchStats::default());
@@ -577,7 +605,7 @@ fn parallel_branch_and_prune(
                     };
                     idle_spins = 0;
                     let seen = explored.fetch_add(1, Ordering::Relaxed) + 1;
-                    if seen > opts.max_boxes || (seen.is_multiple_of(32) && opts.interrupted()) {
+                    if seen > max_boxes || (seen.is_multiple_of(32) && opts.interrupted()) {
                         out_of_budget.store(true, Ordering::Relaxed);
                         done.store(true, Ordering::Relaxed);
                         pending.fetch_sub(1, Ordering::AcqRel);
@@ -587,10 +615,9 @@ fn parallel_branch_and_prune(
                     // exactly one worker observes the window boundary.
                     if stagnation_cut
                         && seen == STAGNATION_WINDOW
-                        && opts.max_boxes > STAGNATION_WINDOW
+                        && max_boxes > STAGNATION_WINDOW
                         && !inconclusive.load(Ordering::Relaxed)
                     {
-                        stagnated.store(true, Ordering::Relaxed);
                         out_of_budget.store(true, Ordering::Relaxed);
                         done.store(true, Ordering::Relaxed);
                         pending.fetch_sub(1, Ordering::AcqRel);
@@ -646,7 +673,6 @@ fn parallel_branch_and_prune(
 
     let mut stats = totals.into_inner().expect("totals");
     stats.boxes_explored = explored.into_inner() as u64;
-    stats.stagnation_cuts = stagnated.into_inner() as u64;
     let witness = witness.into_inner().expect("witness");
     let verdict = match witness {
         Some(w) => NlVerdict::Sat(w),
@@ -684,54 +710,77 @@ impl XorShift {
 /// Multistart projected gradient descent on the quadratic penalty
 /// `P(x) = Σ violation(cᵢ, x)²` — the IPOPT-role numerical engine.
 ///
+/// The search runs on two [`term::DagProgram`]s compiled from the term arena:
+/// one over the constraint left-hand sides, evaluated once per point
+/// (satisfaction, violations and the penalty all derive from those
+/// values), and one over the partials `∂cᵢ/∂v` for the variables `v` that
+/// `cᵢ` mentions (every other partial is exactly zero). Shared subterms
+/// are computed once per point, and the steps allocate nothing.
+///
 /// Returns a feasible point (within `opts.tolerance`) or `None`.
 pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> Option<Vec<f64>> {
     let n = problem.num_vars();
     if n == 0 {
         return problem.is_satisfied(&[], 0.0).then(Vec::new);
     }
-    let mut rng = XorShift::new(opts.seed);
-    // Fetch the simplified gradient tapes of each constraint's LHS — the
-    // arena memoises per `(term, var)`, so repeated solves over the same
-    // constraints skip the symbolic differentiation entirely.
-    let grads: Vec<Vec<Arc<crate::term::TermTape>>> = problem
-        .constraints
-        .iter()
-        .map(|c| {
-            (0..n)
-                .map(|v| crate::term::derivative_tape(c.term(), v).1)
-                .collect()
-        })
-        .collect();
+    let cs = &problem.constraints;
+    let terms: Vec<TermId> = cs.iter().map(NlConstraint::term).collect();
+    let lhs = term::compile(&terms);
+    // The partials, grouped by constraint in ascending variable order:
+    // constraint `ci` owns `partials[spans[ci]..spans[ci + 1]]`.
+    let mut partials: Vec<(usize, TermId)> = Vec::new();
+    let mut spans = vec![0];
+    for c in cs {
+        for &v in c.variables().iter().filter(|&&v| v < n) {
+            partials.push((v, term::derivative(c.term(), v)));
+        }
+        spans.push(partials.len());
+    }
+    let grad_terms: Vec<TermId> = partials.iter().map(|&(_, d)| d).collect();
+    let partial_prog = term::compile(&grad_terms);
+    let rhs: Vec<f64> = cs.iter().map(|c| c.rhs.to_f64()).collect();
     let ranges: Vec<(f64, f64)> = problem
         .bounds
         .iter()
         .map(|&b| sampling_interval(b))
         .collect();
 
-    let penalty = |x: &[f64]| -> f64 {
-        problem
-            .constraints
-            .iter()
-            .map(|c| {
-                let v = c.violation(x, opts.strict_margin);
+    let satisfied = |at: &[f64]| {
+        cs.iter()
+            .enumerate()
+            .all(|(ci, c)| holds_robust(c.op, lhs.root(at, ci), rhs[ci], opts.tolerance))
+    };
+    let violation_of =
+        |at: &[f64], ci: usize| violation(cs[ci].op, lhs.root(at, ci), rhs[ci], opts.strict_margin);
+    let penalty = |at: &[f64]| -> f64 {
+        (0..cs.len())
+            .map(|ci| {
+                let v = violation_of(at, ci);
                 v * v
             })
             .sum()
     };
 
+    let mut rng = XorShift::new(opts.seed);
+    let mut x = vec![0.0f64; n];
+    let mut trial = vec![0.0f64; n];
+    let mut grad = vec![0.0f64; n];
+    // Program slots at `x`, at `trial`, and of the partials at `x`.
+    let mut at_x = Vec::new();
+    let mut at_trial = Vec::new();
+    let mut partial_at_x = Vec::new();
     for _ in 0..opts.restarts {
         if opts.interrupted() {
             return None;
         }
-        let mut x: Vec<f64> = ranges
-            .iter()
-            .map(|&(lo, hi)| lo + rng.next_f64() * (hi - lo))
-            .collect();
+        for (xi, &(lo, hi)) in x.iter_mut().zip(&ranges) {
+            *xi = lo + rng.next_f64() * (hi - lo);
+        }
         let mut lr = 0.1;
-        let mut p = penalty(&x);
+        lhs.eval_f64(&x, &mut at_x);
+        let mut p = penalty(&at_x);
         for step in 0..opts.iterations {
-            if problem.is_satisfied(&x, opts.tolerance) {
+            if satisfied(&at_x) {
                 return Some(x);
             }
             if step % 64 == 63 && opts.interrupted() {
@@ -741,30 +790,29 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> Option<Vec<f64>> {
                 break; // restart from elsewhere
             }
             // ∇P = Σ 2·violation·(±∇lhs) over active constraints.
-            let mut grad = vec![0.0f64; n];
-            for (ci, c) in problem.constraints.iter().enumerate() {
-                let viol = c.violation(&x, opts.strict_margin);
+            grad.fill(0.0);
+            partial_prog.eval_f64(&x, &mut partial_at_x);
+            for (ci, c) in cs.iter().enumerate() {
+                let viol = violation_of(&at_x, ci);
                 if viol == 0.0 {
                     continue;
                 }
-                let lhs = c.lhs_f64(&x);
-                let rhs = c.rhs.to_f64();
                 // Direction of increasing violation w.r.t. lhs.
                 let sign = match c.op {
-                    absolver_linear::CmpOp::Lt | absolver_linear::CmpOp::Le => 1.0,
-                    absolver_linear::CmpOp::Gt | absolver_linear::CmpOp::Ge => -1.0,
-                    absolver_linear::CmpOp::Eq => {
-                        if lhs >= rhs {
+                    CmpOp::Lt | CmpOp::Le => 1.0,
+                    CmpOp::Gt | CmpOp::Ge => -1.0,
+                    CmpOp::Eq => {
+                        if lhs.root(&at_x, ci) >= rhs[ci] {
                             1.0
                         } else {
                             -1.0
                         }
                     }
                 };
-                for (v, g) in grad.iter_mut().enumerate() {
-                    let d = grads[ci][v].eval_f64(&x);
+                for k in spans[ci]..spans[ci + 1] {
+                    let d = partial_prog.root(&partial_at_x, k);
                     if d.is_finite() {
-                        *g += 2.0 * viol * sign * d;
+                        grad[partials[k].0] += 2.0 * viol * sign * d;
                     }
                 }
             }
@@ -773,15 +821,14 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> Option<Vec<f64>> {
                 break; // flat (likely a non-feasible local minimum)
             }
             // Tentative step with simple backtracking.
-            let trial: Vec<f64> = x
-                .iter()
-                .zip(&grad)
-                .zip(&ranges)
-                .map(|((&xi, &gi), &(lo, hi))| (xi - lr * gi / norm).clamp(lo, hi))
-                .collect();
-            let p_trial = penalty(&trial);
+            for (((t, &xi), &gi), &(lo, hi)) in trial.iter_mut().zip(&x).zip(&grad).zip(&ranges) {
+                *t = (xi - lr * gi / norm).clamp(lo, hi);
+            }
+            lhs.eval_f64(&trial, &mut at_trial);
+            let p_trial = penalty(&at_trial);
             if p_trial < p {
-                x = trial;
+                std::mem::swap(&mut x, &mut trial);
+                std::mem::swap(&mut at_x, &mut at_trial);
                 p = p_trial;
                 lr = (lr * 1.3).min(1.0e3);
             } else {
@@ -791,7 +838,7 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> Option<Vec<f64>> {
                 }
             }
         }
-        if problem.is_satisfied(&x, opts.tolerance) {
+        if satisfied(&at_x) {
             return Some(x);
         }
     }

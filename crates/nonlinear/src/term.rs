@@ -12,13 +12,19 @@
 //!
 //! Per term the arena memoises, lazily and exactly once:
 //!
-//! * a [`TermTape`] — the postorder flattening the hot paths (interval
-//!   evaluation, HC4 forward/backward, penalty search) iterate instead of
+//! * a [`TermTape`] — the postorder flattening the interval hot paths
+//!   (interval evaluation, HC4 forward/backward) iterate instead of
 //!   recursing over `Box` nodes, together with precomputed per-term facts
 //!   (variable set, trig-blindness, affine view, constant enclosures);
 //! * simplified symbolic partial derivatives, keyed on `(term, var)` in
 //!   an identity-hash map — Newton compilation and the local search stop
 //!   re-deriving the same gradients on every solve.
+//!
+//! A tape expands shared subterms back into tree form. The penalty search
+//! instead evaluates many terms at one point, so it runs on a
+//! [`DagProgram`] ([`compile`]): one straight-line instruction per
+//! *distinct* arena node reachable from a set of roots, so each shared
+//! subterm is computed once per point.
 //!
 //! Interning takes the single global mutex; the hot paths never do — a
 //! constraint carries its `Arc<TermTape>`, fetched once at intern time.
@@ -276,6 +282,86 @@ impl TermTape {
     }
 }
 
+/// One [`DagProgram`] instruction: an arena node whose operands are the
+/// slots of earlier instructions.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum DagOp {
+    Const(f64),
+    Var(u32),
+    Neg(u32),
+    Add(u32, u32),
+    Sub(u32, u32),
+    Mul(u32, u32),
+    Div(u32, u32),
+    Pow(u32, i32),
+    Sin(u32),
+    Cos(u32),
+    Exp(u32),
+    Ln(u32),
+    Sqrt(u32),
+    Abs(u32),
+}
+
+/// A straight-line program over the distinct arena nodes reachable from
+/// a set of root terms ([`compile`]): one instruction per node, operands
+/// before their users, so a subterm shared by several roots (or repeated
+/// inside one) is evaluated once per point.
+///
+/// Every instruction applies the same IEEE operation to the same operand
+/// values as [`TermTape::eval_f64`], so each root's value is
+/// bit-identical to its tape's, and NaN exactly when the tape's is. (A
+/// NaN's sign and payload are not fixed: Rust leaves them unspecified.)
+#[derive(Debug, Clone)]
+pub struct DagProgram {
+    ops: Vec<DagOp>,
+    roots: Vec<u32>,
+}
+
+impl DagProgram {
+    /// Number of instructions (= distinct nodes reachable from the roots).
+    pub fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// Whether the program has no instructions (no roots).
+    pub fn is_empty(&self) -> bool {
+        self.ops.is_empty()
+    }
+
+    /// Evaluates every instruction at `point` into `slots` (cleared
+    /// first; its capacity is reused, so a warm buffer never
+    /// reallocates). Out-of-range variables read as NaN, as on a tape.
+    /// Read the results with [`DagProgram::root`].
+    pub fn eval_f64(&self, point: &[f64], slots: &mut Vec<f64>) {
+        slots.clear();
+        for op in &self.ops {
+            let at = |s: u32| slots[s as usize];
+            let v = match *op {
+                DagOp::Const(c) => c,
+                DagOp::Var(v) => point.get(v as usize).copied().unwrap_or(f64::NAN),
+                DagOp::Neg(a) => -at(a),
+                DagOp::Add(a, b) => at(a) + at(b),
+                DagOp::Sub(a, b) => at(a) - at(b),
+                DagOp::Mul(a, b) => at(a) * at(b),
+                DagOp::Div(a, b) => at(a) / at(b),
+                DagOp::Pow(a, n) => at(a).powi(n),
+                DagOp::Sin(a) => at(a).sin(),
+                DagOp::Cos(a) => at(a).cos(),
+                DagOp::Exp(a) => at(a).exp(),
+                DagOp::Ln(a) => at(a).ln(),
+                DagOp::Sqrt(a) => at(a).sqrt(),
+                DagOp::Abs(a) => at(a).abs(),
+            };
+            slots.push(v);
+        }
+    }
+
+    /// The value of root `i` in `slots` filled by [`DagProgram::eval_f64`].
+    pub fn root(&self, slots: &[f64], i: usize) -> f64 {
+        slots[self.roots[i] as usize]
+    }
+}
+
 #[inline]
 fn pop<T: Copy>(stack: &mut Vec<T>) -> T {
     stack.pop().expect("tape operand stack underflow")
@@ -520,6 +606,35 @@ impl Arena {
         }
     }
 
+    /// Appends the instruction of `id` (and, first, of its operands) to
+    /// `ops` unless an earlier root already reached it; returns its slot.
+    fn emit_dag(&self, id: TermId, slot_of: &mut HashMap<u32, u32>, ops: &mut Vec<DagOp>) -> u32 {
+        if let Some(&slot) = slot_of.get(&id.raw()) {
+            return slot;
+        }
+        let mut arg = |x: TermId| self.emit_dag(x, slot_of, ops);
+        let op = match &self.nodes[id.index()] {
+            Node::Const(c) => DagOp::Const(c.to_f64()),
+            Node::Var(v) => DagOp::Var(u32::try_from(*v).expect("variable id fits u32")),
+            Node::Neg(a) => DagOp::Neg(arg(*a)),
+            Node::Add(a, b) => DagOp::Add(arg(*a), arg(*b)),
+            Node::Sub(a, b) => DagOp::Sub(arg(*a), arg(*b)),
+            Node::Mul(a, b) => DagOp::Mul(arg(*a), arg(*b)),
+            Node::Div(a, b) => DagOp::Div(arg(*a), arg(*b)),
+            Node::Pow(a, n) => DagOp::Pow(arg(*a), *n),
+            Node::Sin(a) => DagOp::Sin(arg(*a)),
+            Node::Cos(a) => DagOp::Cos(arg(*a)),
+            Node::Exp(a) => DagOp::Exp(arg(*a)),
+            Node::Ln(a) => DagOp::Ln(arg(*a)),
+            Node::Sqrt(a) => DagOp::Sqrt(arg(*a)),
+            Node::Abs(a) => DagOp::Abs(arg(*a)),
+        };
+        let slot = u32::try_from(ops.len()).expect("program slot overflow");
+        ops.push(op);
+        slot_of.insert(id.raw(), slot);
+        slot
+    }
+
     fn tape(&mut self, id: TermId) -> Arc<TermTape> {
         if let Some(t) = &self.tapes[id.index()] {
             return Arc::clone(t);
@@ -566,6 +681,26 @@ pub fn rebuild(id: TermId) -> Expr {
 /// The shared evaluation tape of an interned term.
 pub fn tape(id: TermId) -> Arc<TermTape> {
     lock().tape(id)
+}
+
+/// Compiles the straight-line program of `roots` (see [`DagProgram`])
+/// under one acquisition of the arena lock.
+pub fn compile(roots: &[TermId]) -> DagProgram {
+    let a = lock();
+    let mut slot_of: HashMap<u32, u32> = HashMap::new();
+    let mut ops = Vec::new();
+    let roots = roots
+        .iter()
+        .map(|&r| a.emit_dag(r, &mut slot_of, &mut ops))
+        .collect();
+    DagProgram { ops, roots }
+}
+
+/// The simplified partial derivative `∂id/∂v` as an interned term —
+/// memoised arena-wide, so gradients are derived once per `(term, var)`
+/// for the whole process.
+pub(crate) fn derivative(id: TermId, v: VarId) -> TermId {
+    lock().derivative(id, v)
 }
 
 /// The simplified partial derivative `∂id/∂v` as an interned term with
@@ -711,6 +846,28 @@ mod tests {
         let left = right - t.size[right] as usize;
         assert_eq!(t.size[left], 3);
         assert_eq!(t.size[root], 5);
+    }
+
+    #[test]
+    fn dag_program_evaluates_shared_nodes_once() {
+        let xy = x() * y();
+        let e = xy.clone() + xy.clone() * Expr::int(2);
+        let f = xy.sin();
+        let ids = [intern(&e), intern(&f)];
+        let p = compile(&ids);
+        // x, y, x·y, 2, x·y·2, the sum and sin(x·y): x·y is shared within
+        // `e` and across the roots, where `e`'s tape repeats it.
+        assert_eq!(p.len(), 7);
+        assert_eq!(tape(ids[0]).len(), 9);
+        assert_eq!(sharing(&ids), (9 + 4, 7));
+        let mut slots = Vec::new();
+        p.eval_f64(&[1.5, -2.0], &mut slots);
+        assert_eq!(p.root(&slots, 0), e.eval_f64(&[1.5, -2.0]));
+        assert_eq!(p.root(&slots, 1), f.eval_f64(&[1.5, -2.0]));
+        // The buffer is reused: a second point overwrites every slot.
+        p.eval_f64(&[0.5, 4.0], &mut slots);
+        assert_eq!(slots.len(), 7);
+        assert_eq!(p.root(&slots, 1), f.eval_f64(&[0.5, 4.0]));
     }
 
     #[test]

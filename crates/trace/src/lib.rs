@@ -22,7 +22,7 @@
 //! | `solve.start`    | orchestrator        | `num_vars`, `num_defs`, then `assumptions` (solve) or `mode` (`solve_all`/`session`) |
 //! | `solve.end`      | orchestrator        | `outcome`, `models` (`solve_all`), `iterations`, `duration_us` |
 //! | `boolean.model`  | orchestrator        | `iteration`, `duration_us`     |
-//! | `theory.check`   | orchestrator        | `iteration`, `verdict`, `items`, `duration_us` |
+//! | `theory.check`   | orchestrator        | `verdict`, `obligations`, `pass` (`probe` for a model's first check, `refute` for the second pass once the Boolean side runs out), `duration_us` |
 //! | `phase.linear`   | theory layer        | `start` (`warm`/`cold`), `reused_rows`, `pushed_rows`, `duration_us` |
 //! | `phase.nonlinear`| theory layer        | `duration_us`                  |
 //! | `contract.hc4`   | theory layer        | `count` (HC4 revisions this check) |

@@ -111,6 +111,29 @@ fn all_models_flags_an_incomplete_enumeration() {
 }
 
 #[test]
+fn all_models_remembers_models_left_open_by_an_earlier_call() {
+    // The Boolean model {¬1, 2} asks for (x − y)² < −0.001, which no pass
+    // settles. The enumeration finds {1, ¬2} in a later control-loop run
+    // and must still know that {¬1, 2} was never decided.
+    let input = "p cnf 2 2\n1 2 0\n-1 -2 0\nc def real 1 z >= 1\n\
+        c def real 2 x * x - 2 * x * y + y * y < -0.001\n\
+        c range x -10 10\nc range y -10 10\nc range z -10 10\n";
+    let out = run_stdin(&["--all-models", "10", "--stats", "json"], input);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(exit_code(&out), 10, "stdout: {stdout}");
+    assert!(stdout.contains("c 1 model(s)"), "stdout: {stdout}");
+    assert!(
+        stdout.contains("c enumeration incomplete"),
+        "stdout: {stdout}"
+    );
+    assert!(
+        stdout.contains("\"escalated_checks\":1"),
+        "stdout: {stdout}"
+    );
+    assert!(stdout.contains("s SATISFIABLE"), "stdout: {stdout}");
+}
+
+#[test]
 fn iteration_limit_exits_40() {
     let out = absolver()
         .args(["--max-iterations", "0", FIG2])

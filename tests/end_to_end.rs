@@ -221,3 +221,125 @@ fn solve_all_mixes_decided_and_unknown_models() {
     }
     assert!(orc.stats().unknown_checks >= 1, "{}", orc.stats());
 }
+
+/// `(x − y)² < c` over `[−10, 10]²`, written so that interval arithmetic
+/// cannot see the square: refuting it takes a box search whose size grows
+/// as `c` approaches 0 (803 boxes for `c = −4`).
+fn square_gap(c: &str) -> String {
+    format!("c def real 1 x * x - 2 * x * y + y * y < {c}\nc range x -10 10\nc range y -10 10\n")
+}
+
+#[test]
+fn unit_model_left_open_by_the_probe_is_refuted_before_unsat() {
+    // The unit clause makes the probe's blocking clause fail at once:
+    // the loop ends at its blocking-clause exit, and only the second
+    // pass there proves the model unsat.
+    let problem: AbProblem = format!("p cnf 1 1\n1 0\n{}", square_gap("-4"))
+        .parse()
+        .unwrap();
+    let mut orc = Orchestrator::with_defaults();
+    assert_eq!(
+        orc.solve(&problem).unwrap(),
+        Outcome::Unsat,
+        "{}",
+        orc.stats()
+    );
+    assert_eq!(orc.stats().unknown_checks, 1, "{}", orc.stats());
+    assert_eq!(orc.stats().escalated_checks, 1, "{}", orc.stats());
+}
+
+#[test]
+fn models_left_open_by_the_probe_are_refuted_once_the_boolean_side_runs_out() {
+    // Three Boolean models: two are refuted at once, the third is left
+    // open by the probe; the loop ends when `next_model` finds no more.
+    let problem: AbProblem = format!(
+        "p cnf 2 1\n1 2 0\n{}c def real 2 x >= 20\n",
+        square_gap("-4")
+    )
+    .parse()
+    .unwrap();
+    let mut orc = Orchestrator::with_defaults();
+    assert_eq!(
+        orc.solve(&problem).unwrap(),
+        Outcome::Unsat,
+        "{}",
+        orc.stats()
+    );
+    let stats = orc.stats();
+    assert_eq!(stats.boolean_iterations, 3, "{stats}");
+    assert_eq!(stats.conflicts_fed_back, 2, "{stats}");
+    assert_eq!(stats.escalated_checks, 1, "{stats}");
+}
+
+#[test]
+fn a_model_the_second_pass_cannot_settle_stays_unknown() {
+    let problem: AbProblem = format!("p cnf 1 1\n1 0\n{}", square_gap("-1"))
+        .parse()
+        .unwrap();
+    let mut orc = Orchestrator::with_defaults();
+    assert_eq!(
+        orc.solve(&problem).unwrap(),
+        Outcome::Unknown,
+        "{}",
+        orc.stats()
+    );
+    assert_eq!(orc.stats().escalated_checks, 1, "{}", orc.stats());
+}
+
+#[test]
+fn second_pass_splits_a_negated_equality_on_a_local_search_witness() {
+    use absolver::core::{ArithModel, CdclBoolean, IntervalNonlinear, SimplexLinear};
+    // x² ≥ 100 ∧ (y − 10)² + 10 − x ≤ 0 (expanded) holds only at the
+    // corner (10, 10). No box midpoint reaches it, so only the local
+    // search finds it: the box search alone is inconclusive.
+    let corner = "c def real 1 x * x >= 100\n\
+                  c def real 2 y * y - 20 * y + 100 + 10 - x <= 0\n\
+                  c range x -10 10\nc range y -10 10\n";
+    let sat: AbProblem = format!("p cnf 2 2\n1 0\n2 0\n{corner}").parse().unwrap();
+    let mut orc = Orchestrator::with_defaults();
+    let outcome = orc.solve(&sat).unwrap();
+    assert_eq!(
+        outcome.model().expect("sat").arith,
+        ArithModel::Numeric(vec![10.0, 10.0])
+    );
+    let mut interval = Orchestrator::custom(Box::new(CdclBoolean::new()))
+        .with_linear(Box::new(SimplexLinear::new()))
+        .with_nonlinear(Box::<IntervalNonlinear>::default());
+    assert_eq!(interval.solve(&sat).unwrap(), Outcome::Unknown);
+    // With ¬(x = 10) the witness is split on in both passes: x > 10 is
+    // refuted, and x < 10 is left open in the probe. The second pass must
+    // reach that branch again through the local search and give it the
+    // full check. Its only near-solutions crowd the corner, where no box
+    // search bottoms out, so the model stays open, as it did with one
+    // pass: the answer must not be sat, and is unsat only if the branch is
+    // refuted.
+    let split: AbProblem = format!("p cnf 3 3\n1 0\n2 0\n-3 0\n{corner}c def real 3 x = 10\n")
+        .parse()
+        .unwrap();
+    let mut orc = Orchestrator::with_defaults();
+    let outcome = orc.solve(&split).unwrap();
+    assert!(!outcome.is_sat(), "{}", orc.stats());
+    assert_eq!(orc.stats().escalated_checks, 1, "{}", orc.stats());
+}
+
+#[test]
+fn single_pass_backends_save_nothing_for_a_second_pass() {
+    use absolver::core::{CdclBoolean, IntervalNonlinear, PenaltyNonlinear, SimplexLinear};
+    let problem: AbProblem = format!("p cnf 1 1\n1 0\n{}", square_gap("-4"))
+        .parse()
+        .unwrap();
+    let stack = |nonlinear: Box<dyn absolver::core::NonlinearBackend>| {
+        Orchestrator::custom(Box::new(CdclBoolean::new()))
+            .with_linear(Box::new(SimplexLinear::new()))
+            .with_nonlinear(nonlinear)
+    };
+    // The interval engine runs its full budget in one pass and proves it.
+    let mut interval = stack(Box::<IntervalNonlinear>::default());
+    assert_eq!(interval.solve(&problem).unwrap(), Outcome::Unsat);
+    assert_eq!(interval.stats().escalated_checks, 0, "{}", interval.stats());
+    // The penalty search can never refute, and has no second pass.
+    let mut penalty = stack(Box::<PenaltyNonlinear>::default());
+    assert_eq!(penalty.solve(&problem).unwrap(), Outcome::Unknown);
+    assert_eq!(penalty.stats().unknown_checks, 1, "{}", penalty.stats());
+    assert_eq!(penalty.stats().escalated_checks, 0, "{}", penalty.stats());
+}

@@ -211,3 +211,37 @@ fn trace_overhead_is_skipped_when_disabled() {
     assert!(!NullSink.enabled());
     assert!(CollectingSink::new().enabled());
 }
+
+#[test]
+fn refute_pass_checks_are_traced_and_counted_alike() {
+    // Of the three Boolean models, the probe refutes two and leaves the
+    // `(x − y)² < −4` one open; the refute pass settles it at the end.
+    let problem: AbProblem = "p cnf 2 1\n1 2 0\n\
+        c def real 1 x * x - 2 * x * y + y * y < -4\nc def real 2 x >= 20\n\
+        c range x -10 10\nc range y -10 10\n"
+        .parse()
+        .expect("parses");
+    let sink = Arc::new(CollectingSink::new());
+    let mut orc = Orchestrator::with_defaults().with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
+    assert!(orc.solve(&problem).expect("solve").is_unsat());
+    let stats = orc.stats();
+    let passes: Vec<String> = sink
+        .events()
+        .iter()
+        .filter(|e| e.kind == "theory.check")
+        .map(|e| {
+            e.get("pass")
+                .expect("theory.check carries its pass")
+                .to_string()
+        })
+        .collect();
+    let refutes = passes.iter().filter(|p| *p == "refute").count() as u64;
+    assert_eq!(refutes, stats.escalated_checks, "{passes:?} vs {stats}");
+    assert_eq!(refutes, 1, "{passes:?}");
+    assert_eq!(passes.len() as u64, stats.boolean_iterations + refutes);
+    // The refute check comes after every probe, and ends the run unsat.
+    assert_eq!(passes.last().map(String::as_str), Some("refute"));
+    assert!(stats
+        .to_json()
+        .contains(&format!("\"escalated_checks\":{}", stats.escalated_checks)));
+}
