@@ -13,12 +13,15 @@
 //! constraints, in contrast to ABsolver's two separate entities.
 
 use crate::common::{BaselineRun, BaselineVerdict};
-use absolver_core::theory::{check, TheoryBudget, TheoryContext, TheoryItem, TheoryVerdict};
+use absolver_core::theory::{
+    check, prepare_defs, PreparedConstraint, TheoryBudget, TheoryContext, TheoryItem, TheoryVerdict,
+};
 use absolver_core::{AbModel, AbProblem, LinearBackend, NonlinearBackend, SimplexLinear, VarKind};
 use absolver_linear::{CheckResult, LinearConstraint, Simplex};
-use absolver_logic::{Assignment, Lit, Tri};
+use absolver_logic::{Assignment, Lit, Tri, Var};
 use absolver_num::Interval;
 use absolver_sat::{SolveResult, Solver, TheoryHook, TheoryResponse};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration of the tight baseline.
@@ -102,6 +105,8 @@ impl MathSatLike {
 /// the CDCL assignment via a literal stack of `push`/`pop` scopes.
 struct TightHook<'a> {
     problem: &'a AbProblem,
+    /// Each definition's constraints, prepared for the final check.
+    prepared: Vec<(Var, Vec<Arc<PreparedConstraint>>)>,
     simplex: Simplex,
     /// Theory literals currently asserted, in scope order; one simplex
     /// scope per entry.
@@ -127,6 +132,7 @@ impl<'a> TightHook<'a> {
     ) -> TightHook<'a> {
         TightHook {
             problem,
+            prepared: prepare_defs(problem),
             simplex: Simplex::with_vars(problem.arith_vars().len()),
             stack: Vec::new(),
             scope_cids: Vec::new(),
@@ -255,8 +261,8 @@ impl<'a> TightHook<'a> {
     fn final_check(&mut self, assignment: &Assignment) -> TheoryResponse {
         let mut items = Vec::new();
         let mut involved = Vec::new();
-        for (var, def) in self.problem.defs() {
-            let (lit, positive) = match assignment.value(var) {
+        for (var, prepared) in &self.prepared {
+            let (lit, positive) = match assignment.value(*var) {
                 Tri::True => (var.positive(), true),
                 Tri::False => (var.negative(), false),
                 Tri::Unknown => continue,
@@ -264,17 +270,17 @@ impl<'a> TightHook<'a> {
             involved.push(lit);
             let tag = involved.len() - 1;
             if positive {
-                for c in &def.constraints {
+                for c in prepared {
                     items.push(TheoryItem {
                         tag,
-                        constraint: std::sync::Arc::new(c.clone()),
+                        constraint: Arc::clone(c),
                         positive: true,
                     });
                 }
-            } else if def.constraints.len() == 1 {
+            } else if prepared.len() == 1 {
                 items.push(TheoryItem {
                     tag,
-                    constraint: std::sync::Arc::new(def.constraints[0].clone()),
+                    constraint: Arc::clone(&prepared[0]),
                     positive: false,
                 });
             } else {

@@ -32,11 +32,10 @@ use crate::preprocess::{PreprocessSummary, Preprocessed, ProblemPreprocessor};
 use crate::problem::{AbModel, AbProblem, ArithModel, VarKind};
 use crate::structure::Partition;
 use crate::theory::{
-    check, IncrementalLinear, LinActivity, TheoryBudget, TheoryContext, TheoryItem, TheoryTiming,
-    TheoryVerdict,
+    check, prepare_defs, IncrementalLinear, LinActivity, PreparedConstraint, TheoryBudget,
+    TheoryContext, TheoryItem, TheoryTiming, TheoryVerdict,
 };
 use absolver_logic::{Assignment, Clause, Lit, Tri, Var};
-use absolver_nonlinear::NlConstraint;
 use absolver_num::Interval;
 use absolver_trace::{saturating_micros, JsonObject, NullSink, TraceEvent, TraceSink};
 use std::collections::{HashMap, VecDeque};
@@ -487,7 +486,7 @@ impl fmt::Debug for ClauseSharing {
 #[derive(Debug)]
 struct Obligations {
     fixed: Vec<TheoryItem>,
-    choices: Vec<(Lit, Vec<Arc<NlConstraint>>)>,
+    choices: Vec<(Lit, Vec<Arc<PreparedConstraint>>)>,
     involved: Vec<Lit>,
 }
 
@@ -595,10 +594,11 @@ pub struct Orchestrator {
     deadline: Option<Instant>,
     sharing: Option<ClauseSharing>,
     sink: Arc<dyn TraceSink>,
-    /// Interned per-def constraint pool, rebuilt at each solve entry:
+    /// Prepared per-def constraint pool, rebuilt at each solve entry:
     /// one `Arc` per constraint so per-iteration obligation building
-    /// bumps reference counts instead of deep-cloning expression trees.
-    interned: Vec<(Var, Vec<Arc<NlConstraint>>)>,
+    /// bumps reference counts instead of deep-cloning expression trees,
+    /// and checks copy linear rows instead of building them.
+    interned: Vec<(Var, Vec<Arc<PreparedConstraint>>)>,
     /// Incremental linear session of the current call (when the first
     /// linear backend provides an assertion stack).
     incremental: Option<IncrementalLinear>,
@@ -873,20 +873,10 @@ impl Orchestrator {
         }
     }
 
-    /// Rebuilds the interned per-definition constraint pool.
+    /// Rebuilds the prepared per-definition constraint pool
+    /// ([`crate::theory::PreparedConstraint`]).
     fn intern_defs(&mut self, problem: &AbProblem) {
-        self.interned = problem
-            .defs()
-            .map(|(var, def)| {
-                (
-                    var,
-                    def.constraints
-                        .iter()
-                        .map(|c| Arc::new(c.clone()))
-                        .collect(),
-                )
-            })
-            .collect();
+        self.interned = prepare_defs(problem);
     }
 
     /// Per-call setup of the one-shot entry points: rebuilds the interned
@@ -1962,15 +1952,16 @@ c range y -10 10
 
     #[test]
     fn warm_starts_are_counted() {
-        // 2x + 2y = 1 over integers in [0, 1]: branch-and-bound re-checks
+        // 2x + 3y = 1 over integers in [0, 1]: branch-and-bound re-checks
         // the stack at every node (the multi-variable row keeps branch
         // bounds from conflicting at assert time), so every check after
-        // the first warm-starts the session.
+        // the first warm-starts the session. The coefficients are coprime,
+        // so strengthening the row leaves it as it is.
         let mut b = AbProblem::builder();
         let x = b.arith_var("x", VarKind::Int);
         let y = b.arith_var("y", VarKind::Int);
         let sum = b.atom(
-            Expr::int(2) * Expr::var(x) + Expr::int(2) * Expr::var(y),
+            Expr::int(2) * Expr::var(x) + Expr::int(3) * Expr::var(y),
             CmpOp::Eq,
             q(1),
         );

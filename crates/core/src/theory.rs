@@ -5,6 +5,8 @@
 //! their conjunction:
 //!
 //! 1. the affine subset goes to the pluggable linear backend (simplex),
+//!    as rows prepared once per solve, with every all-`int` row
+//!    strengthened to the integer-tight form ([`PreparedConstraint`]),
 //!    extended here with branch-and-bound for `int`-typed variables and
 //!    lazy case splits for *disequalities* (`¬(Σaᵢxᵢ = c)` becomes
 //!    `< c ∨ > c` exactly as Sec. 1 prescribes, but split lazily instead
@@ -21,28 +23,205 @@
 //! constraint), so the orchestrator can turn them into blocking clauses.
 
 use crate::backends::{LinearBackend, NonlinearBackend};
-use crate::problem::{ArithModel, VarKind};
+use crate::problem::{AbProblem, ArithModel, VarKind};
 use absolver_linear::{AssertionStack, CmpOp, Feasibility, LinExpr, LinearConstraint, StackResult};
+use absolver_logic::Var;
 use absolver_nonlinear::{NlConstraint, NlProblem, NlVerdict};
-use absolver_num::{Interval, Rational};
+use absolver_num::{BigInt, Interval, Rational};
 use absolver_trace::{TraceEvent, TraceSink};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One theory obligation: the constraint must hold (`Assert`) or must be
-/// violated (`Refute`, arising from a false atom whose negation is not a
-/// single comparison, i.e. equalities).
+/// One theory obligation: the constraint must hold (`positive`) or must be
+/// violated (its negation must hold).
 #[derive(Debug, Clone)]
 pub struct TheoryItem {
     /// Caller-chosen tag identifying the origin (a Boolean literal).
     pub tag: usize,
-    /// The constraint, shared with the orchestrator's interned pool so
+    /// The prepared constraint, shared with the orchestrator's pool so
     /// building the per-iteration obligation list never deep-clones
-    /// expression trees.
-    pub constraint: Arc<NlConstraint>,
+    /// expression trees or rebuilds linear rows.
+    pub constraint: Arc<PreparedConstraint>,
     /// `true` to assert the constraint, `false` to assert its negation.
     pub positive: bool,
+}
+
+/// A definition constraint prepared for theory checks: what asserting it,
+/// and asserting its negation, asks of the linear and nonlinear paths.
+/// The orchestrator prepares each definition constraint once per solve,
+/// so a check only copies rows.
+///
+/// A row whose variables are all `int` is strengthened here, with the
+/// GCD step of the Dutertre–de Moura integer procedure: scaled to coprime
+/// integer coefficients (leading one positive), so that its left-hand
+/// side takes only integer values, and its bound rounded. `x < 1` becomes
+/// `x ≤ 0`, which the simplex refutes against `x ≥ 1` without
+/// branch-and-bound; an `=` with a fractional bound is unsat on its own,
+/// and its negation holds everywhere; and an all-integer disequality
+/// splits into `≤ c − 1` / `≥ c + 1`. Every row keeps its integer
+/// solutions. Rows that mention a `real` variable are left as they are.
+#[derive(Debug)]
+pub struct PreparedConstraint {
+    positive: Literal,
+    negative: Literal,
+}
+
+/// What asserting one polarity of a constraint asks of a check.
+#[derive(Debug)]
+enum Literal {
+    /// The comparison must hold; the row is its linear form when it is
+    /// affine.
+    Holds(Arc<NlConstraint>, Option<LinearConstraint>),
+    /// The nonlinear equality must fail.
+    Differs(Arc<NlConstraint>),
+    /// The affine equality must fail.
+    DiffersAffine(Box<LinDiseq>),
+    /// No integer point satisfies it: an all-integer `=` with a
+    /// fractional bound.
+    Never,
+    /// Every integer point satisfies it: the negation of such an `=`.
+    Always,
+}
+
+/// An affine disequality `expr ≠ rhs`, the two rows its lazy case split
+/// branches on, and the equality the nonlinear path splits instead.
+#[derive(Debug)]
+struct LinDiseq {
+    expr: LinExpr,
+    rhs: Rational,
+    split: [LinearConstraint; 2],
+    /// The stated row as an equality, without the integer strengthening.
+    equality: NlConstraint,
+}
+
+impl PreparedConstraint {
+    /// Prepares `constraint` over variables of the given kinds.
+    pub fn new(constraint: NlConstraint, kinds: &[VarKind]) -> PreparedConstraint {
+        let constraint = Arc::new(constraint);
+        let negative = match constraint.op.negate() {
+            Some(op) => Literal::holds(Arc::new(constraint.with_op(op)), kinds),
+            None => Literal::differs(Arc::clone(&constraint), kinds),
+        };
+        PreparedConstraint {
+            positive: Literal::holds(constraint, kinds),
+            negative,
+        }
+    }
+
+    fn literal(&self, positive: bool) -> &Literal {
+        if positive {
+            &self.positive
+        } else {
+            &self.negative
+        }
+    }
+}
+
+/// Every definition constraint of `problem`, prepared under its variable
+/// kinds, in definition order.
+pub fn prepare_defs(problem: &AbProblem) -> Vec<(Var, Vec<Arc<PreparedConstraint>>)> {
+    let kinds: Vec<VarKind> = problem.arith_vars().iter().map(|v| v.kind).collect();
+    problem
+        .defs()
+        .map(|(var, def)| {
+            let prepared = def
+                .constraints
+                .iter()
+                .map(|c| Arc::new(PreparedConstraint::new(c.clone(), &kinds)))
+                .collect();
+            (var, prepared)
+        })
+        .collect()
+}
+
+impl Literal {
+    fn holds(c: Arc<NlConstraint>, kinds: &[VarKind]) -> Literal {
+        let Some((lin, k)) = c.to_affine() else {
+            return Literal::Holds(c, None);
+        };
+        let row = match integral(&c, kinds) {
+            None => LinearConstraint::new(lin.clone(), c.op, &c.rhs - k),
+            Some((expr, op, rhs)) => {
+                let bound = |b: BigInt| Rational::from(b);
+                match op {
+                    CmpOp::Le => LinearConstraint::new(expr, CmpOp::Le, bound(rhs.floor())),
+                    CmpOp::Lt => {
+                        LinearConstraint::new(expr, CmpOp::Le, bound(rhs.ceil() - BigInt::one()))
+                    }
+                    CmpOp::Ge => LinearConstraint::new(expr, CmpOp::Ge, bound(rhs.ceil())),
+                    CmpOp::Gt => {
+                        LinearConstraint::new(expr, CmpOp::Ge, bound(rhs.floor() + BigInt::one()))
+                    }
+                    CmpOp::Eq if rhs.is_integer() => LinearConstraint::new(expr, CmpOp::Eq, rhs),
+                    CmpOp::Eq => return Literal::Never,
+                }
+            }
+        };
+        Literal::Holds(c, Some(row))
+    }
+
+    /// The negation of the equality `c`.
+    fn differs(c: Arc<NlConstraint>, kinds: &[VarKind]) -> Literal {
+        let Some((lin, k)) = c.to_affine() else {
+            return Literal::Differs(c);
+        };
+        let rhs = &c.rhs - k;
+        let (expr, bound, split) = match integral(&c, kinds) {
+            None => {
+                let split = [
+                    LinearConstraint::new(lin.clone(), CmpOp::Lt, rhs.clone()),
+                    LinearConstraint::new(lin.clone(), CmpOp::Gt, rhs.clone()),
+                ];
+                (lin.clone(), rhs.clone(), split)
+            }
+            Some((_, _, bound)) if !bound.is_integer() => return Literal::Always,
+            Some((expr, _, bound)) => {
+                let split = [
+                    LinearConstraint::new(expr.clone(), CmpOp::Le, &bound - &Rational::one()),
+                    LinearConstraint::new(expr.clone(), CmpOp::Ge, &bound + &Rational::one()),
+                ];
+                (expr, bound, split)
+            }
+        };
+        Literal::DiffersAffine(Box::new(LinDiseq {
+            expr,
+            rhs: bound,
+            split,
+            equality: NlConstraint::new(lin_to_expr(lin), CmpOp::Eq, rhs),
+        }))
+    }
+}
+
+/// `c` as a row with coprime integer coefficients and a positive leading
+/// one, when `c` is affine and every variable it mentions is `int`;
+/// `None` otherwise. The row's left-hand side takes only integer values.
+fn integral(c: &NlConstraint, kinds: &[VarKind]) -> Option<(LinExpr, CmpOp, Rational)> {
+    let (mut expr, op, rhs) = c.normalized_affine()?;
+    let terms = expr.terms();
+    if !terms
+        .iter()
+        .all(|&(v, _)| kinds.get(v) == Some(&VarKind::Int))
+    {
+        return None;
+    }
+    // The leading coefficient is one, so the lcm of the denominators
+    // scales the coefficients to coprime integers.
+    let lcm = terms.iter().fold(BigInt::one(), |l, (_, a)| {
+        &(&l / &l.gcd(a.denom())) * a.denom()
+    });
+    let lcm = Rational::from(lcm);
+    expr.scale(&lcm);
+    Some((expr, op, &rhs * &lcm))
+}
+
+fn lin_to_expr(lin: &LinExpr) -> absolver_nonlinear::Expr {
+    use absolver_nonlinear::Expr;
+    let mut acc = Expr::zero();
+    for (v, c) in lin.terms() {
+        acc = acc + Expr::constant(c.clone()) * Expr::var(*v);
+    }
+    acc.simplify()
 }
 
 /// Verdict of a theory check.
@@ -200,71 +379,48 @@ pub struct TheoryContext<'a> {
     pub escalable: bool,
 }
 
-/// Normalised internal form of a query: asserted constraints plus affine
-/// disequalities (negated equalities that stay lazy).
-struct Normalised {
-    /// `(tag, constraint)` — must hold; affine ones are split out below.
-    /// `Arc`-shared with the caller's items: positive asserts never
-    /// deep-clone the expression tree.
-    nl_asserts: Vec<(usize, Arc<NlConstraint>)>,
-    lin_asserts: Vec<(usize, LinearConstraint)>,
-    /// `(tag, affine lhs, rhs)` — `lhs ≠ rhs` must hold.
-    lin_diseqs: Vec<(usize, LinExpr, Rational)>,
+/// Normalised internal form of a query: the prepared forms of its items,
+/// sorted by what each path does with them.
+#[derive(Default)]
+struct Normalised<'a> {
+    /// `(tag, constraint)` — must hold; affine ones also have a row below.
+    nl_asserts: Vec<(usize, &'a NlConstraint)>,
+    lin_asserts: Vec<(usize, &'a LinearConstraint)>,
+    /// `(tag, disequality)` — the affine equality must fail.
+    lin_diseqs: Vec<(usize, &'a LinDiseq)>,
     /// `(tag, constraint)` with `op == Eq` — `≠` obligations whose LHS is
     /// nonlinear.
-    nl_diseqs: Vec<(usize, Arc<NlConstraint>)>,
-    /// Whether any genuinely nonlinear assert exists.
+    nl_diseqs: Vec<(usize, &'a NlConstraint)>,
+    /// Whether any genuinely nonlinear obligation exists.
     has_nonlinear: bool,
+    /// The tag of an item no integer point satisfies.
+    refuted: Option<usize>,
 }
 
-fn normalise(items: &[TheoryItem]) -> Normalised {
-    let mut out = Normalised {
-        nl_asserts: Vec::new(),
-        lin_asserts: Vec::new(),
-        lin_diseqs: Vec::new(),
-        nl_diseqs: Vec::new(),
-        has_nonlinear: false,
-    };
+fn normalise(items: &[TheoryItem]) -> Normalised<'_> {
+    let mut out = Normalised::default();
     for item in items {
-        let c = &item.constraint;
-        if item.positive {
-            push_assert(&mut out, item.tag, Arc::clone(c));
-        } else {
-            match c.op.negate() {
-                Some(op) => {
-                    push_assert(&mut out, item.tag, Arc::new(c.with_op(op)));
+        let tag = item.tag;
+        match item.constraint.literal(item.positive) {
+            Literal::Holds(c, row) => {
+                match row {
+                    Some(row) => out.lin_asserts.push((tag, row)),
+                    None => out.has_nonlinear = true,
                 }
-                None => {
-                    // ¬(lhs = rhs): a disequality, handled lazily.
-                    match c.to_affine() {
-                        Some((lin, k)) => {
-                            out.lin_diseqs.push((item.tag, lin.clone(), &c.rhs - k));
-                        }
-                        None => {
-                            out.nl_diseqs.push((item.tag, Arc::clone(c)));
-                            out.has_nonlinear = true;
-                        }
-                    }
-                }
+                out.nl_asserts.push((tag, c.as_ref()));
             }
+            Literal::DiffersAffine(diseq) => out.lin_diseqs.push((tag, diseq.as_ref())),
+            Literal::Differs(c) => {
+                out.nl_diseqs.push((tag, c.as_ref()));
+                out.has_nonlinear = true;
+            }
+            Literal::Never => {
+                out.refuted.get_or_insert(tag);
+            }
+            Literal::Always => {}
         }
     }
     out
-}
-
-fn push_assert(out: &mut Normalised, tag: usize, c: Arc<NlConstraint>) {
-    match c.to_affine() {
-        Some((lin, k)) => {
-            let rhs = &c.rhs - k;
-            out.lin_asserts
-                .push((tag, LinearConstraint::new(lin.clone(), c.op, rhs)));
-            out.nl_asserts.push((tag, c));
-        }
-        None => {
-            out.has_nonlinear = true;
-            out.nl_asserts.push((tag, c));
-        }
-    }
 }
 
 /// Decides the conjunction of theory items.
@@ -368,6 +524,9 @@ enum LinOutcome {
 
 fn solve_linear(norm: &Normalised, ctx: &mut TheoryContext<'_>) -> LinOutcome {
     ctx.lin_activity = LinActivity::default();
+    if let Some(tag) = norm.refuted {
+        return LinOutcome::Unsat(vec![tag]);
+    }
     if ctx.incremental.is_some() {
         // Temporarily move the session out so the recursion can borrow
         // both it and `ctx` independently.
@@ -377,7 +536,7 @@ fn solve_linear(norm: &Normalised, ctx: &mut TheoryContext<'_>) -> LinOutcome {
         return out;
     }
     let mut constraints: Vec<LinearConstraint> =
-        norm.lin_asserts.iter().map(|(_, c)| c.clone()).collect();
+        norm.lin_asserts.iter().map(|(_, c)| (*c).clone()).collect();
     let base_len = constraints.len();
     let tags: Vec<usize> = norm.lin_asserts.iter().map(|(t, _)| *t).collect();
     let mut nodes = ctx.budget.max_nodes;
@@ -404,7 +563,11 @@ fn solve_linear_incremental(
     // check's rows, pop everything past it, push only the new suffix.
     let desired = &norm.lin_asserts;
     let mut prefix = 0;
-    while prefix < inc.base.len() && prefix < desired.len() && inc.base[prefix] == desired[prefix] {
+    while prefix < inc.base.len()
+        && prefix < desired.len()
+        && inc.base[prefix].0 == desired[prefix].0
+        && inc.base[prefix].1 == *desired[prefix].1
+    {
         prefix += 1;
     }
     inc.stack.pop_to(prefix);
@@ -413,7 +576,7 @@ fn solve_linear_incremental(
     ctx.lin_activity.pushed = (desired.len() - prefix) as u64;
     for (tag, c) in &desired[prefix..] {
         match inc.stack.push(c) {
-            Ok(_) => inc.base.push((*tag, c.clone())),
+            Ok(_) => inc.base.push((*tag, (*c).clone())),
             Err(rows) => {
                 // Assert-time conflict: `rows` are positions of accepted
                 // base rows; the rejected constraint contributes its own
@@ -449,7 +612,7 @@ fn map_rows(inc: &IncrementalLinear, rows: &[usize]) -> Vec<usize> {
 
 fn rec_linear_inc(
     inc: &mut IncrementalLinear,
-    diseqs: &[(usize, LinExpr, Rational)],
+    diseqs: &[(usize, &LinDiseq)],
     ctx: &mut TheoryContext<'_>,
     nodes: &mut usize,
 ) -> LinOutcome {
@@ -476,11 +639,9 @@ fn rec_linear_inc(
     }
 
     // Disequalities: find one the model violates (lhs = rhs exactly).
-    for (tag, lin, rhs) in diseqs {
-        if &lin.eval(&model) == rhs {
-            let lt = LinearConstraint::new(lin.clone(), CmpOp::Lt, rhs.clone());
-            let gt = LinearConstraint::new(lin.clone(), CmpOp::Gt, rhs.clone());
-            return branch_inc(inc, [lt, gt], diseqs, ctx, nodes, Some(*tag));
+    for (tag, d) in diseqs {
+        if d.expr.eval(&model) == d.rhs {
+            return branch_inc(inc, d.split.clone(), diseqs, ctx, nodes, Some(*tag));
         }
     }
 
@@ -493,7 +654,7 @@ fn rec_linear_inc(
 fn branch_inc(
     inc: &mut IncrementalLinear,
     alternatives: [LinearConstraint; 2],
-    diseqs: &[(usize, LinExpr, Rational)],
+    diseqs: &[(usize, &LinDiseq)],
     ctx: &mut TheoryContext<'_>,
     nodes: &mut usize,
     diseq_tag: Option<usize>,
@@ -527,7 +688,7 @@ fn rec_linear(
     constraints: &mut Vec<LinearConstraint>,
     base_len: usize,
     tags: &[usize],
-    diseqs: &[(usize, LinExpr, Rational)],
+    diseqs: &[(usize, &LinDiseq)],
     ctx: &mut TheoryContext<'_>,
     nodes: &mut usize,
 ) -> LinOutcome {
@@ -586,13 +747,11 @@ fn rec_linear(
     }
 
     // Disequalities: find one the model violates (lhs = rhs exactly).
-    for (tag, lin, rhs) in diseqs {
-        if &lin.eval(&model) == rhs {
-            let lt = LinearConstraint::new(lin.clone(), CmpOp::Lt, rhs.clone());
-            let gt = LinearConstraint::new(lin.clone(), CmpOp::Gt, rhs.clone());
+    for (tag, d) in diseqs {
+        if d.expr.eval(&model) == d.rhs {
             return branch(
                 constraints,
-                [lt, gt],
+                d.split.clone(),
                 base_len,
                 tags,
                 diseqs,
@@ -614,7 +773,7 @@ fn branch(
     alternatives: [LinearConstraint; 2],
     base_len: usize,
     tags: &[usize],
-    diseqs: &[(usize, LinExpr, Rational)],
+    diseqs: &[(usize, &LinDiseq)],
     ctx: &mut TheoryContext<'_>,
     nodes: &mut usize,
     diseq_tag: Option<usize>,
@@ -649,16 +808,13 @@ fn solve_nonlinear(norm: &Normalised, ctx: &mut TheoryContext<'_>) -> TheoryVerd
         .nl_asserts
         .iter()
         .map(|(t, _)| *t)
-        .chain(norm.lin_diseqs.iter().map(|(t, _, _)| *t))
+        .chain(norm.lin_diseqs.iter().map(|(t, _)| *t))
         .chain(norm.nl_diseqs.iter().map(|(t, _)| *t))
         .collect();
     let diseqs: Vec<(usize, NlConstraint)> = norm
         .lin_diseqs
         .iter()
-        .map(|(t, lin, rhs)| {
-            let expr = lin_to_expr(lin);
-            (*t, NlConstraint::new(expr, CmpOp::Eq, rhs.clone()))
-        })
+        .map(|(t, d)| (*t, d.equality.clone()))
         .chain(norm.nl_diseqs.iter().map(|(t, c)| (*t, (**c).clone())))
         .collect();
 
@@ -672,15 +828,6 @@ fn solve_nonlinear(norm: &Normalised, ctx: &mut TheoryContext<'_>) -> TheoryVerd
         ctx.escalable = true;
     }
     verdict
-}
-
-fn lin_to_expr(lin: &LinExpr) -> absolver_nonlinear::Expr {
-    use absolver_nonlinear::Expr;
-    let mut acc = Expr::zero();
-    for (v, c) in lin.terms() {
-        acc = acc + Expr::constant(c.clone()) * Expr::var(*v);
-    }
-    acc.simplify()
 }
 
 fn rec_nonlinear(
@@ -786,33 +933,37 @@ mod tests {
         Rational::from_int(n)
     }
 
+    /// An item prepared for no particular kinds; [`run`] and [`run_inc`]
+    /// prepare it again for the case's kinds, as the orchestrator does
+    /// once per solve.
     fn item(tag: usize, c: NlConstraint, positive: bool) -> TheoryItem {
         TheoryItem {
             tag,
-            constraint: Arc::new(c),
+            constraint: Arc::new(PreparedConstraint::new(c, &[])),
             positive,
         }
     }
 
+    /// `items` prepared again for `kinds`.
+    fn prepared(items: &[TheoryItem], kinds: &[VarKind]) -> Vec<TheoryItem> {
+        items
+            .iter()
+            .map(|it| {
+                // Prepared for no kinds, the positive literal is the
+                // constraint as stated.
+                let Literal::Holds(c, _) = &it.constraint.positive else {
+                    panic!("not from `item`: {:?}", it.constraint);
+                };
+                TheoryItem {
+                    constraint: Arc::new(PreparedConstraint::new((**c).clone(), kinds)),
+                    ..it.clone()
+                }
+            })
+            .collect()
+    }
+
     fn run(items: &[TheoryItem], kinds: Vec<VarKind>, ranges: Vec<Interval>) -> TheoryVerdict {
-        let mut linear: Vec<Box<dyn LinearBackend>> = vec![Box::new(SimplexLinear::new())];
-        let mut nonlinear: Vec<Box<dyn NonlinearBackend>> =
-            vec![Box::new(CascadeNonlinear::default())];
-        let mut ctx = TheoryContext {
-            num_vars: kinds.len(),
-            kinds: &kinds,
-            ranges: &ranges,
-            linear: &mut linear,
-            nonlinear: &mut nonlinear,
-            budget: TheoryBudget::default(),
-            timing: TheoryTiming::default(),
-            sink: None,
-            incremental: None,
-            lin_activity: LinActivity::default(),
-            escalate: false,
-            escalable: false,
-        };
-        check(items, &mut ctx)
+        run_counted(None, items, kinds, ranges).0
     }
 
     /// Like [`run`], but through a caller-owned incremental session.
@@ -822,6 +973,20 @@ mod tests {
         kinds: Vec<VarKind>,
         ranges: Vec<Interval>,
     ) -> TheoryVerdict {
+        run_counted(Some(inc), items, kinds, ranges).0
+    }
+
+    /// Checks `items` from scratch or, given a session, incrementally, and
+    /// counts the simplex checks the linear phase made: one per node, so
+    /// more than one means it branched.
+    fn run_counted(
+        inc: Option<&mut IncrementalLinear>,
+        items: &[TheoryItem],
+        kinds: Vec<VarKind>,
+        ranges: Vec<Interval>,
+    ) -> (TheoryVerdict, u64) {
+        let items = prepared(items, &kinds);
+        let stack_checks = inc.as_ref().map(|inc| inc.stack().checks());
         let mut linear: Vec<Box<dyn LinearBackend>> = vec![Box::new(SimplexLinear::new())];
         let mut nonlinear: Vec<Box<dyn NonlinearBackend>> =
             vec![Box::new(CascadeNonlinear::default())];
@@ -834,12 +999,17 @@ mod tests {
             budget: TheoryBudget::default(),
             timing: TheoryTiming::default(),
             sink: None,
-            incremental: Some(inc),
+            incremental: inc,
             lin_activity: LinActivity::default(),
             escalate: false,
             escalable: false,
         };
-        check(items, &mut ctx)
+        let verdict = check(&items, &mut ctx);
+        let checks = match (stack_checks, &ctx.incremental) {
+            (Some(before), Some(inc)) => inc.stack().checks() - before,
+            _ => linear[0].stats().checks,
+        };
+        (verdict, checks)
     }
 
     fn reals(n: usize) -> (Vec<VarKind>, Vec<Interval>) {
@@ -914,16 +1084,59 @@ mod tests {
         }
     }
 
+    /// `2x + 3y = 1`: its coefficients are coprime and its bound is an
+    /// integer, so the strengthening leaves it as it is, and over ℚ it
+    /// holds at fractional points such as `(1/2, 0)`.
+    fn coprime_row() -> NlConstraint {
+        NlConstraint::new(
+            Expr::int(2) * Expr::var(0) + Expr::int(3) * Expr::var(1),
+            CmpOp::Eq,
+            q(1),
+        )
+    }
+
+    /// `lo ≤ x_v ≤ hi` as two asserted items tagged `tag` and `tag + 1`.
+    fn boxed(tag: usize, v: usize, lo: i64, hi: i64) -> [TheoryItem; 2] {
+        [
+            item(tag, NlConstraint::new(Expr::var(v), CmpOp::Ge, q(lo)), true),
+            item(
+                tag + 1,
+                NlConstraint::new(Expr::var(v), CmpOp::Le, q(hi)),
+                true,
+            ),
+        ]
+    }
+
     #[test]
     fn integer_branch_and_bound() {
-        // 2x = 3 has no integer solution (x = 3/2 over ℚ).
+        // 2x + 3y = 1 ∧ 0 ≤ x, y ≤ 1 has no integer solution, but its LP
+        // relaxation holds at (1/2, 0): only branch-and-bound refutes it,
+        // on either path.
+        let (k, r) = ints(2);
+        let mut items = vec![item(0, coprime_row(), true)];
+        items.extend(boxed(1, 0, 0, 1));
+        items.extend(boxed(3, 1, 0, 1));
+        let mut inc = IncrementalLinear::new(AssertionStack::new(2));
+        for (path, (verdict, lp_checks)) in [
+            ("scratch", run_counted(None, &items, k.clone(), r.clone())),
+            ("stack", run_counted(Some(&mut inc), &items, k, r)),
+        ] {
+            assert!(
+                matches!(verdict, TheoryVerdict::Unsat(_)),
+                "{path}: {verdict:?}"
+            );
+            assert!(lp_checks > 1, "{path}: refuted without branching");
+        }
+        // 2x = 3 has no integer solution (x = 3/2 over ℚ); preparation
+        // already refutes it, with its own tag as the core.
         let (k, r) = ints(1);
         let c = NlConstraint::new(Expr::int(2) * Expr::var(0), CmpOp::Eq, q(3));
         assert_eq!(
             run(&[item(0, c, true)], k, r),
             TheoryVerdict::Unsat(vec![0])
         );
-        // 1 ≤ x ≤ 2 ∧ x ≠ 1 ∧ x ≠ 2 has no integer solution either.
+        // 1 ≤ x ≤ 2 ∧ x ≠ 1 ∧ x ≠ 2 has no integer solution either; the
+        // disequality splits (x ≤ 0 | x ≥ 2, x ≤ 1 | x ≥ 3) refute it.
         let (k, r) = ints(1);
         let items = vec![
             item(0, NlConstraint::new(Expr::var(0), CmpOp::Ge, q(1)), true),
@@ -939,7 +1152,29 @@ mod tests {
 
     #[test]
     fn integer_sat_gets_integral_witness() {
-        // 2 ≤ 3x ≤ 7 → x = 1 or 2.
+        // 2x + 3y = 1 ∧ −3 ≤ x ≤ 3: the relaxation's vertices (−3, 7/3)
+        // and (3, −5/3) are fractional, and branch-and-bound reaches one
+        // of the integer points (−1, 1) and (2, −1), on either path.
+        let (k, r) = ints(2);
+        let mut items = vec![item(0, coprime_row(), true)];
+        items.extend(boxed(1, 0, -3, 3));
+        let mut inc = IncrementalLinear::new(AssertionStack::new(2));
+        for (path, (verdict, lp_checks)) in [
+            ("scratch", run_counted(None, &items, k.clone(), r.clone())),
+            ("stack", run_counted(Some(&mut inc), &items, k, r)),
+        ] {
+            match verdict {
+                TheoryVerdict::Sat(ArithModel::Exact(m)) => {
+                    assert!(
+                        [[q(-1), q(1)], [q(2), q(-1)]].contains(&[m[0].clone(), m[1].clone()]),
+                        "{path}: {m:?}"
+                    );
+                }
+                other => panic!("{path}: {other:?}"),
+            }
+            assert!(lp_checks > 1, "{path}: integral without branching");
+        }
+        // 2 ≤ 3x ≤ 7 → x = 1 or 2 (preparation turns it into 1 ≤ x ≤ 2).
         let (k, r) = ints(1);
         let items = vec![
             item(
@@ -960,6 +1195,145 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// The linear row that asserting `c` (or, with `positive` false, its
+    /// negation) adds over variables of the given kinds.
+    fn row(c: NlConstraint, kinds: &[VarKind], positive: bool) -> Option<LinearConstraint> {
+        match PreparedConstraint::new(c, kinds).literal(positive) {
+            Literal::Holds(_, row) => row.clone(),
+            other => panic!("not a comparison: {other:?}"),
+        }
+    }
+
+    /// The row `Σ aᵢ·xᵢ ⋈ rhs` over integer coefficients `(i, aᵢ)`.
+    fn lin(terms: &[(usize, i64)], op: CmpOp, rhs: i64) -> LinearConstraint {
+        let expr = LinExpr::from_terms(terms.iter().map(|&(v, a)| (v, q(a))));
+        LinearConstraint::new(expr, op, q(rhs))
+    }
+
+    fn frac(num: i64, den: i64) -> Expr {
+        Expr::constant(Rational::new(num, den))
+    }
+
+    #[test]
+    fn integer_rows_are_strengthened() {
+        let int = [VarKind::Int; 2];
+        // x < 1 → x ≤ 0, and ¬(x ≥ 1) is the same row.
+        let lt = NlConstraint::new(Expr::var(0), CmpOp::Lt, q(1));
+        assert_eq!(row(lt, &int, true), Some(lin(&[(0, 1)], CmpOp::Le, 0)));
+        let ge = NlConstraint::new(Expr::var(0), CmpOp::Ge, q(1));
+        assert_eq!(row(ge, &int, false), Some(lin(&[(0, 1)], CmpOp::Le, 0)));
+        // 2x + 4y ≤ 5 → x + 2y ≤ 2: divided by the gcd, bound rounded down.
+        let gcd = NlConstraint::new(
+            Expr::int(2) * Expr::var(0) + Expr::int(4) * Expr::var(1),
+            CmpOp::Le,
+            q(5),
+        );
+        assert_eq!(
+            row(gcd, &int, true),
+            Some(lin(&[(0, 1), (1, 2)], CmpOp::Le, 2))
+        );
+        // x/2 + y/3 < 1 → 3x + 2y ≤ 5: scaled to integers first.
+        let rational = NlConstraint::new(
+            frac(1, 2) * Expr::var(0) + frac(1, 3) * Expr::var(1),
+            CmpOp::Lt,
+            q(1),
+        );
+        assert_eq!(
+            row(rational, &int, true),
+            Some(lin(&[(0, 3), (1, 2)], CmpOp::Le, 5))
+        );
+        // −3x > 2 → x < −2/3 → x ≤ −1: the leading coefficient turns
+        // positive, and the bound rounds away from zero.
+        let negative = NlConstraint::new(Expr::int(-3) * Expr::var(0), CmpOp::Gt, q(2));
+        assert_eq!(
+            row(negative, &int, true),
+            Some(lin(&[(0, 1)], CmpOp::Le, -1))
+        );
+    }
+
+    #[test]
+    fn fractional_integer_equality_is_unsat_alone_and_its_negation_dropped() {
+        let (k, r) = ints(1);
+        let two_x = NlConstraint::new(Expr::int(2) * Expr::var(0), CmpOp::Eq, q(3));
+        let x_is_1 = NlConstraint::new(Expr::var(0), CmpOp::Eq, q(1));
+        // 2x = 3 is unsat with its own tag as the core, on both paths.
+        let items = [item(4, x_is_1.clone(), true), item(7, two_x.clone(), true)];
+        assert_eq!(
+            run(&items, k.clone(), r.clone()),
+            TheoryVerdict::Unsat(vec![7])
+        );
+        let mut inc = IncrementalLinear::new(AssertionStack::new(1));
+        assert_eq!(
+            run_inc(&mut inc, &items, k.clone(), r.clone()),
+            TheoryVerdict::Unsat(vec![7])
+        );
+        // ¬(2x = 3) holds at every integer: no row, no split.
+        let negated = prepared(&[item(7, two_x.clone(), false)], &k);
+        let norm = normalise(&negated);
+        assert!(norm.lin_asserts.is_empty() && norm.lin_diseqs.is_empty());
+        assert!(norm.nl_asserts.is_empty() && norm.nl_diseqs.is_empty());
+        assert_eq!(norm.refuted, None);
+        let items = [item(4, x_is_1, true), item(7, two_x, false)];
+        assert!(matches!(run(&items, k, r), TheoryVerdict::Sat(_)));
+    }
+
+    #[test]
+    fn integer_disequality_splits_past_the_excluded_value() {
+        // ¬(2x + 2y = 4) over integers: x + y ≤ 1 or x + y ≥ 3.
+        let c = NlConstraint::new(
+            Expr::int(2) * Expr::var(0) + Expr::int(2) * Expr::var(1),
+            CmpOp::Eq,
+            q(4),
+        );
+        match PreparedConstraint::new(c.clone(), &[VarKind::Int; 2]).literal(false) {
+            Literal::DiffersAffine(d) => {
+                assert_eq!(
+                    d.split,
+                    [
+                        lin(&[(0, 1), (1, 1)], CmpOp::Le, 1),
+                        lin(&[(0, 1), (1, 1)], CmpOp::Ge, 3),
+                    ]
+                );
+                // The nonlinear path splits the row as stated.
+                let (expr, k) = d.equality.to_affine().expect("affine");
+                let stated =
+                    LinearConstraint::new(expr.clone(), d.equality.op, &d.equality.rhs - k);
+                assert_eq!(stated, lin(&[(0, 2), (1, 2)], CmpOp::Eq, 4));
+            }
+            other => panic!("{other:?}"),
+        }
+        // Over reals the split stays strict.
+        match PreparedConstraint::new(c, &[VarKind::Real; 2]).literal(false) {
+            Literal::DiffersAffine(d) => assert_eq!(
+                d.split,
+                [
+                    lin(&[(0, 2), (1, 2)], CmpOp::Lt, 4),
+                    lin(&[(0, 2), (1, 2)], CmpOp::Gt, 4),
+                ]
+            ),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn rows_with_real_variables_are_untouched() {
+        let c = NlConstraint::new(
+            Expr::int(2) * Expr::var(0) + Expr::int(4) * Expr::var(1),
+            CmpOp::Lt,
+            q(5),
+        );
+        let original = Some(lin(&[(0, 2), (1, 4)], CmpOp::Lt, 5));
+        let mixed = [VarKind::Int, VarKind::Real];
+        assert_eq!(row(c.clone(), &mixed, true), original);
+        assert_eq!(row(c.clone(), &[VarKind::Real; 2], true), original);
+        assert_eq!(
+            row(c, &mixed, false),
+            Some(lin(&[(0, 2), (1, 4)], CmpOp::Ge, 5))
+        );
+        let half = NlConstraint::new(Expr::int(2) * Expr::var(1), CmpOp::Eq, q(3));
+        assert_eq!(row(half, &mixed, true), Some(lin(&[(1, 2)], CmpOp::Eq, 3)));
     }
 
     #[test]
@@ -1012,12 +1386,18 @@ mod tests {
     #[test]
     fn incremental_session_agrees_with_scratch() {
         // One persistent session across queries that share prefixes,
-        // exercise integer branch-and-bound and disequality splits, and
-        // shrink as well as grow the asserted row set. Verdict kinds
-        // (and unsat cores) must match the from-scratch path exactly.
-        let mut inc = IncrementalLinear::new(AssertionStack::new(1));
-        let (k, r) = ints(1);
-        let queries: Vec<Vec<TheoryItem>> = vec![
+        // exercise integer branch-and-bound (the `2x + 3y = 1` queries)
+        // and disequality splits, and shrink as well as grow the asserted
+        // row set. Verdict kinds (and unsat cores) must match the
+        // from-scratch path exactly.
+        let mut inc = IncrementalLinear::new(AssertionStack::new(2));
+        let (k, r) = ints(2);
+        let mut refuted = vec![item(0, coprime_row(), true)];
+        refuted.extend(boxed(1, 0, 0, 1));
+        refuted.extend(boxed(3, 1, 0, 1));
+        let mut integral = vec![item(0, coprime_row(), true)];
+        integral.extend(boxed(1, 0, -3, 3));
+        let mut queries: Vec<Vec<TheoryItem>> = vec![
             // 2 ≤ 3x ≤ 7: sat with integral witness.
             vec![
                 item(
@@ -1050,13 +1430,24 @@ mod tests {
                 true,
             )],
         ];
-        for items in &queries {
-            let scratch = run(items, k.clone(), r.clone());
-            let incremental = run_inc(&mut inc, items, k.clone(), r.clone());
+        // 2x + 3y = 1 over 0 ≤ x, y ≤ 1, then over −3 ≤ x ≤ 3: unsat, then
+        // sat, both only after branching.
+        let branching = queries.len();
+        queries.extend([refuted, integral]);
+        for (i, items) in queries.iter().enumerate() {
+            let (scratch, scratch_checks) = run_counted(None, items, k.clone(), r.clone());
+            let (incremental, stack_checks) =
+                run_counted(Some(&mut inc), items, k.clone(), r.clone());
             match (&scratch, &incremental) {
                 (TheoryVerdict::Sat(_), TheoryVerdict::Sat(_)) => {}
                 (TheoryVerdict::Unsat(a), TheoryVerdict::Unsat(b)) => assert_eq!(a, b),
                 other => panic!("scratch vs incremental disagree: {other:?}"),
+            }
+            if i >= branching {
+                assert!(
+                    scratch_checks > 1 && stack_checks > 1,
+                    "query {i} did not branch: {scratch_checks} and {stack_checks} checks"
+                );
             }
         }
         // The session really did warm-start: one cold check, then reuse.
@@ -1159,6 +1550,89 @@ mod tests {
                     matches!(again, TheoryVerdict::Unsat(_)),
                     "{path}: conflict {tags:?} alone is {again:?}"
                 );
+            }
+        }
+    }
+
+    /// A term `(variable, numerator, denominator)` over `x0..x2` with a
+    /// small rational coefficient.
+    fn rational_term() -> Gen<(usize, i64, i64)> {
+        let var = gen::ints(0..3usize);
+        let num = gen::ints(-4i64..=4);
+        let den = gen::ints(1i64..=3);
+        Gen::new(move |src| (var.generate(src), num.generate(src), den.generate(src)))
+    }
+
+    /// Whether the prepared literal holds at `point`.
+    fn literal_holds(literal: &Literal, point: &[Rational]) -> bool {
+        match literal {
+            Literal::Holds(_, Some(row)) => row.eval(point),
+            Literal::DiffersAffine(d) => d.expr.eval(point) != d.rhs,
+            Literal::Never => false,
+            Literal::Always => true,
+            other => panic!("affine constraint without a row: {other:?}"),
+        }
+    }
+
+    property! {
+        #![cases = 256]
+
+        /// Preparing an affine constraint keeps, for each polarity, the
+        /// integer points of the box `[-4, 4]³` that satisfy it, and an
+        /// all-integer disequality's split covers exactly those points. A
+        /// strengthened row has coprime integer coefficients and an
+        /// integer bound, and a row that mentions a `real` variable is
+        /// left as it was.
+        fn strengthened_rows_keep_the_integer_solutions(
+            int_mask in gen::ints(0..8u32),
+            terms in gen::vec_of(rational_term(), 1..4),
+            op in gen::from_slice(&[CmpOp::Le, CmpOp::Ge, CmpOp::Lt, CmpOp::Gt, CmpOp::Eq]),
+            rhs_num in gen::ints(-9i64..=9),
+            rhs_den in gen::ints(1i64..=4),
+        ) {
+            let kinds: Vec<VarKind> = (0..3)
+                .map(|v| if int_mask >> v & 1 == 1 { VarKind::Int } else { VarKind::Real })
+                .collect();
+            let lhs = terms.iter().fold(Expr::int(0), |acc, &(v, n, d)| {
+                acc + frac(n, d) * Expr::var(v)
+            });
+            let c = NlConstraint::new(lhs, op, Rational::new(rhs_num, rhs_den));
+            let (expr, k) = c.to_affine().expect("affine").clone();
+            let original = LinearConstraint::new(expr.clone(), op, &c.rhs - &k);
+            let prepared = PreparedConstraint::new(c, &kinds);
+            let all_int = expr.terms().iter().all(|&(v, _)| kinds[v] == VarKind::Int);
+            if !all_int || expr.is_zero() {
+                assert!(
+                    matches!(&prepared.positive, Literal::Holds(_, Some(r)) if *r == original),
+                    "{original} changed: {:?}",
+                    prepared.positive
+                );
+                return;
+            }
+            for literal in [&prepared.positive, &prepared.negative] {
+                if let Literal::Holds(_, Some(row)) = literal {
+                    assert!(!row.op.is_strict() && row.rhs.is_integer(), "{row}");
+                    let gcd = row.expr.terms().iter().fold(BigInt::zero(), |g, (_, a)| {
+                        assert!(a.is_integer(), "{row}");
+                        g.gcd(a.numer())
+                    });
+                    assert!(gcd.is_one(), "{row}");
+                }
+            }
+            let box_ = -4i64..=4;
+            for x in box_.clone() {
+                for y in box_.clone() {
+                    for z in box_.clone() {
+                        let point = [q(x), q(y), q(z)];
+                        let holds = original.eval(&point);
+                        assert_eq!(literal_holds(&prepared.positive, &point), holds, "{original} at {point:?}");
+                        assert_eq!(literal_holds(&prepared.negative, &point), !holds, "¬({original}) at {point:?}");
+                        if let Literal::DiffersAffine(d) = &prepared.negative {
+                            let split = d.split.iter().any(|r| r.eval(&point));
+                            assert_eq!(split, !holds, "split of ¬({original}) at {point:?}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -80,6 +80,9 @@ TESTKIT_SEED=0xAB501BE5 cargo test -q --offline \
     --test parallel_agreement --test solver_agreement --test fuzz_inputs \
     --test contractor_soundness --test cascade_agreement \
     --test session_agreement --test session_monotonic
+# The library properties too: the theory layer's conflict soundness and
+# integer-row strengthening, and the nonlinear DAG/tape bit-identity.
+TESTKIT_SEED=0xAB501BE5 cargo test -q --offline -p absolver-core -p absolver-nonlinear --lib
 
 echo "== observability gate (--stats json, --trace, differential test) =="
 OBS_TMP=$(mktemp -d)

@@ -343,3 +343,29 @@ fn single_pass_backends_save_nothing_for_a_second_pass() {
     assert_eq!(penalty.stats().unknown_checks, 1, "{}", penalty.stats());
     assert_eq!(penalty.stats().escalated_checks, 0, "{}", penalty.stats());
 }
+
+/// threshold-reach (m = 60) over `int` variables: each negated free atom
+/// `xᵢ < 1` reaches the simplex as `xᵢ ≤ 0`, so the LP itself refutes
+/// every Boolean model below the threshold, with or without the
+/// preprocessor. The Boolean search takes the same 34 iterations as when
+/// branch-and-bound refuted each model, now without a single pivot, and
+/// its conflicts no longer widen to every definition.
+#[test]
+fn threshold_reach_is_refuted_in_the_lp_without_branch_and_bound() {
+    let problem = absolver_bench::workloads::threshold_problem(60);
+    for preprocess in [false, true] {
+        let mut orc = Orchestrator::with_defaults();
+        if preprocess {
+            orc = orc.with_preprocessor(Box::new(absolver::analyze::Simplifier::new()));
+        }
+        let outcome = orc.solve(&problem).unwrap();
+        let stats = orc.stats();
+        match outcome {
+            Outcome::Sat(model) => assert!(model.satisfies(&problem, 1e-9)),
+            other => panic!("preprocess={preprocess}: {other:?}"),
+        }
+        assert_eq!(stats.boolean_iterations, 34, "{stats}");
+        assert_eq!(stats.simplex_pivots, 0, "{stats}");
+        assert!(stats.conflict_literals <= 2013, "{stats}");
+    }
+}

@@ -6,15 +6,21 @@ use absolver::core::parser;
 use absolver::service::protocol::{CacheTier, ErrCode, Priority, Response, SolveFrame};
 use absolver::service::{Server, ServerOptions, Submission};
 use absolver::trace::{CollectingSink, TraceSink};
-use absolver_bench::workloads::threshold_problem;
+use absolver_bench::workloads::decomposable_problem;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// A problem the solver takes long enough on (hundreds of Boolean
+/// A problem the solver takes long enough on (about 530 Boolean
 /// iterations, each a cancellation/deadline poll point) that a test can
-/// reliably interrupt it mid-solve.
+/// reliably interrupt it mid-solve: eight independent threshold-reach
+/// copies of 120 variables, which the daemon solves as one problem (it
+/// runs no preprocessor, so nothing partitions them). A release build
+/// takes about 2 s on it on a 2-thread host, at least ten times the
+/// 100 ms deadline below. One copy of 720 variables takes as long, but a
+/// debug build overflows a test thread's stack building or parsing its
+/// 720-term sum.
 fn slow_problem_text() -> String {
-    parser::write(&threshold_problem(120))
+    parser::write(&decomposable_problem(8, 120))
 }
 
 const EASY_SAT: &str =
