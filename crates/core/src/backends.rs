@@ -312,6 +312,8 @@ pub struct NonlinearBackendStats {
     /// Solves that resumed a non-empty persistent contraction cache
     /// (contraction work inherited from an earlier solve).
     pub contraction_cache_resumes: u64,
+    /// Descent steps of the local search across all solve calls.
+    pub local_search_steps: u64,
 }
 
 impl NonlinearBackendStats {
@@ -323,6 +325,7 @@ impl NonlinearBackendStats {
         self.contraction_cache_hits += run.contraction_cache_hits;
         self.contraction_cache_misses += run.contraction_cache_misses;
         self.contraction_cache_resumes += run.contraction_cache_resumes;
+        self.local_search_steps += run.local_search_steps;
     }
 }
 
@@ -435,12 +438,16 @@ impl NonlinearBackend for IntervalNonlinear {
 pub struct PenaltyNonlinear {
     /// Engine options.
     pub options: NlOptions,
+    stats: NonlinearBackendStats,
 }
 
 impl PenaltyNonlinear {
     /// A backend with explicit engine options.
     pub fn with_options(options: NlOptions) -> PenaltyNonlinear {
-        PenaltyNonlinear { options }
+        PenaltyNonlinear {
+            options,
+            stats: NonlinearBackendStats::default(),
+        }
     }
 }
 
@@ -450,7 +457,9 @@ impl NonlinearBackend for PenaltyNonlinear {
     }
 
     fn solve(&mut self, problem: &NlProblem) -> NlVerdict {
-        match local_search(problem, &self.options) {
+        let (witness, steps) = local_search(problem, &self.options);
+        self.stats.local_search_steps += steps;
+        match witness {
             Some(witness) => NlVerdict::Sat(witness),
             None => NlVerdict::Unknown,
         }
@@ -459,6 +468,10 @@ impl NonlinearBackend for PenaltyNonlinear {
     fn set_interrupt(&mut self, cancel: Option<Arc<AtomicBool>>, deadline: Option<Instant>) {
         self.options.cancel = cancel;
         self.options.deadline = deadline;
+    }
+
+    fn stats(&self) -> NonlinearBackendStats {
+        self.stats
     }
 }
 

@@ -169,6 +169,8 @@ pub struct OrchestratorStats {
     /// actually happened; the stable interned constraint ids are what
     /// keep the inherited entries valid.
     pub contraction_cache_resumes: u64,
+    /// Descent steps of the nonlinear backends' local search.
+    pub local_search_steps: u64,
     /// Terms interned into the global hash-consed arena during the call
     /// (preprocessing included): structurally *new* terms that allocated
     /// an arena node.
@@ -210,8 +212,8 @@ impl fmt::Display for OrchestratorStats {
             "iterations={} theory_checks={} conflicts={} avg_conflict_len={:.1} unknown={} \
              escalated={} timed_out={} cancelled={} shared={} imported={} pivots={} warm_starts={} \
              cache_hits={} cache_misses={} contractions={}/{}/{} contraction_cache={}/{} \
-             terms_interned={} term_dedup={} pre_vars={} pre_clauses={} pre_atoms={} pre_ranges={} \
-             subsumed={} components={} static_unsat={} preprocess={:?} \
+             local_search_steps={} terms_interned={} term_dedup={} pre_vars={} pre_clauses={} \
+             pre_atoms={} pre_ranges={} subsumed={} components={} static_unsat={} preprocess={:?} \
              boolean={:?} linear={:?} nonlinear={:?} conflict_min={:?} elapsed={:?}",
             self.boolean_iterations,
             self.theory_checks,
@@ -236,6 +238,7 @@ impl fmt::Display for OrchestratorStats {
             self.newton_contractions,
             self.contraction_cache_hits,
             self.contraction_cache_misses,
+            self.local_search_steps,
             self.terms_interned,
             self.term_dedup_hits,
             self.pre_vars_eliminated,
@@ -286,6 +289,7 @@ impl OrchestratorStats {
         self.contraction_cache_hits += other.contraction_cache_hits;
         self.contraction_cache_misses += other.contraction_cache_misses;
         self.contraction_cache_resumes += other.contraction_cache_resumes;
+        self.local_search_steps += other.local_search_steps;
         self.terms_interned += other.terms_interned;
         self.term_dedup_hits += other.term_dedup_hits;
         self.preprocess_time += other.preprocess_time;
@@ -373,6 +377,7 @@ impl OrchestratorStats {
             .field_u64("contraction_cache_hits", self.contraction_cache_hits)
             .field_u64("contraction_cache_misses", self.contraction_cache_misses)
             .field_u64("contraction_cache_resumes", self.contraction_cache_resumes)
+            .field_u64("local_search_steps", self.local_search_steps)
             .field_u64("terms_interned", self.terms_interned)
             .field_u64("term_dedup_hits", self.term_dedup_hits)
             .field_raw("preprocess", &{
@@ -804,6 +809,7 @@ impl Orchestrator {
             total.contraction_cache_hits += s.contraction_cache_hits;
             total.contraction_cache_misses += s.contraction_cache_misses;
             total.contraction_cache_resumes += s.contraction_cache_resumes;
+            total.local_search_steps += s.local_search_steps;
         }
         total
     }
@@ -854,6 +860,9 @@ impl Orchestrator {
         self.stats.contraction_cache_resumes += nl1
             .contraction_cache_resumes
             .saturating_sub(nl0.contraction_cache_resumes);
+        self.stats.local_search_steps += nl1
+            .local_search_steps
+            .saturating_sub(nl0.local_search_steps);
         let stk1 = self.stack_counters();
         self.stats.simplex_pivots += stk1.pivots.saturating_sub(stk0.pivots);
         self.stats.simplex_warm_starts += stk1.warm_starts.saturating_sub(stk0.warm_starts);

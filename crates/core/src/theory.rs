@@ -466,8 +466,8 @@ pub fn check(items: &[TheoryItem], ctx: &mut TheoryContext<'_>) -> TheoryVerdict
     ctx.timing.nonlinear += nl_elapsed;
     if let Some(sink) = ctx.sink.filter(|s| s.enabled()) {
         sink.emit(&TraceEvent::new("phase.nonlinear").duration(nl_elapsed));
-        // Aggregate per-contractor effort of this check, from the
-        // backend-counter deltas.
+        // Aggregate per-contractor and local-search effort of this check,
+        // from the backend-counter deltas.
         let nl1 = nonlinear_stat_totals(ctx.nonlinear);
         let deltas = [
             ("contract.hc4", nl1.hc4_contractions - nl0.hc4_contractions),
@@ -479,6 +479,10 @@ pub fn check(items: &[TheoryItem], ctx: &mut TheoryContext<'_>) -> TheoryVerdict
             (
                 "contract.cache_hit",
                 nl1.contraction_cache_hits - nl0.contraction_cache_hits,
+            ),
+            (
+                "local_search.steps",
+                nl1.local_search_steps - nl0.local_search_steps,
             ),
         ];
         for (kind, count) in deltas {
@@ -503,6 +507,7 @@ fn nonlinear_stat_totals(
         total.newton_contractions += s.newton_contractions;
         total.contraction_cache_hits += s.contraction_cache_hits;
         total.contraction_cache_misses += s.contraction_cache_misses;
+        total.local_search_steps += s.local_search_steps;
     }
     total
 }
@@ -870,15 +875,18 @@ fn rec_nonlinear(
         NlVerdict::Unknown => TheoryVerdict::Unknown,
         NlVerdict::Sat(witness) => {
             // Integer variables must come out integral on this path. Box
-            // midpoints rarely land on integers even when an integral
-            // solution exists, so snap them to the nearest integer and
-            // re-verify the full system before giving up.
+            // midpoints and descent steps rarely land on integers even when
+            // an integral solution exists, so snap every one that is off
+            // (`-0.0` included, to `0`) and re-verify the full system
+            // before giving up: a point within tolerance of an integral one
+            // need not satisfy the system there.
             let mut witness = witness;
             let mut snapped = false;
             for (v, kind) in ctx.kinds.iter().enumerate() {
                 if *kind == VarKind::Int {
-                    let rounded = witness[v].round();
-                    if (witness[v] - rounded).abs() > 1e-6 {
+                    // `+ 0.0` turns a rounded `-0.0` into `0.0`.
+                    let rounded = witness[v].round() + 0.0;
+                    if witness[v].to_bits() != rounded.to_bits() {
                         witness[v] = rounded;
                         snapped = true;
                     }

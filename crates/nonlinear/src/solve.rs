@@ -29,7 +29,9 @@ use absolver_linear::CmpOp;
 use absolver_num::Interval;
 use std::sync::{Arc, Mutex};
 
-/// Search-effort counters of one [`branch_and_prune_stats`] run.
+/// Search-effort counters of one [`branch_and_prune_stats`] run, or of
+/// one [`NlProblem::probe`] or [`NlProblem::solve_with_stats`] (box search
+/// and local search).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NlSearchStats {
     /// Boxes popped off the branch-and-prune stack.
@@ -49,6 +51,8 @@ pub struct NlSearchStats {
     /// were carried into this one. Interned [`crate::term::ConstraintId`]s are what
     /// make those stale-looking entries sound to replay verbatim.
     pub contraction_cache_resumes: u64,
+    /// Descent steps the [`local_search`] ran.
+    pub local_search_steps: u64,
 }
 
 impl NlSearchStats {
@@ -249,14 +253,14 @@ impl NlProblem {
     /// The box search under `max_boxes` boxes, with the stagnation cutoff
     /// armed, then, if that search is inconclusive, the [`local_search`].
     fn search_then_local(&self, opts: &NlOptions, max_boxes: usize) -> (NlVerdict, NlSearchStats) {
-        let (verdict, stats) = branch_and_prune_inner(self, opts, max_boxes, true);
-        let verdict = match verdict {
-            NlVerdict::Unknown => match local_search(self, opts) {
-                Some(point) => NlVerdict::Sat(point),
-                None => NlVerdict::Unknown,
-            },
-            verdict => verdict,
-        };
+        let (mut verdict, mut stats) = branch_and_prune_inner(self, opts, max_boxes, true);
+        if verdict == NlVerdict::Unknown {
+            let (witness, steps) = local_search(self, opts);
+            stats.local_search_steps = steps;
+            if let Some(point) = witness {
+                verdict = NlVerdict::Sat(point);
+            }
+        }
         (verdict, stats)
     }
 }
@@ -707,21 +711,42 @@ impl XorShift {
     }
 }
 
+/// Checkpoint spacing of the local search's restart cutoff, in steps:
+/// every this many steps a restart must have cut its penalty by at least
+/// [`RESTART_MIN_PROGRESS`] since the previous checkpoint, or it is
+/// abandoned. Steering's probes stop descending after 25–50 steps of the
+/// 400 a restart may run, and the witnesses of the test suite, Table 1 and
+/// the bench workloads all come from restarts that never stall this long
+/// (EXPERIMENTS.md, *Steering: cutting stalled local-search restarts*).
+const RESTART_CHECKPOINT: usize = 25;
+
+/// Least fraction by which a restart's penalty must fall from one
+/// [`RESTART_CHECKPOINT`] to the next for the restart to go on.
+const RESTART_MIN_PROGRESS: f64 = 0.05;
+
 /// Multistart projected gradient descent on the quadratic penalty
 /// `P(x) = Σ violation(cᵢ, x)²` — the IPOPT-role numerical engine.
 ///
 /// The search runs on two [`term::DagProgram`]s compiled from the term arena:
 /// one over the constraint left-hand sides, evaluated once per point
 /// (satisfaction, violations and the penalty all derive from those
-/// values), and one over the partials `∂cᵢ/∂v` for the variables `v` that
-/// `cᵢ` mentions (every other partial is exactly zero). Shared subterms
-/// are computed once per point, and the steps allocate nothing.
+/// values, computed together), and one over the partials `∂cᵢ/∂v` for the
+/// variables `v` that `cᵢ` mentions (every other partial is exactly zero).
+/// Shared subterms are computed once per point, a rejected step keeps the
+/// gradient of the point it did not leave, and the steps allocate nothing.
 ///
-/// Returns a feasible point (within `opts.tolerance`) or `None`.
-pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> Option<Vec<f64>> {
+/// A restart that stalls, whose penalty falls by less than
+/// [`RESTART_MIN_PROGRESS`] over [`RESTART_CHECKPOINT`] steps, is
+/// abandoned. Start points are drawn only when a restart begins, so every
+/// restart starts where it would without the cutoff, and one that is not
+/// abandoned follows the same path.
+///
+/// Returns a feasible point (within `opts.tolerance`) or `None`, and the
+/// number of descent steps run.
+pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> (Option<Vec<f64>>, u64) {
     let n = problem.num_vars();
     if n == 0 {
-        return problem.is_satisfied(&[], 0.0).then(Vec::new);
+        return (problem.is_satisfied(&[], 0.0).then(Vec::new), 0);
     }
     let cs = &problem.constraints;
     let terms: Vec<TermId> = cs.iter().map(NlConstraint::term).collect();
@@ -745,78 +770,92 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> Option<Vec<f64>> {
         .map(|&b| sampling_interval(b))
         .collect();
 
-    let satisfied = |at: &[f64]| {
-        cs.iter()
-            .enumerate()
-            .all(|(ci, c)| holds_robust(c.op, lhs.root(at, ci), rhs[ci], opts.tolerance))
-    };
-    let violation_of =
-        |at: &[f64], ci: usize| violation(cs[ci].op, lhs.root(at, ci), rhs[ci], opts.strict_margin);
-    let penalty = |at: &[f64]| -> f64 {
-        (0..cs.len())
-            .map(|ci| {
-                let v = violation_of(at, ci);
-                v * v
-            })
-            .sum()
+    // Fills `viol` with each constraint's violation at the point whose
+    // program slots are `at`; returns the penalty and whether every
+    // constraint holds there.
+    let assess = |at: &[f64], viol: &mut [f64]| -> (f64, bool) {
+        let mut holds = true;
+        for (ci, c) in cs.iter().enumerate() {
+            let value = lhs.root(at, ci);
+            viol[ci] = violation(c.op, value, rhs[ci], opts.strict_margin);
+            holds &= holds_robust(c.op, value, rhs[ci], opts.tolerance);
+        }
+        (viol.iter().map(|v| v * v).sum(), holds)
     };
 
     let mut rng = XorShift::new(opts.seed);
+    let mut steps = 0u64;
     let mut x = vec![0.0f64; n];
     let mut trial = vec![0.0f64; n];
     let mut grad = vec![0.0f64; n];
+    let mut norm = 0.0;
+    let mut viol_x = vec![0.0f64; cs.len()];
+    let mut viol_trial = vec![0.0f64; cs.len()];
     // Program slots at `x`, at `trial`, and of the partials at `x`.
     let mut at_x = Vec::new();
     let mut at_trial = Vec::new();
     let mut partial_at_x = Vec::new();
     for _ in 0..opts.restarts {
         if opts.interrupted() {
-            return None;
+            return (None, steps);
         }
         for (xi, &(lo, hi)) in x.iter_mut().zip(&ranges) {
             *xi = lo + rng.next_f64() * (hi - lo);
         }
         let mut lr = 0.1;
         lhs.eval_f64(&x, &mut at_x);
-        let mut p = penalty(&at_x);
+        let (mut p, mut holds) = assess(&at_x, &mut viol_x);
+        let mut checkpoint = p;
+        // Whether `grad` and `norm` belong to an earlier `x`.
+        let mut moved = true;
         for step in 0..opts.iterations {
-            if satisfied(&at_x) {
-                return Some(x);
+            if holds {
+                return (Some(x), steps);
             }
             if step % 64 == 63 && opts.interrupted() {
-                return None;
+                return (None, steps);
             }
             if !p.is_finite() {
                 break; // restart from elsewhere
             }
-            // ∇P = Σ 2·violation·(±∇lhs) over active constraints.
-            grad.fill(0.0);
-            partial_prog.eval_f64(&x, &mut partial_at_x);
-            for (ci, c) in cs.iter().enumerate() {
-                let viol = violation_of(&at_x, ci);
-                if viol == 0.0 {
-                    continue;
+            if step > 0 && step % RESTART_CHECKPOINT == 0 {
+                if p > (1.0 - RESTART_MIN_PROGRESS) * checkpoint {
+                    break; // stalled: restart from elsewhere
                 }
-                // Direction of increasing violation w.r.t. lhs.
-                let sign = match c.op {
-                    CmpOp::Lt | CmpOp::Le => 1.0,
-                    CmpOp::Gt | CmpOp::Ge => -1.0,
-                    CmpOp::Eq => {
-                        if lhs.root(&at_x, ci) >= rhs[ci] {
-                            1.0
-                        } else {
-                            -1.0
+                checkpoint = p;
+            }
+            steps += 1;
+            if moved {
+                // ∇P = Σ 2·violation·(±∇lhs) over active constraints.
+                grad.fill(0.0);
+                partial_prog.eval_f64(&x, &mut partial_at_x);
+                for (ci, c) in cs.iter().enumerate() {
+                    let viol = viol_x[ci];
+                    if viol == 0.0 {
+                        continue;
+                    }
+                    // Direction of increasing violation w.r.t. lhs.
+                    let sign = match c.op {
+                        CmpOp::Lt | CmpOp::Le => 1.0,
+                        CmpOp::Gt | CmpOp::Ge => -1.0,
+                        CmpOp::Eq => {
+                            if lhs.root(&at_x, ci) >= rhs[ci] {
+                                1.0
+                            } else {
+                                -1.0
+                            }
+                        }
+                    };
+                    for k in spans[ci]..spans[ci + 1] {
+                        let d = partial_prog.root(&partial_at_x, k);
+                        if d.is_finite() {
+                            grad[partials[k].0] += 2.0 * viol * sign * d;
                         }
                     }
-                };
-                for k in spans[ci]..spans[ci + 1] {
-                    let d = partial_prog.root(&partial_at_x, k);
-                    if d.is_finite() {
-                        grad[partials[k].0] += 2.0 * viol * sign * d;
-                    }
                 }
+                norm = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
+                moved = false;
             }
-            let norm: f64 = grad.iter().map(|g| g * g).sum::<f64>().sqrt();
             if norm < 1e-14 {
                 break; // flat (likely a non-feasible local minimum)
             }
@@ -825,11 +864,14 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> Option<Vec<f64>> {
                 *t = (xi - lr * gi / norm).clamp(lo, hi);
             }
             lhs.eval_f64(&trial, &mut at_trial);
-            let p_trial = penalty(&at_trial);
+            let (p_trial, holds_trial) = assess(&at_trial, &mut viol_trial);
             if p_trial < p {
                 std::mem::swap(&mut x, &mut trial);
                 std::mem::swap(&mut at_x, &mut at_trial);
+                std::mem::swap(&mut viol_x, &mut viol_trial);
                 p = p_trial;
+                holds = holds_trial;
+                moved = true;
                 lr = (lr * 1.3).min(1.0e3);
             } else {
                 lr *= 0.5;
@@ -838,11 +880,11 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> Option<Vec<f64>> {
                 }
             }
         }
-        if satisfied(&at_x) {
-            return Some(x);
+        if holds {
+            return (Some(x), steps);
         }
     }
-    None
+    (None, steps)
 }
 
 #[cfg(test)]
@@ -996,6 +1038,29 @@ mod tests {
             NlVerdict::Unknown => panic!("should find x=3"),
             NlVerdict::Unsat => panic!("x^3=27 is satisfiable"),
         }
+    }
+
+    #[test]
+    fn stalled_restarts_are_cut_and_the_witness_is_kept() {
+        // x⁴ − 4x² + x ≤ −5 holds only in the left well (x in about
+        // [−1.75, −1.15]); the right well bottoms out near x = 1.35 at
+        // about −2.6, a local minimum of the penalty that is not feasible.
+        // Over [−2, 40] the first five restarts descend into the right
+        // well and stall there; the sixth reaches the left one at step 22.
+        let f = x().pow(4) - Expr::int(4) * x().pow(2) + x();
+        let mut p = NlProblem::new(1);
+        p.add_constraint(NlConstraint::new(f, CmpOp::Le, q(-5)));
+        p.bound_var(0, Interval::new(-2.0, 40.0));
+        let opts = NlOptions::default();
+        let (witness, steps) = local_search(&p, &opts);
+        // The witness the search found when every restart ran until it
+        // converged or gave up: cutting the stalled ones moves no start
+        // point and no step of the restart that succeeds.
+        assert_eq!(witness.map(|w| w[0].to_bits()), Some(0xbff7_a2f8_fa82_40f4));
+        // Uncut, the six restarts take 449 steps; the stalled ones are now
+        // abandoned at step 75, 50, 50, 50 and 50.
+        assert_eq!(steps, 297);
+        assert!(steps < (opts.restarts * opts.iterations) as u64);
     }
 
     #[test]

@@ -50,4 +50,4 @@ pub use protocol::{
     MAX_BODY_BYTES,
 };
 pub use queue::JobQueue;
-pub use server::{Server, ServerOptions, ServerStats, Submission};
+pub use server::{spawn_with_stack, Server, ServerOptions, ServerStats, Submission};

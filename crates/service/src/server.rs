@@ -198,6 +198,31 @@ pub enum Submission {
     },
 }
 
+/// Stack size of every thread that parses or solves a problem: the main
+/// thread's 8 MiB, so the daemon answers what the CLI answers. The
+/// expression walks recurse once per nesting level and a sum nests one
+/// level per term, so a default 2 MiB thread aborts the whole process on
+/// a sum of a few thousand terms (a few hundred in a debug build).
+const THREAD_STACK_BYTES: usize = 8 << 20;
+
+/// Spawns a thread with an 8 MiB stack, as much as a main thread gets,
+/// for the daemon's threads that parse or solve problems.
+///
+/// # Panics
+///
+/// If the operating system cannot create the thread, as
+/// [`std::thread::spawn`] does.
+pub fn spawn_with_stack<F, T>(f: F) -> JoinHandle<T>
+where
+    F: FnOnce() -> T + Send + 'static,
+    T: Send + 'static,
+{
+    std::thread::Builder::new()
+        .stack_size(THREAD_STACK_BYTES)
+        .spawn(f)
+        .expect("failed to spawn thread")
+}
+
 /// The resident solve service. Construction spawns the worker pool;
 /// [`Server::shutdown`] drains and joins it.
 pub struct Server {
@@ -233,7 +258,7 @@ impl Server {
         let workers = (0..shared.options.workers.max(1))
             .map(|_| {
                 let shared = shared.clone();
-                std::thread::spawn(move || worker_loop(&shared))
+                spawn_with_stack(move || worker_loop(&shared))
             })
             .collect();
         Server {

@@ -29,6 +29,7 @@
 //! | `contract.bc3`   | theory layer        | `count` (BC3 bound shavings this check) |
 //! | `contract.newton`| theory layer        | `count` (interval-Newton steps this check) |
 //! | `contract.cache_hit` | theory layer    | `count` (contraction-cache hits this check) |
+//! | `local_search.steps` | theory layer    | `count` (local-search descent steps this check) |
 //! | `cache.hit`      | orchestrator        | `literals`                     |
 //! | `cache.miss`     | orchestrator        | `literals`                     |
 //! | `conflict`       | orchestrator        | `iteration`, `literals`        |

@@ -24,7 +24,7 @@
 //! 2 on a usage or setup error.
 
 use absolver::service::protocol::{ClientFrame, ErrCode, Response};
-use absolver::service::{RequestDecoder, Server, ServerOptions, Submission};
+use absolver::service::{spawn_with_stack, RequestDecoder, Server, ServerOptions, Submission};
 use absolver::trace::{FileSink, NullSink, TraceSink};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -319,7 +319,7 @@ fn main() -> ExitCode {
                 };
                 let server = server.clone();
                 let shutdown = shutdown.clone();
-                std::thread::spawn(move || {
+                spawn_with_stack(move || {
                     serve_connection(&server, stream, write_half, &shutdown);
                 });
             }
@@ -331,7 +331,7 @@ fn main() -> ExitCode {
     {
         let server = server.clone();
         let shutdown = shutdown.clone();
-        std::thread::spawn(move || {
+        spawn_with_stack(move || {
             serve_connection(&server, std::io::stdin(), std::io::stdout(), &shutdown);
             if !serving_socket {
                 shutdown.fire();

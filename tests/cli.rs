@@ -182,6 +182,7 @@ fn stats_json_emits_one_valid_object_with_phase_timings() {
         "\"theory_checks\":",
         "\"simplex_pivots\":",
         "\"hc4_contractions\":",
+        "\"local_search_steps\":",
         "\"phase\":{",
         "\"boolean_us\":",
         "\"linear_us\":",
@@ -193,6 +194,52 @@ fn stats_json_emits_one_valid_object_with_phase_timings() {
     }
     // No pretty-printing, no trailing garbage: exactly one object.
     assert_eq!(json_line.matches("\"elapsed_us\":").count(), 1);
+}
+
+#[test]
+fn stats_json_counts_local_search_steps() {
+    // No start point satisfies the equality, so the penalty engine has to
+    // descend to its witness.
+    let input = "p cnf 1 1\n1 0\nc def real 1 x * x = 2\nc range x -10 10\n";
+    let out = run_stdin(&["--nonlinear", "penalty", "--stats", "json"], input);
+    assert_eq!(exit_code(&out), 10);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let json_line = stdout
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .expect("a JSON stats line on stdout");
+    let steps: u64 = json_line
+        .split("\"local_search_steps\":")
+        .nth(1)
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|digits| digits.parse().ok())
+        .unwrap_or_else(|| panic!("no local_search_steps in {json_line}"));
+    assert!(steps > 0, "{json_line}");
+}
+
+#[test]
+fn int_witness_is_snapped_and_rechecked() {
+    // x = 0 is the only integer the descent's near-zero witness rounds
+    // to, and it breaks the strict x·x > 0: the answer may be `x = ±1` or
+    // unknown, never `x = 0` or a fractional value.
+    let input = "p cnf 3 3\n1 0\n2 0\n3 0\nc def int 1 x * x > 0\n\
+                 c def int 2 x >= -1\nc def int 3 x <= 1\n";
+    for args in [
+        &[][..],
+        &["--no-preprocess"][..],
+        &["--nonlinear", "penalty"][..],
+    ] {
+        let out = run_stdin(args, input);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        match exit_code(&out) {
+            10 => assert!(
+                stdout.contains("v x = 1\n") || stdout.contains("v x = -1\n"),
+                "{args:?}: {stdout}"
+            ),
+            30 => {}
+            code => panic!("{args:?}: exit {code}: {stdout}"),
+        }
+    }
 }
 
 #[test]
