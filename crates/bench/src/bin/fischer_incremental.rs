@@ -8,9 +8,9 @@
 //!
 //! At each depth the session run performs the same three checks the
 //! from-scratch loop does — the reachability query, an idempotent
-//! re-check (the verdict-cache showcase), and a `push`/mutex/`check`/`pop`
-//! excursion (n ≥ 2) — but keeps its Boolean state, simplex assertion
-//! stack, lemmas, and theory-verdict cache across all of them. The
+//! re-check (a warm re-check of the unchanged problem), and a
+//! `push`/mutex/`check`/`pop` excursion (n ≥ 2) — but keeps its Boolean
+//! state, simplex assertion stack and lemmas across all of them. The
 //! from-scratch comparator solves byte-identical cloned problems with a
 //! fresh orchestrator per check.
 //!
@@ -18,9 +18,8 @@
 //! `--check-regress` the run fails (exit 1) unless: the fresh session
 //! time is within the regression limit of the checked-in baseline in
 //! `ABS_BENCH_BASELINE_DIR` (default `.`), the session beats the
-//! from-scratch loop outright, the theory-verdict cache scored at least
-//! one hit, and every verdict matches the protocol (reach SAT, mutex
-//! UNSAT at every depth, both modes).
+//! from-scratch loop outright, and every verdict matches the protocol
+//! (reach SAT, mutex UNSAT at every depth, both modes).
 
 use absolver_bench::fischer::FischerStream;
 use absolver_bench::harness::{regression_limit_us, report_u64};
@@ -72,8 +71,8 @@ fn main() {
             eprintln!("  BAD VERDICT: n={n} reach is {}", verdict_name(&reach));
             failed = true;
         }
-        // Idempotent re-check: same frame, same projection — the theory
-        // verdict cache should answer it.
+        // Idempotent re-check: same frame, nothing asserted since, so it
+        // starts from the warm Boolean state.
         scratch_problems.push((stream.session().problem().clone(), "sat"));
         let again = stream.session_mut().check().unwrap();
         if !again.is_sat() {
@@ -96,10 +95,9 @@ fn main() {
     let session_elapsed = session_started.elapsed();
     let cumulative = stream.session().cumulative_stats();
     eprintln!(
-        "  session: {} checks in {}us, {} cache hits, {} lemmas retained",
+        "  session: {} checks in {}us, {} lemmas retained",
         stream.session().checks(),
         session_elapsed.as_micros(),
-        cumulative.theory_cache_hits,
         stream.session().lemmas_retained(),
     );
 
@@ -125,12 +123,6 @@ fn main() {
     // ---- report ------------------------------------------------------
     let session_us = saturating_micros(session_elapsed);
     let scratch_us = saturating_micros(scratch_elapsed);
-    let cache_lookups = cumulative.theory_cache_hits + cumulative.theory_cache_misses;
-    let hit_rate = if cache_lookups == 0 {
-        0.0
-    } else {
-        cumulative.theory_cache_hits as f64 / cache_lookups as f64
-    };
     let speedup = if session_us == 0 {
         0.0
     } else {
@@ -144,8 +136,6 @@ fn main() {
         .field_u64("session_elapsed_us", session_us)
         .field_u64("scratch_elapsed_us", scratch_us)
         .field_f64("speedup", speedup)
-        .field_u64("theory_cache_hits", cumulative.theory_cache_hits)
-        .field_f64("theory_cache_hit_rate", hit_rate)
         .field_u64("lemmas_retained", stream.session().lemmas_retained() as u64)
         .field_raw("stats", &cumulative.to_json());
     let report = obj.finish();
@@ -154,11 +144,7 @@ fn main() {
         eprintln!("cannot write {}: {e}", path.display());
         failed = true;
     } else {
-        eprintln!(
-            "  {:.2}x over from-scratch, cache hit rate {hit_rate:.3} -> {}",
-            speedup,
-            path.display()
-        );
+        eprintln!("  {:.2}x over from-scratch -> {}", speedup, path.display());
     }
 
     // ---- gates -------------------------------------------------------
@@ -191,10 +177,6 @@ fn main() {
                 "  NO PAYOFF: session ({session_us}us) does not beat from-scratch \
                  ({scratch_us}us)"
             );
-            failed = true;
-        }
-        if cumulative.theory_cache_hits == 0 {
-            eprintln!("  DEAD CACHE: the session scored zero theory-verdict cache hits");
             failed = true;
         }
     }

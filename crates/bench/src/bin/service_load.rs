@@ -228,7 +228,6 @@ fn main() {
         hits as f64 / lookups as f64
     };
     let worker_aborts = stats.aborts.load(Ordering::Relaxed);
-    let contraction_hits = stats.contraction_hits.load(Ordering::Relaxed);
 
     eprintln!(
         "  {total_requests} requests in {elapsed_us}us ({throughput_rps:.0} rps), \
@@ -238,7 +237,6 @@ fn main() {
         "  cold p50 {cold_p50_us}us vs resub p50 {resub_p50_us}us ({resub_speedup:.1}x), \
          cache hit rate {cache_hit_rate:.3}, aborts {worker_aborts}"
     );
-    eprintln!("  contraction cache: {contraction_hits} hits");
 
     // ---- report ------------------------------------------------------
     let mut obj = JsonObject::new();

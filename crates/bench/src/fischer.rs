@@ -168,7 +168,7 @@ pub fn fischer_mutex(config: FischerConfig) -> AbProblem {
 /// timing atoms, serialised-write disjunctions against every earlier
 /// process, and the process-0 entry clause for the new contender. Nothing
 /// already asserted ever changes, which is what lets the session keep its
-/// lemmas, verdict cache, and warm Boolean state across depths.
+/// lemmas and warm Boolean state across depths.
 ///
 /// The mutual-exclusion query is *not* monotone (it constrains process 1's
 /// entry), so it runs as a `push` / [`FischerStream::assert_mutex_entry`] /

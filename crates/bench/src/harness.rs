@@ -90,18 +90,12 @@ pub fn run_absolver_report(
         ),
         "preprocessing changed the verdict: raw={raw_verdict} preprocessed={verdict}"
     );
-    // Derived efficiency metrics of the incremental theory engine:
-    // pivot effort per theory check and the verdict-cache hit rate.
+    // Pivot effort per theory check, the incremental theory engine's
+    // derived efficiency metric.
     let pivots_per_check = if stats.theory_checks == 0 {
         0.0
     } else {
         stats.simplex_pivots as f64 / stats.theory_checks as f64
-    };
-    let cache_lookups = stats.theory_cache_hits + stats.theory_cache_misses;
-    let cache_hit_rate = if cache_lookups == 0 {
-        0.0
-    } else {
-        stats.theory_cache_hits as f64 / cache_lookups as f64
     };
     // Hash-consing census of the workload's atom definitions: how many
     // expression-tree nodes the problem writes down versus how many
@@ -125,12 +119,7 @@ pub fn run_absolver_report(
         .field_u64("linear_constraints", problem.num_linear() as u64)
         .field_u64("nonlinear_constraints", problem.num_nonlinear() as u64)
         .field_f64("pivots_per_check", pivots_per_check)
-        .field_f64("cache_hit_rate", cache_hit_rate)
         .field_f64("contractions_per_check", stats.contractions_per_check())
-        .field_f64(
-            "contraction_cache_hit_rate",
-            stats.contraction_cache_hit_rate(),
-        )
         .field_u64("term_tree_nodes", term_tree_nodes)
         .field_u64("term_distinct_nodes", term_distinct_nodes)
         .field_f64("term_dedup_rate", term_dedup_rate)

@@ -25,7 +25,7 @@ use absolver_nonlinear::{
 use absolver_sat::{SolveResult, Solver};
 use std::fmt;
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -305,13 +305,6 @@ pub struct NonlinearBackendStats {
     pub bc3_contractions: u64,
     /// Interval-Newton passes that narrowed (or emptied) a domain.
     pub newton_contractions: u64,
-    /// Contraction-cache lookups answered without a revise.
-    pub contraction_cache_hits: u64,
-    /// Contraction-cache lookups that fell through to a revise.
-    pub contraction_cache_misses: u64,
-    /// Solves that resumed a non-empty persistent contraction cache
-    /// (contraction work inherited from an earlier solve).
-    pub contraction_cache_resumes: u64,
     /// Descent steps of the local search across all solve calls.
     pub local_search_steps: u64,
 }
@@ -322,9 +315,6 @@ impl NonlinearBackendStats {
         self.hc4_contractions += run.hc4_contractions;
         self.bc3_contractions += run.bc3_contractions;
         self.newton_contractions += run.newton_contractions;
-        self.contraction_cache_hits += run.contraction_cache_hits;
-        self.contraction_cache_misses += run.contraction_cache_misses;
-        self.contraction_cache_resumes += run.contraction_cache_resumes;
         self.local_search_steps += run.local_search_steps;
     }
 }
@@ -377,33 +367,16 @@ impl fmt::Debug for dyn NonlinearBackend + '_ {
 }
 
 /// Rigorous interval branch-and-prune backend (can prove UNSAT).
-///
-/// The constructor installs a persistent contraction-cache handle (see
-/// [`NlOptions::persistent_cache`]), so one backend instance — e.g. the
-/// one a session's orchestrator keeps alive — carries its contraction
-/// cache across `solve` calls. Sound because cache entries
-/// are keyed on stable interned constraint ids, not per-solve indices.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct IntervalNonlinear {
     /// Engine options.
     pub options: NlOptions,
     stats: NonlinearBackendStats,
 }
 
-impl Default for IntervalNonlinear {
-    fn default() -> Self {
-        IntervalNonlinear::with_options(NlOptions::default())
-    }
-}
-
 impl IntervalNonlinear {
-    /// A backend with explicit engine options. When contraction caching
-    /// is enabled and no cross-solve cache home is set, one is created so
-    /// the cache survives between solves.
-    pub fn with_options(mut options: NlOptions) -> IntervalNonlinear {
-        if options.contraction_cache && options.persistent_cache.is_none() {
-            options.persistent_cache = Some(Arc::new(Mutex::new(None)));
-        }
+    /// A backend with explicit engine options.
+    pub fn with_options(options: NlOptions) -> IntervalNonlinear {
         IntervalNonlinear {
             options,
             stats: NonlinearBackendStats::default(),
@@ -479,31 +452,16 @@ impl NonlinearBackend for PenaltyNonlinear {
 /// [`NlProblem::probe`] (a short box search, then the penalty search),
 /// `escalate` the one-shot [`NlProblem::solve_with_stats`] (the box
 /// search under the whole budget, then the penalty search).
-///
-/// Like [`IntervalNonlinear`], the constructor installs a persistent
-/// contraction-cache handle so contraction work is shared across the
-/// backend's `solve` calls.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CascadeNonlinear {
     /// Engine options.
     pub options: NlOptions,
     stats: NonlinearBackendStats,
 }
 
-impl Default for CascadeNonlinear {
-    fn default() -> Self {
-        CascadeNonlinear::with_options(NlOptions::default())
-    }
-}
-
 impl CascadeNonlinear {
-    /// A backend with explicit engine options. When contraction caching
-    /// is enabled and no cross-solve cache home is set, one is created so
-    /// the cache survives between solves.
-    pub fn with_options(mut options: NlOptions) -> CascadeNonlinear {
-        if options.contraction_cache && options.persistent_cache.is_none() {
-            options.persistent_cache = Some(Arc::new(Mutex::new(None)));
-        }
+    /// A backend with explicit engine options.
+    pub fn with_options(options: NlOptions) -> CascadeNonlinear {
         CascadeNonlinear {
             options,
             stats: NonlinearBackendStats::default(),

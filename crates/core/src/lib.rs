@@ -69,9 +69,7 @@ pub use backends::{
     NonlinearBackend, PenaltyNonlinear, RestartingBoolean, SimplexLinear,
 };
 pub use circuit::{Circuit, Gate, NoOutputError, NodeId, TseitinCnf};
-pub use orchestrator::{
-    problem_fingerprint, Orchestrator, OrchestratorOptions, OrchestratorStats, Outcome, SolveError,
-};
+pub use orchestrator::{Orchestrator, OrchestratorOptions, OrchestratorStats, Outcome, SolveError};
 pub use parallel::{ParallelOptions, ParallelStats, ParallelStrategy, ShardStats};
 pub use parser::{
     parse_session_constraint, parse_spanned, DefSite, ParseAbError, RangeSite, SourceMap, Span,

@@ -29,7 +29,7 @@ use crate::backends::{
     NonlinearBackend, NonlinearBackendStats, SimplexLinear,
 };
 use crate::preprocess::{PreprocessSummary, Preprocessed, ProblemPreprocessor};
-use crate::problem::{AbModel, AbProblem, ArithModel, VarKind};
+use crate::problem::{AbModel, AbProblem, VarKind};
 use crate::structure::Partition;
 use crate::theory::{
     check, prepare_defs, IncrementalLinear, LinActivity, PreparedConstraint, TheoryBudget,
@@ -38,7 +38,7 @@ use crate::theory::{
 use absolver_logic::{Assignment, Clause, Lit, Tri, Var};
 use absolver_num::Interval;
 use absolver_trace::{saturating_micros, JsonObject, NullSink, TraceEvent, TraceSink};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
@@ -148,27 +148,19 @@ pub struct OrchestratorStats {
     /// feasible basis instead of re-tableauing (0 when no backend
     /// provides an assertion stack).
     pub simplex_warm_starts: u64,
-    /// Theory checks answered from the verdict cache (no simplex or
-    /// nonlinear work at all).
-    pub theory_cache_hits: u64,
-    /// Theory checks that missed the verdict cache and were computed.
-    pub theory_cache_misses: u64,
     /// HC4 interval contractions performed by the nonlinear backends.
     pub hc4_contractions: u64,
     /// BC3 bound-shaving contractions performed by the nonlinear backends.
     pub bc3_contractions: u64,
     /// Interval-Newton contractions performed by the nonlinear backends.
     pub newton_contractions: u64,
-    /// Nonlinear contraction-cache lookups answered without a revise.
+    /// Always zero: the nonlinear layer has no contraction cache. Kept
+    /// with [`OrchestratorStats::contraction_cache_misses`] so the
+    /// `contraction_cache_{hits,misses}` JSON keys and their readers stay
+    /// stable until the benchmark drops them.
     pub contraction_cache_hits: u64,
-    /// Nonlinear contraction-cache lookups that fell through to a revise.
+    /// Always zero; see [`OrchestratorStats::contraction_cache_hits`].
     pub contraction_cache_misses: u64,
-    /// Nonlinear solves that resumed a non-empty persistent contraction
-    /// cache — contraction work inherited from an *earlier* check or
-    /// solve on the same orchestrator. Nonzero proves cross-solve sharing
-    /// actually happened; the stable interned constraint ids are what
-    /// keep the inherited entries valid.
-    pub contraction_cache_resumes: u64,
     /// Descent steps of the nonlinear backends' local search.
     pub local_search_steps: u64,
     /// Terms interned into the global hash-consed arena during the call
@@ -211,8 +203,7 @@ impl fmt::Display for OrchestratorStats {
             f,
             "iterations={} theory_checks={} conflicts={} avg_conflict_len={:.1} unknown={} \
              escalated={} timed_out={} cancelled={} shared={} imported={} pivots={} warm_starts={} \
-             cache_hits={} cache_misses={} contractions={}/{}/{} contraction_cache={}/{} \
-             local_search_steps={} terms_interned={} term_dedup={} pre_vars={} pre_clauses={} \
+             contractions={}/{}/{} local_search_steps={} terms_interned={} term_dedup={} pre_vars={} pre_clauses={} \
              pre_atoms={} pre_ranges={} subsumed={} components={} static_unsat={} preprocess={:?} \
              boolean={:?} linear={:?} nonlinear={:?} conflict_min={:?} elapsed={:?}",
             self.boolean_iterations,
@@ -231,13 +222,9 @@ impl fmt::Display for OrchestratorStats {
             self.clauses_imported,
             self.simplex_pivots,
             self.simplex_warm_starts,
-            self.theory_cache_hits,
-            self.theory_cache_misses,
             self.hc4_contractions,
             self.bc3_contractions,
             self.newton_contractions,
-            self.contraction_cache_hits,
-            self.contraction_cache_misses,
             self.local_search_steps,
             self.terms_interned,
             self.term_dedup_hits,
@@ -281,14 +268,9 @@ impl OrchestratorStats {
         self.conflict_min_time += other.conflict_min_time;
         self.simplex_pivots += other.simplex_pivots;
         self.simplex_warm_starts += other.simplex_warm_starts;
-        self.theory_cache_hits += other.theory_cache_hits;
-        self.theory_cache_misses += other.theory_cache_misses;
         self.hc4_contractions += other.hc4_contractions;
         self.bc3_contractions += other.bc3_contractions;
         self.newton_contractions += other.newton_contractions;
-        self.contraction_cache_hits += other.contraction_cache_hits;
-        self.contraction_cache_misses += other.contraction_cache_misses;
-        self.contraction_cache_resumes += other.contraction_cache_resumes;
         self.local_search_steps += other.local_search_steps;
         self.terms_interned += other.terms_interned;
         self.term_dedup_hits += other.term_dedup_hits;
@@ -318,17 +300,6 @@ impl OrchestratorStats {
             0.0
         } else {
             self.total_contractions() as f64 / self.theory_checks as f64
-        }
-    }
-
-    /// Hit rate of the nonlinear contraction cache (`0.0` when it never
-    /// fired).
-    pub fn contraction_cache_hit_rate(&self) -> f64 {
-        let total = self.contraction_cache_hits + self.contraction_cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.contraction_cache_hits as f64 / total as f64
         }
     }
 
@@ -369,14 +340,11 @@ impl OrchestratorStats {
             .field_u64("share_latency_us", saturating_micros(self.share_latency))
             .field_u64("simplex_pivots", self.simplex_pivots)
             .field_u64("simplex_warm_starts", self.simplex_warm_starts)
-            .field_u64("theory_cache_hits", self.theory_cache_hits)
-            .field_u64("theory_cache_misses", self.theory_cache_misses)
             .field_u64("hc4_contractions", self.hc4_contractions)
             .field_u64("bc3_contractions", self.bc3_contractions)
             .field_u64("newton_contractions", self.newton_contractions)
             .field_u64("contraction_cache_hits", self.contraction_cache_hits)
             .field_u64("contraction_cache_misses", self.contraction_cache_misses)
-            .field_u64("contraction_cache_resumes", self.contraction_cache_resumes)
             .field_u64("local_search_steps", self.local_search_steps)
             .field_u64("terms_interned", self.terms_interned)
             .field_u64("term_dedup_hits", self.term_dedup_hits)
@@ -412,11 +380,9 @@ pub struct OrchestratorOptions {
     /// returns [`Outcome::Unknown`] (and [`OrchestratorStats::timed_out`]
     /// is set).
     pub time_limit: Option<Duration>,
-    /// Memoize theory verdicts keyed on the involved-literal assignment
-    /// (on by default). Repeated theory projections — `solve_all`
-    /// enumeration differing only in free Boolean variables, cubes
-    /// re-visiting sub-assignments — are answered without touching the
-    /// arithmetic engines. Disable for ablation / differential testing.
+    /// Read by nothing: the control loop has no theory-verdict cache.
+    /// Kept so code that sets it still compiles until the benchmark drops
+    /// it.
     pub theory_cache: bool,
 }
 
@@ -517,75 +483,6 @@ struct Undecided {
     open: bool,
 }
 
-/// A memoized theory verdict. `Unknown` is never cached — it reflects a
-/// budget, not a fact about the assignment.
-#[derive(Debug, Clone)]
-enum CachedVerdict {
-    Sat(ArithModel),
-    Unsat(Vec<usize>),
-}
-
-/// Theory-verdict cache keyed on the involved-literal assignment (the
-/// polarity-carrying `Lit`s of the defined variables, in definition
-/// order — a deterministic, canonical tag for the projection). The
-/// verdict of a theory check depends only on this projection, so it is
-/// valid across `solve_all` enumeration, repeated cube sub-assignments,
-/// and whole solve calls — as long as the problem itself is unchanged,
-/// which `fingerprint` guards. Incremental sessions bypass the
-/// fingerprint and instead invalidate entries selectively
-/// ([`Orchestrator::cache_retain`]); each entry carries the value of
-/// `seq` at insertion time so a session can discard exactly the entries
-/// computed after a popped frame opened.
-#[derive(Debug, Default)]
-struct TheoryCache {
-    map: HashMap<Vec<Lit>, (u64, CachedVerdict)>,
-    fingerprint: u64,
-    seq: u64,
-}
-
-/// splitmix64 finalizer, used to fold interned ids and range bits into
-/// the problem fingerprint.
-fn mix64(mut x: u64) -> u64 {
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// A cheap structural fingerprint of the parts of a problem the theory
-/// cache depends on: the arithmetic variables (name, kind, range) and the
-/// atom definitions. The CNF skeleton is deliberately excluded — clauses
-/// do not change what a theory projection means.
-///
-/// Constraints contribute their interned [`absolver_nonlinear::ConstraintId`]:
-/// hash-consing makes structural equality id equality, so one `u64` mix
-/// per constraint replaces formatting the whole expression tree — O(1)
-/// per constraint instead of O(size). (Interned ids are process-local, so
-/// the fingerprint is only meaningful within one process — which is all
-/// the in-process theory cache needs.)
-pub fn problem_fingerprint(problem: &AbProblem) -> u64 {
-    let mut h = 0x9e37_79b9_7f4a_7c15u64;
-    for v in problem.arith_vars() {
-        for b in v.name.bytes() {
-            h = mix64(h ^ b as u64);
-        }
-        h = mix64(
-            h ^ match v.kind {
-                VarKind::Int => 0x1111,
-                VarKind::Real => 0x2222,
-            },
-        );
-        h = mix64(h ^ v.range.lo().to_bits());
-        h = mix64(h ^ v.range.hi().to_bits());
-    }
-    for (var, def) in problem.defs() {
-        h = mix64(h ^ (var.index() as u64).wrapping_add(0x5851_f42d_4c95_7f2d));
-        for c in &def.constraints {
-            h = mix64(h ^ (c.cid().raw() as u64 + 1));
-        }
-    }
-    h
-}
-
 /// The ABsolver engine: a Boolean backend plus lists of linear and
 /// nonlinear backends, orchestrated by the lazy-SMT control loop.
 #[derive(Debug)]
@@ -607,7 +504,6 @@ pub struct Orchestrator {
     /// Incremental linear session of the current call (when the first
     /// linear backend provides an assertion stack).
     incremental: Option<IncrementalLinear>,
-    cache: TheoryCache,
     /// Equisatisfiable pre-pass run by `solve` (not `solve_under` with a
     /// cube, not `solve_all`) before the control loop starts.
     preprocessor: Option<Box<dyn ProblemPreprocessor>>,
@@ -642,7 +538,6 @@ impl Orchestrator {
             sink: Arc::new(NullSink),
             interned: Vec::new(),
             incremental: None,
-            cache: TheoryCache::default(),
             preprocessor: None,
             session_lemmas: None,
             undecided: Undecided::default(),
@@ -664,7 +559,6 @@ impl Orchestrator {
             sink: Arc::new(NullSink),
             interned: Vec::new(),
             incremental: None,
-            cache: TheoryCache::default(),
             preprocessor: None,
             session_lemmas: None,
             undecided: Undecided::default(),
@@ -806,9 +700,6 @@ impl Orchestrator {
             total.hc4_contractions += s.hc4_contractions;
             total.bc3_contractions += s.bc3_contractions;
             total.newton_contractions += s.newton_contractions;
-            total.contraction_cache_hits += s.contraction_cache_hits;
-            total.contraction_cache_misses += s.contraction_cache_misses;
-            total.contraction_cache_resumes += s.contraction_cache_resumes;
             total.local_search_steps += s.local_search_steps;
         }
         total
@@ -851,15 +742,6 @@ impl Orchestrator {
         self.stats.newton_contractions += nl1
             .newton_contractions
             .saturating_sub(nl0.newton_contractions);
-        self.stats.contraction_cache_hits += nl1
-            .contraction_cache_hits
-            .saturating_sub(nl0.contraction_cache_hits);
-        self.stats.contraction_cache_misses += nl1
-            .contraction_cache_misses
-            .saturating_sub(nl0.contraction_cache_misses);
-        self.stats.contraction_cache_resumes += nl1
-            .contraction_cache_resumes
-            .saturating_sub(nl0.contraction_cache_resumes);
         self.stats.local_search_steps += nl1
             .local_search_steps
             .saturating_sub(nl0.local_search_steps);
@@ -889,9 +771,8 @@ impl Orchestrator {
     }
 
     /// Per-call setup of the one-shot entry points: rebuilds the interned
-    /// constraint pool, opens a fresh incremental linear session (when
-    /// the first linear backend provides one), and invalidates the theory
-    /// cache if the problem changed since the previous call.
+    /// constraint pool and opens a fresh incremental linear session (when
+    /// the first linear backend provides one).
     fn prepare_session(&mut self, problem: &AbProblem) {
         self.intern_defs(problem);
         self.incremental = self
@@ -899,62 +780,6 @@ impl Orchestrator {
             .first()
             .and_then(|b| b.make_stack(problem.arith_vars().len()))
             .map(IncrementalLinear::new);
-        let fingerprint = problem_fingerprint(problem);
-        if self.cache.fingerprint != fingerprint {
-            self.cache.map.clear();
-            self.cache.fingerprint = fingerprint;
-        }
-    }
-
-    /// Looks up the memoized verdict for an involved-literal assignment.
-    fn cached_verdict(&self, involved: &[Lit]) -> Option<TheoryVerdict> {
-        if !self.options.theory_cache {
-            return None;
-        }
-        self.cache.map.get(involved).map(|(_, v)| match v {
-            CachedVerdict::Sat(m) => TheoryVerdict::Sat(m.clone()),
-            CachedVerdict::Unsat(tags) => TheoryVerdict::Unsat(tags.clone()),
-        })
-    }
-
-    /// Memoizes a computed verdict (`Unknown` is budget-dependent and
-    /// never stored).
-    fn store_verdict(&mut self, involved: &[Lit], verdict: &TheoryVerdict) {
-        if !self.options.theory_cache {
-            return;
-        }
-        let cached = match verdict {
-            TheoryVerdict::Sat(m) => CachedVerdict::Sat(m.clone()),
-            TheoryVerdict::Unsat(tags) => CachedVerdict::Unsat(tags.clone()),
-            TheoryVerdict::Unknown => return,
-        };
-        self.cache.seq += 1;
-        self.cache
-            .map
-            .insert(involved.to_vec(), (self.cache.seq, cached));
-    }
-
-    /// The cache-insertion sequence number: entries stored later have a
-    /// strictly larger stamp. Sessions snapshot it at `push` so `pop` can
-    /// discard exactly the entries computed inside the popped frames.
-    pub(crate) fn cache_seq(&self) -> u64 {
-        self.cache.seq
-    }
-
-    /// Retains only the verdict-cache entries for which `keep` returns
-    /// true. The closure sees the involved-literal key, the insertion
-    /// stamp (see [`Orchestrator::cache_seq`]), and whether the entry is
-    /// a SAT verdict. This is the session-side invalidation hook; the
-    /// non-session paths keep using the fingerprint wholesale clear.
-    pub(crate) fn cache_retain(&mut self, mut keep: impl FnMut(&[Lit], u64, bool) -> bool) {
-        self.cache
-            .map
-            .retain(|k, (seq, v)| keep(k, *seq, matches!(v, CachedVerdict::Sat(_))));
-    }
-
-    /// Drops every cached verdict (session `reset`).
-    pub(crate) fn cache_clear(&mut self) {
-        self.cache.map.clear();
     }
 
     /// Solves an AB-problem. When a preprocessor is installed
@@ -1203,13 +1028,12 @@ impl Orchestrator {
     ///
     /// Unlike [`Orchestrator::solve_under`] this does **not** reset the
     /// incremental machinery: the interned definition pool is rebuilt only
-    /// when `args.rebuild_defs` says the definitions changed, the simplex
-    /// assertion stack persists across checks (rebuilt only when the
-    /// arithmetic variable count outgrows its columns), and the theory
-    /// cache is left untouched — the session invalidates it selectively
-    /// through [`Orchestrator::cache_retain`]. The Boolean solver is kept
-    /// warm when `args.reload` is false (only `args.new_clauses` are
-    /// added); otherwise it is reloaded from the problem CNF and the
+    /// when `args.rebuild_defs` says the definitions changed, and the
+    /// simplex assertion stack persists across checks (rebuilt only when
+    /// the arithmetic variable count outgrows its columns). The Boolean
+    /// solver is kept warm when `args.reload` is false (only
+    /// `args.new_clauses` are added); otherwise it is reloaded from the
+    /// problem CNF and the
     /// surviving session lemmas are replayed.
     pub(crate) fn session_solve(
         &mut self,
@@ -1587,9 +1411,8 @@ impl Orchestrator {
     }
 
     /// One theory check of a Boolean model — the first pass, or with
-    /// `escalate` the second — answered from the verdict cache when it
-    /// can be. Emits `theory.check`. Returns the verdict and whether a
-    /// second pass may settle it if it is `Unknown`.
+    /// `escalate` the second. Emits `theory.check`. Returns the verdict
+    /// and whether a second pass may settle it if it is `Unknown`.
     fn theory_check(
         &mut self,
         problem: &AbProblem,
@@ -1598,27 +1421,7 @@ impl Orchestrator {
         escalate: bool,
     ) -> (TheoryVerdict, bool) {
         let started = Instant::now();
-        let involved = &ob.involved;
-        let (verdict, escalable) = match self.cached_verdict(involved) {
-            Some(verdict) => {
-                self.stats.theory_cache_hits += 1;
-                self.trace(|| {
-                    TraceEvent::new("cache.hit").field_u64("literals", involved.len() as u64)
-                });
-                (verdict, false)
-            }
-            None => {
-                if self.options.theory_cache {
-                    self.stats.theory_cache_misses += 1;
-                    self.trace(|| {
-                        TraceEvent::new("cache.miss").field_u64("literals", involved.len() as u64)
-                    });
-                }
-                let (verdict, escalable) = self.check_with_choices(problem, ob, env, escalate);
-                self.store_verdict(involved, &verdict);
-                (verdict, escalable)
-            }
-        };
+        let (verdict, escalable) = self.check_with_choices(problem, ob, env, escalate);
         self.trace(|| {
             let label = match &verdict {
                 TheoryVerdict::Sat(_) => "sat",
@@ -1940,23 +1743,6 @@ c range y -10 10
         for m in &models {
             assert!(m.satisfies(&problem, 1e-9));
         }
-        // The repeated projection is answered from the theory cache.
-        assert!(orc.stats().theory_cache_hits >= 1);
-    }
-
-    #[test]
-    fn cache_disabled_agrees_and_counts_nothing() {
-        let problem: AbProblem = PAPER_EXAMPLE.parse().unwrap();
-        let mut on = Orchestrator::with_defaults();
-        let mut off = Orchestrator::with_defaults().with_options(OrchestratorOptions {
-            theory_cache: false,
-            ..Default::default()
-        });
-        let a = on.solve(&problem).unwrap();
-        let b = off.solve(&problem).unwrap();
-        assert_eq!(a.is_sat(), b.is_sat());
-        assert_eq!(off.stats().theory_cache_hits, 0);
-        assert_eq!(off.stats().theory_cache_misses, 0);
     }
 
     #[test]

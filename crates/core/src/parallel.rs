@@ -114,10 +114,6 @@ pub struct ShardStats {
     pub boolean_iterations: u64,
     /// Theory checks performed.
     pub theory_checks: u64,
-    /// Theory verdicts answered from the shard's verdict cache.
-    pub theory_cache_hits: u64,
-    /// Theory-cache lookups that fell through to a real check.
-    pub theory_cache_misses: u64,
     /// Simplex checks that started from a warm tableau.
     pub simplex_warm_starts: u64,
     /// Blocking clauses fed back.
@@ -409,8 +405,6 @@ fn solve_portfolio(
                             cubes_solved: 1,
                             boolean_iterations: stats.boolean_iterations,
                             theory_checks: stats.theory_checks,
-                            theory_cache_hits: stats.theory_cache_hits,
-                            theory_cache_misses: stats.theory_cache_misses,
                             simplex_warm_starts: stats.simplex_warm_starts,
                             conflicts_fed_back: stats.conflicts_fed_back,
                             clauses_shared: stats.clauses_shared,
@@ -548,8 +542,6 @@ fn solve_cubes(
                         stats.cubes_solved += 1;
                         stats.boolean_iterations += run.boolean_iterations;
                         stats.theory_checks += run.theory_checks;
-                        stats.theory_cache_hits += run.theory_cache_hits;
-                        stats.theory_cache_misses += run.theory_cache_misses;
                         stats.simplex_warm_starts += run.simplex_warm_starts;
                         stats.conflicts_fed_back += run.conflicts_fed_back;
                         stats.clauses_shared += run.clauses_shared;
@@ -749,8 +741,6 @@ fn solve_component_shards(
                         stats.cubes_solved += 1;
                         stats.boolean_iterations += run.boolean_iterations;
                         stats.theory_checks += run.theory_checks;
-                        stats.theory_cache_hits += run.theory_cache_hits;
-                        stats.theory_cache_misses += run.theory_cache_misses;
                         stats.simplex_warm_starts += run.simplex_warm_starts;
                         stats.conflicts_fed_back += run.conflicts_fed_back;
                         stats.clauses_shared += run.clauses_shared;

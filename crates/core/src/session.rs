@@ -2,19 +2,19 @@
 //!
 //! A [`Session`] is the SMT-solver-style incremental front end the ROADMAP
 //! calls for: one long-lived handle owning the Boolean engine, the simplex
-//! assertion stack, the theory-verdict cache, and the interned definition
-//! pool, so that successive `check()` calls reuse each other's work instead
-//! of re-solving from scratch. Assertions are grouped into *frames* opened
-//! by [`Session::push`] and discarded by [`Session::pop`].
+//! assertion stack and the interned definition pool, so that successive
+//! `check()` calls reuse each other's work instead of re-solving from
+//! scratch. Assertions are grouped into *frames* opened by
+//! [`Session::push`] and discarded by [`Session::pop`].
 //!
 //! # Frame contract
 //!
 //! Everything a session asserts is **append-only** inside a frame: Boolean
 //! variables, clauses, arithmetic variables, definitions, and range
 //! tightenings only ever grow or narrow the problem. A frame therefore
-//! snapshots just a handful of counters (variable/clause counts, lemma and
-//! cache sequence watermarks) plus restore lists for the two non-monotone
-//! mutations (extending an *existing* definition, tightening an *existing*
+//! snapshots just a handful of counters (variable/clause counts, the lemma
+//! watermark) plus restore lists for the two non-monotone mutations
+//! (extending an *existing* definition, tightening an *existing*
 //! variable's range). `pop` is an undo, not a rebuild: it truncates the
 //! append-only state back to the snapshot and replays the restore lists.
 //!
@@ -39,11 +39,6 @@
 //!   range-sensitive (nonlinear) sessions, every lemma learned inside that
 //!   frame. Tightening itself never invalidates a lemma: an infeasibility
 //!   proof over a wider box covers every narrower box.
-//!
-//! The same discipline governs the theory-verdict cache, with one
-//! refinement: cached **Sat** entries survive range *widening* (a witness
-//! in a narrow box lies in every wider box) but are dropped on range
-//! *tightening*, symmetrically to Unsat facts.
 //!
 //! The Boolean solver itself stays warm between checks whenever its clause
 //! database is a sound image of the current frame: a pop, a definition
@@ -138,9 +133,6 @@ struct Frame {
     arith_vars: usize,
     /// `cnf.len()` at push.
     clauses: usize,
-    /// Orchestrator cache sequence at push — cache entries stamped later
-    /// were created inside this frame.
-    cache_seq: u64,
     /// Session event sequence at push — lemmas stamped later were learned
     /// inside this frame.
     session_seq: u64,
@@ -270,7 +262,7 @@ impl Session {
         self.orc.set_deadline(deadline);
     }
 
-    /// Whether lemma/cache validity depends on variable ranges — true as
+    /// Whether lemma validity depends on variable ranges — true as
     /// soon as any definition carries a non-affine constraint (the linear
     /// theory path never reads ranges).
     fn range_sensitive(&self) -> bool {
@@ -335,11 +327,6 @@ impl Session {
             }
         }
         self.problem.vars[var].range = new;
-        if self.range_sensitive() {
-            // Tightening preserves infeasibility proofs (lemmas, Unsat
-            // entries) but a cached witness may fall outside the new box.
-            self.orc.cache_retain(|_, _, is_sat| !is_sat);
-        }
         self.seq += 1;
         self.invalidated();
         Ok(())
@@ -381,9 +368,9 @@ impl Session {
 
     /// Attaches a constraint to a Boolean variable. Repeated calls on the
     /// same variable build a *conjunction*; extending a variable that
-    /// already carries a definition invalidates the lemmas and cache
-    /// entries that mention it (see the module docs) and forces a Boolean
-    /// reload at the next check.
+    /// already carries a definition invalidates the lemmas that mention it
+    /// (see the module docs) and forces a Boolean reload at the next
+    /// check.
     pub fn define(&mut self, var: Var, constraint: NlConstraint) -> Result<(), SessionError> {
         if let Some(max) = constraint.max_var() {
             if max >= self.problem.vars.len() {
@@ -402,13 +389,11 @@ impl Session {
                     f.def_restores.push((key, old_len));
                 }
             }
-            // Lemmas and cache entries involving this atom were derived
-            // from the old definition; the negative projection is *weaker*
-            // under the extension, so they are no longer implied.
+            // Lemmas involving this atom were derived from the old
+            // definition; the negative projection is *weaker* under the
+            // extension, so they are no longer implied.
             self.lemmas
                 .retain(|l| !l.clause.iter().any(|lit| lit.var() == var));
-            self.orc
-                .cache_retain(|k, _, _| !k.iter().any(|lit| lit.var() == var));
             self.boolean_dirty = true;
         }
         self.problem
@@ -447,7 +432,6 @@ impl Session {
             bool_vars: self.problem.cnf.num_vars(),
             arith_vars: self.problem.vars.len(),
             clauses: self.problem.cnf.len(),
-            cache_seq: self.orc.cache_seq(),
             session_seq: self.seq,
             def_restores: Vec::new(),
             range_restores: Vec::new(),
@@ -456,9 +440,8 @@ impl Session {
     }
 
     /// Discards the most recent frame, undoing every assertion made since
-    /// the matching [`Session::push`]. Lemmas and cache entries that
-    /// depended on the popped state are discarded; frame-independent ones
-    /// survive.
+    /// the matching [`Session::push`]. Lemmas that depended on the popped
+    /// state are discarded; frame-independent ones survive.
     pub fn pop(&mut self) -> Result<(), SessionError> {
         let f = self.frames.pop().ok_or(SessionError::NoFrame)?;
         self.problem.cnf.truncate(f.clauses, f.bool_vars);
@@ -495,15 +478,6 @@ impl Session {
                 && !(widened && l.seq > f.session_seq)
         });
         let dropped = before - self.lemmas.len();
-        self.orc.cache_retain(|key, seq, is_sat| {
-            key.iter().all(|l| l.var().index() < watermark)
-                && !key
-                    .iter()
-                    .any(|lit| restored.contains(&(lit.var().index() as u32)))
-                // Widening back invalidates Unsat facts proved inside the
-                // frame's tighter box; Sat witnesses still fit.
-                && !(widened && !is_sat && seq > f.cache_seq)
-        });
         self.boolean_dirty = true;
         self.defs_dirty = true;
         self.seq += 1;
@@ -517,13 +491,12 @@ impl Session {
         Ok(())
     }
 
-    /// Clears every assertion, frame, lemma, and cache entry. Cumulative
+    /// Clears every assertion, frame and lemma. Cumulative
     /// statistics and the check counter survive.
     pub fn reset(&mut self) {
         self.problem = AbProblem::default();
         self.frames.clear();
         self.lemmas.clear();
-        self.orc.cache_clear();
         self.boolean_dirty = true;
         self.defs_dirty = true;
         self.synced_clauses = 0;
@@ -615,6 +588,8 @@ mod tests {
     use super::*;
     use absolver_linear::CmpOp;
     use absolver_nonlinear::Expr;
+    use absolver_trace::{CollectingSink, TraceSink};
+    use std::sync::Arc;
 
     fn q(n: i64) -> Rational {
         Rational::from_int(n)
@@ -675,14 +650,27 @@ mod tests {
 
     #[test]
     fn warm_check_reuses_boolean_state() {
-        let mut s = Session::new();
+        let sink = Arc::new(CollectingSink::new());
+        let mut s = Session::with_orchestrator(
+            Orchestrator::with_defaults().with_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>),
+        );
         let x = s.arith_var("x", VarKind::Real).unwrap();
         let a = s.atom(Expr::var(x), CmpOp::Ge, q(0)).unwrap();
         s.require(a.positive());
         assert!(s.check().unwrap().is_sat());
-        // Re-checking the unchanged problem should hit the verdict cache.
+        // Re-checking the unchanged problem keeps the Boolean solver warm.
         assert!(s.check().unwrap().is_sat());
-        assert!(s.cumulative_stats().theory_cache_hits > 0);
+        let reloads: Vec<_> = sink
+            .events()
+            .iter()
+            .filter(|e| e.kind == "session.check.start")
+            .map(|e| e.get("reload").map(str::to_string))
+            .collect();
+        assert_eq!(
+            reloads,
+            [Some("true".to_string()), Some("false".to_string())],
+            "only the first check loads the CNF"
+        );
     }
 
     #[test]

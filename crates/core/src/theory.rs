@@ -477,10 +477,6 @@ pub fn check(items: &[TheoryItem], ctx: &mut TheoryContext<'_>) -> TheoryVerdict
                 nl1.newton_contractions - nl0.newton_contractions,
             ),
             (
-                "contract.cache_hit",
-                nl1.contraction_cache_hits - nl0.contraction_cache_hits,
-            ),
-            (
                 "local_search.steps",
                 nl1.local_search_steps - nl0.local_search_steps,
             ),
@@ -505,8 +501,6 @@ fn nonlinear_stat_totals(
         total.hc4_contractions += s.hc4_contractions;
         total.bc3_contractions += s.bc3_contractions;
         total.newton_contractions += s.newton_contractions;
-        total.contraction_cache_hits += s.contraction_cache_hits;
-        total.contraction_cache_misses += s.contraction_cache_misses;
         total.local_search_steps += s.local_search_steps;
     }
     total

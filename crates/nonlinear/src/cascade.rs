@@ -1,6 +1,5 @@
 //! Composable contractor cascade: HC4 → BC3 → interval Newton,
-//! scheduled cheapest-first, with worklist propagation and an optional
-//! contraction cache.
+//! scheduled cheapest-first, with worklist propagation.
 //!
 //! The cascade replaces the fixed `20 sweeps × all constraints` HC4 loop
 //! of the original branch-and-prune with cooperating layers:
@@ -28,7 +27,6 @@
 //! Any narrowing an expensive stage achieves is fed back to the HC4
 //! worklist.
 
-use crate::cache::{CachedContraction, ContractionCache, QUANTIZE_BITS};
 use crate::constraint::NlConstraint;
 use crate::hc4::{hc4_revise_scratch, Contraction, ReviseScratch};
 use crate::newton::NewtonConstraint;
@@ -177,10 +175,6 @@ pub struct CascadeStats {
     pub bc3_contractions: u64,
     /// Newton passes that narrowed or emptied a domain.
     pub newton_contractions: u64,
-    /// Contraction-cache lookups answered from the cache.
-    pub cache_hits: u64,
-    /// Contraction-cache lookups that fell through to a revise.
-    pub cache_misses: u64,
 }
 
 /// Maximum dichotomy probes per BC3 bound.
@@ -228,16 +222,11 @@ fn refuted_by(op: CmpOp, rhs: Interval, lhs: Interval) -> bool {
 
 /// The cascade engine: one instance per branch-and-prune run (or per
 /// worker thread), holding the per-constraint variable projections,
-/// var→constraint watcher lists, compiled Newton forms, and the optional
-/// contraction cache.
+/// var→constraint watcher lists and compiled Newton forms.
 #[derive(Debug)]
 pub struct Cascade<'a> {
     constraints: &'a [NlConstraint],
-    /// Stable interned constraint ids — the cache key component that
-    /// stays identical across solves (and requests), unlike the positional
-    /// index `ci`, so a persistent cache keeps hitting on resubmission.
-    cids: Vec<usize>,
-    /// Sorted variable list of each constraint (the cache projection).
+    /// Sorted variable list of each constraint.
     vars: Vec<Vec<usize>>,
     /// For each variable, the constraints that mention it.
     watchers: Vec<Vec<usize>>,
@@ -253,7 +242,6 @@ pub struct Cascade<'a> {
     newton: Vec<Option<NewtonConstraint>>,
     has_newton: bool,
     config: ContractorConfig,
-    cache: Option<ContractionCache>,
     /// Effort counters, drained by the caller after the run.
     pub stats: CascadeStats,
     min_width: f64,
@@ -261,8 +249,6 @@ pub struct Cascade<'a> {
     queue: Vec<usize>,
     in_queue: Vec<bool>,
     revise_scratch: ReviseScratch,
-    qbuf: Vec<Interval>,
-    sbuf: Vec<Interval>,
 }
 
 impl<'a> Cascade<'a> {
@@ -272,30 +258,8 @@ impl<'a> Cascade<'a> {
         constraints: &'a [NlConstraint],
         num_vars: usize,
         config: ContractorConfig,
-        use_cache: bool,
         min_width: f64,
     ) -> Cascade<'a> {
-        Cascade::with_cache(
-            constraints,
-            num_vars,
-            config,
-            use_cache.then(ContractionCache::new),
-            min_width,
-        )
-    }
-
-    /// Like [`Cascade::new`], but seeded with an existing contraction
-    /// cache — results keyed on stable constraint ids stay valid across
-    /// solves, so a persistent session can carry its cache from one
-    /// `check` to the next and keep hitting on resubmitted boxes.
-    pub fn with_cache(
-        constraints: &'a [NlConstraint],
-        num_vars: usize,
-        config: ContractorConfig,
-        cache: Option<ContractionCache>,
-        min_width: f64,
-    ) -> Cascade<'a> {
-        let cids: Vec<usize> = constraints.iter().map(|c| c.cid().index()).collect();
         let vars: Vec<Vec<usize>> = constraints.iter().map(|c| c.variables().to_vec()).collect();
         let mut watchers = vec![Vec::new(); num_vars];
         for (ci, cvars) in vars.iter().enumerate() {
@@ -315,7 +279,6 @@ impl<'a> Cascade<'a> {
         let has_newton = newton.iter().any(Option::is_some);
         Cascade {
             constraints,
-            cids,
             vars,
             watchers,
             targets,
@@ -325,14 +288,11 @@ impl<'a> Cascade<'a> {
             newton,
             has_newton,
             config,
-            cache,
             stats: CascadeStats::default(),
             min_width,
             queue: Vec::new(),
             in_queue: vec![false; constraints.len()],
             revise_scratch: ReviseScratch::default(),
-            qbuf: Vec::new(),
-            sbuf: Vec::new(),
         }
     }
 
@@ -477,106 +437,19 @@ impl<'a> Cascade<'a> {
         outcome(any_change)
     }
 
-    /// One (possibly cached) HC4 revise of constraint `ci`. Returns the
-    /// contraction plus whether the constraint is entailed (certainly
-    /// true) over the box.
+    /// One HC4 revise of constraint `ci`. Returns the contraction plus
+    /// whether the constraint is entailed (certainly true) over the box.
     fn revise(&mut self, ci: usize, boxes: &mut [Interval]) -> (Contraction, bool) {
-        let constraints = self.constraints;
-        if self.cache.is_none() {
-            let (out, lhs) = hc4_revise_scratch(
-                &constraints[ci],
-                self.targets[ci],
-                boxes,
-                &mut self.revise_scratch,
-            );
-            if out != Contraction::Unchanged {
-                self.stats.hc4_contractions += 1;
-            }
-            if out != Contraction::Empty && refuted_by(constraints[ci].op, self.rhs_ivs[ci], lhs) {
-                return (Contraction::Empty, false);
-            }
-            let entailed =
-                out != Contraction::Empty && entailed_by(constraints[ci].op, self.rhs_ivs[ci], lhs);
-            return (out, entailed);
-        }
-        let cvars = &self.vars[ci];
-        let cid = self.cids[ci];
-        self.qbuf.clear();
-        for &v in cvars {
-            self.qbuf.push(boxes[v].quantize_outward(QUANTIZE_BITS));
-        }
-        let hash = ContractionCache::hash(cid, &self.qbuf);
-        let cache = self.cache.as_mut().expect("cache enabled");
-        if let Some(cached) = cache.find(hash, cid, &self.qbuf) {
-            self.stats.cache_hits += 1;
-            return match cached {
-                CachedContraction::Empty => (Contraction::Empty, false),
-                CachedContraction::Narrowed { ivs, entailed } => {
-                    let entailed = *entailed;
-                    // Apply: intersect the live box with the
-                    // (superset-derived) result.
-                    let mut changed = false;
-                    for (&v, &iv) in cvars.iter().zip(ivs.iter()) {
-                        let next = boxes[v].intersect(iv);
-                        if next.is_empty() {
-                            return (Contraction::Empty, false);
-                        }
-                        if next != boxes[v] {
-                            boxes[v] = next;
-                            changed = true;
-                        }
-                    }
-                    (outcome(changed), entailed)
-                }
-            };
-        }
-        self.stats.cache_misses += 1;
-        // Contract the *quantized* superset box so the result is valid
-        // for every live box sharing this key.
-        self.sbuf.clear();
-        self.sbuf.extend_from_slice(boxes);
-        for (&v, &q) in cvars.iter().zip(self.qbuf.iter()) {
-            self.sbuf[v] = q;
-        }
-        let (out, lhs) = hc4_revise_scratch(
-            &constraints[ci],
-            self.targets[ci],
-            &mut self.sbuf,
-            &mut self.revise_scratch,
-        );
+        let c = &self.constraints[ci];
+        let (out, lhs) = hc4_revise_scratch(c, self.targets[ci], boxes, &mut self.revise_scratch);
         if out != Contraction::Unchanged {
             self.stats.hc4_contractions += 1;
         }
-        if out == Contraction::Empty || refuted_by(constraints[ci].op, self.rhs_ivs[ci], lhs) {
-            cache.put(hash, cid, &self.qbuf, CachedContraction::Empty);
+        if out != Contraction::Empty && refuted_by(c.op, self.rhs_ivs[ci], lhs) {
             return (Contraction::Empty, false);
         }
-        let entailed = entailed_by(constraints[ci].op, self.rhs_ivs[ci], lhs);
-        let ivs: Vec<Interval> = cvars.iter().map(|&v| self.sbuf[v]).collect();
-        let mut changed = false;
-        for (&v, &iv) in cvars.iter().zip(ivs.iter()) {
-            let next = boxes[v].intersect(iv);
-            if next.is_empty() {
-                cache.put(
-                    hash,
-                    cid,
-                    &self.qbuf,
-                    CachedContraction::Narrowed { ivs, entailed },
-                );
-                return (Contraction::Empty, false);
-            }
-            if next != boxes[v] {
-                boxes[v] = next;
-                changed = true;
-            }
-        }
-        cache.put(
-            hash,
-            cid,
-            &self.qbuf,
-            CachedContraction::Narrowed { ivs, entailed },
-        );
-        (outcome(changed), entailed)
+        let entailed = out != Contraction::Empty && entailed_by(c.op, self.rhs_ivs[ci], lhs);
+        (out, entailed)
     }
 
     /// One BC3 sweep: dichotomic bound shaving of every finite-width
@@ -678,22 +551,6 @@ impl<'a> Cascade<'a> {
         }
         outcome(any_change)
     }
-
-    /// Cache-effectiveness counters of the underlying store (0/0 when the
-    /// cache is disabled). Cumulative over the cache's lifetime, which may
-    /// span several cascades when the cache is persistent.
-    pub fn cache_counters(&self) -> (u64, u64) {
-        match &self.cache {
-            Some(c) => (c.hits(), c.misses()),
-            None => (0, 0),
-        }
-    }
-
-    /// Hands the contraction cache back to the caller (for persistence
-    /// across solves). The engine keeps working, uncached, afterwards.
-    pub fn take_cache(&mut self) -> Option<ContractionCache> {
-        self.cache.take()
-    }
 }
 
 fn outcome(changed: bool) -> Contraction {
@@ -712,7 +569,7 @@ pub fn cascade_contract(
     config: ContractorConfig,
 ) -> Contraction {
     let num_vars = boxes.len();
-    let mut engine = Cascade::new(constraints, num_vars, config, false, 1e-9);
+    let mut engine = Cascade::new(constraints, num_vars, config, 1e-9);
     let mut active = ActiveSet::all(constraints.len());
     engine.contract(boxes, None, &mut active)
 }
@@ -721,13 +578,7 @@ pub fn cascade_contract(
 /// property suite.
 pub fn bc3_revise(constraint: &NlConstraint, v: usize, boxes: &mut [Interval]) -> Contraction {
     let constraints = std::slice::from_ref(constraint);
-    let mut engine = Cascade::new(
-        constraints,
-        boxes.len(),
-        ContractorConfig::default(),
-        false,
-        1e-9,
-    );
+    let mut engine = Cascade::new(constraints, boxes.len(), ContractorConfig::default(), 1e-9);
     engine.shave(0, v, boxes)
 }
 
@@ -865,7 +716,7 @@ mod tests {
         let c2 = NlConstraint::new(y(), CmpOp::Le, q(3));
         let constraints = vec![c1, c2];
         let mut full = vec![Interval::new(0.0, 10.0), Interval::new(0.0, 10.0)];
-        let mut engine = Cascade::new(&constraints, 2, ContractorConfig::hc4_only(), false, 1e-9);
+        let mut engine = Cascade::new(&constraints, 2, ContractorConfig::hc4_only(), 1e-9);
         let mut active = ActiveSet::all(2);
         engine.contract(&mut full, None, &mut active);
         // Fixpoint reached; now "split" x to [0, 1] and seed only x's
@@ -881,55 +732,13 @@ mod tests {
         // remove it from the active set without narrowing anything.
         let c = NlConstraint::new(x(), CmpOp::Le, q(5));
         let constraints = vec![c];
-        let mut engine = Cascade::new(&constraints, 1, ContractorConfig::hc4_only(), false, 1e-9);
+        let mut engine = Cascade::new(&constraints, 1, ContractorConfig::hc4_only(), 1e-9);
         let mut active = ActiveSet::all(1);
         let mut bx = vec![Interval::new(0.0, 2.0)];
         let out = engine.contract(&mut bx, None, &mut active);
         assert_eq!(out, Contraction::Unchanged);
         assert!(active.is_empty(), "entailed constraint must be dropped");
         assert_eq!(bx[0], Interval::new(0.0, 2.0));
-    }
-
-    #[test]
-    fn cache_hits_on_sibling_boxes() {
-        let c1 = NlConstraint::new(x().pow(2), CmpOp::Le, q(4));
-        let c2 = NlConstraint::new(y().pow(2), CmpOp::Le, q(9));
-        let constraints = vec![c1, c2];
-        let mut engine = Cascade::new(&constraints, 2, ContractorConfig::hc4_only(), true, 1e-9);
-        let mut left = vec![Interval::new(-10.0, 0.0), Interval::new(-10.0, 10.0)];
-        let mut active_l = ActiveSet::all(2);
-        engine.contract(&mut left, None, &mut active_l);
-        // Sibling box after a split on var 0: var 1's projection is
-        // unchanged, so c2's revise must be answered from the cache.
-        let mut right = vec![Interval::new(0.0, 10.0), Interval::new(-10.0, 10.0)];
-        let mut active_r = ActiveSet::all(2);
-        engine.contract(&mut right, None, &mut active_r);
-        let (hits, misses) = engine.cache_counters();
-        assert!(hits > 0, "sibling revisit must hit the cache");
-        assert!(misses > 0);
-        assert!(right[1].lo() >= -3.0 - 1e-6 && right[1].hi() <= 3.0 + 1e-6);
-    }
-
-    #[test]
-    fn cached_entailment_detected_across_boxes() {
-        // Same projected box twice: the second engine pass must learn the
-        // entailment from the cache, not a fresh revise.
-        let c = NlConstraint::new(x(), CmpOp::Le, q(100));
-        let constraints = vec![c];
-        let mut engine = Cascade::new(&constraints, 1, ContractorConfig::hc4_only(), true, 1e-9);
-        let mut bx1 = vec![Interval::new(0.0, 2.0)];
-        let mut a1 = ActiveSet::all(1);
-        engine.contract(&mut bx1, None, &mut a1);
-        assert!(a1.is_empty());
-        let mut bx2 = vec![Interval::new(0.0, 2.0)];
-        let mut a2 = ActiveSet::all(1);
-        engine.contract(&mut bx2, None, &mut a2);
-        assert!(
-            a2.is_empty(),
-            "entailment must survive the cache round-trip"
-        );
-        let (hits, _) = engine.cache_counters();
-        assert!(hits > 0);
     }
 
     #[test]

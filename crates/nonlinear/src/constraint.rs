@@ -78,8 +78,8 @@ impl NlConstraint {
     }
 
     /// Stable dense id of the whole constraint: equal ids ⇔ structurally
-    /// equal constraints, across solves and requests. The contraction
-    /// cache and the service's structural keys are built on this.
+    /// equal constraints, across solves and requests. The service's
+    /// structural keys are built on this.
     pub fn cid(&self) -> ConstraintId {
         self.cid
     }
@@ -238,7 +238,7 @@ impl NlConstraint {
     }
 
     /// The sorted variables the constraint mentions (precomputed on the
-    /// tape); the projection the contraction cache keys on.
+    /// tape).
     pub fn variables(&self) -> &[VarId] {
         &self.tape.vars
     }

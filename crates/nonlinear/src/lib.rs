@@ -10,12 +10,12 @@
 //! * [`term`] — the global hash-consed term arena: structurally equal
 //!   terms intern to one dense `u32` [`TermId`], every term carries a
 //!   shared flat evaluation tape, and derivatives are memoised per
-//!   `(term, var)` — the id layer every cache below keys on.
+//!   `(term, var)`.
 //! * [`NlConstraint`] — comparisons `expr ⋈ c` with point, tolerance and
 //!   box (three-valued) evaluation, stored in interned form.
 //! * [`hc4`] — the HC4 forward–backward interval contractor, the cheap
 //!   first stage of the contractor [`cascade`] (HC4 → BC3 bound shaving
-//!   → interval [`newton`]), backed by a bounded contraction [`cache`].
+//!   → interval [`newton`]).
 //! * [`NlProblem`] — feasibility of constraint conjunctions in two
 //!   passes: a cheap [`NlProblem::probe`] ([`PROBE_BOXES`] boxes of
 //!   [`branch_and_prune`], then an IPOPT-style multistart
@@ -46,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod cascade;
 mod constraint;
 mod expr;

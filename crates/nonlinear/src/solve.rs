@@ -20,14 +20,12 @@
 //! model first and gives the full check only to the models still open once
 //! the Boolean side has no more models.
 
-use crate::cache::ContractionCache;
 use crate::cascade::{ActiveSet, Cascade, ContractorConfig};
 use crate::constraint::{holds_robust, violation, IntervalVerdict, NlConstraint};
 use crate::hc4::Contraction;
 use crate::term::{self, TermId};
 use absolver_linear::CmpOp;
 use absolver_num::Interval;
-use std::sync::{Arc, Mutex};
 
 /// Search-effort counters of one [`branch_and_prune_stats`] run, or of
 /// one [`NlProblem::probe`] or [`NlProblem::solve_with_stats`] (box search
@@ -42,15 +40,6 @@ pub struct NlSearchStats {
     pub bc3_contractions: u64,
     /// Interval-Newton passes that narrowed (or emptied) a domain.
     pub newton_contractions: u64,
-    /// Contraction-cache lookups answered without a revise.
-    pub contraction_cache_hits: u64,
-    /// Contraction-cache lookups that fell through to a revise.
-    pub contraction_cache_misses: u64,
-    /// Solves that began with a non-empty persistent contraction cache —
-    /// every counted resume proves entries written by an *earlier* solve
-    /// were carried into this one. Interned [`crate::term::ConstraintId`]s are what
-    /// make those stale-looking entries sound to replay verbatim.
-    pub contraction_cache_resumes: u64,
     /// Descent steps the [`local_search`] ran.
     pub local_search_steps: u64,
 }
@@ -61,8 +50,6 @@ impl NlSearchStats {
         self.hc4_contractions += c.hc4_contractions;
         self.bc3_contractions += c.bc3_contractions;
         self.newton_contractions += c.newton_contractions;
-        self.contraction_cache_hits += c.cache_hits;
-        self.contraction_cache_misses += c.cache_misses;
     }
 }
 
@@ -118,16 +105,9 @@ pub struct NlOptions {
     /// Which contractors the cascade runs (HC4 is always on; BC3 and
     /// Newton default on).
     pub contractors: ContractorConfig,
-    /// Memoize per-constraint HC4 fixpoints keyed on the quantized box
-    /// projection (on by default; disable for ablation).
+    /// Read by nothing: the cascade has no contraction cache. Kept so
+    /// code that sets it still compiles until the benchmark drops it.
     pub contraction_cache: bool,
-    /// Optional cross-solve home for the contraction cache. When set (and
-    /// `contraction_cache` is on), the sequential search *takes* the cache
-    /// out of the handle, uses it, and puts it back at the end — sound
-    /// because entries are keyed on stable interned constraint ids, so a
-    /// persistent session resubmitting overlapping boxes keeps hitting
-    /// work done by earlier solves. Parallel workers keep private caches.
-    pub persistent_cache: Option<Arc<Mutex<Option<ContractionCache>>>>,
     /// Worker threads for the box search. `1` (the default) keeps the
     /// deterministic sequential depth-first exploration.
     pub nl_jobs: usize,
@@ -166,7 +146,6 @@ impl Default for NlOptions {
             deadline: None,
             contractors: ContractorConfig::default(),
             contraction_cache: true,
-            persistent_cache: None,
             nl_jobs: 1,
         }
     }
@@ -412,8 +391,8 @@ fn examine_box(
 const STAGNATION_WINDOW: usize = 2048;
 
 /// Like [`branch_and_prune`], but also reports the search-effort counters
-/// (boxes explored, per-contractor contractions, cache traffic) for the
-/// observability layer.
+/// (boxes explored, per-contractor contractions) for the observability
+/// layer.
 ///
 /// Always runs the full `max_boxes` budget: unlike
 /// [`NlProblem::solve_with_stats`], it never stops at the stagnation
@@ -453,27 +432,7 @@ fn branch_and_prune_inner(
     if opts.nl_jobs > 1 {
         return parallel_branch_and_prune(problem, opts, max_boxes, stagnation_cut);
     }
-    // Resume from the persistent cache when the caller keeps one: ids are
-    // stable across solves, so old entries stay valid verbatim.
-    let cache = if opts.contraction_cache {
-        let resumed = opts
-            .persistent_cache
-            .as_ref()
-            .and_then(|h| h.lock().expect("cache handle").take());
-        if resumed.as_ref().is_some_and(|c| !c.is_empty()) {
-            stats.contraction_cache_resumes += 1;
-        }
-        Some(resumed.unwrap_or_default())
-    } else {
-        None
-    };
-    let mut engine = Cascade::with_cache(
-        &problem.constraints,
-        n,
-        opts.contractors,
-        cache,
-        opts.min_width,
-    );
+    let mut engine = Cascade::new(&problem.constraints, n, opts.contractors, opts.min_width);
     // Stack entries carry the split dimension that produced them (`None`
     // for the root), so the cascade can seed its worklist with just the
     // constraints watching that dimension, plus the set of constraints
@@ -530,11 +489,6 @@ fn branch_and_prune_inner(
         }
     }
     stats.absorb_cascade(&engine.stats);
-    if let Some(handle) = &opts.persistent_cache {
-        if let Some(cache) = engine.take_cache() {
-            *handle.lock().expect("cache handle") = Some(cache);
-        }
-    }
     let verdict = early.unwrap_or(if inconclusive {
         NlVerdict::Unknown
     } else {
@@ -545,9 +499,9 @@ fn branch_and_prune_inner(
 
 /// Work-stealing parallel box search: `opts.nl_jobs` workers share a
 /// queue of contracted-and-split boxes, each running its own cascade
-/// engine (and private contraction cache). Verdicts keep the sequential
-/// semantics — `Sat` and `Unsat` are proofs either way, so only the
-/// budget-limited `Unknown` frontier can differ between job counts.
+/// engine. Verdicts keep the sequential semantics — `Sat` and `Unsat`
+/// are proofs either way, so only the budget-limited `Unknown` frontier
+/// can differ between job counts.
 fn parallel_branch_and_prune(
     problem: &NlProblem,
     opts: &NlOptions,
@@ -579,13 +533,8 @@ fn parallel_branch_and_prune(
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| {
-                let mut engine = Cascade::new(
-                    &problem.constraints,
-                    n,
-                    opts.contractors,
-                    opts.contraction_cache,
-                    opts.min_width,
-                );
+                let mut engine =
+                    Cascade::new(&problem.constraints, n, opts.contractors, opts.min_width);
                 let mut local: Vec<WorkItem> = Vec::new();
                 let mut idle_spins = 0u32;
                 loop {

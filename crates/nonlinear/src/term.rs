@@ -7,8 +7,7 @@
 //! of hashing (or rendering) a whole tree. The arena is append-only and
 //! process-global — ids handed out once stay valid for the life of the
 //! process, which is exactly what makes them usable as *cross-solve*
-//! cache keys (the contraction cache, the service's structural problem
-//! key, the orchestrator fingerprint).
+//! cache keys (the service's structural problem key).
 //!
 //! Per term the arena memoises, lazily and exactly once:
 //!
@@ -60,17 +59,12 @@ impl TermId {
 /// Dense identifier of an interned constraint `term ⋈ rhs`. Two
 /// constraints are structurally equal iff their ids are equal; unlike a
 /// bare [`TermId`] the id distinguishes `x² ≤ 4` from `x² = 4`, which is
-/// what makes it the sound contraction-cache key component.
+/// what makes it a sound cache-key component.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ConstraintId(u32);
 
 impl ConstraintId {
-    /// The id as a dense array index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-
-    /// The raw 32-bit id (for fingerprint mixing).
+    /// The raw 32-bit id (a compact hash-map key).
     pub fn raw(self) -> u32 {
         self.0
     }
@@ -367,7 +361,7 @@ fn pop<T: Copy>(stack: &mut Vec<T>) -> T {
     stack.pop().expect("tape operand stack underflow")
 }
 
-/// splitmix64 finalizer — the same mixer the contraction cache uses.
+/// splitmix64 finalizer.
 fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -47,42 +47,6 @@ fn up(v: f64) -> f64 {
     }
 }
 
-const SIGN_BIT: u64 = 1 << 63;
-const INF_BITS: u64 = 0x7FF0_0000_0000_0000;
-
-/// Rounds `v` toward `-inf` onto the grid of floats whose low `bits`
-/// mantissa bits are zero. Infinities pass through; the result is never
-/// NaN and never greater than `v`.
-fn coarsen_down(v: f64, bits: u32) -> f64 {
-    if !v.is_finite() || bits == 0 || bits > 52 {
-        return v;
-    }
-    let mask = (1u64 << bits) - 1;
-    let b = v.to_bits();
-    let mag = b & !SIGN_BIT;
-    if b & SIGN_BIT == 0 {
-        // Positive (or +0): truncating the magnitude moves toward zero,
-        // which is downward.
-        f64::from_bits(mag & !mask)
-    } else if mag & mask == 0 {
-        v
-    } else {
-        // Negative: downward means growing the magnitude to the next
-        // grid point. Saturate to -inf on exponent overflow.
-        let stepped = (mag & !mask) + (mask + 1);
-        if stepped >= INF_BITS {
-            f64::NEG_INFINITY
-        } else {
-            f64::from_bits(SIGN_BIT | stepped)
-        }
-    }
-}
-
-/// Rounds `v` toward `+inf` onto the same grid as [`coarsen_down`].
-fn coarsen_up(v: f64, bits: u32) -> f64 {
-    -coarsen_down(-v, bits)
-}
-
 impl Interval {
     /// The empty interval.
     pub const EMPTY: Interval = Interval {
@@ -434,26 +398,6 @@ impl Interval {
         }
     }
 
-    /// Outward quantization onto a coarse float grid: rounds `lo` toward
-    /// `-inf` and `hi` toward `+inf` so that the low `bits` mantissa bits
-    /// of both endpoints are zero. The result always encloses `self`, so
-    /// any sound contraction computed on the quantized interval also
-    /// applies to `self` — this is what makes the contraction cache
-    /// reusable across nearby boxes without losing soundness.
-    ///
-    /// Quantization is idempotent: re-quantizing with the same `bits`
-    /// is a no-op. `bits` above 52 (the full mantissa) or 0 leave the
-    /// interval unchanged.
-    pub fn quantize_outward(&self, bits: u32) -> Interval {
-        if self.is_empty() {
-            return Interval::EMPTY;
-        }
-        Interval {
-            lo: coarsen_down(self.lo, bits),
-            hi: coarsen_up(self.hi, bits),
-        }
-    }
-
     /// Absolute-value image.
     pub fn abs(&self) -> Interval {
         if self.is_empty() {
@@ -690,15 +634,6 @@ mod tests {
             let inside = n.is_some_and(|i| i.contains(q)) || p.is_some_and(|i| i.contains(q));
             assert!(inside, "{q} escaped div_ext({a}, {b})");
         }
-
-        /// Quantization soundness: the quantized interval encloses the
-        /// original, is idempotent, and never produces NaN endpoints.
-        fn quantize_outward_encloses(a in iv(), bits in gen::ints(0u32..=60)) {
-            let q = a.quantize_outward(bits);
-            assert!(!q.lo().is_nan() && !q.hi().is_nan());
-            assert!(q.encloses(a), "quantize_outward({a}, {bits}) = {q} lost points");
-            assert_eq!(q.quantize_outward(bits), q, "quantization must be idempotent");
-        }
     }
 
     /// Adversarial endpoints: infinities, signed zeros, denormals, and
@@ -791,9 +726,6 @@ mod tests {
                     assert!(r.is_empty(), "{what} must propagate empty");
                 }
             }
-            let q = a.quantize_outward(20);
-            no_nan(q, "quantize_outward");
-            assert!(q.encloses(a));
         }
     }
 
@@ -873,11 +805,6 @@ mod tests {
                     "powi({a}, {n}) produced NaN endpoint {r}"
                 );
             }
-            for bits in [0u32, 1, 8, 20, 32, 52, 53, 60] {
-                let q = a.quantize_outward(bits);
-                assert!(!q.lo().is_nan() && !q.hi().is_nan());
-                assert!(q.encloses(a), "quantize_outward({a}, {bits}) = {q}");
-            }
         }
         // Division by an interval straddling zero covers the whole line
         // (hull of two rays) but never errors.
@@ -887,21 +814,5 @@ mod tests {
         assert!(q.lo() == f64::NEG_INFINITY && q.hi() == f64::INFINITY);
         // [0,0] denominator: empty quotient, not a crash.
         assert!(Interval::new(1.0, 2.0).div(Interval::point(0.0)).is_empty());
-    }
-
-    #[test]
-    fn quantize_outward_boundaries() {
-        // Negative endpoints round away from zero; positive toward zero.
-        let a = Interval::new(-1.000001, 1.000001).quantize_outward(20);
-        assert!(a.lo() <= -1.000001 && a.hi() >= 1.000001);
-        // Saturation near the finite limit lands on infinity, not NaN.
-        let big = Interval::new(-f64::MAX, f64::MAX).quantize_outward(40);
-        assert!(big.encloses(Interval::new(-f64::MAX, f64::MAX)));
-        assert!(!big.lo().is_nan() && !big.hi().is_nan());
-        // A grid-aligned value is untouched.
-        assert_eq!(
-            Interval::new(-2.0, 4.0).quantize_outward(30),
-            Interval::new(-2.0, 4.0)
-        );
     }
 }

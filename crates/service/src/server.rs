@@ -79,8 +79,6 @@ pub struct ServerStats {
     /// analysis — computed fresh on a worker or replayed from the
     /// analysis cache at submission — without entering the solve loop.
     pub static_unsat: AtomicU64,
-    /// Nonlinear contraction-cache hits summed over answered solves.
-    pub contraction_hits: AtomicU64,
     /// Term-intern requests answered by the global arena (structural
     /// duplicates collapsed to an id copy) summed over answered solves.
     pub term_dedup_hits: AtomicU64,
@@ -126,7 +124,6 @@ impl ServerStats {
             .field_u64("problem_hits", get(&self.problem_hits))
             .field_u64("problem_misses", get(&self.problem_misses))
             .field_u64("static_unsat", get(&self.static_unsat))
-            .field_u64("contraction_hits", get(&self.contraction_hits))
             .field_u64("term_dedup_hits", get(&self.term_dedup_hits))
             .field_u64("wait_us_total", get(&self.wait_us_total))
             .field_u64("solve_us_total", get(&self.solve_us_total))
@@ -617,9 +614,6 @@ fn handle_request(shared: &Shared, job: &Job) -> Response {
     orc.set_deadline(job.deadline);
     let result = orc.solve(problem);
     let solve_stats = orc.stats();
-    stats
-        .contraction_hits
-        .fetch_add(solve_stats.contraction_cache_hits, Ordering::Relaxed);
     // Request-window dedup delta on this worker thread (the parse delta
     // was added from `job.parse_dedup` above); the solve's own
     // `term_dedup_hits` covers a sub-window, so it is not added again.

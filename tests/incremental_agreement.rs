@@ -1,11 +1,8 @@
 //! Differential tests for the incremental theory engine: the
-//! assertion-stack simplex path and the theory-verdict cache must be
-//! invisible in verdicts — only the effort counters may differ.
+//! assertion-stack simplex path must be invisible in verdicts — only the
+//! effort counters may differ.
 
-use absolver::core::{
-    AbProblem, CdclBoolean, LinearBackend, Orchestrator, OrchestratorOptions, SimplexLinear,
-    VarKind,
-};
+use absolver::core::{AbProblem, CdclBoolean, LinearBackend, Orchestrator, SimplexLinear, VarKind};
 use absolver::linear::{CmpOp, Feasibility, LinearConstraint};
 use absolver::nonlinear::Expr;
 use absolver::num::Rational;
@@ -117,43 +114,4 @@ fn incremental_stack_agrees_with_scratch_backend() {
         total_warm += inc.stats().simplex_warm_starts;
     }
     assert!(total_warm > 0, "corpus never exercised the warm-start path");
-}
-
-#[test]
-fn cache_on_and_off_are_verdict_identical() {
-    let mut rng = TestRng::seed_from_u64(0xCAC4E);
-    for round in 0..40 {
-        let problem = random_problem(&mut rng);
-
-        let mut on = Orchestrator::with_defaults();
-        let with_cache = on.solve(&problem).unwrap();
-
-        let mut off = Orchestrator::with_defaults().with_options(OrchestratorOptions {
-            theory_cache: false,
-            ..Default::default()
-        });
-        let without_cache = off.solve(&problem).unwrap();
-
-        assert_eq!(
-            with_cache.is_sat(),
-            without_cache.is_sat(),
-            "round {round}: cache-on {with_cache:?} vs cache-off {without_cache:?}"
-        );
-        if let Some(m) = without_cache.model() {
-            assert!(
-                m.satisfies(&problem, 1e-9),
-                "round {round}: cache-off model invalid"
-            );
-        }
-        assert_eq!(
-            off.stats().theory_cache_hits,
-            0,
-            "round {round}: cache-off counted a hit"
-        );
-        assert_eq!(
-            off.stats().theory_cache_misses,
-            0,
-            "round {round}: cache-off counted a miss"
-        );
-    }
 }

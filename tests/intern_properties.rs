@@ -8,7 +8,7 @@
 //! * **Id equality is structural equality** — two expressions intern to
 //!   the same `TermId` exactly when they are structurally equal. This is
 //!   the soundness basis for every identity-keyed cache downstream (the
-//!   contraction cache, the service keys, the orchestrator fingerprint).
+//!   service's problem keys).
 //! * **Tape evaluation agrees with tree evaluation** — the flat postorder
 //!   tape must reproduce the recursive evaluator bit for bit, on `f64`
 //!   points and on interval boxes, and the memoised derivative tape must

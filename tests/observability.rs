@@ -93,11 +93,6 @@ fn contractions_per_check_reports_nonlinear_effort() {
         "derived field must match its inputs"
     );
     assert!(per_check > 0.0, "fig2 forces nonlinear contraction work");
-    let hit_rate = stats.contraction_cache_hit_rate();
-    assert!(
-        (0.0..=1.0).contains(&hit_rate),
-        "hit rate is a ratio: {hit_rate}"
-    );
 }
 
 #[test]
@@ -105,7 +100,6 @@ fn contractions_per_check_is_zero_without_checks() {
     // A default stats block (no solve) must not divide by zero.
     let stats = absolver::core::OrchestratorStats::default();
     assert_eq!(stats.contractions_per_check(), 0.0);
-    assert_eq!(stats.contraction_cache_hit_rate(), 0.0);
 }
 
 #[test]

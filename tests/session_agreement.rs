@@ -8,15 +8,14 @@
 //! The corpus is restricted to the Boolean-linear fragment over small
 //! boxed integers (the `solver_agreement` shape), where verdicts are
 //! decisive: the only legitimate difference between a warm session and a
-//! fresh solve is effort, never the answer. Scripts run both with the
-//! theory-verdict cache on (default) and off.
+//! fresh solve is effort, never the answer.
 //!
 //! The pinned tape in `testkit-regressions/session_agreement.txt` locks
 //! in the stale-learned-clause hazard shape — an UNSAT check inside a
 //! pushed frame followed by checks after `pop` — alongside the explicit
 //! deterministic regressions below.
 
-use absolver::core::{Orchestrator, OrchestratorOptions, Outcome, Session, VarKind};
+use absolver::core::{Orchestrator, Outcome, Session, VarKind};
 use absolver::linear::CmpOp;
 use absolver::nonlinear::Expr;
 use absolver::num::{Interval, Rational};
@@ -110,9 +109,8 @@ fn verdict(outcome: &Outcome) -> &'static str {
 /// Replays `ops` through one persistent session, checking every verdict
 /// and model against a fresh solver on the identical problem. Returns the
 /// number of checks run.
-fn run_script(label: &str, ops: &[Op], options: OrchestratorOptions) -> usize {
-    let orc = Orchestrator::with_defaults().with_options(options);
-    let mut session = Session::with_orchestrator(orc);
+fn run_script(ops: &[Op]) -> usize {
+    let mut session = Session::new();
     let vars: Vec<_> = (0..2)
         .map(|i| {
             session
@@ -180,14 +178,14 @@ fn run_script(label: &str, ops: &[Op], options: OrchestratorOptions) -> usize {
                 checks += 1;
                 let got = session
                     .check()
-                    .unwrap_or_else(|e| panic!("{label}: step {step}: session check failed: {e}"));
+                    .unwrap_or_else(|e| panic!("step {step}: session check failed: {e}"));
                 let want = Orchestrator::with_defaults()
                     .solve(session.problem())
-                    .unwrap_or_else(|e| panic!("{label}: step {step}: oracle failed: {e}"));
+                    .unwrap_or_else(|e| panic!("step {step}: oracle failed: {e}"));
                 assert_eq!(
                     verdict(&got),
                     verdict(&want),
-                    "{label}: step {step} (check {checks}, depth {}): session says {} but a \
+                    "step {step} (check {checks}, depth {}): session says {} but a \
                      fresh solver says {}",
                     session.depth(),
                     verdict(&got),
@@ -196,13 +194,13 @@ fn run_script(label: &str, ops: &[Op], options: OrchestratorOptions) -> usize {
                 if let Some(m) = got.model() {
                     assert!(
                         m.satisfies(session.problem(), 1e-9),
-                        "{label}: step {step}: session model fails re-check"
+                        "step {step}: session model fails re-check"
                     );
                 }
                 if let Some(m) = want.model() {
                     assert!(
                         m.satisfies(session.problem(), 1e-9),
-                        "{label}: step {step}: oracle model fails re-check"
+                        "step {step}: oracle model fails re-check"
                     );
                 }
             }
@@ -216,19 +214,11 @@ property! {
 
     /// The tentpole differential property: randomized interleavings of
     /// `push`/`pop`/`assert`/`check`, verdict- and model-checked against
-    /// a fresh-solver-per-check oracle, with the theory cache on and off.
+    /// a fresh-solver-per-check oracle.
     fn session_interleavings_agree_with_fresh_solver(
         ops in gen::vec_of(op_gen(), 4..=24),
     ) {
-        run_script("cache-on", &ops, OrchestratorOptions::default());
-        run_script(
-            "cache-off",
-            &ops,
-            OrchestratorOptions {
-                theory_cache: false,
-                ..Default::default()
-            },
-        );
+        run_script(&ops);
     }
 }
 

@@ -100,8 +100,8 @@ fn counters(stats: &OrchestratorStats) -> [u64; 8] {
         stats.conflict_literals,
         stats.unknown_checks,
         stats.simplex_pivots,
-        stats.theory_cache_hits,
-        stats.theory_cache_misses,
+        stats.simplex_warm_starts,
+        stats.hc4_contractions,
     ]
 }
 
