@@ -111,17 +111,15 @@ struct TightHook<'a> {
     /// Theory literals currently asserted, in scope order; one simplex
     /// scope per entry.
     stack: Vec<Lit>,
-    /// Constraint ids asserted per scope (for conflict mapping).
-    scope_cids: Vec<Vec<(usize, Lit)>>,
     options: &'a MathSatLikeOptions,
     started: Instant,
     deadline: Option<Duration>,
     timed_out: bool,
     had_unknown: bool,
     last_model: Option<absolver_core::ArithModel>,
-    /// All constraint-id → literal mappings ever asserted (ids are global
-    /// and monotone in `Simplex`).
-    cid_lit: Vec<(usize, Lit)>,
+    /// The literal that asserted each constraint id. A pop frees ids for
+    /// reuse, and each assertion overwrites its id's entry.
+    cid_lit: Vec<Option<Lit>>,
 }
 
 impl<'a> TightHook<'a> {
@@ -135,7 +133,6 @@ impl<'a> TightHook<'a> {
             prepared: prepare_defs(problem),
             simplex: Simplex::with_vars(problem.arith_vars().len()),
             stack: Vec::new(),
-            scope_cids: Vec::new(),
             options,
             started,
             deadline: options.time_limit,
@@ -189,9 +186,7 @@ impl<'a> TightHook<'a> {
         let keep = self.stack.iter().take_while(|&&l| determined(l)).count();
         while self.stack.len() > keep {
             self.stack.pop();
-            self.scope_cids.pop();
             self.simplex.pop();
-            // cid→lit mappings of popped scopes stay valid: ids are unique.
         }
 
         // Push newly determined theory literals.
@@ -209,23 +204,25 @@ impl<'a> TightHook<'a> {
             };
             self.simplex.push();
             self.stack.push(lit);
-            let mut cids = Vec::new();
             for c in &constraints {
                 match self.simplex.assert_constraint(c) {
                     Ok(cid) => {
-                        cids.push((cid, lit));
-                        self.cid_lit.push((cid, lit));
+                        if self.cid_lit.len() <= cid {
+                            self.cid_lit.resize(cid + 1, None);
+                        }
+                        self.cid_lit[cid] = Some(lit);
                     }
                     Err(conflict) => {
-                        // Immediate bound conflict. The new constraint's id
-                        // is `next` − 1 and maps to `lit`.
-                        self.cid_lit.push((self.simplex_last_cid(), lit));
-                        self.scope_cids.push(cids);
-                        return Some(self.conflict_clause(&conflict, lit));
+                        // Immediate bound conflict. The rejected constraint
+                        // gets no id; its literal joins the clause.
+                        let mut clause = self.conflict_clause(&conflict, lit);
+                        clause.push(!lit);
+                        clause.sort_unstable();
+                        clause.dedup();
+                        return Some(clause);
                     }
                 }
             }
-            self.scope_cids.push(cids);
         }
 
         match self.simplex.check() {
@@ -234,22 +231,11 @@ impl<'a> TightHook<'a> {
         }
     }
 
-    fn simplex_last_cid(&self) -> usize {
-        // `assert_constraint` increments the id even on failure.
-        self.cid_lit.last().map(|&(c, _)| c + 1).unwrap_or(0)
-    }
-
     /// Builds a blocking clause from simplex constraint ids.
     fn conflict_clause(&self, core: &[usize], fallback: Lit) -> Vec<Lit> {
         let mut lits: Vec<Lit> = core
             .iter()
-            .map(|cid| {
-                self.cid_lit
-                    .iter()
-                    .find(|&&(c, _)| c == *cid)
-                    .map(|&(_, l)| !l)
-                    .unwrap_or(!fallback)
-            })
+            .map(|&cid| !self.cid_lit.get(cid).copied().flatten().unwrap_or(fallback))
             .collect();
         lits.sort_unstable();
         lits.dedup();

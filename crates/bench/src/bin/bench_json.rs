@@ -20,7 +20,8 @@
 //! verdict; an absolute grace of 50ms absorbs scheduler noise on
 //! sub-millisecond runs. It also fails if any deterministic work counter
 //! ([`absolver_bench::harness::WORK_COUNTERS`]: iterations, theory
-//! checks, conflict literals, pivots, contractions, components) differs
+//! checks, conflict literals, pivots, linear rows pushed, contractions,
+//! local-search steps, components) differs
 //! from the baseline at all, printing `COUNTER CHANGED: <key> <baseline>
 //! -> <fresh>`; a change that moves a counter refreshes the baseline.
 

@@ -222,12 +222,13 @@ pub fn regression_limit_us(baseline_us: u64) -> u64 {
 /// `bench_json --check-regress` requires each to equal its baseline
 /// value exactly, so a change that moves one must refresh the baseline
 /// on purpose.
-pub const WORK_COUNTERS: [&str; 9] = [
+pub const WORK_COUNTERS: [&str; 10] = [
     "components",
     "boolean_iterations",
     "theory_checks",
     "conflict_literals",
     "simplex_pivots",
+    "linear_rows_pushed",
     "hc4_contractions",
     "bc3_contractions",
     "newton_contractions",
@@ -298,7 +299,7 @@ mod tests {
 
     #[test]
     fn counter_changes_flags_any_difference() {
-        let base = r#"{"components":1,"stats":{"boolean_iterations":34,"theory_checks":34,"conflict_literals":5973,"simplex_pivots":861,"hc4_contractions":0,"bc3_contractions":0,"newton_contractions":0,"local_search_steps":0}}"#;
+        let base = r#"{"components":1,"stats":{"boolean_iterations":34,"theory_checks":34,"conflict_literals":5973,"simplex_pivots":861,"linear_rows_pushed":4372,"hc4_contractions":0,"bc3_contractions":0,"newton_contractions":0,"local_search_steps":0}}"#;
         assert!(counter_changes(base, base).is_empty());
         let one_more_pivot = base.replace("861", "862");
         assert_eq!(

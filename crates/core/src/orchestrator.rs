@@ -148,6 +148,11 @@ pub struct OrchestratorStats {
     /// feasible basis instead of re-tableauing (0 when no backend
     /// provides an assertion stack).
     pub simplex_warm_starts: u64,
+    /// Rows the linear checks pushed onto the incremental assertion stack
+    /// for their own items, summed over the call: every row of the first
+    /// check, then only the rows whose atoms flipped. Branch-and-bound and
+    /// disequality-split rows are not counted.
+    pub linear_rows_pushed: u64,
     /// HC4 interval contractions performed by the nonlinear backends.
     pub hc4_contractions: u64,
     /// BC3 bound-shaving contractions performed by the nonlinear backends.
@@ -203,7 +208,7 @@ impl fmt::Display for OrchestratorStats {
             f,
             "iterations={} theory_checks={} conflicts={} avg_conflict_len={:.1} unknown={} \
              escalated={} timed_out={} cancelled={} shared={} imported={} pivots={} warm_starts={} \
-             contractions={}/{}/{} local_search_steps={} terms_interned={} term_dedup={} pre_vars={} pre_clauses={} \
+             rows_pushed={} contractions={}/{}/{} local_search_steps={} terms_interned={} term_dedup={} pre_vars={} pre_clauses={} \
              pre_atoms={} pre_ranges={} subsumed={} components={} static_unsat={} preprocess={:?} \
              boolean={:?} linear={:?} nonlinear={:?} conflict_min={:?} elapsed={:?}",
             self.boolean_iterations,
@@ -222,6 +227,7 @@ impl fmt::Display for OrchestratorStats {
             self.clauses_imported,
             self.simplex_pivots,
             self.simplex_warm_starts,
+            self.linear_rows_pushed,
             self.hc4_contractions,
             self.bc3_contractions,
             self.newton_contractions,
@@ -268,6 +274,7 @@ impl OrchestratorStats {
         self.conflict_min_time += other.conflict_min_time;
         self.simplex_pivots += other.simplex_pivots;
         self.simplex_warm_starts += other.simplex_warm_starts;
+        self.linear_rows_pushed += other.linear_rows_pushed;
         self.hc4_contractions += other.hc4_contractions;
         self.bc3_contractions += other.bc3_contractions;
         self.newton_contractions += other.newton_contractions;
@@ -340,6 +347,7 @@ impl OrchestratorStats {
             .field_u64("share_latency_us", saturating_micros(self.share_latency))
             .field_u64("simplex_pivots", self.simplex_pivots)
             .field_u64("simplex_warm_starts", self.simplex_warm_starts)
+            .field_u64("linear_rows_pushed", self.linear_rows_pushed)
             .field_u64("hc4_contractions", self.hc4_contractions)
             .field_u64("bc3_contractions", self.bc3_contractions)
             .field_u64("newton_contractions", self.newton_contractions)
@@ -1545,6 +1553,7 @@ impl Orchestrator {
             };
             let verdict = check(&items, &mut ctx);
             let timing = ctx.timing;
+            self.stats.linear_rows_pushed += ctx.lin_activity.pushed;
             escalable |= ctx.escalable;
             self.stats.linear_time += timing.linear;
             self.stats.nonlinear_time += timing.nonlinear;

@@ -24,7 +24,9 @@
 
 use crate::backends::{LinearBackend, NonlinearBackend};
 use crate::problem::{AbProblem, ArithModel, VarKind};
-use absolver_linear::{AssertionStack, CmpOp, Feasibility, LinExpr, LinearConstraint, StackResult};
+use absolver_linear::{
+    AssertionStack, CmpOp, Feasibility, LinExpr, LinearConstraint, RowId, StackResult,
+};
 use absolver_logic::Var;
 use absolver_nonlinear::{NlConstraint, NlProblem, NlVerdict};
 use absolver_num::{BigInt, Interval, Rational};
@@ -71,8 +73,8 @@ pub struct PreparedConstraint {
 #[derive(Debug)]
 enum Literal {
     /// The comparison must hold; the row is its linear form when it is
-    /// affine.
-    Holds(Arc<NlConstraint>, Option<LinearConstraint>),
+    /// affine, shared with the incremental session that asserts it.
+    Holds(Arc<NlConstraint>, Option<Arc<LinearConstraint>>),
     /// The nonlinear equality must fail.
     Differs(Arc<NlConstraint>),
     /// The affine equality must fail.
@@ -158,7 +160,7 @@ impl Literal {
                 }
             }
         };
-        Literal::Holds(c, Some(row))
+        Literal::Holds(c, Some(Arc::new(row)))
     }
 
     /// The negation of the equality `c`.
@@ -293,15 +295,31 @@ pub struct TheoryTiming {
 }
 
 /// A persistent incremental linear session: the simplex assertion stack
-/// plus the `(tag, constraint)` rows currently asserted on it. The
-/// orchestrator owns one per solve call and threads it through
-/// [`TheoryContext`]; consecutive checks diff their desired row list
-/// against `base` and only push/pop the changed suffix (*delta
-/// assertion*), so a check that shares a prefix with its predecessor
-/// warm-starts from the previous feasible basis.
+/// plus the `(tag, row)` pairs asserted on it. The orchestrator owns one
+/// per solve call and threads it through [`TheoryContext`]. Each check
+/// diffs the rows it wants against the ones on the stack (*delta
+/// assertion*): it retracts the rows no longer wanted, wherever they sit,
+/// pushes only the new ones and keeps the rest, so it warm-starts from the
+/// previous basis with only the bounds of the flipped atoms changed.
 pub struct IncrementalLinear {
     stack: AssertionStack,
-    base: Vec<(usize, LinearConstraint)>,
+    /// The rows the last check asserted, in its row order.
+    base: Vec<BaseRow>,
+    /// The tag of each base row, by stack handle; `None` for the rows of
+    /// branch-and-bound and disequality splits, and for free handles.
+    owner: Vec<Option<usize>>,
+}
+
+/// A row on the stack for the check's own items.
+struct BaseRow {
+    tag: usize,
+    /// Shared with the prepared constraint the row came from.
+    row: Arc<LinearConstraint>,
+    id: RowId,
+    /// The row's place in the order of the check that last ranked it: of
+    /// equally tight bounds, the earlier row's is the reason, as if the
+    /// rows had been pushed in that order.
+    rank: usize,
 }
 
 impl IncrementalLinear {
@@ -311,6 +329,7 @@ impl IncrementalLinear {
         IncrementalLinear {
             stack,
             base: Vec::new(),
+            owner: Vec::new(),
         }
     }
 
@@ -339,10 +358,13 @@ impl std::fmt::Debug for IncrementalLinear {
 pub struct LinActivity {
     /// The check ran on a warm assertion stack (not the session's first).
     pub warm: bool,
-    /// Rows kept from the previous check (common prefix).
+    /// Rows of the previous check kept on the stack, wherever they sit.
     pub reused: u64,
-    /// Rows newly pushed for this check.
+    /// Rows pushed for this check (a row rejected at assertion counts).
     pub pushed: u64,
+    /// Rows of the previous check retracted because this one does not
+    /// want them.
+    pub retracted: u64,
 }
 
 /// The context a theory check runs in.
@@ -385,7 +407,7 @@ pub struct TheoryContext<'a> {
 struct Normalised<'a> {
     /// `(tag, constraint)` — must hold; affine ones also have a row below.
     nl_asserts: Vec<(usize, &'a NlConstraint)>,
-    lin_asserts: Vec<(usize, &'a LinearConstraint)>,
+    lin_asserts: Vec<(usize, &'a Arc<LinearConstraint>)>,
     /// `(tag, disequality)` — the affine equality must fail.
     lin_diseqs: Vec<(usize, &'a LinDiseq)>,
     /// `(tag, constraint)` with `op == Eq` — `≠` obligations whose LHS is
@@ -446,6 +468,7 @@ pub fn check(items: &[TheoryItem], ctx: &mut TheoryContext<'_>) -> TheoryVerdict
                 )
                 .field_u64("reused_rows", ctx.lin_activity.reused)
                 .field_u64("pushed_rows", ctx.lin_activity.pushed)
+                .field_u64("retracted_rows", ctx.lin_activity.retracted)
                 .duration(lin_elapsed),
         );
     }
@@ -534,8 +557,11 @@ fn solve_linear(norm: &Normalised, ctx: &mut TheoryContext<'_>) -> LinOutcome {
         ctx.incremental = Some(inc);
         return out;
     }
-    let mut constraints: Vec<LinearConstraint> =
-        norm.lin_asserts.iter().map(|(_, c)| (*c).clone()).collect();
+    let mut constraints: Vec<LinearConstraint> = norm
+        .lin_asserts
+        .iter()
+        .map(|(_, c)| LinearConstraint::clone(c))
+        .collect();
     let base_len = constraints.len();
     let tags: Vec<usize> = norm.lin_asserts.iter().map(|(t, _)| *t).collect();
     let mut nodes = ctx.budget.max_nodes;
@@ -550,60 +576,122 @@ fn solve_linear(norm: &Normalised, ctx: &mut TheoryContext<'_>) -> LinOutcome {
 }
 
 /// The incremental linear path: delta assertion against the session's
-/// previous row set, then warm-started branch-and-bound on the stack.
+/// previous rows, then warm-started branch-and-bound on the stack.
 fn solve_linear_incremental(
     inc: &mut IncrementalLinear,
     norm: &Normalised,
     ctx: &mut TheoryContext<'_>,
 ) -> LinOutcome {
     ctx.lin_activity.warm = inc.stack.checks() > 0;
-
-    // Delta assertion: keep the longest common prefix of the previous
-    // check's rows, pop everything past it, push only the new suffix.
-    let desired = &norm.lin_asserts;
-    let mut prefix = 0;
-    while prefix < inc.base.len()
-        && prefix < desired.len()
-        && inc.base[prefix].0 == desired[prefix].0
-        && inc.base[prefix].1 == *desired[prefix].1
-    {
-        prefix += 1;
+    if let Err(tags) = assert_delta(inc, &norm.lin_asserts, &mut ctx.lin_activity) {
+        return LinOutcome::Unsat(tags);
     }
-    inc.stack.pop_to(prefix);
-    inc.base.truncate(prefix);
-    ctx.lin_activity.reused = prefix as u64;
-    ctx.lin_activity.pushed = (desired.len() - prefix) as u64;
-    for (tag, c) in &desired[prefix..] {
-        match inc.stack.push(c) {
-            Ok(_) => inc.base.push((*tag, (*c).clone())),
-            Err(rows) => {
-                // Assert-time conflict: `rows` are positions of accepted
-                // base rows; the rejected constraint contributes its own
-                // tag. The stack is unchanged, so `base` stays in sync.
-                let mut tags: Vec<usize> = rows.iter().map(|&r| inc.base[r].0).collect();
-                tags.push(*tag);
-                tags.sort_unstable();
-                tags.dedup();
-                return LinOutcome::Unsat(tags);
-            }
-        }
-    }
-
     let mut nodes = ctx.budget.max_nodes;
     rec_linear_inc(inc, &norm.lin_diseqs, ctx, &mut nodes)
 }
 
-/// Maps an unsat certificate (stack row positions) back to literal tags.
-/// Rows past the base (branch constraints) widen the core to all base
-/// tags, exactly like the from-scratch path (sound: supersets of an
-/// unsat set stay unsat).
-fn map_rows(inc: &IncrementalLinear, rows: &[usize]) -> Vec<usize> {
-    let precise = rows.iter().all(|&r| r < inc.base.len());
-    let mut t: Vec<usize> = if precise {
-        rows.iter().map(|&r| inc.base[r].0).collect()
-    } else {
-        inc.base.iter().map(|(tag, _)| *tag).collect()
-    };
+/// Delta assertion: makes the session's base rows `desired`, in its order.
+/// A wanted row the stack holds under the same tag is kept; the others on
+/// the stack are retracted, and the missing ones pushed. On an assert-time
+/// conflict, returns its tags: the rows pushed so far stay, with every
+/// kept row, and the rest are left out.
+fn assert_delta(
+    inc: &mut IncrementalLinear,
+    desired: &[(usize, &Arc<LinearConstraint>)],
+    activity: &mut LinActivity,
+) -> Result<(), Vec<usize>> {
+    // Chain the base rows by tag, then match each wanted row against its
+    // tag's chain: by pointer first, by value for a row prepared again.
+    const NONE: usize = usize::MAX;
+    let width = inc.base.iter().map(|b| b.tag + 1).max().unwrap_or(0);
+    let mut head = vec![NONE; width];
+    let mut next = vec![NONE; inc.base.len()];
+    for (i, b) in inc.base.iter().enumerate().rev() {
+        next[i] = head[b.tag];
+        head[b.tag] = i;
+    }
+    let mut kept = vec![false; inc.base.len()];
+    let matched: Vec<Option<usize>> = desired
+        .iter()
+        .map(|(tag, row)| {
+            let mut i = head.get(*tag).copied().unwrap_or(NONE);
+            while i != NONE {
+                let b = &inc.base[i];
+                if !kept[i] && (Arc::ptr_eq(&b.row, row) || b.row == **row) {
+                    kept[i] = true;
+                    return Some(i);
+                }
+                i = next[i];
+            }
+            None
+        })
+        .collect();
+
+    for (b, _) in inc.base.iter().zip(&kept).filter(|(_, &k)| !k) {
+        inc.stack.retract(b.id);
+        inc.owner[b.id] = None;
+        activity.retracted += 1;
+    }
+    let mut old: Vec<Option<BaseRow>> = std::mem::take(&mut inc.base)
+        .into_iter()
+        .map(Some)
+        .collect();
+    // Rank the kept rows by their place in this check's order before any
+    // new row is pushed, so a tie at assertion names the earlier row.
+    for (rank, i) in matched.iter().enumerate() {
+        if let Some(b) = i.and_then(|i| old[i].as_mut()) {
+            if b.rank != rank {
+                b.rank = rank;
+                inc.stack.set_rank(b.id, rank as u64);
+            }
+        }
+    }
+    activity.reused = matched.iter().flatten().count() as u64;
+    let mut conflict = None;
+    for (rank, ((tag, row), i)) in desired.iter().zip(&matched).enumerate() {
+        if let Some(i) = i {
+            inc.base.push(old[*i].take().expect("matched once"));
+            continue;
+        }
+        if conflict.is_some() {
+            continue;
+        }
+        activity.pushed += 1;
+        match inc.stack.push_ranked(row, rank as u64) {
+            Ok(id) => {
+                if inc.owner.len() <= id {
+                    inc.owner.resize(id + 1, None);
+                }
+                inc.owner[id] = Some(*tag);
+                inc.base.push(BaseRow {
+                    tag: *tag,
+                    row: Arc::clone(row),
+                    id,
+                    rank,
+                });
+            }
+            // The rows cited are base rows; the rejected one adds its tag.
+            Err(rows) => {
+                let mut tags = map_rows(inc, &rows);
+                tags.push(*tag);
+                tags.sort_unstable();
+                tags.dedup();
+                conflict = Some(tags);
+            }
+        }
+    }
+    conflict.map_or(Ok(()), Err)
+}
+
+/// Maps an unsat certificate (stack rows) back to literal tags. A branch
+/// row in it widens the core to all base tags, exactly like the
+/// from-scratch path (sound: supersets of an unsat set stay unsat).
+fn map_rows(inc: &IncrementalLinear, rows: &[RowId]) -> Vec<usize> {
+    let precise: Option<Vec<usize>> = rows
+        .iter()
+        .map(|&r| inc.owner.get(r).copied().flatten())
+        .collect();
+    let mut t = precise.unwrap_or_else(|| inc.base.iter().map(|b| b.tag).collect());
     t.sort_unstable();
     t.dedup();
     t
@@ -1203,7 +1291,7 @@ mod tests {
     /// negation) adds over variables of the given kinds.
     fn row(c: NlConstraint, kinds: &[VarKind], positive: bool) -> Option<LinearConstraint> {
         match PreparedConstraint::new(c, kinds).literal(positive) {
-            Literal::Holds(_, row) => row.clone(),
+            Literal::Holds(_, row) => row.as_deref().cloned(),
             other => panic!("not a comparison: {other:?}"),
         }
     }
@@ -1605,7 +1693,7 @@ mod tests {
             let all_int = expr.terms().iter().all(|&(v, _)| kinds[v] == VarKind::Int);
             if !all_int || expr.is_zero() {
                 assert!(
-                    matches!(&prepared.positive, Literal::Holds(_, Some(r)) if *r == original),
+                    matches!(&prepared.positive, Literal::Holds(_, Some(r)) if **r == original),
                     "{original} changed: {:?}",
                     prepared.positive
                 );

@@ -8,12 +8,15 @@
 //!   comparisons (`<`, `≤`, `>`, `≥`, `=`).
 //! * [`Simplex`] — an incremental Dutertre–de-Moura general simplex over
 //!   the infinitesimal-extended rationals [`QDelta`], with
-//!   `push`/`pop` backtracking for tight DPLL(T) integration.
+//!   `push`/`pop` backtracking for tight DPLL(T) integration. It
+//!   backtracks by bounds alone: every variable keeps all its asserted
+//!   bounds, so retracting a constraint restores the next-tightest.
 //! * [`check_conjunction`] — one-shot feasibility with witness or conflict
 //!   certificate, the entry point of ABsolver's loose control loop.
 //! * [`AssertionStack`] — a persistent, backtrackable assertion stack over
-//!   one simplex instance: `push`/`pop_to`/`check` with warm-started
-//!   re-checks, the engine behind the orchestrator's incremental theory
+//!   one simplex instance: `push`/`retract`/`pop_to`/`check` with
+//!   warm-started re-checks, where `retract` removes any row, not just
+//!   the latest; the engine behind the orchestrator's incremental theory
 //!   checks.
 //!
 //! A conflict is the certificate of the simplex row that cannot be

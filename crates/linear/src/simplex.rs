@@ -12,16 +12,23 @@
 //! slack variable, constraints become bounds in the infinitesimal-extended
 //! rationals [`QDelta`], and a Bland-rule pivot loop restores bound
 //! consistency or yields an infeasibility certificate. Exact [`Rational`]
-//! arithmetic makes every verdict sound. The same engine serves both
-//! ABsolver's loosely-coupled control loop (one-shot checks) and the
-//! tightly-integrated baseline (incremental `push`/`pop`).
+//! arithmetic makes every verdict sound.
+//!
+//! Backtracking is by bounds alone. Each variable keeps every asserted
+//! bound on it, so retracting a constraint, in any order, restores the
+//! next-tightest bound, while the tableau and the β assignment stay as they
+//! are. The same engine serves ABsolver's loosely-coupled control loop
+//! (one-shot checks, and the [`crate::AssertionStack`] behind its
+//! incremental checks) and the tightly-integrated baseline (`push`/`pop`
+//! scopes).
 
 use crate::constraint::{CmpOp, LinExpr, LinearConstraint, VarId};
 use crate::qdelta::QDelta;
 use absolver_num::Rational;
 use std::collections::HashMap;
 
-/// Identifier of an asserted constraint, in assertion order.
+/// Identifier of an asserted constraint. An id names its constraint until
+/// the constraint is retracted; a later assertion may then reuse it.
 pub type ConstraintId = usize;
 
 /// Result of a feasibility check.
@@ -40,10 +47,36 @@ impl CheckResult {
     }
 }
 
+/// The tightest bound on a variable and the constraint it comes from.
 #[derive(Debug, Clone)]
 struct Bound {
     value: QDelta,
     reason: ConstraintId,
+    rank: u64,
+}
+
+/// The bounds one asserted constraint puts on its variable.
+#[derive(Debug)]
+struct Asserted {
+    var: VarId,
+    lower: Option<QDelta>,
+    upper: Option<QDelta>,
+    /// Of several constraints that bound a variable equally tightly, the
+    /// one of lowest rank is the bound's reason.
+    rank: u64,
+    /// Index of this constraint's entry in [`Simplex::trail`].
+    pos: usize,
+}
+
+impl Asserted {
+    /// The lower (or upper) bound the constraint sets, if any.
+    fn bound(&self, is_lower: bool) -> Option<&QDelta> {
+        if is_lower {
+            self.lower.as_ref()
+        } else {
+            self.upper.as_ref()
+        }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -51,12 +84,6 @@ struct Row {
     basic: VarId,
     /// The basic variable expressed over nonbasic variables.
     expr: LinExpr,
-}
-
-#[derive(Debug)]
-enum Undo {
-    SetLower(VarId, Option<Bound>),
-    SetUpper(VarId, Option<Bound>),
 }
 
 /// Incremental simplex over `Q_δ` with backtracking scopes.
@@ -85,16 +112,32 @@ pub struct Simplex {
     num_problem_vars: usize,
     /// Current value of every variable (problem + slack).
     value: Vec<QDelta>,
+    /// Tightest lower and upper bound of every variable.
     lower: Vec<Option<Bound>>,
     upper: Vec<Option<Bound>>,
+    /// Every asserted constraint that bounds each variable from below
+    /// (`lowers`) or above (`uppers`).
+    lowers: Vec<Vec<ConstraintId>>,
+    uppers: Vec<Vec<ConstraintId>>,
     /// Row index of each basic variable.
     basic_row: Vec<Option<usize>>,
     rows: Vec<Row>,
     /// Canonical linear form → slack variable.
     slack_of: HashMap<LinExpr, VarId>,
-    next_constraint: ConstraintId,
-    undo: Vec<Undo>,
+    /// Asserted constraints by id; `None` marks a free id.
+    asserted: Vec<Option<Asserted>>,
+    free: Vec<ConstraintId>,
+    /// Ids in assertion order, for retracting the latest constraints
+    /// first. An entry is stale once its constraint was retracted out of
+    /// order: the id's `pos` no longer points at it.
+    trail: Vec<ConstraintId>,
+    /// Number of asserted constraints.
+    live: usize,
+    /// `live` at each open scope.
     scopes: Vec<usize>,
+    /// Above every rank handed out so far: the rank of the next
+    /// [`Simplex::assert_constraint`].
+    next_rank: u64,
     /// Statistics: pivot operations performed.
     pivots: u64,
 }
@@ -113,12 +156,17 @@ impl Simplex {
             value: Vec::new(),
             lower: Vec::new(),
             upper: Vec::new(),
+            lowers: Vec::new(),
+            uppers: Vec::new(),
             basic_row: Vec::new(),
             rows: Vec::new(),
             slack_of: HashMap::new(),
-            next_constraint: 0,
-            undo: Vec::new(),
+            asserted: Vec::new(),
+            free: Vec::new(),
+            trail: Vec::new(),
+            live: 0,
             scopes: Vec::new(),
+            next_rank: 0,
             pivots: 0,
         };
         s.grow_to(num_vars);
@@ -140,43 +188,144 @@ impl Simplex {
             self.value.push(QDelta::zero());
             self.lower.push(None);
             self.upper.push(None);
+            self.lowers.push(Vec::new());
+            self.uppers.push(Vec::new());
             self.basic_row.push(None);
         }
     }
 
     /// Opens a backtracking scope.
     pub fn push(&mut self) {
-        self.scopes.push(self.undo.len());
+        self.scopes.push(self.live);
     }
 
-    /// Reverts all bound assertions since the matching [`Simplex::push`].
+    /// Retracts every constraint asserted since the matching
+    /// [`Simplex::push`].
     ///
     /// # Panics
     ///
     /// Panics if there is no open scope.
     pub fn pop(&mut self) {
         let mark = self.scopes.pop().expect("pop without matching push");
-        self.undo_to(mark);
+        self.retract_to(mark);
     }
 
-    /// Current position in the undo log; pass to [`Simplex::undo_to`] to
-    /// revert everything asserted after this point. Unlike the
-    /// `push`/`pop` scope pair this imposes no nesting discipline — it is
-    /// the raw primitive the [`crate::AssertionStack`] builds on.
-    pub(crate) fn undo_mark(&self) -> usize {
-        self.undo.len()
+    /// Number of asserted constraints.
+    pub(crate) fn len(&self) -> usize {
+        self.live
     }
 
-    /// Reverts bound assertions down to a mark from [`Simplex::undo_mark`].
-    /// Only bounds are undone: tableau rows, slack variables and the
-    /// current β assignment persist, which is what makes a subsequent
-    /// [`Simplex::check`] a warm start.
-    pub(crate) fn undo_to(&mut self, mark: usize) {
-        while self.undo.len() > mark {
-            match self.undo.pop().unwrap() {
-                Undo::SetLower(v, old) => self.lower[v] = old,
-                Undo::SetUpper(v, old) => self.upper[v] = old,
+    /// Retracts the most recently asserted constraints until `mark`
+    /// remain.
+    pub(crate) fn retract_to(&mut self, mark: usize) {
+        while self.live > mark {
+            let cid = self
+                .trail
+                .pop()
+                .expect("every asserted constraint is on the trail");
+            if self.asserted_at(cid, self.trail.len()) {
+                self.retract(cid);
             }
+        }
+    }
+
+    /// Whether `cid` is asserted and its trail entry is at `pos`.
+    fn asserted_at(&self, cid: ConstraintId, pos: usize) -> bool {
+        self.asserted[cid].as_ref().is_some_and(|a| a.pos == pos)
+    }
+
+    /// Retracts an asserted constraint, wherever it sits. Each variable it
+    /// bounded falls back to its next-tightest bound. Only bounds change:
+    /// tableau rows, slack variables and the β assignment persist, which is
+    /// what makes a later [`Simplex::check`] a warm start.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cid` is not asserted.
+    pub(crate) fn retract(&mut self, cid: ConstraintId) {
+        let a = self.asserted[cid]
+            .take()
+            .expect("retracting a constraint that is not asserted");
+        self.free.push(cid);
+        self.live -= 1;
+        for is_lower in [true, false] {
+            if a.bound(is_lower).is_none() {
+                continue;
+            }
+            let ids = self.listed(a.var, is_lower);
+            let at = ids.iter().position(|&c| c == cid).expect("bound is listed");
+            ids.swap_remove(at);
+            if self
+                .bound_mut(a.var, is_lower)
+                .as_ref()
+                .is_some_and(|b| b.reason == cid)
+            {
+                *self.bound_mut(a.var, is_lower) = self.tightest(a.var, is_lower);
+            }
+        }
+    }
+
+    /// Gives an asserted constraint a new rank. Bound values stay as they
+    /// are; where equal bounds tie, the reason may move to another
+    /// constraint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cid` is not asserted.
+    pub(crate) fn set_rank(&mut self, cid: ConstraintId, rank: u64) {
+        let a = self.asserted[cid]
+            .as_mut()
+            .expect("re-ranking a constraint that is not asserted");
+        a.rank = rank;
+        let var = a.var;
+        let bounded = [true, false].map(|is_lower| a.bound(is_lower).is_some());
+        self.next_rank = self.next_rank.max(rank + 1);
+        for (is_lower, bounded) in [true, false].into_iter().zip(bounded) {
+            if bounded {
+                *self.bound_mut(var, is_lower) = self.tightest(var, is_lower);
+            }
+        }
+    }
+
+    /// The tightest asserted lower (or upper) bound on `var`; of equal
+    /// bounds, the lowest-ranked constraint's.
+    fn tightest(&self, var: VarId, is_lower: bool) -> Option<Bound> {
+        let ids = if is_lower {
+            &self.lowers[var]
+        } else {
+            &self.uppers[var]
+        };
+        let mut best: Option<(&QDelta, u64, ConstraintId)> = None;
+        for &cid in ids {
+            let a = self.asserted[cid]
+                .as_ref()
+                .expect("listed bounds are asserted");
+            let value = a.bound(is_lower).expect("listed bound exists");
+            if best.is_none_or(|(v, r, _)| tighter(is_lower, (value, a.rank), (v, r))) {
+                best = Some((value, a.rank, cid));
+            }
+        }
+        best.map(|(value, rank, reason)| Bound {
+            value: value.clone(),
+            reason,
+            rank,
+        })
+    }
+
+    /// The asserted constraints that bound `var` from below (or above).
+    fn listed(&mut self, var: VarId, is_lower: bool) -> &mut Vec<ConstraintId> {
+        if is_lower {
+            &mut self.lowers[var]
+        } else {
+            &mut self.uppers[var]
+        }
+    }
+
+    fn bound_mut(&mut self, var: VarId, is_lower: bool) -> &mut Option<Bound> {
+        if is_lower {
+            &mut self.lower[var]
+        } else {
+            &mut self.upper[var]
         }
     }
 
@@ -224,13 +373,17 @@ impl Simplex {
         (s, lead)
     }
 
-    /// Asserts a constraint; returns its id, or an immediate conflict when
-    /// the new bound contradicts an existing one on the same linear form.
+    /// Asserts a constraint, ranked above every constraint asserted so far;
+    /// returns its id, or an immediate conflict when the new bound
+    /// contradicts an existing one on the same linear form.
     ///
     /// # Errors
     ///
-    /// The error payload is a conflicting subset of constraint ids
-    /// (including the new constraint's own id).
+    /// The error payload lists the asserted constraints the new one
+    /// contradicts. The new constraint is part of every such conflict but
+    /// gets no id and is not listed; an empty payload means it is
+    /// contradictory on its own (e.g. `0 ≥ 1`). The assertions are left
+    /// unchanged.
     ///
     /// # Panics
     ///
@@ -239,9 +392,17 @@ impl Simplex {
         &mut self,
         c: &LinearConstraint,
     ) -> Result<ConstraintId, Vec<ConstraintId>> {
-        let cid = self.next_constraint;
-        self.next_constraint += 1;
+        self.assert_ranked(c, self.next_rank)
+    }
 
+    /// [`Simplex::assert_constraint`] at the given rank: of constraints
+    /// that bound a variable equally tightly, the lowest-ranked is the
+    /// bound's reason, and so the one a conflict certificate names.
+    pub(crate) fn assert_ranked(
+        &mut self,
+        c: &LinearConstraint,
+        rank: u64,
+    ) -> Result<ConstraintId, Vec<ConstraintId>> {
         if let Some(max) = c.max_var() {
             assert!(
                 max < self.num_problem_vars,
@@ -249,83 +410,117 @@ impl Simplex {
             );
         }
         if c.is_trivial() {
-            // 0 ⋈ rhs
-            return if c.op.eval(&Rational::zero(), &c.rhs) {
-                Ok(cid)
-            } else {
-                Err(vec![cid])
-            };
+            // 0 ⋈ rhs: no bound, but an id all the same.
+            if !c.op.eval(&Rational::zero(), &c.rhs) {
+                return Err(Vec::new());
+            }
+            let cid = self.free_id();
+            self.record(cid, 0, None, None, rank);
+            return Ok(cid);
         }
 
         let (var, k) = self.slack_for(&c.expr);
         // expr ⋈ rhs  ⇔  k·s ⋈ rhs  ⇔  s ⋈' rhs/k  (⋈' flipped if k < 0).
         let rhs = &c.rhs / &k;
         let op = if k.is_negative() { c.op.flip() } else { c.op };
-        let result = match op {
-            CmpOp::Le => self.assert_bound(var, false, QDelta::real(rhs), cid),
-            CmpOp::Lt => self.assert_bound(var, false, QDelta::just_below(rhs), cid),
-            CmpOp::Ge => self.assert_bound(var, true, QDelta::real(rhs), cid),
-            CmpOp::Gt => self.assert_bound(var, true, QDelta::just_above(rhs), cid),
-            CmpOp::Eq => self
-                .assert_bound(var, true, QDelta::real(rhs.clone()), cid)
-                .and_then(|_| self.assert_bound(var, false, QDelta::real(rhs), cid)),
+        let (lower, upper) = match op {
+            CmpOp::Le => (None, Some(QDelta::real(rhs))),
+            CmpOp::Lt => (None, Some(QDelta::just_below(rhs))),
+            CmpOp::Ge => (Some(QDelta::real(rhs)), None),
+            CmpOp::Gt => (Some(QDelta::just_above(rhs)), None),
+            CmpOp::Eq => (Some(QDelta::real(rhs.clone())), Some(QDelta::real(rhs))),
         };
-        result.map(|_| cid)
+        // A bound past the opposite one is an immediate conflict.
+        if let (Some(l), Some(u)) = (&lower, &self.upper[var]) {
+            if *l > u.value {
+                return Err(vec![u.reason]);
+            }
+        }
+        if let (Some(u), Some(l)) = (&upper, &self.lower[var]) {
+            if *u < l.value {
+                return Err(vec![l.reason]);
+            }
+        }
+        let cid = self.free_id();
+        for (is_lower, value) in [(true, &lower), (false, &upper)] {
+            if let Some(value) = value {
+                self.listed(var, is_lower).push(cid);
+                self.tighten(var, is_lower, value, cid, rank);
+            }
+        }
+        self.record(cid, var, lower, upper, rank);
+        Ok(cid)
     }
 
-    fn assert_bound(
+    /// An id no asserted constraint holds.
+    fn free_id(&mut self) -> ConstraintId {
+        self.free.pop().unwrap_or_else(|| {
+            self.asserted.push(None);
+            self.asserted.len() - 1
+        })
+    }
+
+    /// Stores an asserted constraint under `cid`, last in assertion order.
+    fn record(
+        &mut self,
+        cid: ConstraintId,
+        var: VarId,
+        lower: Option<QDelta>,
+        upper: Option<QDelta>,
+        rank: u64,
+    ) {
+        self.next_rank = self.next_rank.max(rank + 1);
+        if self.trail.len() > 2 * self.live + 64 {
+            // Drop the stale entries of out-of-order retractions.
+            let trail = std::mem::take(&mut self.trail);
+            for (pos, id) in trail.into_iter().enumerate() {
+                if self.asserted_at(id, pos) {
+                    self.asserted[id].as_mut().expect("asserted").pos = self.trail.len();
+                    self.trail.push(id);
+                }
+            }
+        }
+        self.asserted[cid] = Some(Asserted {
+            var,
+            lower,
+            upper,
+            rank,
+            pos: self.trail.len(),
+        });
+        self.trail.push(cid);
+        self.live += 1;
+    }
+
+    /// Makes a new lower (or upper) bound the variable's tightest when it
+    /// is, moving a nonbasic variable that now violates it onto it.
+    fn tighten(
         &mut self,
         var: VarId,
         is_lower: bool,
-        bound: QDelta,
+        value: &QDelta,
         reason: ConstraintId,
-    ) -> Result<(), Vec<ConstraintId>> {
-        if is_lower {
-            if let Some(l) = &self.lower[var] {
-                if bound <= l.value {
-                    return Ok(()); // weaker than the existing bound
-                }
-            }
-            if let Some(u) = &self.upper[var] {
-                if bound > u.value {
-                    let mut conflict = vec![reason, u.reason];
-                    conflict.sort_unstable();
-                    conflict.dedup();
-                    return Err(conflict);
-                }
-            }
-            self.undo.push(Undo::SetLower(var, self.lower[var].take()));
-            self.lower[var] = Some(Bound {
-                value: bound.clone(),
-                reason,
-            });
-            if self.basic_row[var].is_none() && self.value[var] < bound {
-                self.update_nonbasic(var, bound);
-            }
-        } else {
-            if let Some(u) = &self.upper[var] {
-                if bound >= u.value {
-                    return Ok(());
-                }
-            }
-            if let Some(l) = &self.lower[var] {
-                if bound < l.value {
-                    let mut conflict = vec![reason, l.reason];
-                    conflict.sort_unstable();
-                    conflict.dedup();
-                    return Err(conflict);
-                }
-            }
-            self.undo.push(Undo::SetUpper(var, self.upper[var].take()));
-            self.upper[var] = Some(Bound {
-                value: bound.clone(),
-                reason,
-            });
-            if self.basic_row[var].is_none() && self.value[var] > bound {
-                self.update_nonbasic(var, bound);
-            }
+        rank: u64,
+    ) {
+        let slot = self.bound_mut(var, is_lower);
+        if slot
+            .as_ref()
+            .is_some_and(|b| !tighter(is_lower, (value, rank), (&b.value, b.rank)))
+        {
+            return;
         }
-        Ok(())
+        *slot = Some(Bound {
+            value: value.clone(),
+            reason,
+            rank,
+        });
+        let violated = if is_lower {
+            self.value[var] < *value
+        } else {
+            self.value[var] > *value
+        };
+        if self.basic_row[var].is_none() && violated {
+            self.update_nonbasic(var, value.clone());
+        }
     }
 
     /// Moves a nonbasic variable to `v`, adjusting all dependent basics.
@@ -510,6 +705,18 @@ impl Simplex {
     }
 }
 
+/// Whether the bound `(value, rank)` beats `(than, than_rank)` as a
+/// variable's lower (or upper) bound: it is tighter, or as tight and of
+/// lower rank.
+fn tighter(
+    is_lower: bool,
+    (value, rank): (&QDelta, u64),
+    (than, than_rank): (&QDelta, u64),
+) -> bool {
+    let strictly = if is_lower { value > than } else { value < than };
+    strictly || (value == than && rank < than_rank)
+}
+
 /// Feasibility verdict of [`check_conjunction`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Feasibility {
@@ -544,8 +751,11 @@ pub fn check_conjunction_counted(constraints: &[LinearConstraint]) -> (Feasibili
         .max()
         .unwrap_or(0);
     let mut s = Simplex::with_vars(num_vars);
-    for c in constraints {
-        if let Err(conflict) = s.assert_constraint(c) {
+    // Ids are handed out in order, so each is the constraint's index.
+    for (i, c) in constraints.iter().enumerate() {
+        if let Err(mut conflict) = s.assert_constraint(c) {
+            conflict.push(i);
+            conflict.sort_unstable();
             return (Feasibility::Infeasible(conflict), s.pivots());
         }
     }
@@ -675,9 +885,10 @@ mod tests {
         let m = s.model();
         let sum = &m[0] + &m[1];
         assert!(sum >= q(2) && sum <= q(10));
-        // Contradictory bound on the shared form is detected at assert time.
+        // Contradictory bound on the shared form is detected at assert time;
+        // the rejected constraint gets no id, so only the other is listed.
         let conflict = s.assert_constraint(&c(&[(0, 3), (1, 3)], CmpOp::Lt, 6));
-        assert_eq!(conflict, Err(vec![1, 2]));
+        assert_eq!(conflict, Err(vec![1]));
     }
 
     #[test]

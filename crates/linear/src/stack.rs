@@ -4,22 +4,28 @@
 //! The loose control loop of the paper re-solves the linear system from
 //! scratch on every theory check; consecutive Boolean models, however,
 //! usually differ in only a handful of theory literals. [`AssertionStack`]
-//! keeps one [`Simplex`] alive across checks: constraints are `push`ed,
-//! suffixes are removed with `pop_to`, and every [`AssertionStack::check`]
-//! after the first warm-starts from the previous basis — popping restores
+//! keeps one [`Simplex`] alive across checks. Constraints are `push`ed, and
+//! any of them can be `retract`ed again, wherever it sits: each variable
+//! keeps all its asserted bounds, so retracting one restores the
+//! next-tightest. [`AssertionStack::pop_to`] retracts the latest pushes, for
+//! callers that explore cases above a mark. Every [`AssertionStack::check`]
+//! after the first warm-starts from the previous basis: retraction touches
 //! *bounds* only, so the tableau rows and the β assignment survive and
 //! re-checking costs a few pivots instead of a full solve.
 //!
-//! Conflicts are reported as **stack positions** ([`RowId`]s), which the
-//! caller can map straight back to theory literals. A conflict is the
-//! simplex's own row certificate, unshrunk.
+//! Conflicts are reported as [`RowId`]s, the handles `push` returned, which
+//! the caller can map straight back to theory literals. A conflict is the
+//! simplex's own row certificate, unshrunk. Where several rows bound a
+//! variable equally tightly, the certificate names the lowest-ranked
+//! ([`AssertionStack::push_ranked`]); by default that is the one pushed
+//! first.
 
 use crate::constraint::LinearConstraint;
 use crate::simplex::{CheckResult, Simplex};
 use absolver_num::Rational;
 
-/// Position of a pushed constraint on the stack: dense, 0-based,
-/// assigned in push order and compacted by [`AssertionStack::pop_to`].
+/// Handle of a pushed constraint. It names the row until the row is
+/// retracted; a later push may then reuse it.
 pub type RowId = usize;
 
 /// Verdict of [`AssertionStack::check`].
@@ -27,7 +33,7 @@ pub type RowId = usize;
 pub enum StackResult {
     /// The pushed constraints are simultaneously satisfiable.
     Sat,
-    /// They are not; the payload holds the stack positions of the
+    /// They are not; the payload holds the handles of the rows in the
     /// simplex's conflict certificate.
     Unsat(Vec<RowId>),
 }
@@ -47,24 +53,16 @@ impl StackResult {
 ///
 /// let c = |v, op, rhs: i64| LinearConstraint::new(LinExpr::var(v), op, Rational::from_int(rhs));
 /// let mut stack = AssertionStack::new(1);
-/// stack.push(&c(0, CmpOp::Ge, 0)).unwrap();
-/// let mark = stack.len();
-/// stack.push(&c(0, CmpOp::Le, -1)).unwrap_err(); // conflicts with row 0
-/// stack.pop_to(mark);
-/// assert!(stack.check().is_sat()); // x ≥ 0 alone is fine again
+/// let low = stack.push(&c(0, CmpOp::Ge, 0)).unwrap();
+/// stack.push(&c(0, CmpOp::Le, -1)).unwrap_err(); // conflicts with `low`
+/// stack.push(&c(0, CmpOp::Le, 5)).unwrap();
+/// stack.retract(low);
+/// stack.push(&c(0, CmpOp::Le, -1)).unwrap(); // fine without `low`
+/// assert!(stack.check().is_sat());
 /// ```
 #[derive(Debug)]
 pub struct AssertionStack {
     simplex: Simplex,
-    /// Undo-log mark taken immediately before each entry was asserted;
-    /// `RowId` indexes this.
-    marks: Vec<usize>,
-    /// Simplex constraint id → stack position of the entry that asserted
-    /// it. One id is consumed per assertion attempt, and re-assertion
-    /// after pops allocates fresh ids, so this table only ever grows; it
-    /// is never truncated because restored bounds may still carry old
-    /// ids as their reasons.
-    owner: Vec<RowId>,
     checks: u64,
     warm_starts: u64,
 }
@@ -74,8 +72,6 @@ impl AssertionStack {
     pub fn new(num_vars: usize) -> AssertionStack {
         AssertionStack {
             simplex: Simplex::with_vars(num_vars),
-            marks: Vec::new(),
-            owner: Vec::new(),
             checks: 0,
             warm_starts: 0,
         }
@@ -84,12 +80,12 @@ impl AssertionStack {
     /// Number of constraints currently on the stack. Doubles as the mark
     /// to hand to [`AssertionStack::pop_to`] for restoring this state.
     pub fn len(&self) -> usize {
-        self.marks.len()
+        self.simplex.len()
     }
 
     /// Returns `true` when no constraints are pushed.
     pub fn is_empty(&self) -> bool {
-        self.marks.is_empty()
+        self.len() == 0
     }
 
     /// Number of problem variables the stack was created over.
@@ -113,48 +109,59 @@ impl AssertionStack {
         self.warm_starts
     }
 
-    /// Pushes a constraint; returns its stack position.
+    /// Pushes a constraint, ranked above every row pushed so far; returns
+    /// its handle.
     ///
     /// # Errors
     ///
     /// If the new bound immediately contradicts existing ones, the stack
-    /// is left unchanged and the payload lists the positions of the
-    /// previously pushed constraints involved; the rejected constraint
-    /// itself is part of every such conflict and is *not* listed. An
-    /// empty payload means the constraint is contradictory on its own
-    /// (e.g. `0 ≥ 1`).
+    /// is left unchanged and the payload lists the rows involved; the
+    /// rejected constraint itself is part of every such conflict and is
+    /// *not* listed. An empty payload means the constraint is
+    /// contradictory on its own (e.g. `0 ≥ 1`).
     ///
     /// # Panics
     ///
     /// Panics if the constraint mentions a variable `>= num_vars()`.
     pub fn push(&mut self, c: &LinearConstraint) -> Result<RowId, Vec<RowId>> {
-        let mark = self.simplex.undo_mark();
-        let rid = self.marks.len();
-        let result = self.simplex.assert_constraint(c);
-        // One simplex id is consumed per attempt, also on failure.
-        self.owner.push(rid);
-        let rejected = self.owner.len() - 1;
-        match result {
-            Ok(cid) => {
-                debug_assert_eq!(cid, rejected, "owner table out of sync with simplex ids");
-                self.marks.push(mark);
-                Ok(rid)
-            }
-            Err(cids) => {
-                self.simplex.undo_to(mark);
-                Err(self.rows_of(cids.into_iter().filter(|&cid| cid != rejected)))
-            }
-        }
+        self.simplex.assert_constraint(c)
     }
 
-    /// Removes every constraint at position `mark` and above. Bounds are
-    /// restored; the tableau and β assignment are kept for warm restarts.
+    /// [`AssertionStack::push`] at the given rank. Of rows that bound a
+    /// variable equally tightly, the lowest-ranked is the bound's reason,
+    /// and so the row a conflict names; a caller that keeps rows in an
+    /// order of its own ranks each by its place in that order.
+    ///
+    /// # Errors
+    ///
+    /// As [`AssertionStack::push`].
+    pub fn push_ranked(&mut self, c: &LinearConstraint, rank: u64) -> Result<RowId, Vec<RowId>> {
+        self.simplex.assert_ranked(c, rank)
+    }
+
+    /// Gives a pushed row a new rank (see [`AssertionStack::push_ranked`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not on the stack.
+    pub fn set_rank(&mut self, row: RowId, rank: u64) {
+        self.simplex.set_rank(row, rank);
+    }
+
+    /// Removes one row, wherever it sits. The bounds it set fall back to
+    /// the next-tightest rows'; the tableau and β assignment are kept for
+    /// warm restarts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not on the stack.
+    pub fn retract(&mut self, row: RowId) {
+        self.simplex.retract(row);
+    }
+
+    /// Retracts the most recently pushed rows until `mark` rows remain.
     pub fn pop_to(&mut self, mark: usize) {
-        if mark >= self.marks.len() {
-            return;
-        }
-        self.simplex.undo_to(self.marks[mark]);
-        self.marks.truncate(mark);
+        self.simplex.retract_to(mark);
     }
 
     /// Decides feasibility of the pushed constraints, warm-starting from
@@ -166,22 +173,13 @@ impl AssertionStack {
         }
         match self.simplex.check() {
             CheckResult::Sat => StackResult::Sat,
-            CheckResult::Unsat(cids) => StackResult::Unsat(self.rows_of(cids)),
+            CheckResult::Unsat(rows) => StackResult::Unsat(rows),
         }
     }
 
     /// Extracts a rational witness after a [`StackResult::Sat`] verdict.
     pub fn model(&self) -> Vec<Rational> {
         self.simplex.model()
-    }
-
-    /// Maps simplex constraint ids to the sorted, deduplicated stack
-    /// positions that own them.
-    fn rows_of(&self, cids: impl IntoIterator<Item = usize>) -> Vec<RowId> {
-        let mut rows: Vec<RowId> = cids.into_iter().map(|cid| self.owner[cid]).collect();
-        rows.sort_unstable();
-        rows.dedup();
-        rows
     }
 }
 
@@ -190,6 +188,7 @@ mod tests {
     use super::*;
     use crate::constraint::{CmpOp, LinExpr};
     use crate::simplex::check_conjunction;
+    use absolver_testkit::{gen, property, Gen};
 
     fn q(n: i64) -> Rational {
         Rational::from_int(n)
@@ -312,6 +311,166 @@ mod tests {
         let m = s.model();
         assert_eq!(m[0], q(3));
         assert_eq!(m[1], q(2));
+    }
+
+    #[test]
+    fn retracting_a_middle_row_restores_the_next_bound() {
+        let mut s = AssertionStack::new(2);
+        let loose = s.push(&c(&[(0, 1)], CmpOp::Le, 5)).unwrap();
+        let tight = s.push(&c(&[(0, 1)], CmpOp::Le, 1)).unwrap();
+        let sum = s.push(&c(&[(0, 1), (1, 1)], CmpOp::Ge, 4)).unwrap();
+        s.push(&c(&[(1, 1)], CmpOp::Le, 2)).unwrap();
+        match s.check() {
+            StackResult::Unsat(core) => assert!(core.contains(&tight) && core.contains(&sum)),
+            StackResult::Sat => panic!("x ≤ 1, y ≤ 2 and x + y ≥ 4 conflict"),
+        }
+        // Without `x ≤ 1`, `x ≤ 5` bounds x again: sat, and x ≤ 5 holds.
+        s.retract(tight);
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.check(), StackResult::Sat);
+        let m = s.model();
+        assert!(m[0] <= q(5) && &m[0] + &m[1] >= q(4));
+        // A conflict now names the loose bound.
+        s.push(&c(&[(1, 1)], CmpOp::Le, -2)).unwrap();
+        match s.check() {
+            StackResult::Unsat(core) => assert!(core.contains(&loose), "{core:?}"),
+            StackResult::Sat => panic!("x ≤ 5, y ≤ −2 and x + y ≥ 4 conflict"),
+        }
+    }
+
+    #[test]
+    fn equal_bounds_name_the_lowest_rank() {
+        let mut s = AssertionStack::new(1);
+        let late = s.push_ranked(&c(&[(0, 1)], CmpOp::Le, 3), 5).unwrap();
+        let early = s.push_ranked(&c(&[(0, 1)], CmpOp::Le, 3), 2).unwrap();
+        assert_eq!(s.push(&c(&[(0, 1)], CmpOp::Ge, 4)), Err(vec![early]));
+        s.set_rank(late, 1);
+        assert_eq!(s.push(&c(&[(0, 1)], CmpOp::Ge, 4)), Err(vec![late]));
+        s.retract(late);
+        assert_eq!(s.push(&c(&[(0, 1)], CmpOp::Ge, 4)), Err(vec![early]));
+    }
+
+    /// One step of [`retraction_interleavings_agree_with_scratch`].
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Push a constraint, at a given rank or above every row.
+        Push(LinearConstraint, Option<u64>),
+        /// Retract the live row at this index (modulo the live count).
+        Retract(usize),
+        /// Give the live row at this index a new rank.
+        Rank(usize, u64),
+        /// Pop back to this many rows (modulo the live count + 1).
+        PopTo(usize),
+        Check,
+    }
+
+    fn op() -> Gen<Op> {
+        let var = gen::ints(0..3usize);
+        let coeff = gen::ints(-4i64..=4);
+        let term = Gen::new(move |src| (var.generate(src), q(coeff.generate(src))));
+        let terms = gen::vec_of(term, 1..4);
+        let cmp = gen::from_slice(&[CmpOp::Le, CmpOp::Ge, CmpOp::Lt, CmpOp::Gt, CmpOp::Eq]);
+        let rhs = gen::ints(-6i64..=6);
+        let constraint = Gen::new(move |src| {
+            LinearConstraint::new(
+                LinExpr::from_terms(terms.generate(src)),
+                cmp.generate(src),
+                q(rhs.generate(src)),
+            )
+        });
+        let kind = gen::ints(0..10u32);
+        let index = gen::ints(0..64usize);
+        let rank = gen::ints(0..8u64);
+        let ranked = gen::bool_any();
+        Gen::new(move |src| match kind.generate(src) {
+            0..=3 => {
+                let c = constraint.generate(src);
+                let r = rank.generate(src);
+                Op::Push(c, ranked.generate(src).then_some(r))
+            }
+            4 | 5 => Op::Retract(index.generate(src)),
+            6 => Op::Rank(index.generate(src), rank.generate(src)),
+            7 => Op::PopTo(index.generate(src)),
+            _ => Op::Check,
+        })
+    }
+
+    property! {
+        #![cases = 256]
+
+        /// Differential: push, retraction at any position, re-ranking,
+        /// `pop_to` and check, interleaved, agree with from-scratch
+        /// `check_conjunction` on the live rows. Every witness satisfies
+        /// every live row, and every certificate, at check or at
+        /// assertion, is infeasible on its own.
+        fn retraction_interleavings_agree_with_scratch(ops in gen::vec_of(op(), 1..48)) {
+            let mut stack = AssertionStack::new(3);
+            // The live rows in push order, with their handles.
+            let mut live: Vec<(RowId, LinearConstraint)> = Vec::new();
+            let rows_of = |live: &[(RowId, LinearConstraint)], ids: &[RowId]| -> Vec<LinearConstraint> {
+                ids.iter()
+                    .map(|id| {
+                        let (_, row) = live.iter().find(|(r, _)| r == id).expect("certificate names a live row");
+                        row.clone()
+                    })
+                    .collect()
+            };
+            for op in ops {
+                match op {
+                    Op::Push(cst, rank) => {
+                        let pushed = match rank {
+                            Some(rank) => stack.push_ranked(&cst, rank),
+                            None => stack.push(&cst),
+                        };
+                        match pushed {
+                            Ok(id) => live.push((id, cst)),
+                            Err(core) => {
+                                let mut subset = rows_of(&live, &core);
+                                subset.push(cst);
+                                assert!(
+                                    !check_conjunction(&subset).is_feasible(),
+                                    "push conflict {core:?} is feasible"
+                                );
+                            }
+                        }
+                    }
+                    Op::Retract(i) if !live.is_empty() => {
+                        let (id, _) = live.remove(i % live.len());
+                        stack.retract(id);
+                    }
+                    Op::Rank(i, rank) if !live.is_empty() => {
+                        stack.set_rank(live[i % live.len()].0, rank);
+                    }
+                    Op::PopTo(mark) => {
+                        let mark = mark % (live.len() + 1);
+                        stack.pop_to(mark);
+                        live.truncate(mark);
+                    }
+                    Op::Check => {
+                        let rows: Vec<LinearConstraint> = live.iter().map(|(_, r)| r.clone()).collect();
+                        let expect = check_conjunction(&rows).is_feasible();
+                        match stack.check() {
+                            StackResult::Sat => {
+                                assert!(expect, "stack sat, scratch unsat: {rows:?}");
+                                let model = stack.model();
+                                for row in &rows {
+                                    assert!(row.eval(&model), "witness violates {row}");
+                                }
+                            }
+                            StackResult::Unsat(core) => {
+                                assert!(!expect, "stack unsat, scratch sat: {rows:?}");
+                                assert!(
+                                    !check_conjunction(&rows_of(&live, &core)).is_feasible(),
+                                    "certificate {core:?} is feasible"
+                                );
+                            }
+                        }
+                    }
+                    Op::Retract(_) | Op::Rank(..) => {}
+                }
+                assert_eq!(stack.len(), live.len());
+            }
+        }
     }
 
     /// Differential: random push/pop/check interleavings agree with

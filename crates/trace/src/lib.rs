@@ -23,7 +23,7 @@
 //! | `solve.end`      | orchestrator        | `outcome`, `models` (`solve_all`), `iterations`, `duration_us` |
 //! | `boolean.model`  | orchestrator        | `iteration`, `duration_us`     |
 //! | `theory.check`   | orchestrator        | `verdict`, `obligations`, `pass` (`probe` for a model's first check, `refute` for the second pass once the Boolean side runs out), `duration_us` |
-//! | `phase.linear`   | theory layer        | `start` (`warm`/`cold`), `reused_rows`, `pushed_rows`, `duration_us` |
+//! | `phase.linear`   | theory layer        | `start` (`warm`/`cold`), `reused_rows` (rows of the previous check kept), `pushed_rows`, `retracted_rows`, `duration_us` |
 //! | `phase.nonlinear`| theory layer        | `duration_us`                  |
 //! | `contract.hc4`   | theory layer        | `count` (HC4 revisions this check) |
 //! | `contract.bc3`   | theory layer        | `count` (BC3 bound shavings this check) |

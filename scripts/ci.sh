@@ -81,8 +81,10 @@ TESTKIT_SEED=0xAB501BE5 cargo test -q --offline \
     --test contractor_soundness --test cascade_agreement \
     --test session_agreement --test session_monotonic
 # The library properties too: the theory layer's conflict soundness and
-# integer-row strengthening, and the nonlinear DAG/tape bit-identity.
-TESTKIT_SEED=0xAB501BE5 cargo test -q --offline -p absolver-core -p absolver-nonlinear --lib
+# integer-row strengthening, the nonlinear DAG/tape bit-identity, and the
+# assertion stack's retraction differential.
+TESTKIT_SEED=0xAB501BE5 cargo test -q --offline -p absolver-core -p absolver-nonlinear \
+    -p absolver-linear --lib
 
 echo "== observability gate (--stats json, --trace, differential test) =="
 OBS_TMP=$(mktemp -d)

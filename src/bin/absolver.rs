@@ -24,7 +24,9 @@
 //!   --all-models N           enumerate up to N models (N >= 1)
 //!   --time-limit SECS        wall-clock budget
 //!   --max-iterations N       cap on Boolean models examined
-//!   --jobs N                 solve with N parallel shards
+//!   --jobs N                 solve with N parallel shards (not with
+//!                            --boolean, --nonlinear, --contractors or
+//!                            --nl-jobs: each shard picks its own backends)
 //!   --strategy portfolio|cubes
 //!                            parallel strategy      (default: portfolio)
 //!   --deterministic          reproducible cube-to-shard assignment
@@ -202,8 +204,17 @@ fn parse_args() -> Config {
         trace: None,
         quiet: false,
     };
+    // Flags that configure the sequential solver's backends. The parallel
+    // shards build their own backends, so `--jobs` would ignore them.
+    let mut backend_flags: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
+        if matches!(
+            arg.as_str(),
+            "--boolean" | "--nonlinear" | "--contractors" | "--nl-jobs"
+        ) {
+            backend_flags.push(arg.clone());
+        }
         match arg.as_str() {
             "--boolean" => config.boolean = args.next().unwrap_or_else(|| usage()),
             "--nonlinear" => config.nonlinear = args.next().unwrap_or_else(|| usage()),
@@ -285,6 +296,12 @@ fn parse_args() -> Config {
                 }
             }
         }
+    }
+    if config.jobs.is_some() && !backend_flags.is_empty() {
+        for flag in &backend_flags {
+            eprintln!("`{flag}` cannot be combined with `--jobs`: the parallel shards build their own backends");
+        }
+        usage();
     }
     config
 }

@@ -174,6 +174,31 @@ fn removed_cache_flags_are_unknown_options() {
 }
 
 #[test]
+fn backend_flags_are_rejected_with_jobs() {
+    // The parallel shards build their own backends, so each of these
+    // flags would be ignored under `--jobs`: it is a usage error that
+    // names the flag instead.
+    for (flag, value) in [
+        ("--boolean", "restart"),
+        ("--nonlinear", "interval"),
+        ("--contractors", "hc4"),
+        ("--nl-jobs", "2"),
+    ] {
+        let out = run_stdin(&["--jobs", "2", flag, value, FIG2], "");
+        assert_eq!(exit_code(&out), 2, "{flag}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("`{flag}` cannot be combined with `--jobs`")),
+            "{flag}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag}: no verdict is printed");
+    }
+    // Without `--jobs` the same flags solve as usual.
+    let out = run_stdin(&["--nonlinear", "interval", FIG2], "");
+    assert_eq!(exit_code(&out), 10);
+}
+
+#[test]
 fn near_miss_directive_is_a_parse_error() {
     // Satellite regression: a misspelled directive must be a hard error,
     // not a silently ignored comment that flips the verdict.

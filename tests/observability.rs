@@ -197,6 +197,39 @@ fn single_shard_portfolio_traces_like_the_sequential_loop() {
     assert!(kinds.iter().any(|k| k == "shard.end"));
 }
 
+/// Consecutive threshold-reach models differ in one free atom, so each
+/// warm linear check retracts that atom's old row and pushes its new one,
+/// and keeps every other row on the stack.
+#[test]
+fn warm_linear_checks_push_and_retract_only_the_flipped_row() {
+    let problem = absolver_bench::workloads::threshold_problem(60);
+    let sink = Arc::new(CollectingSink::new());
+    let mut orc = Orchestrator::with_defaults().with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
+    assert!(orc.solve(&problem).expect("solve").is_sat());
+    let field = |e: &absolver::trace::TraceEvent, key: &str| -> u64 {
+        e.get(key)
+            .unwrap_or_else(|| panic!("phase.linear carries {key}"))
+            .parse()
+            .expect("u64")
+    };
+    let events = sink.events();
+    let linear: Vec<_> = events.iter().filter(|e| e.kind == "phase.linear").collect();
+    let warm: Vec<_> = linear
+        .iter()
+        .filter(|e| e.get("start") == Some("warm"))
+        .collect();
+    assert_eq!(warm.len(), 33, "one cold check, then one warm per model");
+    let rows = field(linear[0], "pushed_rows");
+    for e in &warm {
+        assert_eq!(field(e, "pushed_rows"), 1, "{e:?}");
+        assert_eq!(field(e, "retracted_rows"), 1, "{e:?}");
+        assert_eq!(field(e, "reused_rows"), rows - 1, "{e:?}");
+    }
+    let pushed: u64 = linear.iter().map(|e| field(e, "pushed_rows")).sum();
+    assert_eq!(pushed, orc.stats().linear_rows_pushed);
+    assert_eq!(pushed, rows + 33);
+}
+
 #[test]
 fn trace_overhead_is_skipped_when_disabled() {
     // The default NullSink reports `enabled() == false`; a collecting
