@@ -16,7 +16,7 @@ use crate::common::{BaselineRun, BaselineVerdict};
 use absolver_core::theory::{
     check, prepare_defs, PreparedConstraint, TheoryBudget, TheoryContext, TheoryItem, TheoryVerdict,
 };
-use absolver_core::{AbModel, AbProblem, LinearBackend, NonlinearBackend, SimplexLinear, VarKind};
+use absolver_core::{AbModel, AbProblem, NonlinearBackend, SimplexLinear, VarKind};
 use absolver_linear::{CheckResult, LinearConstraint, Simplex};
 use absolver_logic::{Assignment, Lit, Tri, Var};
 use absolver_num::Interval;
@@ -279,13 +279,13 @@ impl<'a> TightHook<'a> {
         }
         let kinds: Vec<VarKind> = self.problem.arith_vars().iter().map(|v| v.kind).collect();
         let ranges: Vec<Interval> = self.problem.arith_vars().iter().map(|v| v.range).collect();
-        let mut linear: Vec<Box<dyn LinearBackend>> = vec![Box::new(SimplexLinear::new())];
+        let mut linear = SimplexLinear::new();
         let mut nonlinear: Vec<Box<dyn NonlinearBackend>> = Vec::new();
         let mut ctx = TheoryContext {
             num_vars: kinds.len(),
             kinds: &kinds,
             ranges: &ranges,
-            linear: &mut linear,
+            linear: Some(&mut linear),
             nonlinear: &mut nonlinear,
             budget: TheoryBudget::default(),
             timing: Default::default(),

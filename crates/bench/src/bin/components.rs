@@ -25,8 +25,7 @@ use absolver_analyze::Simplifier;
 use absolver_bench::harness::{env_seconds, format_duration, print_table};
 use absolver_bench::workloads::decomposable_problem;
 use absolver_core::{
-    AbProblem, Orchestrator, OrchestratorOptions, Outcome, ParallelOptions, ParallelStrategy,
-    Partition, SolveError,
+    AbProblem, Orchestrator, OrchestratorOptions, Outcome, ParallelOptions, Partition, SolveError,
 };
 use absolver_trace::{saturating_micros, JsonObject};
 use std::path::PathBuf;
@@ -89,7 +88,6 @@ fn main() {
     // One shard per component.
     let popts = ParallelOptions {
         jobs: instances.max(2),
-        strategy: ParallelStrategy::Portfolio,
         deterministic: true,
         ..Default::default()
     };

@@ -2,8 +2,9 @@
 //!
 //! ABsolver's design goal is that "the most appropriate solver for a given
 //! task can be integrated and used": the orchestrator talks to *trait
-//! objects*, one list per domain, and tries each in order when the
-//! preceding ones "failed to provide a decent result". This module defines
+//! objects* — one Boolean and one linear backend, and a list of nonlinear
+//! ones tried in order when the preceding ones "failed to provide a
+//! decent result". This module defines
 //! the three domain interfaces and the built-in implementations standing
 //! in for the paper's external tools:
 //!
@@ -52,16 +53,6 @@ pub trait BooleanSolver: Send {
     /// calls steer the enumeration.
     fn next_model(&mut self) -> Option<Assignment>;
 
-    /// Installs assumption literals applied to every subsequent
-    /// [`BooleanSolver::next_model`] call (cube-and-conquer shards solve
-    /// their cube this way). Returns `false` if the backend does not
-    /// support assumptions; the caller then falls back to adding the
-    /// assumptions as unit clauses.
-    fn set_assumptions(&mut self, lits: &[Lit]) -> bool {
-        let _ = lits;
-        false
-    }
-
     /// Ensures the backend knows variables `0..n` even before any clause
     /// mentions them. Incremental sessions call this when the problem
     /// grows between checks, so freshly declared (but not yet
@@ -86,7 +77,6 @@ impl fmt::Debug for dyn BooleanSolver + '_ {
 pub struct CdclBoolean {
     solver: Solver,
     phase_seed: Option<u64>,
-    assumptions: Vec<Lit>,
 }
 
 impl CdclBoolean {
@@ -127,20 +117,10 @@ impl BooleanSolver for CdclBoolean {
     }
 
     fn next_model(&mut self) -> Option<Assignment> {
-        let result = if self.assumptions.is_empty() {
-            self.solver.solve()
-        } else {
-            self.solver.solve_under(&self.assumptions)
-        };
-        match result {
+        match self.solver.solve() {
             SolveResult::Sat(m) => Some(m),
             _ => None,
         }
-    }
-
-    fn set_assumptions(&mut self, lits: &[Lit]) -> bool {
-        self.assumptions = lits.to_vec();
-        true
     }
 
     fn reserve_vars(&mut self, n: usize) {
@@ -156,7 +136,6 @@ impl BooleanSolver for CdclBoolean {
 pub struct RestartingBoolean {
     cnf: Cnf,
     extra: Vec<Vec<Lit>>,
-    assumptions: Vec<Lit>,
 }
 
 impl RestartingBoolean {
@@ -189,20 +168,10 @@ impl BooleanSolver for RestartingBoolean {
                 return None;
             }
         }
-        let result = if self.assumptions.is_empty() {
-            solver.solve()
-        } else {
-            solver.solve_under(&self.assumptions)
-        };
-        match result {
+        match solver.solve() {
             SolveResult::Sat(m) => Some(m),
             _ => None,
         }
-    }
-
-    fn set_assumptions(&mut self, lits: &[Lit]) -> bool {
-        self.assumptions = lits.to_vec();
-        true
     }
 }
 

@@ -70,7 +70,7 @@ pub use backends::{
 };
 pub use circuit::{Circuit, Gate, NoOutputError, NodeId, TseitinCnf};
 pub use orchestrator::{Orchestrator, OrchestratorOptions, OrchestratorStats, Outcome, SolveError};
-pub use parallel::{ParallelOptions, ParallelStats, ParallelStrategy, ShardStats};
+pub use parallel::{ParallelOptions, ParallelStats};
 pub use parser::{
     parse_session_constraint, parse_spanned, DefSite, ParseAbError, RangeSite, SourceMap, Span,
 };

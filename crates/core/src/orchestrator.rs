@@ -41,7 +41,7 @@ use absolver_trace::{saturating_micros, JsonObject, NullSink, TraceEvent, TraceS
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Outcome of solving an AB-problem.
@@ -105,6 +105,14 @@ pub(crate) fn outcome_label(result: &Result<Outcome, SolveError>) -> &'static st
     }
 }
 
+/// The earlier of two optional deadlines.
+pub(crate) fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 /// Statistics of a solving run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OrchestratorStats {
@@ -125,12 +133,6 @@ pub struct OrchestratorStats {
     pub timed_out: bool,
     /// Whether the last call was stopped by a cancellation token.
     pub cancelled: bool,
-    /// Theory-conflict clauses exported to sibling shards (parallel solving).
-    pub clauses_shared: u64,
-    /// Clauses imported from sibling shards (parallel solving).
-    pub clauses_imported: u64,
-    /// Summed transport latency of imported lemmas (send to import).
-    pub share_latency: Duration,
     /// Wall-clock time spent in the Boolean solver (`next_model`).
     pub boolean_time: Duration,
     /// Wall-clock time spent in the linear theory phase (simplex +
@@ -207,7 +209,7 @@ impl fmt::Display for OrchestratorStats {
         write!(
             f,
             "iterations={} theory_checks={} conflicts={} avg_conflict_len={:.1} unknown={} \
-             escalated={} timed_out={} cancelled={} shared={} imported={} pivots={} warm_starts={} \
+             escalated={} timed_out={} cancelled={} pivots={} warm_starts={} \
              rows_pushed={} contractions={}/{}/{} local_search_steps={} terms_interned={} term_dedup={} pre_vars={} pre_clauses={} \
              pre_atoms={} pre_ranges={} subsumed={} components={} static_unsat={} preprocess={:?} \
              boolean={:?} linear={:?} nonlinear={:?} conflict_min={:?} elapsed={:?}",
@@ -223,8 +225,6 @@ impl fmt::Display for OrchestratorStats {
             self.escalated_checks,
             self.timed_out,
             self.cancelled,
-            self.clauses_shared,
-            self.clauses_imported,
             self.simplex_pivots,
             self.simplex_warm_starts,
             self.linear_rows_pushed,
@@ -265,9 +265,6 @@ impl OrchestratorStats {
         self.escalated_checks += other.escalated_checks;
         self.timed_out |= other.timed_out;
         self.cancelled |= other.cancelled;
-        self.clauses_shared += other.clauses_shared;
-        self.clauses_imported += other.clauses_imported;
-        self.share_latency += other.share_latency;
         self.boolean_time += other.boolean_time;
         self.linear_time += other.linear_time;
         self.nonlinear_time += other.nonlinear_time;
@@ -342,9 +339,6 @@ impl OrchestratorStats {
             .field_u64("escalated_checks", self.escalated_checks)
             .field_bool("timed_out", self.timed_out)
             .field_bool("cancelled", self.cancelled)
-            .field_u64("clauses_shared", self.clauses_shared)
-            .field_u64("clauses_imported", self.clauses_imported)
-            .field_u64("share_latency_us", saturating_micros(self.share_latency))
             .field_u64("simplex_pivots", self.simplex_pivots)
             .field_u64("simplex_warm_starts", self.simplex_warm_starts)
             .field_u64("linear_rows_pushed", self.linear_rows_pushed)
@@ -406,10 +400,6 @@ impl Default for OrchestratorOptions {
     }
 }
 
-/// A shared lemma in flight: the send instant (for import-latency
-/// accounting) and the clause itself.
-pub(crate) type TimedLemma = (Instant, Vec<Lit>);
-
 /// Snapshot of the incremental assertion stack's cumulative effort
 /// counters, for per-call delta attribution when the stack persists
 /// across calls (incremental sessions).
@@ -435,27 +425,6 @@ pub(crate) struct SessionSolveArgs<'a> {
     /// Problem clauses appended since the previous check (warm path
     /// only; ignored on reload, where the full CNF is loaded).
     pub(crate) new_clauses: &'a [Clause],
-}
-
-/// Clause-sharing endpoints of one parallel shard: theory-conflict
-/// clauses flow out through `outbox` (one sender per sibling) and in
-/// through `inbox`. Imported clauses are kept in `pool` so they survive
-/// the reload at the start of each `solve_under` call.
-pub(crate) struct ClauseSharing {
-    pub(crate) outbox: Vec<mpsc::Sender<TimedLemma>>,
-    pub(crate) inbox: mpsc::Receiver<TimedLemma>,
-    pub(crate) pool: Vec<Vec<Lit>>,
-}
-
-impl fmt::Debug for ClauseSharing {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "ClauseSharing(peers={}, pool={})",
-            self.outbox.len(),
-            self.pool.len()
-        )
-    }
 }
 
 /// The theory obligations a Boolean model induces: `fixed` items hold in
@@ -491,29 +460,29 @@ struct Undecided {
     open: bool,
 }
 
-/// The ABsolver engine: a Boolean backend plus lists of linear and
-/// nonlinear backends, orchestrated by the lazy-SMT control loop.
+/// The ABsolver engine: a Boolean backend, an optional linear backend and
+/// a list of nonlinear backends, orchestrated by the lazy-SMT control
+/// loop.
 #[derive(Debug)]
 pub struct Orchestrator {
     boolean: Box<dyn BooleanSolver>,
-    linear: Vec<Box<dyn LinearBackend>>,
+    linear: Option<Box<dyn LinearBackend>>,
     nonlinear: Vec<Box<dyn NonlinearBackend>>,
-    options: OrchestratorOptions,
-    stats: OrchestratorStats,
+    pub(crate) options: OrchestratorOptions,
+    pub(crate) stats: OrchestratorStats,
     cancel: Option<Arc<AtomicBool>>,
-    deadline: Option<Instant>,
-    sharing: Option<ClauseSharing>,
+    pub(crate) deadline: Option<Instant>,
     sink: Arc<dyn TraceSink>,
     /// Prepared per-def constraint pool, rebuilt at each solve entry:
     /// one `Arc` per constraint so per-iteration obligation building
     /// bumps reference counts instead of deep-cloning expression trees,
     /// and checks copy linear rows instead of building them.
     interned: Vec<(Var, Vec<Arc<PreparedConstraint>>)>,
-    /// Incremental linear session of the current call (when the first
-    /// linear backend provides an assertion stack).
+    /// Incremental linear session of the current call (when the linear
+    /// backend provides an assertion stack).
     incremental: Option<IncrementalLinear>,
-    /// Equisatisfiable pre-pass run by `solve` (not `solve_under` with a
-    /// cube, not `solve_all`) before the control loop starts.
+    /// Equisatisfiable pre-pass run by `solve` (not by `solve_all` or
+    /// sessions) before the control loop starts.
     preprocessor: Option<Box<dyn ProblemPreprocessor>>,
     /// When `Some`, every theory-conflict blocking clause derived by
     /// `run_loop` is also appended here. Incremental sessions
@@ -536,13 +505,12 @@ impl Orchestrator {
     pub fn with_defaults() -> Orchestrator {
         Orchestrator {
             boolean: Box::new(CdclBoolean::new()),
-            linear: vec![Box::new(SimplexLinear::new())],
+            linear: Some(Box::new(SimplexLinear::new())),
             nonlinear: vec![Box::new(CascadeNonlinear::default())],
             options: OrchestratorOptions::default(),
             stats: OrchestratorStats::default(),
             cancel: None,
             deadline: None,
-            sharing: None,
             sink: Arc::new(NullSink),
             interned: Vec::new(),
             incremental: None,
@@ -557,13 +525,12 @@ impl Orchestrator {
     pub fn custom(boolean: Box<dyn BooleanSolver>) -> Orchestrator {
         Orchestrator {
             boolean,
-            linear: Vec::new(),
+            linear: None,
             nonlinear: Vec::new(),
             options: OrchestratorOptions::default(),
             stats: OrchestratorStats::default(),
             cancel: None,
             deadline: None,
-            sharing: None,
             sink: Arc::new(NullSink),
             interned: Vec::new(),
             incremental: None,
@@ -579,9 +546,10 @@ impl Orchestrator {
         self
     }
 
-    /// Appends a linear backend (tried after any existing ones).
+    /// Sets the linear backend, replacing any earlier one. Without one,
+    /// linear checks fall back to a one-shot exact simplex.
     pub fn with_linear(mut self, b: Box<dyn LinearBackend>) -> Orchestrator {
-        self.linear.push(b);
+        self.linear = Some(b);
         self
     }
 
@@ -600,11 +568,9 @@ impl Orchestrator {
     /// Installs an equisatisfiable preprocessing pass, run by
     /// [`Orchestrator::solve`] before the control loop starts. The
     /// concrete simplifier lives in the `absolver-analyze` crate
-    /// (`absolver_analyze::Simplifier`); cube solving
-    /// ([`Orchestrator::solve_under`]) and model enumeration
-    /// ([`Orchestrator::solve_all`]) deliberately bypass it — cubes may
-    /// assume eliminated variables, and enumeration counts models of the
-    /// *original* problem.
+    /// (`absolver_analyze::Simplifier`); model enumeration
+    /// ([`Orchestrator::solve_all`]) deliberately bypasses it, since it
+    /// counts models of the *original* problem.
     pub fn with_preprocessor(mut self, pass: Box<dyn ProblemPreprocessor>) -> Orchestrator {
         self.preprocessor = Some(pass);
         self
@@ -633,26 +599,11 @@ impl Orchestrator {
 
     /// Installs an absolute wall-clock deadline shared across subsequent
     /// calls (parallel shards use this so a per-call `time_limit` cannot
-    /// restart the clock on every cube). `None` clears it; the per-call
-    /// [`OrchestratorOptions::time_limit`] still applies independently.
+    /// restart the clock on every component). `None` clears it; the
+    /// per-call [`OrchestratorOptions::time_limit`] still applies
+    /// independently.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
-    }
-
-    /// Wires this orchestrator into a clause-sharing fabric: every theory
-    /// conflict clause it derives is broadcast through `outbox`, and
-    /// clauses arriving on `inbox` are imported at the top of each loop
-    /// iteration (and re-applied after any reload).
-    pub(crate) fn set_clause_sharing(
-        &mut self,
-        outbox: Vec<mpsc::Sender<TimedLemma>>,
-        inbox: mpsc::Receiver<TimedLemma>,
-    ) {
-        self.sharing = Some(ClauseSharing {
-            outbox,
-            inbox,
-            pool: Vec::new(),
-        });
     }
 
     /// Installs a trace sink: every observability event of subsequent
@@ -676,10 +627,25 @@ impl Orchestrator {
 
     /// Emits a trace event if tracing is enabled. The event is built
     /// lazily so a disabled sink costs only the `enabled()` check.
-    fn trace(&self, build: impl FnOnce() -> TraceEvent) {
+    pub(crate) fn trace(&self, build: impl FnOnce() -> TraceEvent) {
         if self.sink.enabled() {
             self.sink.emit(&build());
         }
+    }
+
+    /// Emits `analyze.partition` for a partition about to be solved.
+    pub(crate) fn trace_partition(&self, partition: &Partition) {
+        self.trace(|| {
+            let sizes = partition
+                .sizes()
+                .iter()
+                .map(|s| s.to_string())
+                .collect::<Vec<_>>()
+                .join(",");
+            TraceEvent::new("analyze.partition")
+                .field_u64("components", partition.len() as u64)
+                .field("sizes", sizes)
+        });
     }
 
     /// Statistics of the most recent call.
@@ -687,16 +653,10 @@ impl Orchestrator {
         self.stats
     }
 
-    /// Sum of the linear backends' cumulative counters (for
-    /// snapshot-diff attribution of per-call cost).
+    /// The linear backend's cumulative counters (for snapshot-diff
+    /// attribution of per-call cost).
     fn linear_snapshot(&self) -> LinearBackendStats {
-        let mut total = LinearBackendStats::default();
-        for b in &self.linear {
-            let s = b.stats();
-            total.checks += s.checks;
-            total.pivots += s.pivots;
-        }
-        total
+        self.linear.as_ref().map(|b| b.stats()).unwrap_or_default()
     }
 
     /// Sum of the nonlinear backends' cumulative counters.
@@ -720,13 +680,10 @@ impl Orchestrator {
     /// stack survives across checks and only the delta is folded in.
     fn stack_counters(&self) -> StackCounters {
         match &self.incremental {
-            Some(inc) => {
-                let stack = inc.stack();
-                StackCounters {
-                    pivots: stack.pivots(),
-                    warm_starts: stack.warm_starts(),
-                }
-            }
+            Some(inc) => StackCounters {
+                pivots: inc.stack().pivots(),
+                warm_starts: inc.warm_starts(),
+            },
             None => StackCounters::default(),
         }
     }
@@ -780,14 +737,19 @@ impl Orchestrator {
 
     /// Per-call setup of the one-shot entry points: rebuilds the interned
     /// constraint pool and opens a fresh incremental linear session (when
-    /// the first linear backend provides one).
+    /// the linear backend provides one).
     fn prepare_session(&mut self, problem: &AbProblem) {
         self.intern_defs(problem);
-        self.incremental = self
-            .linear
-            .first()
-            .and_then(|b| b.make_stack(problem.arith_vars().len()))
-            .map(IncrementalLinear::new);
+        self.incremental = self.make_incremental(problem.arith_vars().len());
+    }
+
+    /// A fresh incremental linear session over `num_vars` columns, if the
+    /// linear backend provides an assertion stack.
+    fn make_incremental(&self, num_vars: usize) -> Option<IncrementalLinear> {
+        self.linear
+            .as_ref()
+            .and_then(|b| b.make_stack(num_vars))
+            .map(IncrementalLinear::new)
     }
 
     /// Solves an AB-problem. When a preprocessor is installed
@@ -801,7 +763,7 @@ impl Orchestrator {
     /// the configured iteration cap.
     pub fn solve(&mut self, problem: &AbProblem) -> Result<Outcome, SolveError> {
         let Some(pass) = self.preprocessor.take() else {
-            return self.solve_under(problem, &[]);
+            return self.solve_loop(problem);
         };
         let pre_started = Instant::now();
         self.trace(|| {
@@ -851,23 +813,13 @@ impl Orchestrator {
                 summary,
             } => {
                 let partition = Partition::of(&shrunk);
-                self.trace(|| {
-                    let sizes = partition
-                        .sizes()
-                        .iter()
-                        .map(|s| s.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",");
-                    TraceEvent::new("analyze.partition")
-                        .field_u64("components", partition.len() as u64)
-                        .field("sizes", sizes)
-                });
+                self.trace_partition(&partition);
                 let outcome = if partition.is_trivial() {
-                    self.solve_under(&shrunk, &[])
+                    self.solve_loop(&shrunk)
                 } else {
-                    self.solve_components(&shrunk, &partition)
+                    crate::parallel::component_loop(self, &shrunk, &partition)
                 };
-                // `solve_under` resets the stats at entry, so the pass
+                // `solve_loop` resets the stats at entry, so the pass
                 // accounting must be written back afterwards.
                 self.record_preprocess(&summary, pre_elapsed, pre_terms);
                 self.stats.components = partition.len() as u64;
@@ -880,56 +832,6 @@ impl Orchestrator {
                 }
             }
         }
-    }
-
-    /// Solves the connected components of an already-partitioned problem
-    /// one after another, accumulating stats across the sub-solves.
-    /// Unsatisfiability of any component refutes the conjunction, so the
-    /// loop exits early on the first Unsat; an Unknown component poisons a
-    /// SAT answer down to Unknown; when every component is SAT the
-    /// per-component witnesses are stitched back into one model.
-    fn solve_components(
-        &mut self,
-        problem: &AbProblem,
-        partition: &Partition,
-    ) -> Result<Outcome, SolveError> {
-        let started = Instant::now();
-        let mut total = OrchestratorStats::default();
-        let mut models: Vec<AbModel> = Vec::with_capacity(partition.len());
-        let mut unknown = false;
-        for idx in 0..partition.len() {
-            let sub = partition.extract(problem, idx);
-            let comp_started = Instant::now();
-            let outcome = self.solve_under(&sub, &[]);
-            total.accumulate(&self.stats);
-            self.trace(|| {
-                TraceEvent::new("analyze.component")
-                    .field_u64("component", idx as u64)
-                    .field_u64("size", partition.components()[idx].size() as u64)
-                    .field("outcome", outcome_label(&outcome))
-                    .duration(comp_started.elapsed())
-            });
-            match outcome {
-                Ok(Outcome::Sat(model)) => models.push(*model),
-                Ok(Outcome::Unsat) => {
-                    total.elapsed = started.elapsed();
-                    self.stats = total;
-                    return Ok(Outcome::Unsat);
-                }
-                Ok(Outcome::Unknown) => unknown = true,
-                Err(err) => {
-                    total.elapsed = started.elapsed();
-                    self.stats = total;
-                    return Err(err);
-                }
-            }
-        }
-        total.elapsed = started.elapsed();
-        self.stats = total;
-        if unknown {
-            return Ok(Outcome::Unknown);
-        }
-        Ok(Outcome::Sat(Box::new(partition.stitch(&models))))
     }
 
     /// Folds a preprocessing pass's effect into the current stats.
@@ -990,42 +892,15 @@ impl Orchestrator {
         out
     }
 
-    /// Solves an AB-problem under assumption literals (a *cube*): the
-    /// problem is decided together with the assumptions, without adding
-    /// them as clauses. [`Outcome::Unsat`] then means *unsatisfiable under
-    /// the cube*. Cube-and-conquer shards drive their search space
-    /// partition through this entry point.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::IterationLimit`] if the Boolean loop exceeds
-    /// the configured iteration cap.
-    pub fn solve_under(
-        &mut self,
-        problem: &AbProblem,
-        assumptions: &[Lit],
-    ) -> Result<Outcome, SolveError> {
+    /// One control-loop run on `problem` as given: no preprocessing, no
+    /// partitioning. [`Orchestrator::solve`] and every shard item end here.
+    pub(crate) fn solve_loop(&mut self, problem: &AbProblem) -> Result<Outcome, SolveError> {
         self.call_window(
             problem,
-            |e| e.field_u64("assumptions", assumptions.len() as u64),
+            |e| e.field("mode", "solve"),
             |orc| orc.prepare_session(problem),
             |orc, started| {
                 orc.boolean.load(problem.cnf());
-                if !orc.replay_imported_pool() {
-                    // An imported lemma already contradicts the formula:
-                    // the problem is unsat, no iteration needed.
-                    return Ok(Outcome::Unsat);
-                }
-                // A backend without assumption support gets the cube as
-                // unit clauses instead (the clause database is rebuilt by
-                // the next `load` anyway).
-                if !orc.boolean.set_assumptions(assumptions)
-                    && assumptions
-                        .iter()
-                        .any(|&lit| !orc.boolean.add_clause(&[lit]))
-                {
-                    return Ok(Outcome::Unsat);
-                }
                 orc.run_loop(problem, started)
             },
             |outcome, e| e.field("outcome", outcome_label(outcome)),
@@ -1034,7 +909,7 @@ impl Orchestrator {
 
     /// Runs one check for a persistent [`crate::session::Session`].
     ///
-    /// Unlike [`Orchestrator::solve_under`] this does **not** reset the
+    /// Unlike [`Orchestrator::solve_loop`] this does **not** reset the
     /// incremental machinery: the interned definition pool is rebuilt only
     /// when `args.rebuild_defs` says the definitions changed, and the
     /// simplex assertion stack persists across checks (rebuilt only when
@@ -1066,11 +941,7 @@ impl Orchestrator {
                     None => true,
                 };
                 if needs_stack {
-                    orc.incremental = orc
-                        .linear
-                        .first()
-                        .and_then(|b| b.make_stack((num_arith * 2).max(4)))
-                        .map(IncrementalLinear::new);
+                    orc.incremental = orc.make_incremental((num_arith * 2).max(4));
                 }
             },
             |orc, started| {
@@ -1086,7 +957,6 @@ impl Orchestrator {
                         .iter()
                         .any(|c| !orc.boolean.add_clause(c.lits()))
                 };
-                orc.boolean.set_assumptions(&[]);
                 if trivially_unsat {
                     // A clause (or replayed lemma) already contradicts the
                     // formula at the root — sound, because lemmas are
@@ -1105,23 +975,6 @@ impl Orchestrator {
     /// the next one).
     pub(crate) fn take_session_lemmas(&mut self) -> Vec<Vec<Lit>> {
         self.session_lemmas.take().unwrap_or_default()
-    }
-
-    /// Re-adds every previously imported shared clause after a reload.
-    /// Imported clauses are theory lemmas, valid for the problem itself —
-    /// dropping them on reload would silently lose pruning other shards
-    /// already paid for. Returns `false` if a pool clause made the
-    /// formula trivially unsatisfiable; the callers then short-circuit
-    /// to `Unsat` exactly like [`Orchestrator::drain_imports`].
-    fn replay_imported_pool(&mut self) -> bool {
-        if let Some(sharing) = &mut self.sharing {
-            for clause in &sharing.pool {
-                if !self.boolean.add_clause(clause) {
-                    return false;
-                }
-            }
-        }
-        true
     }
 
     /// Enumerates models of an AB-problem, up to `max_models`. Models are
@@ -1158,13 +1011,7 @@ impl Orchestrator {
             |orc| orc.prepare_session(problem),
             |orc, started| {
                 orc.boolean.load(problem.cnf());
-                orc.boolean.set_assumptions(&[]);
                 let mut models = Vec::new();
-                if !orc.replay_imported_pool() {
-                    // An imported lemma already contradicts the formula:
-                    // there are no models to enumerate.
-                    return Ok((models, Outcome::Unsat));
-                }
                 // Project on all Boolean variables so distinct Boolean
                 // models are enumerated (theory atoms and skeleton alike).
                 let all_vars: Vec<Var> = (0..problem.cnf().num_vars())
@@ -1218,11 +1065,10 @@ impl Orchestrator {
     /// earlier of the per-call `time_limit` and any installed absolute
     /// deadline.
     fn effective_deadline(&self, started: Instant) -> Option<Instant> {
-        let per_call = self.options.time_limit.map(|limit| started + limit);
-        match (per_call, self.deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        earliest(
+            self.options.time_limit.map(|limit| started + limit),
+            self.deadline,
+        )
     }
 
     /// True once the cancellation token has been set by another party.
@@ -1230,46 +1076,6 @@ impl Orchestrator {
         self.cancel
             .as_ref()
             .is_some_and(|token| token.load(Ordering::Relaxed))
-    }
-
-    /// Imports clauses shared by sibling shards. Returns `false` if an
-    /// import made the Boolean formula trivially unsatisfiable.
-    fn drain_imports(&mut self) -> bool {
-        let Some(sharing) = &mut self.sharing else {
-            return true;
-        };
-        while let Ok((sent_at, clause)) = sharing.inbox.try_recv() {
-            let latency = sent_at.elapsed();
-            self.stats.clauses_imported += 1;
-            self.stats.share_latency += latency;
-            if self.sink.enabled() {
-                self.sink.emit(
-                    &TraceEvent::new("lemma.import")
-                        .field_u64("len", clause.len() as u64)
-                        .duration(latency),
-                );
-            }
-            let ok = self.boolean.add_clause(&clause);
-            sharing.pool.push(clause);
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Broadcasts a theory-conflict clause to sibling shards. Only clauses
-    /// backed by a theory UNSAT proof are shared — they are lemmas of the
-    /// problem itself, so they prune every shard soundly. (Unknown-model
-    /// blocking clauses are *not* lemmas and must stay local.)
-    fn share_clause(&mut self, clause: &[Lit]) {
-        if let Some(sharing) = &mut self.sharing {
-            self.stats.clauses_shared += 1;
-            let sent_at = Instant::now();
-            for tx in &sharing.outbox {
-                let _ = tx.send((sent_at, clause.to_vec()));
-            }
-        }
     }
 
     /// What the theory checks of a call that started at `started` share.
@@ -1305,9 +1111,6 @@ impl Orchestrator {
                     return Ok(Outcome::Unknown);
                 }
             }
-            if !self.drain_imports() {
-                return Ok(self.settle_saved(problem, &env));
-            }
             let bool_started = Instant::now();
             let model = self.boolean.next_model();
             self.stats.boolean_time += bool_started.elapsed();
@@ -1338,7 +1141,6 @@ impl Orchestrator {
                     self.trace(|| {
                         TraceEvent::new("conflict").field_u64("literals", clause.len() as u64)
                     });
-                    self.share_clause(&clause);
                     if let Some(log) = &mut self.session_lemmas {
                         log.push(clause.clone());
                     }
@@ -1541,7 +1343,10 @@ impl Orchestrator {
                 num_vars: problem.arith_vars().len(),
                 kinds: &env.kinds,
                 ranges: &env.ranges,
-                linear: &mut self.linear,
+                linear: self
+                    .linear
+                    .as_deref_mut()
+                    .map(|b| b as &mut dyn LinearBackend),
                 nonlinear: &mut self.nonlinear,
                 budget,
                 timing: TheoryTiming::default(),
@@ -1783,23 +1588,6 @@ c range y -10 10
         let mut orc = Orchestrator::with_defaults();
         assert!(orc.solve(&problem).unwrap().is_unsat());
         assert!(orc.stats().simplex_warm_starts >= 1);
-    }
-
-    #[test]
-    fn unsat_import_pool_short_circuits_replay() {
-        // Contradictory unit lemmas arrive via clause sharing during the
-        // first call and stay pooled; the second call must short-circuit
-        // while replaying the pool, before any Boolean iteration.
-        let problem: AbProblem = "p cnf 1 1\n1 -1 0\n".parse().unwrap();
-        let mut orc = Orchestrator::with_defaults();
-        let (tx, rx) = mpsc::channel();
-        orc.set_clause_sharing(Vec::new(), rx);
-        let v = Var::new(0);
-        tx.send((Instant::now(), vec![v.positive()])).unwrap();
-        tx.send((Instant::now(), vec![v.negative()])).unwrap();
-        assert!(orc.solve(&problem).unwrap().is_unsat());
-        assert!(orc.solve(&problem).unwrap().is_unsat());
-        assert_eq!(orc.stats().boolean_iterations, 0);
     }
 
     #[test]

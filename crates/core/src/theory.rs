@@ -308,6 +308,8 @@ pub struct IncrementalLinear {
     /// The tag of each base row, by stack handle; `None` for the rows of
     /// branch-and-bound and disequality splits, and for free handles.
     owner: Vec<Option<usize>>,
+    /// Stack checks that started from rows an earlier check left behind.
+    warm_starts: u64,
 }
 
 /// A row on the stack for the check's own items.
@@ -330,13 +332,20 @@ impl IncrementalLinear {
             stack,
             base: Vec::new(),
             owner: Vec::new(),
+            warm_starts: 0,
         }
     }
 
-    /// The underlying stack, for its effort counters (pivots, checks,
-    /// warm starts).
+    /// The underlying stack, for its effort counters (pivots, checks).
     pub fn stack(&self) -> &AssertionStack {
         &self.stack
+    }
+
+    /// Stack checks so far that reused rows of an earlier check: every
+    /// check of a warm phase (see [`LinActivity::warm`]), and every
+    /// branch-and-bound re-check of a cold one.
+    pub fn warm_starts(&self) -> u64 {
+        self.warm_starts
     }
 }
 
@@ -356,7 +365,8 @@ impl std::fmt::Debug for IncrementalLinear {
 /// fields stay zero/false on the from-scratch path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LinActivity {
-    /// The check ran on a warm assertion stack (not the session's first).
+    /// The phase started on a stack that already held rows of an earlier
+    /// phase, even one that ended in a conflict before any stack check.
     pub warm: bool,
     /// Rows of the previous check kept on the stack, wherever they sit.
     pub reused: u64,
@@ -375,8 +385,9 @@ pub struct TheoryContext<'a> {
     pub kinds: &'a [VarKind],
     /// Initial search box of each variable.
     pub ranges: &'a [Interval],
-    /// Linear backends, tried in order.
-    pub linear: &'a mut [Box<dyn LinearBackend>],
+    /// The linear backend; without one, linear checks run a one-shot
+    /// exact simplex.
+    pub linear: Option<&'a mut dyn LinearBackend>,
     /// Nonlinear backends, tried in order.
     pub nonlinear: &'a mut [Box<dyn NonlinearBackend>],
     /// Budgets.
@@ -582,12 +593,21 @@ fn solve_linear_incremental(
     norm: &Normalised,
     ctx: &mut TheoryContext<'_>,
 ) -> LinOutcome {
-    ctx.lin_activity.warm = inc.stack.checks() > 0;
+    let warm = !inc.base.is_empty();
+    ctx.lin_activity.warm = warm;
     if let Err(tags) = assert_delta(inc, &norm.lin_asserts, &mut ctx.lin_activity) {
         return LinOutcome::Unsat(tags);
     }
+    let before = inc.stack.checks();
     let mut nodes = ctx.budget.max_nodes;
-    rec_linear_inc(inc, &norm.lin_diseqs, ctx, &mut nodes)
+    let out = rec_linear_inc(inc, &norm.lin_diseqs, ctx, &mut nodes);
+    let checks = inc.stack.checks() - before;
+    inc.warm_starts += if warm {
+        checks
+    } else {
+        checks.saturating_sub(1)
+    };
+    out
 }
 
 /// Delta assertion: makes the session's base rows `desired`, in its order.
@@ -784,11 +804,10 @@ fn rec_linear(
     }
     *nodes -= 1;
 
-    let feasibility = ctx
-        .linear
-        .first_mut()
-        .map(|b| b.check(constraints))
-        .unwrap_or_else(|| absolver_linear::check_conjunction(constraints));
+    let feasibility = match ctx.linear.as_deref_mut() {
+        Some(backend) => backend.check(constraints),
+        None => absolver_linear::check_conjunction(constraints),
+    };
 
     let model = match feasibility {
         Feasibility::Infeasible(core) => {
@@ -1077,14 +1096,14 @@ mod tests {
     ) -> (TheoryVerdict, u64) {
         let items = prepared(items, &kinds);
         let stack_checks = inc.as_ref().map(|inc| inc.stack().checks());
-        let mut linear: Vec<Box<dyn LinearBackend>> = vec![Box::new(SimplexLinear::new())];
+        let mut linear = SimplexLinear::new();
         let mut nonlinear: Vec<Box<dyn NonlinearBackend>> =
             vec![Box::new(CascadeNonlinear::default())];
         let mut ctx = TheoryContext {
             num_vars: kinds.len(),
             kinds: &kinds,
             ranges: &ranges,
-            linear: &mut linear,
+            linear: Some(&mut linear),
             nonlinear: &mut nonlinear,
             budget: TheoryBudget::default(),
             timing: TheoryTiming::default(),
@@ -1097,7 +1116,7 @@ mod tests {
         let verdict = check(&items, &mut ctx);
         let checks = match (stack_checks, &ctx.incremental) {
             (Some(before), Some(inc)) => inc.stack().checks() - before,
-            _ => linear[0].stats().checks,
+            _ => linear.stats().checks,
         };
         (verdict, checks)
     }
@@ -1541,7 +1560,7 @@ mod tests {
             }
         }
         // The session really did warm-start: one cold check, then reuse.
-        assert!(inc.stack().warm_starts() > 0);
+        assert!(inc.warm_starts() > 0);
     }
 
     /// An affine item `Σ aᵢxᵢ ⋈ c` as `(terms (var, aᵢ), ⋈, c, positive)`.

@@ -206,13 +206,6 @@ impl Solver {
         self.conflict_budget = budget;
     }
 
-    /// The VSIDS activity of every variable, indexed by variable number.
-    /// Cube-and-conquer splitting reads this after a bounded probe run to
-    /// pick high-activity branch variables.
-    pub fn activities(&self) -> &[f64] {
-        &self.activity
-    }
-
     /// Deterministically reseeds the saved decision phases (SplitMix64 on
     /// `seed` and the variable index). Portfolio solving uses this to
     /// diversify otherwise-identical CDCL instances: different initial

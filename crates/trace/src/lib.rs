@@ -13,28 +13,37 @@
 //! The crate is dependency-free: JSON is hand-rolled through
 //! [`JsonObject`], which the stats layer reuses for `--stats json`.
 //!
-//! Event vocabulary used by the solver (the `kind` field):
+//! Event vocabulary used by the solver (the `kind` field). Span-shaped
+//! events carry `duration_us`; every event emitted inside a parallel
+//! shard also carries `shard`.
 //!
 //! | kind             | emitted by          | payload                        |
 //! |------------------|---------------------|--------------------------------|
 //! | `preprocess.start` | orchestrator      | `pass`, `num_vars`, `num_clauses`, `num_defs` |
 //! | `preprocess.end` | orchestrator        | `result` (`shrunk`/`trivially-unsat`), `vars_eliminated`, `clauses_eliminated`, `atoms_eliminated`, `ranges_tightened`, `duration_us` |
-//! | `solve.start`    | orchestrator        | `num_vars`, `num_defs`, then `assumptions` (solve) or `mode` (`solve_all`/`session`) |
+//! | `analyze.static_unsat` | orchestrator  | `pass`, `duration_us`          |
+//! | `analyze.partition` | orchestrator, `solve_parallel` | `components`, `sizes` (comma-separated) |
+//! | `component.start` | shard driver       | `component`, `size`            |
+//! | `component.end`  | shard driver        | `component`, `outcome`, `duration_us` |
+//! | `solve.start`    | orchestrator        | `num_vars`, `num_defs`, `mode` (`solve`/`solve_all`/`session`) |
 //! | `solve.end`      | orchestrator        | `outcome`, `models` (`solve_all`), `iterations`, `duration_us` |
+//! | `term.intern`    | orchestrator        | `interned`, `dedup_hits`, `arena_terms` |
 //! | `boolean.model`  | orchestrator        | `iteration`, `duration_us`     |
 //! | `theory.check`   | orchestrator        | `verdict`, `obligations`, `pass` (`probe` for a model's first check, `refute` for the second pass once the Boolean side runs out), `duration_us` |
-//! | `phase.linear`   | theory layer        | `start` (`warm`/`cold`), `reused_rows` (rows of the previous check kept), `pushed_rows`, `retracted_rows`, `duration_us` |
+//! | `phase.linear`   | theory layer        | `start` (`warm` when the stack already held rows of an earlier phase, else `cold`), `reused_rows` (rows of the previous check kept), `pushed_rows`, `retracted_rows`, `duration_us` |
 //! | `phase.nonlinear`| theory layer        | `duration_us`                  |
 //! | `contract.hc4`   | theory layer        | `count` (HC4 revisions this check) |
 //! | `contract.bc3`   | theory layer        | `count` (BC3 bound shavings this check) |
 //! | `contract.newton`| theory layer        | `count` (interval-Newton steps this check) |
 //! | `local_search.steps` | theory layer    | `count` (local-search descent steps this check) |
-//! | `conflict`       | orchestrator        | `iteration`, `literals`        |
-//! | `shard.start`    | parallel driver     | `shard`, `strategy`            |
-//! | `shard.end`      | parallel driver     | `shard`, `verdict`, `duration_us` |
-//! | `cube.start`     | parallel driver     | `shard`, `cube`                |
-//! | `cube.end`       | parallel driver     | `shard`, `cube`, `verdict`, `duration_us` |
-//! | `lemma.import`   | orchestrator        | `latency_us`, `literals`       |
+//! | `conflict`       | orchestrator        | `literals`                     |
+//! | `shard.start`    | shard driver        | `strategy` (`portfolio`/`components`) |
+//! | `shard.end`      | shard driver        | `items`, `iterations`, `duration_us` |
+//! | `session.push`   | session             | `depth`                        |
+//! | `session.pop`    | session             | `depth`, `lemmas_dropped`, `lemmas_retained` |
+//! | `session.reset`  | session             | —                              |
+//! | `session.check.start` | session        | `check`, `depth`, `reload`, `lemmas_replayed` |
+//! | `session.check.end` | session          | `check`, `verdict`, `lemmas_retained`, `duration_us` |
 //! | `request.received` | service           | `id`, `priority`, `bytes`      |
 //! | `request.done`   | service             | `id`, `verdict`, `cache`, `wait_us`, `duration_us` |
 //! | `request.failed` | service             | `id`, `code`                   |
@@ -67,8 +76,6 @@ pub struct TraceEvent {
     pub kind: String,
     /// Shard index, for events emitted inside a parallel run.
     pub shard: Option<usize>,
-    /// Cube index, for events emitted inside a cube-and-conquer run.
-    pub cube: Option<usize>,
     /// Wall-clock duration in microseconds, for span-shaped events.
     pub duration_us: Option<u64>,
     /// Free-form `(key, value)` payload, serialised as flat JSON fields.
@@ -81,7 +88,6 @@ impl TraceEvent {
         TraceEvent {
             kind: kind.into(),
             shard: None,
-            cube: None,
             duration_us: None,
             data: Vec::new(),
         }
@@ -90,12 +96,6 @@ impl TraceEvent {
     /// Sets the shard index.
     pub fn shard(mut self, shard: usize) -> TraceEvent {
         self.shard = Some(shard);
-        self
-    }
-
-    /// Sets the cube index.
-    pub fn cube(mut self, cube: usize) -> TraceEvent {
-        self.cube = Some(cube);
         self
     }
 
@@ -137,9 +137,6 @@ impl TraceEvent {
         obj.field_str("kind", &self.kind);
         if let Some(shard) = self.shard {
             obj.field_u64("shard", shard as u64);
-        }
-        if let Some(cube) = self.cube {
-            obj.field_u64("cube", cube as u64);
         }
         if let Some(us) = self.duration_us {
             obj.field_u64("duration_us", us);

@@ -44,7 +44,7 @@ echo "== benchmark harness tests (perfbench, its own cargo workspace) =="
 # time.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== parallel differential suite (portfolio + cubes at jobs 1/2/4) =="
+echo "== parallel differential suite (solve_parallel at jobs 1/2/4) =="
 cargo test -q --offline --test parallel_agreement
 
 echo "== partition differential suite (component solving vs whole-problem) =="
@@ -77,8 +77,8 @@ echo "== seeded re-run of the randomized suites (pinned TESTKIT_SEED) =="
 # A second pass under a fixed non-default seed: catches properties that
 # only pass on the name-derived default seed path.
 TESTKIT_SEED=0xAB501BE5 cargo test -q --offline \
-    --test parallel_agreement --test solver_agreement --test fuzz_inputs \
-    --test contractor_soundness --test cascade_agreement \
+    --test parallel_agreement --test partition_agreement --test solver_agreement \
+    --test fuzz_inputs --test contractor_soundness --test cascade_agreement \
     --test session_agreement --test session_monotonic
 # The library properties too: the theory layer's conflict soundness and
 # integer-row strengthening, the nonlinear DAG/tape bit-identity, and the

@@ -27,9 +27,7 @@
 //!   --jobs N                 solve with N parallel shards (not with
 //!                            --boolean, --nonlinear, --contractors or
 //!                            --nl-jobs: each shard picks its own backends)
-//!   --strategy portfolio|cubes
-//!                            parallel strategy      (default: portfolio)
-//!   --deterministic          reproducible cube-to-shard assignment
+//!   --deterministic          reproducible component-to-shard assignment
 //!   --stats [human|json]     print solver statistics (default: human)
 //!   --trace FILE             write a JSONL event trace to FILE
 //!   --quiet                  verdict only
@@ -73,8 +71,8 @@
 use absolver::core::script::{parse_script_line, ScriptCommand};
 use absolver::core::{
     parse_session_constraint, AbProblem, CascadeNonlinear, CdclBoolean, IntervalNonlinear,
-    Orchestrator, OrchestratorOptions, Outcome, ParallelOptions, ParallelStats, ParallelStrategy,
-    PenaltyNonlinear, RestartingBoolean, Session, SimplexLinear, Span,
+    Orchestrator, OrchestratorOptions, Outcome, ParallelOptions, ParallelStats, PenaltyNonlinear,
+    RestartingBoolean, Session, SimplexLinear, Span,
 };
 use absolver::nonlinear::{ContractorConfig, NlOptions};
 use absolver::num::Interval;
@@ -160,7 +158,6 @@ struct Config {
     time_limit: Option<Duration>,
     max_iterations: Option<u64>,
     jobs: Option<usize>,
-    strategy: ParallelStrategy,
     deterministic: bool,
     stats: Option<StatsFormat>,
     trace: Option<String>,
@@ -172,9 +169,8 @@ fn usage() -> ! {
         "usage: absolver [--boolean cdcl|restart] [--nonlinear cascade|interval|penalty]\n\
          \x20               [--contractors hc4[,bc3][,newton]] [--nl-jobs N]\n\
          \x20               [--no-preprocess] [--all-models N] [--time-limit SECS]\n\
-         \x20               [--max-iterations N] [--jobs N] [--strategy portfolio|cubes]\n\
-         \x20               [--deterministic] [--stats [human|json]] [--trace FILE]\n\
-         \x20               [--quiet] [FILE]\n\
+         \x20               [--max-iterations N] [--jobs N] [--deterministic]\n\
+         \x20               [--stats [human|json]] [--trace FILE] [--quiet] [FILE]\n\
          \x20      absolver check [--json] [FILE]\n\
          \x20      absolver session [--boolean ...] [--nonlinear ...]\n\
          \x20               [--time-limit SECS] [--max-iterations N]\n\
@@ -198,7 +194,6 @@ fn parse_args() -> Config {
         time_limit: None,
         max_iterations: None,
         jobs: None,
-        strategy: ParallelStrategy::Portfolio,
         deterministic: false,
         stats: None,
         trace: None,
@@ -258,13 +253,6 @@ fn parse_args() -> Config {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
                 config.jobs = Some(n.max(1));
-            }
-            "--strategy" => {
-                let s = args.next().unwrap_or_else(|| usage());
-                config.strategy = s.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    usage();
-                });
             }
             "--deterministic" => config.deterministic = true,
             "--stats" => {
@@ -431,7 +419,6 @@ fn session_main(args: &[String]) -> ExitCode {
         time_limit: None,
         max_iterations: None,
         jobs: None,
-        strategy: ParallelStrategy::Portfolio,
         deterministic: false,
         stats: None,
         trace: None,
@@ -720,13 +707,9 @@ fn parallel_stats_json(stats: &ParallelStats) -> String {
     let theory_checks: u64 = stats.shards.iter().map(|s| s.theory_checks).sum();
     let mut obj = JsonObject::new();
     obj.field_u64("jobs", stats.jobs as u64)
-        .field_u64("cubes", stats.cubes as u64)
         .field_u64("components", stats.components as u64)
         .field_u64("boolean_iterations", iterations)
         .field_u64("theory_checks", theory_checks)
-        .field_u64("clauses_shared", stats.clauses_shared)
-        .field_u64("clauses_imported", stats.clauses_imported)
-        .field_u64("share_latency_us", saturating_micros(stats.share_latency))
         .field_bool("timed_out", stats.timed_out)
         .field_u64("elapsed_us", saturating_micros(stats.elapsed));
     match stats.winner {
@@ -837,7 +820,6 @@ fn main() -> ExitCode {
         }
         let popts = ParallelOptions {
             jobs,
-            strategy: config.strategy,
             deterministic: config.deterministic,
             base,
         };
@@ -845,14 +827,11 @@ fn main() -> ExitCode {
             Ok((o, pstats)) => {
                 match config.stats {
                     Some(StatsFormat::Human) => {
-                        eprintln!("c parallel[{}]: {}", config.strategy, pstats);
-                        for (i, s) in pstats.shards.iter().enumerate() {
+                        eprintln!("c parallel: {pstats}");
+                        for (i, (s, items)) in pstats.shards.iter().zip(&pstats.items).enumerate() {
                             eprintln!(
-                                "c shard {i}: cubes={} iterations={} shared={} imported={}{}{}",
-                                s.cubes_solved,
+                                "c shard {i}: items={items} iterations={}{}{}",
                                 s.boolean_iterations,
-                                s.clauses_shared,
-                                s.clauses_imported,
                                 if s.cancelled { " cancelled" } else { "" },
                                 if s.timed_out { " timed-out" } else { "" },
                             );

@@ -154,17 +154,18 @@ fn parse_error_exits_2() {
 }
 
 #[test]
-fn removed_cache_flags_are_unknown_options() {
-    // The theory-verdict and contraction caches are gone, and so are
-    // their switches: each is now a usage error like any other unknown
-    // flag. (The names are assembled so no source line still spells a
-    // removed flag.)
+fn removed_flags_are_unknown_options() {
+    // The theory-verdict and contraction caches are gone, and so is the
+    // parallel strategy switch: each is now a usage error like any other
+    // unknown flag. (The cache names are assembled so no source line
+    // still spells a removed flag.)
     let theory = format!("--no-{}-cache", "theory");
     let contraction = format!("--no-{}-cache", "contraction");
     for args in [
         vec![theory.as_str(), FIG2],
         vec![contraction.as_str(), FIG2],
         vec!["session", theory.as_str()],
+        vec!["--strategy", "cubes", FIG2],
     ] {
         let out = run_stdin(&args, "");
         assert_eq!(exit_code(&out), 2, "{args:?}");
@@ -301,9 +302,12 @@ fn stats_json_works_in_parallel_mode() {
         .expect("a JSON stats line on stdout");
     for key in [
         "\"jobs\":",
-        "\"clauses_shared\":",
-        "\"share_latency_us\":",
+        "\"components\":",
+        "\"boolean_iterations\":",
+        "\"theory_checks\":",
+        "\"timed_out\":",
         "\"elapsed_us\":",
+        "\"winner\":",
     ] {
         assert!(json_line.contains(key), "missing {key} in {json_line}");
     }

@@ -48,15 +48,17 @@ property! {
 property! {
     #![cases = 64]
 
-    /// The cube splitter never panics on degenerate pure-Boolean CNFs —
+    /// Parallel solving never panics on degenerate pure-Boolean CNFs —
     /// including zero-variable, zero-clause, unit-conflicting, and
     /// trivially-UNSAT inputs — and its verdict matches sequential solve.
-    fn cube_splitter_survives_degenerate_cnfs(
+    /// Inputs whose variables fall apart run the component shards, the
+    /// rest the portfolio.
+    fn parallel_solve_survives_degenerate_cnfs(
         num_vars in gen::ints(0usize..=4),
         raw_clauses in gen::vec_of(gen::vec_of(gen::ints(-4i64..=4), 0..4), 0..6),
         jobs in gen::ints(1usize..=4),
     ) {
-        use absolver::core::{Orchestrator, ParallelOptions, ParallelStrategy};
+        use absolver::core::{Orchestrator, ParallelOptions};
         let mut text = String::new();
         let clauses: Vec<Vec<i64>> = raw_clauses
             .into_iter()
@@ -79,7 +81,6 @@ property! {
         let sequential = Orchestrator::with_defaults().solve(&problem).unwrap();
         let opts = ParallelOptions {
             jobs,
-            strategy: ParallelStrategy::Cubes,
             deterministic: true,
             ..Default::default()
         };
@@ -89,16 +90,15 @@ property! {
         assert_eq!(sequential.is_unsat(), outcome.is_unsat(), "jobs={jobs}: {text}");
     }
 
-    /// The cube splitter also survives problems with theory atoms whose
-    /// CNF skeleton is already unsatisfiable (every cube is refuted
-    /// before any theory check happens).
-    fn cube_splitter_survives_bool_unsat_with_atoms(jobs in gen::ints(1usize..=4)) {
-        use absolver::core::{Orchestrator, ParallelOptions, ParallelStrategy};
+    /// Parallel solving also survives problems with theory atoms whose
+    /// CNF skeleton is already unsatisfiable (refuted before any theory
+    /// check happens).
+    fn parallel_solve_survives_bool_unsat_with_atoms(jobs in gen::ints(1usize..=4)) {
+        use absolver::core::{Orchestrator, ParallelOptions};
         let text = "p cnf 2 3\n1 0\n-1 0\n2 0\nc def real 2 x >= 0\n";
         let problem: absolver::core::AbProblem = text.parse().unwrap();
         let opts = ParallelOptions {
             jobs,
-            strategy: ParallelStrategy::Cubes,
             deterministic: true,
             ..Default::default()
         };

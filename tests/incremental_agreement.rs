@@ -85,32 +85,39 @@ fn incremental_stack_agrees_with_scratch_backend() {
         let mut inc = Orchestrator::with_defaults();
         let with_stack = inc.solve(&problem).unwrap();
 
-        let mut scratch = Orchestrator::custom(Box::new(CdclBoolean::new()))
-            .with_linear(Box::new(ScratchLinear(SimplexLinear::new())));
-        let without_stack = scratch.solve(&problem).unwrap();
-
-        assert_eq!(
-            with_stack.is_sat(),
-            without_stack.is_sat(),
-            "round {round}: incremental {with_stack:?} vs scratch {without_stack:?}"
-        );
+        // The second scratch stack replaces the default linear backend:
+        // the orchestrator has one linear slot, not a list.
+        let scratch_stacks = [
+            Orchestrator::custom(Box::new(CdclBoolean::new()))
+                .with_linear(Box::new(ScratchLinear(SimplexLinear::new()))),
+            Orchestrator::with_defaults()
+                .with_linear(Box::new(ScratchLinear(SimplexLinear::new()))),
+        ];
+        for (i, mut scratch) in scratch_stacks.into_iter().enumerate() {
+            let without_stack = scratch.solve(&problem).unwrap();
+            assert_eq!(
+                with_stack.is_sat(),
+                without_stack.is_sat(),
+                "round {round}, scratch {i}: incremental {with_stack:?} vs scratch {without_stack:?}"
+            );
+            if let Some(m) = without_stack.model() {
+                assert!(
+                    m.satisfies(&problem, 1e-9),
+                    "round {round}, scratch {i}: scratch model invalid"
+                );
+            }
+            assert_eq!(
+                scratch.stats().simplex_warm_starts,
+                0,
+                "round {round}, scratch {i}: scratch backend must never warm-start"
+            );
+        }
         if let Some(m) = with_stack.model() {
             assert!(
                 m.satisfies(&problem, 1e-9),
                 "round {round}: incremental model invalid"
             );
         }
-        if let Some(m) = without_stack.model() {
-            assert!(
-                m.satisfies(&problem, 1e-9),
-                "round {round}: scratch model invalid"
-            );
-        }
-        assert_eq!(
-            scratch.stats().simplex_warm_starts,
-            0,
-            "round {round}: scratch backend must never warm-start"
-        );
         total_warm += inc.stats().simplex_warm_starts;
     }
     assert!(total_warm > 0, "corpus never exercised the warm-start path");

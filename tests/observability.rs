@@ -1,12 +1,19 @@
 //! Integration tests for the observability layer: per-phase timing
-//! invariants, counter monotonicity across model enumeration, and a
-//! differential test pinning the single-shard portfolio to the
-//! sequential control loop, trace-event by trace-event.
+//! invariants, counter monotonicity across model enumeration, the
+//! warm/cold labels of linear phases, the trace crate's event table
+//! against what the solver emits, and a differential test pinning the
+//! single-shard portfolio to the sequential control loop, trace-event by
+//! trace-event.
 
+use absolver::analyze::Simplifier;
 use absolver::core::{
-    AbProblem, Orchestrator, OrchestratorOptions, ParallelOptions, ParallelStrategy,
+    AbProblem, Orchestrator, OrchestratorOptions, ParallelOptions, Session, VarKind,
 };
+use absolver::linear::CmpOp;
+use absolver::nonlinear::Expr;
+use absolver::num::Rational;
 use absolver::trace::{CollectingSink, TraceSink};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 const FIG2: &str = "\
@@ -169,7 +176,6 @@ fn single_shard_portfolio_traces_like_the_sequential_loop() {
         Orchestrator::with_defaults().with_trace_sink(par_sink.clone() as Arc<dyn TraceSink>);
     let opts = ParallelOptions {
         jobs: 1,
-        strategy: ParallelStrategy::Portfolio,
         deterministic: true,
         base: OrchestratorOptions::default(),
     };
@@ -228,6 +234,145 @@ fn warm_linear_checks_push_and_retract_only_the_flipped_row() {
     let pushed: u64 = linear.iter().map(|e| field(e, "pushed_rows")).sum();
     assert_eq!(pushed, orc.stats().linear_rows_pushed);
     assert_eq!(pushed, rows + 33);
+}
+
+/// A linear phase is warm when its stack already held rows of an earlier
+/// phase, even one that ended in an assert-time conflict before any stack
+/// check: on FISCHER 11 only the first phase starts cold.
+#[test]
+fn linear_phases_after_assert_time_conflicts_start_warm() {
+    let problem = absolver_bench::fischer::fischer(11);
+    let sink = Arc::new(CollectingSink::new());
+    let mut orc = Orchestrator::with_defaults().with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
+    assert!(orc.solve(&problem).expect("solve").is_sat());
+    let events = sink.events();
+    let linear: Vec<_> = events.iter().filter(|e| e.kind == "phase.linear").collect();
+    let cold = linear
+        .iter()
+        .filter(|e| e.get("start") == Some("cold"))
+        .count();
+    assert_eq!(cold, 1, "only the first phase starts cold");
+    for e in &linear {
+        let reused: u64 = e
+            .get("reused_rows")
+            .expect("reused_rows")
+            .parse()
+            .expect("u64");
+        if reused > 0 {
+            assert_eq!(e.get("start"), Some("warm"), "{e:?}");
+        }
+    }
+}
+
+/// The event table in the trace crate's docs, as `kind -> payload keys`.
+/// Every backticked name in a row's first column is a kind; every
+/// backticked name in its last column is a key (or a value, harmlessly).
+fn documented_events() -> HashMap<String, Vec<String>> {
+    let ticked = |cell: &str| -> Vec<String> {
+        cell.split('`')
+            .skip(1)
+            .step_by(2)
+            .map(str::to_string)
+            .collect()
+    };
+    let mut table = HashMap::new();
+    for row in include_str!("../crates/trace/src/lib.rs")
+        .lines()
+        .filter_map(|line| line.strip_prefix("//! |"))
+    {
+        let cells: Vec<&str> = row.split('|').collect();
+        if cells.len() < 3 {
+            continue;
+        }
+        for kind in ticked(cells[0]) {
+            table.insert(kind, ticked(cells[2]));
+        }
+    }
+    table
+}
+
+/// Every event the solver emits — through a preprocessed multi-component
+/// solve, model enumeration, a session script and both parallel paths —
+/// is in the trace crate's event table, with each of its payload keys.
+#[test]
+fn emitted_trace_events_match_the_documented_table() {
+    let sink = Arc::new(CollectingSink::new());
+    let traced =
+        || Orchestrator::with_defaults().with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
+    let preprocessed = || traced().with_preprocessor(Box::new(Simplifier::new()));
+    let two_components = absolver_bench::workloads::decomposable_problem(2, 6);
+    let static_unsat: AbProblem = "p cnf 2 2\n1 0\n2 0\nc def real 1 x >= 1\nc def real 2 x <= 0\n"
+        .parse()
+        .expect("parses");
+    // Its refute pass differentiates the constraint, interning new terms.
+    let refuted: AbProblem = "p cnf 1 1\n1 0\nc def real 1 x * x - 2 * x * y + y * y < -4\n\
+        c range x -10 10\nc range y -10 10\n"
+        .parse()
+        .expect("parses");
+
+    for problem in [&two_components, &fig2(), &static_unsat, &refuted] {
+        preprocessed().solve(problem).expect("solve");
+    }
+    traced().solve_all(&fig2(), 3).expect("solve_all");
+    let opts = ParallelOptions {
+        jobs: 2,
+        ..Default::default()
+    };
+    for problem in [&fig2(), &two_components] {
+        traced()
+            .solve_parallel(problem, &opts)
+            .expect("solve_parallel");
+    }
+    let mut session = Session::with_orchestrator(traced());
+    let x = session.arith_var("x", VarKind::Real).expect("declare");
+    let ge = session
+        .atom(Expr::var(x), CmpOp::Ge, Rational::from_int(1))
+        .expect("atom");
+    session.require(ge.positive());
+    session.check().expect("check");
+    session.push();
+    let le = session
+        .atom(Expr::var(x), CmpOp::Le, Rational::from_int(0))
+        .expect("atom");
+    session.require(le.positive());
+    session.check().expect("check");
+    session.pop().expect("pop");
+    session.check().expect("check");
+    session.reset();
+    session.check().expect("check");
+
+    let table = documented_events();
+    let events = sink.events();
+    for e in &events {
+        let keys = table
+            .get(&e.kind)
+            .unwrap_or_else(|| panic!("`{}` is missing from the event table", e.kind));
+        let duration = e.duration_us.map(|_| "duration_us");
+        for key in e.data.iter().map(|(k, _)| k.as_str()).chain(duration) {
+            assert!(
+                keys.iter().any(|k| k == key),
+                "`{}` emits `{key}`, which its table row does not list: {e:?}",
+                e.kind
+            );
+        }
+    }
+    let kinds: Vec<&str> = events.iter().map(|e| e.kind.as_str()).collect();
+    for kind in [
+        "analyze.partition",
+        "analyze.static_unsat",
+        "component.start",
+        "component.end",
+        "term.intern",
+        "shard.start",
+        "shard.end",
+        "session.push",
+        "session.pop",
+        "session.reset",
+        "session.check.start",
+        "session.check.end",
+    ] {
+        assert!(kinds.contains(&kind), "the runs never emitted `{kind}`");
+    }
 }
 
 #[test]

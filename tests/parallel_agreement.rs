@@ -1,12 +1,11 @@
-//! Differential testing of the parallel subsystem: `solve_parallel` under
-//! both strategies and several job counts must agree with the sequential
-//! control loop, cancellation must be observed within a bounded number of
+//! Differential testing of the parallel subsystem: `solve_parallel` at
+//! several job counts must agree with the sequential control loop, cancellation must be observed within a bounded number of
 //! iterations even from deep inside a theory check, and `--time-limit`
 //! must hold as a wall-clock deadline rather than a per-iteration hint.
 
 use absolver::core::{
     AbProblem, CdclBoolean, Orchestrator, OrchestratorOptions, Outcome, ParallelOptions,
-    ParallelStrategy, PenaltyNonlinear, SimplexLinear, VarKind,
+    PenaltyNonlinear, SimplexLinear, VarKind,
 };
 use absolver::linear::CmpOp;
 use absolver::logic::Tri;
@@ -101,10 +100,10 @@ fn linear_problem_gen() -> Gen<AbProblem> {
 property! {
     #![cases = 100]
 
-    /// Both parallel strategies at 1, 2, and 4 jobs return the same
-    /// SAT/UNSAT verdict as the sequential control loop, and every Sat
-    /// model satisfies the three-valued Boolean circuit *and* the
-    /// arithmetic constraints.
+    /// `solve_parallel` at 1, 2, and 4 jobs returns the same SAT/UNSAT
+    /// verdict as the sequential control loop, and every Sat model
+    /// satisfies the three-valued Boolean circuit *and* the arithmetic
+    /// constraints.
     fn parallel_agrees_with_sequential(problem in linear_problem_gen()) {
         let mut orc = Orchestrator::with_defaults();
         let sequential = orc.solve(&problem).unwrap();
@@ -113,33 +112,29 @@ property! {
             "linear problems must be decided sequentially"
         );
 
-        for strategy in [ParallelStrategy::Portfolio, ParallelStrategy::Cubes] {
-            for jobs in [1usize, 2, 4] {
-                let opts = ParallelOptions {
-                    jobs,
-                    strategy,
-                    deterministic: true,
-                    ..Default::default()
-                };
-                let (outcome, stats) = orc.solve_parallel(&problem, &opts).unwrap();
+        for jobs in [1usize, 2, 4] {
+            let opts = ParallelOptions {
+                jobs,
+                deterministic: true,
+                ..Default::default()
+            };
+            let (outcome, stats) = orc.solve_parallel(&problem, &opts).unwrap();
+            assert_eq!(
+                sequential.is_sat(),
+                outcome.is_sat(),
+                "jobs={jobs}: sequential {sequential:?} vs parallel {outcome:?} ({stats})"
+            );
+            assert_eq!(sequential.is_unsat(), outcome.is_unsat(), "jobs={jobs}");
+            if let Outcome::Sat(m) = &outcome {
                 assert_eq!(
-                    sequential.is_sat(),
-                    outcome.is_sat(),
-                    "{strategy} jobs={jobs}: sequential {sequential:?} vs parallel {outcome:?} \
-                     ({stats})"
+                    problem.cnf().eval(&m.boolean),
+                    Tri::True,
+                    "jobs={jobs}: parallel model fails the Boolean circuit"
                 );
-                assert_eq!(sequential.is_unsat(), outcome.is_unsat(), "{strategy} jobs={jobs}");
-                if let Outcome::Sat(m) = &outcome {
-                    assert_eq!(
-                        problem.cnf().eval(&m.boolean),
-                        Tri::True,
-                        "{strategy} jobs={jobs}: parallel model fails the Boolean circuit"
-                    );
-                    assert!(
-                        m.satisfies(&problem, 1e-9),
-                        "{strategy} jobs={jobs}: parallel model invalid"
-                    );
-                }
+                assert!(
+                    m.satisfies(&problem, 1e-9),
+                    "jobs={jobs}: parallel model invalid"
+                );
             }
         }
     }
@@ -228,35 +223,31 @@ fn time_limit_interrupts_a_deep_theory_check() {
 }
 
 /// `--time-limit` composed with `--jobs`: every shard shares one
-/// wall-clock deadline (cubes must not restart the clock per cube), and
-/// the aggregated stats report the timeout.
+/// wall-clock deadline, and the aggregated stats report the timeout.
 #[test]
 fn time_limit_bounds_parallel_runs() {
     let problem = heavy_nonlinear_problem();
-    for strategy in [ParallelStrategy::Portfolio, ParallelStrategy::Cubes] {
-        let opts = ParallelOptions {
-            jobs: 2,
-            strategy,
-            base: OrchestratorOptions {
-                time_limit: Some(Duration::from_millis(200)),
-                ..Default::default()
-            },
+    let opts = ParallelOptions {
+        jobs: 2,
+        base: OrchestratorOptions {
+            time_limit: Some(Duration::from_millis(200)),
             ..Default::default()
-        };
-        let started = Instant::now();
-        let (outcome, stats) = Orchestrator::with_defaults()
-            .solve_parallel(&problem, &opts)
-            .unwrap();
-        let elapsed = started.elapsed();
-        // The interval engine proves this UNSAT instantly, so the default
-        // portfolio/cube stacks may legitimately finish inside the limit;
-        // what is forbidden is running long or claiming Sat.
-        assert!(!outcome.is_sat(), "{strategy}: x^2 <= -1 cannot be Sat");
-        assert!(
-            elapsed < Duration::from_secs(10),
-            "{strategy}: 200ms limit overshot to {elapsed:?} ({stats})"
-        );
-    }
+        },
+        ..Default::default()
+    };
+    let started = Instant::now();
+    let (outcome, stats) = Orchestrator::with_defaults()
+        .solve_parallel(&problem, &opts)
+        .unwrap();
+    let elapsed = started.elapsed();
+    // The interval engine proves this UNSAT instantly, so the default
+    // portfolio stacks may legitimately finish inside the limit; what is
+    // forbidden is running long or claiming Sat.
+    assert!(!outcome.is_sat(), "x^2 <= -1 cannot be Sat");
+    assert!(
+        elapsed < Duration::from_secs(10),
+        "200ms limit overshot to {elapsed:?} ({stats})"
+    );
 }
 
 /// A cancelled parallel run reports its cancellation latency, and the

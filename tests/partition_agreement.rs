@@ -13,8 +13,7 @@
 
 use absolver::analyze::Simplifier;
 use absolver::core::{
-    AbModel, AbProblem, Orchestrator, Outcome, ParallelOptions, ParallelStrategy, Partition,
-    VarKind,
+    AbModel, AbProblem, Orchestrator, Outcome, ParallelOptions, Partition, VarKind,
 };
 use absolver::linear::CmpOp;
 use absolver::logic::Tri;
@@ -158,7 +157,6 @@ property! {
         // portfolio, which the parallel_agreement suite already pins).
         let opts = ParallelOptions {
             jobs: 2,
-            strategy: ParallelStrategy::Portfolio,
             deterministic: true,
             ..Default::default()
         };
@@ -246,7 +244,7 @@ fn sequential_component_loop_reports_components_and_traces() {
     assert!(components >= 1, "components stat must be recorded");
     if components >= 2 {
         assert!(
-            kinds.iter().any(|k| k == "analyze.component"),
+            kinds.iter().any(|k| k == "component.start"),
             "a multi-component solve must trace per-component outcomes"
         );
     }
@@ -259,7 +257,6 @@ fn parallel_component_shards_solve_disconnected_problems() {
     let mut orc = Orchestrator::with_defaults().with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
     let opts = ParallelOptions {
         jobs: 2,
-        strategy: ParallelStrategy::Portfolio,
         deterministic: true,
         ..Default::default()
     };
@@ -296,7 +293,6 @@ c def real 3 y >= 5
     assert!(whole.is_unsat());
     let opts = ParallelOptions {
         jobs: 2,
-        strategy: ParallelStrategy::Portfolio,
         deterministic: true,
         ..Default::default()
     };
