@@ -8,11 +8,11 @@
 //!   a severity, a stable `AB0xx` code, and a source span. Rendered in a
 //!   human `file:line:col:` form or as stable JSON by `absolver check`.
 //! * **Preprocessing** ([`Simplifier`]): an equisatisfiable simplifier
-//!   that runs before the solver — constant propagation, unit-clause and
-//!   pure-literal elimination, statically-decided theory atoms,
-//!   subsumption/dominance pruning, and HC4-based range tightening —
-//!   with a model-reconstruction map so satisfying assignments lift back
-//!   to the original problem.
+//!   that can run before the solver (no default path installs it) —
+//!   constant propagation, unit-clause and pure-literal elimination,
+//!   statically-decided theory atoms, subsumption/dominance pruning, and
+//!   HC4-based range tightening — with a model-reconstruction map so
+//!   satisfying assignments lift back to the original problem.
 //!
 //! Both halves are fed by the semantic analyses of [`structure`]
 //! (incidence-graph partitioning, subsumption, affine dominance) and

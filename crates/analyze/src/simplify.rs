@@ -56,7 +56,9 @@ use absolver_num::Interval;
 use std::collections::{BTreeMap, HashSet};
 
 /// The analyzer's preprocessing pass. Attach to an orchestrator with
-/// [`absolver_core::Orchestrator::with_preprocessor`]:
+/// [`absolver_core::Orchestrator::with_preprocessor`]. Neither the CLI
+/// nor the daemon does: the pass slowed every input measured. It is kept
+/// because the benchmark harness (`perfbench`) still installs it.
 ///
 /// ```
 /// use absolver_analyze::Simplifier;

@@ -3,11 +3,10 @@
 //! variables, [`absolver_bench::workloads::decomposable_problem`]) three
 //! ways and reports the wall-clock of each:
 //!
-//! * **whole** — the plain sequential control loop on the monolithic
-//!   problem (no preprocessing, no partitioning);
-//! * **partitioned** — the sequential component loop behind
-//!   `--preprocess` (one sub-solve per connected component, models
-//!   stitched back);
+//! * **whole** — one control-loop run on the monolithic problem
+//!   (`solve_all` for one model, which never partitions);
+//! * **partitioned** — the default `solve`: one sub-solve per connected
+//!   component, models stitched back;
 //! * **parallel** — `solve_parallel` with one shard per component.
 //!
 //! ```text
@@ -21,7 +20,6 @@
 //! binary exits 1 if any of the three runs disagrees on the verdict —
 //! partitioning must never change an answer.
 
-use absolver_analyze::Simplifier;
 use absolver_bench::harness::{env_seconds, format_duration, print_table};
 use absolver_bench::workloads::decomposable_problem;
 use absolver_core::{
@@ -71,16 +69,19 @@ fn main() {
     );
     assert_eq!(partition.len(), instances, "workload must decompose");
 
-    // Whole problem, no partitioning.
+    // Whole problem, no partitioning: the first model of an enumeration.
     let mut whole = Orchestrator::with_defaults().with_options(options.clone());
-    let whole_outcome = whole.solve(&problem);
+    let whole_outcome = whole
+        .solve_all(&problem, 1)
+        .map(|(mut models, end)| match models.pop() {
+            Some(model) => Outcome::Sat(Box::new(model)),
+            None => end,
+        });
     let whole_verdict = verdict(&whole_outcome, &problem);
     let whole_elapsed = whole.stats().elapsed;
 
-    // Sequential component loop (the `--preprocess` path).
-    let mut seq = Orchestrator::with_defaults()
-        .with_options(options.clone())
-        .with_preprocessor(Box::new(Simplifier::new()));
+    // The default solve: the sequential component loop.
+    let mut seq = Orchestrator::with_defaults().with_options(options.clone());
     let seq_outcome = seq.solve(&problem);
     let seq_verdict = verdict(&seq_outcome, &problem);
     let seq_stats = seq.stats();
@@ -128,7 +129,6 @@ fn main() {
         .field_u64("instances", instances as u64)
         .field_u64("vars_per_instance", size as u64)
         .field_u64("components", partition.len() as u64)
-        .field_u64("subsumed_constraints", seq_stats.subsumed_constraints)
         .field_str("whole_verdict", &whole_verdict)
         .field_u64("whole_elapsed_us", saturating_micros(whole_elapsed))
         .field_str("partitioned_verdict", &seq_verdict)

@@ -5,7 +5,7 @@ use absolver_baselines::{
     BaselineVerdict, CvcLike, CvcLikeOptions, MathSatLike, MathSatLikeOptions,
 };
 use absolver_core::{AbProblem, Orchestrator, OrchestratorOptions, Outcome};
-use absolver_trace::{saturating_micros, JsonObject};
+use absolver_trace::JsonObject;
 use std::time::Duration;
 
 /// Result of one solver on one instance.
@@ -44,52 +44,29 @@ pub fn run_absolver(problem: &AbProblem, time_limit: Option<Duration>) -> Measur
 /// Runs ABsolver and additionally renders the machine-readable report:
 /// a JSON object with the workload name, verdict, structural statistics,
 /// and the full per-phase [`absolver_core::OrchestratorStats`] payload
-/// (the `BENCH_<workload>.json` format).
-///
-/// Each workload is solved twice: once with the `analyze` preprocessor
-/// (the CLI default, reported as the primary `verdict`/`stats` columns)
-/// and once on the problem exactly as written (the `raw_verdict` /
-/// `raw_elapsed_us` columns), so the reports double as a
-/// preprocessing-impact experiment.
+/// (the `BENCH_<workload>.json` format). The stack is the CLI's default:
+/// the problem is solved as written, one control-loop run per component.
 pub fn run_absolver_report(
     workload: &str,
     problem: &AbProblem,
     time_limit: Option<Duration>,
 ) -> (Measurement, String) {
-    let options = OrchestratorOptions {
+    let mut orc = Orchestrator::with_defaults().with_options(OrchestratorOptions {
         time_limit,
         ..Default::default()
-    };
-    let verdict_of =
-        |outcome: &Result<Outcome, absolver_core::SolveError>, timed_out: bool| match outcome {
-            Ok(Outcome::Sat(model)) => {
-                debug_assert!(model.satisfies(problem, 1e-5), "model must validate");
-                "sat".to_string()
-            }
-            Ok(Outcome::Unsat) => "unsat".to_string(),
-            Ok(Outcome::Unknown) if timed_out => "timeout".to_string(),
-            Ok(Outcome::Unknown) => "unknown".to_string(),
-            Err(e) => format!("error: {e}"),
-        };
-
-    let mut raw_orc = Orchestrator::with_defaults().with_options(options.clone());
-    let raw_outcome = raw_orc.solve(problem);
-    let raw_verdict = verdict_of(&raw_outcome, raw_orc.stats().timed_out);
-    let raw_elapsed = raw_orc.stats().elapsed;
-
-    let mut orc = Orchestrator::with_defaults()
-        .with_options(options)
-        .with_preprocessor(Box::new(absolver_analyze::Simplifier::new()));
+    });
     let outcome = orc.solve(problem);
     let stats = orc.stats();
-    let verdict = verdict_of(&outcome, stats.timed_out);
-    debug_assert!(
-        !matches!(
-            (verdict.as_str(), raw_verdict.as_str()),
-            ("sat", "unsat") | ("unsat", "sat")
-        ),
-        "preprocessing changed the verdict: raw={raw_verdict} preprocessed={verdict}"
-    );
+    let verdict = match outcome {
+        Ok(Outcome::Sat(model)) => {
+            debug_assert!(model.satisfies(problem, 1e-5), "model must validate");
+            "sat".to_string()
+        }
+        Ok(Outcome::Unsat) => "unsat".to_string(),
+        Ok(Outcome::Unknown) if stats.timed_out => "timeout".to_string(),
+        Ok(Outcome::Unknown) => "unknown".to_string(),
+        Err(e) => format!("error: {e}"),
+    };
     // Pivot effort per theory check, the incremental theory engine's
     // derived efficiency metric.
     let pivots_per_check = if stats.theory_checks == 0 {
@@ -125,8 +102,6 @@ pub fn run_absolver_report(
         .field_f64("term_dedup_rate", term_dedup_rate)
         .field_u64("components", stats.components)
         .field_u64("subsumed_constraints", stats.subsumed_constraints)
-        .field_str("raw_verdict", &raw_verdict)
-        .field_u64("raw_elapsed_us", saturating_micros(raw_elapsed))
         .field_raw("stats", &stats.to_json());
     (
         Measurement {
@@ -282,9 +257,9 @@ mod tests {
 
     #[test]
     fn u64_extraction_finds_the_named_field() {
-        let report = r#"{"workload":"x","raw_elapsed_us":7,"stats":{"phase":{"boolean_us":3},"elapsed_us":4211}}"#;
+        let report = r#"{"workload":"x","whole_elapsed_us":7,"stats":{"phase":{"boolean_us":3},"elapsed_us":4211}}"#;
         assert_eq!(report_u64(report, "elapsed_us"), Some(4211));
-        assert_eq!(report_u64(report, "raw_elapsed_us"), Some(7));
+        assert_eq!(report_u64(report, "whole_elapsed_us"), Some(7));
         assert_eq!(report_u64(report, "missing"), None);
         assert_eq!(report_u64("{}", "elapsed_us"), None);
     }

@@ -178,7 +178,10 @@ pub struct OrchestratorStats {
     /// node (structural duplicates collapsed to an id copy).
     pub term_dedup_hits: u64,
     /// Wall-clock time of the preprocessing pass (zero when none is
-    /// installed or the call bypassed it).
+    /// installed or the call bypassed it). This and the `pre_*` counters
+    /// read 0 on every default path, which installs no preprocessor; they
+    /// and their `preprocess` JSON object stay because the benchmark
+    /// reads them.
     pub preprocess_time: Duration,
     /// Boolean variables eliminated by preprocessing.
     pub pre_vars_eliminated: u64,
@@ -193,8 +196,9 @@ pub struct OrchestratorStats {
     /// clauses).
     pub subsumed_constraints: u64,
     /// Independent connected components the incidence-graph partition
-    /// found (0 when no partitioning ran, 1 when the problem is one
-    /// component, ≥ 2 when the solve was decomposed).
+    /// found: ≥ 1 for every [`Orchestrator::solve`] (1 when it solved the
+    /// problem whole), 0 where no partition ran ([`Orchestrator::solve_all`],
+    /// sessions, a solve an installed preprocessor refuted).
     pub components: u64,
     /// Solves decided statically unsatisfiable by analysis before the
     /// control loop ran (0 or 1 for a single call; sums under
@@ -482,7 +486,7 @@ pub struct Orchestrator {
     /// backend provides an assertion stack).
     incremental: Option<IncrementalLinear>,
     /// Equisatisfiable pre-pass run by `solve` (not by `solve_all` or
-    /// sessions) before the control loop starts.
+    /// sessions) before the partition.
     preprocessor: Option<Box<dyn ProblemPreprocessor>>,
     /// When `Some`, every theory-conflict blocking clause derived by
     /// `run_loop` is also appended here. Incremental sessions
@@ -566,20 +570,17 @@ impl Orchestrator {
     }
 
     /// Installs an equisatisfiable preprocessing pass, run by
-    /// [`Orchestrator::solve`] before the control loop starts. The
+    /// [`Orchestrator::solve`] before the problem is partitioned. The
     /// concrete simplifier lives in the `absolver-analyze` crate
     /// (`absolver_analyze::Simplifier`); model enumeration
     /// ([`Orchestrator::solve_all`]) deliberately bypasses it, since it
     /// counts models of the *original* problem.
+    /// No default path installs one (the simplifier slowed every input
+    /// measured); kept because `perfbench` still builds an orchestrator
+    /// with it.
     pub fn with_preprocessor(mut self, pass: Box<dyn ProblemPreprocessor>) -> Orchestrator {
         self.preprocessor = Some(pass);
         self
-    }
-
-    /// Installs or clears the preprocessing pass (see
-    /// [`Orchestrator::with_preprocessor`]).
-    pub fn set_preprocessor(&mut self, pass: Option<Box<dyn ProblemPreprocessor>>) {
-        self.preprocessor = pass;
     }
 
     /// Installs a cooperative cancellation token. When another party sets
@@ -752,20 +753,77 @@ impl Orchestrator {
             .map(IncrementalLinear::new)
     }
 
-    /// Solves an AB-problem. When a preprocessor is installed
-    /// ([`Orchestrator::with_preprocessor`]), the pass runs first and the
-    /// control loop solves the shrunk problem; SAT witnesses are lifted
-    /// back to the original before being returned.
+    /// Solves an AB-problem: the installed preprocessor, if any, then
+    /// [`Partition::of`], then one control-loop run for one component or
+    /// one per component with the models stitched into one, then the lift
+    /// of a preprocessed SAT witness. [`OrchestratorStats::elapsed`] spans
+    /// the whole call.
     ///
     /// # Errors
     ///
     /// Returns [`SolveError::IterationLimit`] if the Boolean loop exceeds
-    /// the configured iteration cap.
+    /// the configured iteration cap; the cap applies to each component.
     pub fn solve(&mut self, problem: &AbProblem) -> Result<Outcome, SolveError> {
-        let Some(pass) = self.preprocessor.take() else {
-            return self.solve_loop(problem);
+        let started = Instant::now();
+        let pre = self.run_preprocessor(problem);
+        let target = match &pre {
+            None => problem,
+            Some((Preprocessed::Shrunk { problem, .. }, ..)) => problem,
+            Some((Preprocessed::TriviallyUnsat { summary }, pre_elapsed, pre_terms)) => {
+                self.stats = OrchestratorStats::default();
+                self.record_preprocess(summary, *pre_elapsed, *pre_terms);
+                self.stats.static_unsat = 1;
+                self.stats.elapsed = started.elapsed();
+                self.trace(|| {
+                    TraceEvent::new("analyze.static_unsat")
+                        .field("pass", "preprocess")
+                        .duration(*pre_elapsed)
+                });
+                return Ok(Outcome::Unsat);
+            }
         };
-        let pre_started = Instant::now();
+        let partition = Partition::of(target);
+        self.trace_partition(&partition);
+        let outcome = if partition.is_trivial() {
+            self.solve_loop(target, absolver_nonlinear::term::local_counters())
+        } else {
+            crate::parallel::component_loop(self, target, &partition)
+        };
+        // The control loop resets the stats: the call's own come after.
+        self.stats.components = partition.len().max(1) as u64;
+        self.stats.elapsed = started.elapsed();
+        let Some((
+            Preprocessed::Shrunk {
+                reconstruction,
+                summary,
+                ..
+            },
+            pre_elapsed,
+            pre_terms,
+        )) = pre
+        else {
+            return outcome;
+        };
+        self.record_preprocess(&summary, pre_elapsed, pre_terms);
+        match outcome {
+            Ok(Outcome::Sat(mut model)) => {
+                reconstruction.lift(&mut model);
+                Ok(Outcome::Sat(model))
+            }
+            other => other,
+        }
+    }
+
+    /// Runs the installed preprocessor on `problem`, traced as
+    /// `preprocess.start`/`preprocess.end`, and returns its result, its
+    /// duration and the terms it interned (new, deduplicated). `None`
+    /// when none is installed.
+    fn run_preprocessor(
+        &mut self,
+        problem: &AbProblem,
+    ) -> Option<(Preprocessed, Duration, (u64, u64))> {
+        let pass = self.preprocessor.take()?;
+        let started = Instant::now();
         self.trace(|| {
             TraceEvent::new("preprocess.start")
                 .field("pass", pass.name())
@@ -773,13 +831,13 @@ impl Orchestrator {
                 .field_u64("num_clauses", problem.cnf().len() as u64)
                 .field_u64("num_defs", problem.num_defs() as u64)
         });
-        let pre_term0 = absolver_nonlinear::term::local_counters();
+        let term0 = absolver_nonlinear::term::local_counters();
         let result = pass.preprocess(problem);
-        let pre_elapsed = pre_started.elapsed();
-        let pre_term1 = absolver_nonlinear::term::local_counters();
-        let pre_terms = (
-            pre_term1.0.saturating_sub(pre_term0.0),
-            pre_term1.1.saturating_sub(pre_term0.1),
+        let elapsed = started.elapsed();
+        let term1 = absolver_nonlinear::term::local_counters();
+        let terms = (
+            term1.0.saturating_sub(term0.0),
+            term1.1.saturating_sub(term0.1),
         );
         self.trace(|| {
             let (label, s) = match &result {
@@ -792,46 +850,10 @@ impl Orchestrator {
                 .field_u64("clauses_eliminated", s.clauses_eliminated)
                 .field_u64("atoms_eliminated", s.atoms_eliminated)
                 .field_u64("ranges_tightened", s.ranges_tightened)
-                .duration(pre_elapsed)
+                .duration(elapsed)
         });
         self.preprocessor = Some(pass);
-        match result {
-            Preprocessed::TriviallyUnsat { summary } => {
-                self.stats = OrchestratorStats::default();
-                self.record_preprocess(&summary, pre_elapsed, pre_terms);
-                self.stats.static_unsat = 1;
-                self.trace(|| {
-                    TraceEvent::new("analyze.static_unsat")
-                        .field("pass", "preprocess")
-                        .duration(pre_elapsed)
-                });
-                Ok(Outcome::Unsat)
-            }
-            Preprocessed::Shrunk {
-                problem: shrunk,
-                reconstruction,
-                summary,
-            } => {
-                let partition = Partition::of(&shrunk);
-                self.trace_partition(&partition);
-                let outcome = if partition.is_trivial() {
-                    self.solve_loop(&shrunk)
-                } else {
-                    crate::parallel::component_loop(self, &shrunk, &partition)
-                };
-                // `solve_loop` resets the stats at entry, so the pass
-                // accounting must be written back afterwards.
-                self.record_preprocess(&summary, pre_elapsed, pre_terms);
-                self.stats.components = partition.len() as u64;
-                match outcome {
-                    Ok(Outcome::Sat(mut model)) => {
-                        reconstruction.lift(&mut model);
-                        Ok(Outcome::Sat(model))
-                    }
-                    other => other,
-                }
-            }
-        }
+        Some((result, elapsed, terms))
     }
 
     /// Folds a preprocessing pass's effect into the current stats.
@@ -849,18 +871,19 @@ impl Orchestrator {
         self.stats.pre_atoms_eliminated = summary.atoms_eliminated;
         self.stats.pre_ranges_tightened = summary.ranges_tightened;
         self.stats.subsumed_constraints = summary.constraints_subsumed;
-        self.stats.elapsed += elapsed;
     }
 
     /// The call window every solve entry point runs in: resets the
     /// stats, emits `solve.start` (extended by `start`), runs `setup`,
-    /// snapshots the backend, assertion-stack and intern counters, runs
-    /// `body`, then stamps `elapsed`, folds the counter deltas into the
-    /// stats and emits `solve.end` (extended by `end`). The stack is
-    /// snapshotted after `setup` because setup may replace it.
+    /// snapshots the backend and assertion-stack counters, runs `body`,
+    /// then stamps `elapsed`, folds the counter deltas since those
+    /// snapshots and the arena snapshot `term0` into the stats and emits
+    /// `solve.end` (extended by `end`). The stack is snapshotted after
+    /// `setup` because setup may replace it.
     fn call_window<T>(
         &mut self,
         problem: &AbProblem,
+        term0: (u64, u64),
         start: impl FnOnce(TraceEvent) -> TraceEvent,
         setup: impl FnOnce(&mut Self),
         body: impl FnOnce(&mut Self, Instant) -> T,
@@ -871,7 +894,6 @@ impl Orchestrator {
         self.undecided = Undecided::default();
         let lin0 = self.linear_snapshot();
         let nl0 = self.nonlinear_snapshot();
-        let term0 = absolver_nonlinear::term::local_counters();
         self.trace(|| {
             start(
                 TraceEvent::new("solve.start")
@@ -894,9 +916,15 @@ impl Orchestrator {
 
     /// One control-loop run on `problem` as given: no preprocessing, no
     /// partitioning. [`Orchestrator::solve`] and every shard item end here.
-    pub(crate) fn solve_loop(&mut self, problem: &AbProblem) -> Result<Outcome, SolveError> {
+    /// Interning since the arena snapshot `term0` counts as the run's.
+    pub(crate) fn solve_loop(
+        &mut self,
+        problem: &AbProblem,
+        term0: (u64, u64),
+    ) -> Result<Outcome, SolveError> {
         self.call_window(
             problem,
+            term0,
             |e| e.field("mode", "solve"),
             |orc| orc.prepare_session(problem),
             |orc, started| {
@@ -925,6 +953,7 @@ impl Orchestrator {
     ) -> Result<Outcome, SolveError> {
         self.call_window(
             problem,
+            absolver_nonlinear::term::local_counters(),
             |e| e.field("mode", "session"),
             |orc| {
                 if args.rebuild_defs {
@@ -1007,6 +1036,7 @@ impl Orchestrator {
     ) -> Result<(Vec<AbModel>, Outcome), SolveError> {
         self.call_window(
             problem,
+            absolver_nonlinear::term::local_counters(),
             |e| e.field("mode", "solve_all"),
             |orc| orc.prepare_session(problem),
             |orc, started| {

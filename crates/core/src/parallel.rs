@@ -21,7 +21,8 @@
 //!   one model.
 //! * **The sequential component loop** of [`Orchestrator::solve`] is the
 //!   one-shard case of the component path: it runs on the caller's
-//!   orchestrator, on the caller's thread.
+//!   orchestrator, on the caller's thread. Both entry points partition
+//!   the same problem, at every job count.
 //!
 //! Spawned shards build their solver stacks inside their threads; only
 //! the problem, the queue and the token are shared. Cancellation is
@@ -78,8 +79,10 @@ impl Default for ParallelOptions {
 pub struct ParallelStats {
     /// Worker threads used.
     pub jobs: usize,
-    /// Independent connected components solved on separate shards (0 for
-    /// a portfolio run).
+    /// Independent connected components of the problem, as
+    /// [`OrchestratorStats::components`] counts them for
+    /// [`Orchestrator::solve`]: each solved as its own item, or 1 for a
+    /// portfolio run, whose shards each solve the whole problem.
     pub components: usize,
     /// Each shard's control-loop statistics, folded over the items it
     /// solved with [`OrchestratorStats::accumulate`], in shard order.
@@ -104,8 +107,9 @@ impl fmt::Display for ParallelStats {
         let iterations: u64 = self.shards.iter().map(|s| s.boolean_iterations).sum();
         write!(
             f,
-            "jobs={} iterations={} winner={} elapsed={:?}",
+            "jobs={} components={} iterations={} winner={} elapsed={:?}",
             self.jobs,
+            self.components,
             iterations,
             match self.winner {
                 Some(i) => i.to_string(),
@@ -113,9 +117,6 @@ impl fmt::Display for ParallelStats {
             },
             self.elapsed,
         )?;
-        if self.components > 0 {
-            write!(f, " components={}", self.components)?;
-        }
         if let Some(latency) = self.cancel_latency {
             write!(f, " cancel_latency={latency:?}")?;
         }
@@ -364,14 +365,17 @@ fn component_item<'a>(
     partition: &'a Partition,
 ) -> impl Fn(&mut Orchestrator, usize) -> Result<Outcome, SolveError> + Sync + 'a {
     move |orc: &mut Orchestrator, idx: usize| {
-        let sub = partition.extract(problem, idx);
         orc.trace(|| {
             TraceEvent::new("component.start")
                 .field_u64("component", idx as u64)
                 .field_u64("size", partition.components()[idx].size() as u64)
         });
         let started = Instant::now();
-        let result = orc.solve_loop(&sub);
+        // Extraction re-interns the component's constraints: the
+        // component's solve counts that interning as its own.
+        let term0 = absolver_nonlinear::term::local_counters();
+        let sub = partition.extract(problem, idx);
+        let result = orc.solve_loop(&sub, term0);
         orc.trace(|| {
             TraceEvent::new("component.end")
                 .field_u64("component", idx as u64)
@@ -433,7 +437,7 @@ fn reduce_components(
 /// The sequential component loop of [`Orchestrator::solve`]: one shard,
 /// on `orc` and the caller's thread, solves the components of `problem`
 /// in order. Leaves the statistics of every component solve, folded, in
-/// `orc`'s stats.
+/// `orc`'s stats; the caller stamps the call's own `elapsed`.
 pub(crate) fn component_loop(
     orc: &mut Orchestrator,
     problem: &AbProblem,
@@ -449,21 +453,18 @@ pub(crate) fn component_loop(
         &solve,
     );
     let report = run.shard(0, orc);
-    orc.stats = OrchestratorStats {
-        elapsed: run.started.elapsed(),
-        ..report.stats
-    };
+    orc.stats = report.stats;
     reduce_components(partition, vec![report])
 }
 
 impl Orchestrator {
-    /// Solves an AB-problem with `jobs` worker threads. With `jobs >= 2`,
-    /// a problem that splits into independent components gets one queued
-    /// item per component; any other problem runs the portfolio, one
-    /// whole-problem item per shard. The receiver's own backends are not
-    /// used — shards build their stacks from [`ParallelOptions::base`] —
-    /// but the aggregated verdict is exactly comparable to a sequential
-    /// [`Orchestrator::solve`] on the same problem.
+    /// Solves an AB-problem with `jobs` worker threads. A problem that
+    /// splits into independent components gets one queued item per
+    /// component, at every job count; any other problem runs the
+    /// portfolio, one whole-problem item per shard. The receiver's own
+    /// backends are not used — shards build their stacks from
+    /// [`ParallelOptions::base`], shard 0's the default one, so one job
+    /// replays [`Orchestrator::solve`] on the same problem.
     ///
     /// # Errors
     ///
@@ -475,33 +476,31 @@ impl Orchestrator {
         options: &ParallelOptions,
     ) -> Result<(Outcome, ParallelStats), SolveError> {
         let sink = self.trace_sink();
-        // Gated on jobs >= 2 so a 1-job run stays byte-for-byte the
-        // sequential control loop.
-        if options.jobs >= 2 {
-            let partition = Partition::of(problem);
-            if partition.len() >= 2 {
-                self.trace_partition(&partition);
-                let solve = component_item(problem, &partition);
-                let run = Run::new(
-                    partition.len(),
-                    options.jobs.min(partition.len()),
-                    options.deterministic,
-                    options.base.time_limit,
-                    refutes,
-                    &solve,
-                );
-                let reports = run.spawn("components", component_shard, &options.base, &sink);
-                let stats = run.stats(&reports, partition.len());
-                return reduce_components(&partition, reports).map(|o| (o, stats));
-            }
+        let partition = Partition::of(problem);
+        self.trace_partition(&partition);
+        if !partition.is_trivial() {
+            let solve = component_item(problem, &partition);
+            let run = Run::new(
+                partition.len(),
+                options.jobs.min(partition.len()),
+                options.deterministic,
+                options.base.time_limit,
+                refutes,
+                &solve,
+            );
+            let reports = run.spawn("components", component_shard, &options.base, &sink);
+            let stats = run.stats(&reports, partition.len());
+            return reduce_components(&partition, reports).map(|o| (o, stats));
         }
         // One whole-problem item per shard, pinned so that each shard
         // solves it on its own stack.
         let jobs = options.jobs.max(1);
-        let solve = |orc: &mut Orchestrator, _: usize| orc.solve_loop(problem);
+        let solve = |orc: &mut Orchestrator, _: usize| {
+            orc.solve_loop(problem, absolver_nonlinear::term::local_counters())
+        };
         let run = Run::new(jobs, jobs, true, options.base.time_limit, decides, &solve);
         let reports = run.spawn("portfolio", portfolio_shard, &options.base, &sink);
-        let stats = run.stats(&reports, 0);
+        let stats = run.stats(&reports, 1);
         reduce_portfolio(reports).map(|o| (o, stats))
     }
 }

@@ -467,11 +467,17 @@ impl ExprParser<'_> {
             ));
         }
         // Normalise: keep a constant RHS when possible, else move everything
-        // to the left-hand side.
-        Ok(match rhs {
-            Expr::Const(c) => NlConstraint::new(lhs.simplify(), op, c),
-            rhs => NlConstraint::new((lhs - rhs).simplify(), op, Rational::zero()),
-        })
+        // to the left-hand side. A written `-0` keeps its sign, as it
+        // evaluates in the problem that was written out.
+        let (lhs, rhs) = match rhs {
+            Expr::Const(c) => (lhs, c),
+            rhs => (lhs - rhs, Rational::zero()),
+        };
+        Ok(NlConstraint::new(
+            lhs.simplify_keeping_negative_zero(),
+            op,
+            rhs,
+        ))
     }
 }
 

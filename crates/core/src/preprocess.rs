@@ -36,13 +36,6 @@ pub struct PreprocessSummary {
     pub constraints_subsumed: u64,
 }
 
-impl PreprocessSummary {
-    /// `true` when the pass changed nothing at all.
-    pub fn is_noop(&self) -> bool {
-        *self == PreprocessSummary::default()
-    }
-}
-
 /// Lifts a model of the shrunk problem back to the original problem.
 ///
 /// Preprocessing never renumbers variables, so lifting only has to
@@ -91,18 +84,10 @@ pub enum Preprocessed {
     },
 }
 
-impl Preprocessed {
-    /// The pass summary, whichever way the pass ended.
-    pub fn summary(&self) -> &PreprocessSummary {
-        match self {
-            Preprocessed::Shrunk { summary, .. } => summary,
-            Preprocessed::TriviallyUnsat { summary } => summary,
-        }
-    }
-}
-
 /// An equisatisfiability-preserving problem rewriter, run by
-/// [`crate::Orchestrator::solve`] before the control loop starts.
+/// [`crate::Orchestrator::solve`] before the partition when one is
+/// installed. No default path installs one; the trait stays because the
+/// benchmark harness (`perfbench`) installs the `analyze` simplifier.
 ///
 /// Implementations must guarantee both directions: every model of the
 /// shrunk problem lifts (via the returned [`Reconstruction`]) to a model

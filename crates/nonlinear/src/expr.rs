@@ -228,25 +228,39 @@ impl Expr {
     /// Constant-folds the expression and prunes trivial identities
     /// (`x + 0`, `x * 1`, `x * 0`, …).
     pub fn simplify(&self) -> Expr {
+        self.simplify_in(false)
+    }
+
+    /// [`Expr::simplify`], except that constants keep the sign of a zero
+    /// as f64 arithmetic gives it: `-0` and `-3 * 0` are −0.0, and
+    /// `1 / -0` is −∞ where `1 / 0` is +∞. The parser normalises atoms
+    /// with this.
+    pub fn simplify_keeping_negative_zero(&self) -> Expr {
+        self.simplify_in(true)
+    }
+
+    fn simplify_in(&self, keep: bool) -> Expr {
         match self {
             Expr::Const(_) | Expr::Var(_) => self.clone(),
-            Expr::Neg(e) => match e.simplify() {
-                Expr::Const(c) => Expr::Const(-c),
+            Expr::Neg(e) => match e.simplify_in(keep) {
+                Expr::Const(c) if !(keep && c.is_zero()) => Expr::Const(-c),
                 Expr::Neg(inner) => *inner,
                 s => Expr::Neg(Box::new(s)),
             },
-            Expr::Add(a, b) => match (a.simplify(), b.simplify()) {
+            Expr::Add(a, b) => match (a.simplify_in(keep), b.simplify_in(keep)) {
                 (Expr::Const(x), Expr::Const(y)) => Expr::Const(x + y),
                 (Expr::Const(x), s) | (s, Expr::Const(x)) if x.is_zero() => s,
                 (sa, sb) => Expr::Add(Box::new(sa), Box::new(sb)),
             },
-            Expr::Sub(a, b) => match (a.simplify(), b.simplify()) {
+            Expr::Sub(a, b) => match (a.simplify_in(keep), b.simplify_in(keep)) {
                 (Expr::Const(x), Expr::Const(y)) => Expr::Const(x - y),
                 (s, Expr::Const(x)) if x.is_zero() => s,
                 (sa, sb) => Expr::Sub(Box::new(sa), Box::new(sb)),
             },
-            Expr::Mul(a, b) => match (a.simplify(), b.simplify()) {
-                (Expr::Const(x), Expr::Const(y)) => Expr::Const(x * y),
+            Expr::Mul(a, b) => match (a.simplify_in(keep), b.simplify_in(keep)) {
+                (Expr::Const(x), Expr::Const(y)) => {
+                    folded(&x * &y, keep && x.is_negative() != y.is_negative())
+                }
                 (Expr::Const(x), _) | (_, Expr::Const(x)) if x.is_zero() => Expr::zero(),
                 (Expr::Const(x), s) | (s, Expr::Const(x)) if x == Rational::one() => s,
                 // e·e ⇒ e²: interval evaluation of Pow knows the result is
@@ -255,23 +269,25 @@ impl Expr {
                 (sa, sb) if sa == sb => Expr::Pow(Box::new(sa), 2),
                 (sa, sb) => Expr::Mul(Box::new(sa), Box::new(sb)),
             },
-            Expr::Div(a, b) => match (a.simplify(), b.simplify()) {
-                (Expr::Const(x), Expr::Const(y)) if !y.is_zero() => Expr::Const(x / y),
+            Expr::Div(a, b) => match (a.simplify_in(keep), b.simplify_in(keep)) {
+                (Expr::Const(x), Expr::Const(y)) if !y.is_zero() => {
+                    folded(&x / &y, keep && x.is_negative() != y.is_negative())
+                }
                 (s, Expr::Const(x)) if x == Rational::one() => s,
                 (sa, sb) => Expr::Div(Box::new(sa), Box::new(sb)),
             },
-            Expr::Pow(e, n) => match (e.simplify(), n) {
+            Expr::Pow(e, n) => match (e.simplify_in(keep), n) {
                 (_, 0) => Expr::int(1),
                 (s, 1) => s,
                 (Expr::Const(c), n) if *n > 0 => Expr::Const(c.powi(*n)),
                 (s, n) => Expr::Pow(Box::new(s), *n),
             },
-            Expr::Sin(e) => Expr::Sin(Box::new(e.simplify())),
-            Expr::Cos(e) => Expr::Cos(Box::new(e.simplify())),
-            Expr::Exp(e) => Expr::Exp(Box::new(e.simplify())),
-            Expr::Ln(e) => Expr::Ln(Box::new(e.simplify())),
-            Expr::Sqrt(e) => Expr::Sqrt(Box::new(e.simplify())),
-            Expr::Abs(e) => match e.simplify() {
+            Expr::Sin(e) => Expr::Sin(Box::new(e.simplify_in(keep))),
+            Expr::Cos(e) => Expr::Cos(Box::new(e.simplify_in(keep))),
+            Expr::Exp(e) => Expr::Exp(Box::new(e.simplify_in(keep))),
+            Expr::Ln(e) => Expr::Ln(Box::new(e.simplify_in(keep))),
+            Expr::Sqrt(e) => Expr::Sqrt(Box::new(e.simplify_in(keep))),
+            Expr::Abs(e) => match e.simplify_in(keep) {
                 Expr::Const(c) => Expr::Const(c.abs()),
                 s => Expr::Abs(Box::new(s)),
             },
@@ -454,6 +470,16 @@ impl Expr {
             f.write_str(" )")?;
         }
         Ok(())
+    }
+}
+
+/// A folded constant: `value`, or −0.0 (a negated zero) when the value
+/// is zero and `negative` says f64 arithmetic gives it a negative sign.
+fn folded(value: Rational, negative: bool) -> Expr {
+    if negative && value.is_zero() {
+        Expr::Neg(Box::new(Expr::zero()))
+    } else {
+        Expr::Const(value)
     }
 }
 

@@ -48,9 +48,11 @@ echo "== parallel differential suite (solve_parallel at jobs 1/2/4) =="
 cargo test -q --offline --test parallel_agreement
 
 echo "== partition differential suite (component solving vs whole-problem) =="
-# Verdict identity of whole-problem vs sequential-component vs parallel
+# Verdict identity of whole-problem (an unpartitioned enumeration of one
+# model) vs the default solve's sequential component loop vs parallel
 # component-shard solving on a salted disconnected corpus, stitched-model
-# validity, and the static-unsat fast path (no solve loop entered).
+# validity, and the preprocessor's static-unsat fast path (no solve loop
+# entered).
 cargo test -q --offline --test partition_agreement
 
 echo "== incremental theory-engine differential suite (stack vs scratch) =="
@@ -79,7 +81,8 @@ echo "== seeded re-run of the randomized suites (pinned TESTKIT_SEED) =="
 TESTKIT_SEED=0xAB501BE5 cargo test -q --offline \
     --test parallel_agreement --test partition_agreement --test solver_agreement \
     --test fuzz_inputs --test contractor_soundness --test cascade_agreement \
-    --test session_agreement --test session_monotonic
+    --test session_agreement --test session_monotonic \
+    --test format_round_trip --test intern_properties
 # The library properties too: the theory layer's conflict soundness and
 # integer-row strengthening, the nonlinear DAG/tape bit-identity, and the
 # assertion stack's retraction differential.
@@ -145,11 +148,11 @@ else
     grep -q '"workload":"fischer"' "$OBS_TMP/BENCH_fischer.json"
     grep -q '"kind":"solve.start"' "$OBS_TMP/fig2.trace.jsonl"
 fi
-# The trace-equivalence differential suite (sequential vs 1-shard
-# portfolio) plus the CLI exit-code contract.
+# The trace-equivalence differential suite (sequential solve vs a one-job
+# parallel run) plus the CLI exit-code contract.
 cargo test -q --offline --test observability --test cli
 
-echo "== analyzer gate (absolver check + preprocessing differential) =="
+echo "== analyzer gate (absolver check + the simplifier's differential) =="
 # The paper's example must lint clean (exit 0); the checked-in malformed
 # fixture must produce a spanned error report (exit 4).
 ./target/release/absolver check examples/fig2.dimacs
@@ -193,7 +196,8 @@ grep -q '"code":"AB018"' "$OBS_TMP/declared_miss.json" \
 # Structure block: check reports the component decomposition.
 grep -q '"structure":{"components":' "$OBS_TMP/subsume.json" \
     || { echo "check --json must carry the structure block"; exit 1; }
-# Golden diagnostics + verdict identity of --preprocess vs --no-preprocess.
+# Golden diagnostics + verdict identity of solving with the analyze
+# simplifier installed and without it (no CLI flag installs it).
 cargo test -q --offline --test analyze_check --test preprocess_agreement
 
 echo "== CI gate passed =="

@@ -19,8 +19,6 @@
 //!   --contractors hc4[,bc3][,newton]
 //!                            contractor cascade stages (default: hc4,bc3,newton)
 //!   --nl-jobs N              worker threads for the nonlinear box search
-//!   --preprocess             simplify before solving (default)
-//!   --no-preprocess          solve the problem exactly as written
 //!   --all-models N           enumerate up to N models (N >= 1)
 //!   --time-limit SECS        wall-clock budget
 //!   --max-iterations N       cap on Boolean models examined
@@ -153,7 +151,6 @@ struct Config {
     nonlinear: String,
     contractors: ContractorConfig,
     nl_jobs: usize,
-    preprocess: bool,
     all_models: Option<usize>,
     time_limit: Option<Duration>,
     max_iterations: Option<u64>,
@@ -168,8 +165,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: absolver [--boolean cdcl|restart] [--nonlinear cascade|interval|penalty]\n\
          \x20               [--contractors hc4[,bc3][,newton]] [--nl-jobs N]\n\
-         \x20               [--no-preprocess] [--all-models N] [--time-limit SECS]\n\
-         \x20               [--max-iterations N] [--jobs N] [--deterministic]\n\
+         \x20               [--all-models N] [--time-limit SECS] [--max-iterations N]\n\
+         \x20               [--jobs N] [--deterministic]\n\
          \x20               [--stats [human|json]] [--trace FILE] [--quiet] [FILE]\n\
          \x20      absolver check [--json] [FILE]\n\
          \x20      absolver session [--boolean ...] [--nonlinear ...]\n\
@@ -189,7 +186,6 @@ fn parse_args() -> Config {
         nonlinear: "cascade".to_string(),
         contractors: ContractorConfig::default(),
         nl_jobs: 1,
-        preprocess: true,
         all_models: None,
         time_limit: None,
         max_iterations: None,
@@ -227,8 +223,6 @@ fn parse_args() -> Config {
                     .unwrap_or_else(|| usage());
                 config.nl_jobs = n.max(1);
             }
-            "--preprocess" => config.preprocess = true,
-            "--no-preprocess" => config.preprocess = false,
             "--all-models" => {
                 let n = args.next().and_then(|v| v.parse().ok());
                 config.all_models = Some(n.filter(|&n| n > 0).unwrap_or_else(|| usage()));
@@ -325,11 +319,7 @@ fn build_orchestrator(config: &Config) -> Orchestrator {
     if let Some(n) = config.max_iterations {
         options.max_iterations = n;
     }
-    orc = orc.with_options(options);
-    if config.preprocess {
-        orc = orc.with_preprocessor(Box::new(absolver::analyze::Simplifier::new()));
-    }
-    orc
+    orc.with_options(options)
 }
 
 /// The `absolver check` mode: run the static analyzer on one input and
@@ -412,9 +402,6 @@ fn session_main(args: &[String]) -> ExitCode {
         nonlinear: "cascade".to_string(),
         contractors: ContractorConfig::default(),
         nl_jobs: 1,
-        // Sessions solve the asserted problem as-is; the preprocessor
-        // only runs in whole-problem mode.
-        preprocess: false,
         all_models: None,
         time_limit: None,
         max_iterations: None,

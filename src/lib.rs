@@ -26,8 +26,8 @@
 //! * [`service`] — the `absolverd` daemon: request protocol, bounded
 //!   worker pool, and cross-request caching over persistent sessions.
 //! * [`analyze`] — the static analyzer: compiler-style diagnostics with
-//!   stable `AB0xx` codes (`absolver check`) and the equisatisfiable
-//!   preprocessor run by the orchestrator before solving.
+//!   stable `AB0xx` codes (`absolver check`) and an equisatisfiable
+//!   preprocessor, which no default solve runs.
 //!
 //! # Quickstart
 //!

@@ -59,10 +59,9 @@ fn unsat_input_exits_20() {
 #[test]
 fn unknown_verdict_exits_30() {
     // The penalty engine alone cannot refute x*x <= -1, so the solver
-    // must admit Unknown rather than claim a verdict. (The preprocessor
-    // would refute this statically, hence --no-preprocess.)
+    // must admit Unknown rather than claim a verdict.
     let input = "p cnf 1 1\n1 0\nc def real 1 x * x <= -1\nc range x -10 10\n";
-    let out = run_stdin(&["--nonlinear", "penalty", "--no-preprocess"], input);
+    let out = run_stdin(&["--nonlinear", "penalty"], input);
     assert_eq!(
         exit_code(&out),
         30,
@@ -155,17 +154,21 @@ fn parse_error_exits_2() {
 
 #[test]
 fn removed_flags_are_unknown_options() {
-    // The theory-verdict and contraction caches are gone, and so is the
-    // parallel strategy switch: each is now a usage error like any other
-    // unknown flag. (The cache names are assembled so no source line
-    // still spells a removed flag.)
+    // The theory-verdict and contraction caches are gone, and so are the
+    // parallel strategy switch and the preprocessing switches: each is
+    // now a usage error like any other unknown flag. (The names are
+    // assembled so no source line still spells a removed flag.)
     let theory = format!("--no-{}-cache", "theory");
     let contraction = format!("--no-{}-cache", "contraction");
+    let preprocess = format!("--{}", "preprocess");
+    let no_preprocess = format!("--no-{}", "preprocess");
     for args in [
         vec![theory.as_str(), FIG2],
         vec![contraction.as_str(), FIG2],
         vec!["session", theory.as_str()],
         vec!["--strategy", "cubes", FIG2],
+        vec![preprocess.as_str(), FIG2],
+        vec![no_preprocess.as_str(), FIG2],
     ] {
         let out = run_stdin(&args, "");
         assert_eq!(exit_code(&out), 2, "{args:?}");
@@ -270,11 +273,7 @@ fn int_witness_is_snapped_and_rechecked() {
     // unknown, never `x = 0` or a fractional value.
     let input = "p cnf 3 3\n1 0\n2 0\n3 0\nc def int 1 x * x > 0\n\
                  c def int 2 x >= -1\nc def int 3 x <= 1\n";
-    for args in [
-        &[][..],
-        &["--no-preprocess"][..],
-        &["--nonlinear", "penalty"][..],
-    ] {
+    for args in [&[][..], &["--nonlinear", "penalty"][..]] {
         let out = run_stdin(args, input);
         let stdout = String::from_utf8_lossy(&out.stdout);
         match exit_code(&out) {
@@ -405,17 +404,8 @@ fn check_missing_file_exits_2() {
     assert_eq!(exit_code(&out), 2);
 }
 
-#[test]
-fn preprocess_flags_agree_on_verdict() {
-    let on = absolver().args(["--quiet", FIG2]).output().expect("run");
-    let off = absolver()
-        .args(["--no-preprocess", "--quiet", FIG2])
-        .output()
-        .expect("run");
-    assert_eq!(exit_code(&on), 10);
-    assert_eq!(exit_code(&off), 10);
-}
-
+/// No preprocessor runs by default, but the `preprocess` object keeps
+/// its keys, reading 0.
 #[test]
 fn preprocess_stats_appear_in_json() {
     let out = absolver()
@@ -435,6 +425,47 @@ fn preprocess_stats_appear_in_json() {
         "\"time_us\":",
     ] {
         assert!(json_line.contains(key), "missing {key} in {json_line}");
+    }
+    assert!(
+        json_line.contains(
+            "\"preprocess\":{\"vars_eliminated\":0,\"clauses_eliminated\":0,\
+             \"atoms_eliminated\":0,\"ranges_tightened\":0,\"time_us\":0}"
+        ),
+        "{json_line}"
+    );
+}
+
+/// The `"components"` count of the `--stats json` line of a run on
+/// `input` with `args`.
+fn stats_components(args: &[&str], input: &str) -> u64 {
+    let out = run_stdin(args, input);
+    assert_eq!(exit_code(&out), 10, "{args:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    stdout
+        .lines()
+        .find(|l| l.starts_with('{'))
+        .and_then(|json| json.split("\"components\":").nth(1))
+        .and_then(|rest| rest.split(|c: char| !c.is_ascii_digit()).next())
+        .and_then(|digits| digits.parse().ok())
+        .unwrap_or_else(|| panic!("{args:?}: no components in {stdout}"))
+}
+
+/// The sequential solve and `--jobs 2` partition the same problem: a
+/// sudoku that is one component, and four independent threshold
+/// instances.
+#[test]
+fn sequential_and_parallel_runs_report_one_partition() {
+    use absolver::core::parser;
+    use absolver_bench::sudoku::{encode_mixed, table3_suite};
+    let sudoku_hard = parser::write(&encode_mixed(&table3_suite()[0].1));
+    let four = parser::write(&absolver_bench::workloads::decomposable_problem(4, 40));
+    for (input, components) in [(&sudoku_hard, 1), (&four, 4)] {
+        for args in [
+            &["--stats", "json", "--quiet"][..],
+            &["--jobs", "2", "--stats", "json", "--quiet"][..],
+        ] {
+            assert_eq!(stats_components(args, input), components, "{args:?}");
+        }
     }
 }
 

@@ -2,6 +2,7 @@
 //! randomly generated AB-problems.
 
 use absolver::core::{parser, AbProblem, VarKind};
+use absolver::linear::CmpOp;
 use absolver::nonlinear::Expr;
 use absolver::num::Rational;
 use absolver_testkit::domain::{self, ExprProfile};
@@ -100,14 +101,14 @@ fn check_round_trip(p1: &AbProblem) {
     }
 }
 
-/// A single-atom problem over three real variables with no clauses,
-/// the shape of both historical counterexamples below.
-fn one_atom_problem(e: Expr, rhs: Rational) -> AbProblem {
+/// A single-atom `e op rhs` problem over three real variables with no
+/// clauses, the shape of the counterexamples below.
+fn one_atom_problem(e: Expr, op: CmpOp, rhs: Rational) -> AbProblem {
     let mut b = AbProblem::builder();
     for v in 0..3 {
         b.arith_var(&format!("v{v}"), VarKind::Real);
     }
-    b.atom(e, absolver::linear::CmpOp::Lt, rhs);
+    b.atom(e, op, rhs);
     b.build()
 }
 
@@ -116,8 +117,25 @@ fn one_atom_problem(e: Expr, rhs: Rational) -> AbProblem {
 /// `0 + (-4)^2` re-parsed with different semantics.
 #[test]
 fn regression_negative_base_pow() {
-    let p = one_atom_problem(Expr::int(0) + Expr::int(-4).pow(2), Rational::from_int(0));
+    let p = one_atom_problem(
+        Expr::int(0) + Expr::int(-4).pow(2),
+        CmpOp::Lt,
+        Rational::from_int(0),
+    );
     check_round_trip(&p);
+}
+
+/// Counterexamples of negative zeros: a negated zero constant (the
+/// pinned CI seed's) and a zero product with a negative factor are
+/// −0.0, so dividing 1 by them gives −∞ and the atom holds. The parser
+/// used to fold both to `0`, which turned the atom into `1 / 0 <= 0`,
+/// +∞, false.
+#[test]
+fn regression_negative_zero_divisor() {
+    for divisor in [-Expr::int(0), Expr::int(-3) * Expr::int(0) - Expr::int(0)] {
+        let p = one_atom_problem(Expr::int(1) / divisor, CmpOp::Le, Rational::from_int(0));
+        check_round_trip(&p);
+    }
 }
 
 /// Historical counterexample (from the proptest era): a non-integer
@@ -127,6 +145,7 @@ fn regression_negative_base_pow() {
 fn regression_rational_constant_in_pow_chain() {
     let p = one_atom_problem(
         ((Expr::int(-1) * Expr::int(1)) / Expr::constant(Rational::new(1, 6))).pow(3),
+        CmpOp::Lt,
         Rational::from_int(-1),
     );
     check_round_trip(&p);

@@ -1,13 +1,13 @@
 //! Integration tests for the observability layer: per-phase timing
 //! invariants, counter monotonicity across model enumeration, the
 //! warm/cold labels of linear phases, the trace crate's event table
-//! against what the solver emits, and a differential test pinning the
-//! single-shard portfolio to the sequential control loop, trace-event by
-//! trace-event.
+//! against what the solver emits, the interning a component's extraction
+//! does, and a differential test pinning a one-job parallel run to the
+//! sequential solve, trace-event by trace-event.
 
 use absolver::analyze::Simplifier;
 use absolver::core::{
-    AbProblem, Orchestrator, OrchestratorOptions, ParallelOptions, Session, VarKind,
+    parser, AbProblem, Orchestrator, OrchestratorOptions, ParallelOptions, Session, VarKind,
 };
 use absolver::linear::CmpOp;
 use absolver::nonlinear::Expr;
@@ -35,11 +35,17 @@ fn fig2() -> AbProblem {
     FIG2.parse().expect("paper example parses")
 }
 
+/// Fig. 2 solved whole: `solve` would split it into two components, and
+/// its nonlinear one needs no HC4 narrowing on its own.
+fn solve_fig2_whole(orc: &mut Orchestrator) {
+    let (models, _) = orc.solve_all(&fig2(), 1).expect("solve_all");
+    assert_eq!(models.len(), 1, "fig2 is satisfiable");
+}
+
 #[test]
 fn phase_times_are_bounded_by_elapsed() {
     let mut orc = Orchestrator::with_defaults();
-    let outcome = orc.solve(&fig2()).expect("solve");
-    assert!(outcome.is_sat());
+    solve_fig2_whole(&mut orc);
     let stats = orc.stats();
     // The instrumented phases partition a subset of the wall clock: their
     // sum can never exceed the total. No pass minimises conflicts, so
@@ -85,8 +91,7 @@ fn contractions_per_check_reports_nonlinear_effort() {
     // solver did nothing". The derived nonlinear effort metrics must show
     // the real work instead.
     let mut orc = Orchestrator::with_defaults();
-    let outcome = orc.solve(&fig2()).expect("solve");
-    assert!(outcome.is_sat());
+    solve_fig2_whole(&mut orc);
     let stats = orc.stats();
     assert_eq!(
         stats.total_contractions(),
@@ -140,13 +145,13 @@ fn iteration_counter_is_strictly_monotone_across_solve_all() {
     assert_eq!(orc.stats().boolean_iterations, *iterations.last().unwrap());
 }
 
-/// The solver-visible event stream of a single-shard deterministic
-/// portfolio must match the sequential control loop exactly: shard 0 of
-/// the portfolio *is* the default stack, so any divergence in the
-/// (kind, iteration) sequence is an instrumentation or diversification
-/// bug.
+/// The solver-visible event stream of a one-job deterministic parallel
+/// run must match the sequential solve exactly: both partition Fig. 2
+/// into the same two components, and the one component shard runs the
+/// default stack, so any divergence in the (kind, iteration) sequence is
+/// an instrumentation or diversification bug.
 #[test]
-fn single_shard_portfolio_traces_like_the_sequential_loop() {
+fn single_shard_component_run_traces_like_the_sequential_solve() {
     let problem = fig2();
     let solver_kinds = [
         "boolean.model",
@@ -179,11 +184,11 @@ fn single_shard_portfolio_traces_like_the_sequential_loop() {
         deterministic: true,
         base: OrchestratorOptions::default(),
     };
-    let (par_outcome, _) = par
-        .solve_parallel(&problem, &opts)
-        .expect("portfolio solve");
+    let (par_outcome, par_stats) = par.solve_parallel(&problem, &opts).expect("parallel solve");
 
-    assert_eq!(seq_outcome.is_sat(), par_outcome.is_sat());
+    assert_eq!(seq_outcome, par_outcome);
+    assert_eq!(seq.stats().components, 2);
+    assert_eq!(par_stats.components, 2);
     let seq_trace = filter(&seq_sink);
     let par_trace = filter(&par_sink);
     assert!(!seq_trace.is_empty());
@@ -201,6 +206,35 @@ fn single_shard_portfolio_traces_like_the_sequential_loop() {
     let kinds = par_sink.kinds();
     assert!(kinds.iter().any(|k| k == "shard.start"));
     assert!(kinds.iter().any(|k| k == "shard.end"));
+}
+
+/// Extracting a component re-interns its remapped constraints before the
+/// component's control loop starts; each component's solve counts that
+/// interning and reports it in its own `term.intern` event. The input is
+/// components 4×40 as `absolver` reads it from its file.
+#[test]
+fn component_extraction_interning_is_counted() {
+    let text = parser::write(&absolver_bench::workloads::decomposable_problem(4, 40));
+    let problem: AbProblem = text.parse().expect("own output parses");
+    let sink = Arc::new(CollectingSink::new());
+    let mut orc = Orchestrator::with_defaults().with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
+    assert!(orc.solve(&problem).expect("solve").is_sat());
+    let stats = orc.stats();
+    assert_eq!(stats.components, 4, "{stats}");
+    assert!(stats.term_dedup_hits >= 1116, "{stats}");
+    let events = sink.events();
+    let component_of = |e: &absolver::trace::TraceEvent| e.get("component").map(str::to_string);
+    let mut current = None;
+    let mut interned_in = Vec::new();
+    for e in &events {
+        match e.kind.as_str() {
+            "component.start" => current = component_of(e),
+            "component.end" => current = None,
+            "term.intern" => interned_in.push(current.clone().expect("inside a component")),
+            _ => {}
+        }
+    }
+    assert_eq!(interned_in, ["0", "1", "2", "3"], "{events:?}");
 }
 
 /// Consecutive threshold-reach models differ in one free atom, so each

@@ -1,5 +1,5 @@
 //! Differential testing of the structural-partition subsystem: solving a
-//! problem component-by-component (sequentially under the preprocessor,
+//! problem component-by-component (sequentially under `solve`,
 //! concurrently under `solve_parallel`, or by hand via
 //! [`Partition::extract`]/[`Partition::stitch`]) must agree verdict-for-
 //! verdict with solving the whole problem at once, and every stitched
@@ -124,23 +124,26 @@ fn assert_model_valid(problem: &AbProblem, model: &AbModel, context: &str) {
 property! {
     #![cases = 100]
 
-    /// Whole-problem solving, the preprocessor's sequential component
-    /// loop, the parallel component shards, and a by-hand
-    /// extract/solve/stitch all agree on the verdict, and every Sat
-    /// witness checks out against the original problem.
+    /// Whole-problem solving, the sequential component loop of `solve`,
+    /// the parallel component shards, and a by-hand extract/solve/stitch
+    /// all agree on the verdict, and every Sat witness checks out against
+    /// the original problem.
     fn partitioned_agrees_with_whole(problem in disconnected_problem_gen()) {
-        // Control: the plain control loop on the whole problem, no
-        // preprocessing, no partitioning.
+        // Control: one control-loop run on the whole problem, no
+        // partitioning (an enumeration of one model never partitions).
         let mut control = Orchestrator::with_defaults();
-        let whole = control.solve(&problem).unwrap();
+        let (models, end) = control.solve_all(&problem, 1).unwrap();
+        let whole = match models.into_iter().next() {
+            Some(model) => Outcome::Sat(Box::new(model)),
+            None => end,
+        };
         assert!(
             !matches!(whole, Outcome::Unknown),
             "linear problems must be decided"
         );
 
-        // Sequential component loop (the `--preprocess` path).
-        let mut seq = Orchestrator::with_defaults()
-            .with_preprocessor(Box::new(Simplifier::new()));
+        // Sequential component loop (the default `solve`).
+        let mut seq = Orchestrator::with_defaults();
         let seq_outcome = seq.solve(&problem).unwrap();
         assert_eq!(
             whole.is_sat(),
@@ -224,30 +227,19 @@ fn sequential_component_loop_reports_components_and_traces() {
     let problem: AbProblem = TWO_COMPONENTS.parse().unwrap();
     assert_eq!(Partition::of(&problem).len(), 2, "fixture must decompose");
     let sink = Arc::new(CollectingSink::new());
-    let mut orc = Orchestrator::with_defaults()
-        .with_preprocessor(Box::new(Simplifier::new()))
-        .with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
+    let mut orc = Orchestrator::with_defaults().with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
     let outcome = orc.solve(&problem).unwrap();
     assert!(outcome.is_sat());
     if let Outcome::Sat(m) = &outcome {
         assert_model_valid(&problem, m, "two-component fixture");
     }
-    // The partition is announced once; note the *preprocessed* problem
-    // may decompose differently from the raw one, so only presence and
-    // consistency with the stats are asserted.
+    // The partition is announced once, and each component is traced.
     let kinds = sink.kinds();
-    assert!(
-        kinds.iter().any(|k| k == "analyze.partition"),
-        "missing analyze.partition event in {kinds:?}"
-    );
-    let components = orc.stats().components;
-    assert!(components >= 1, "components stat must be recorded");
-    if components >= 2 {
-        assert!(
-            kinds.iter().any(|k| k == "component.start"),
-            "a multi-component solve must trace per-component outcomes"
-        );
-    }
+    let count = |kind: &str| kinds.iter().filter(|k| *k == kind).count();
+    assert_eq!(count("analyze.partition"), 1, "{kinds:?}");
+    assert_eq!(orc.stats().components, 2, "{}", orc.stats());
+    assert_eq!(count("component.start"), 2, "{kinds:?}");
+    assert_eq!(count("component.end"), 2, "{kinds:?}");
 }
 
 #[test]

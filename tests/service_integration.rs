@@ -2,7 +2,8 @@
 //! lifecycle (deadlines, cancellation, backpressure, priorities) and
 //! cross-request cache semantics (verdict identity across tiers).
 
-use absolver::core::parser;
+use absolver::core::{parser, Partition};
+use absolver::logic::Var;
 use absolver::service::protocol::{CacheTier, ErrCode, Priority, Response, SolveFrame};
 use absolver::service::{Server, ServerOptions, Submission};
 use absolver::trace::{CollectingSink, TraceSink};
@@ -10,17 +11,24 @@ use absolver_bench::workloads::decomposable_problem;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// A problem the solver takes long enough on (about 530 Boolean
+/// A problem the solver takes long enough on (hundreds of Boolean
 /// iterations, each a cancellation/deadline poll point) that a test can
-/// reliably interrupt it mid-solve: eight independent threshold-reach
-/// copies of 120 variables, which the daemon solves as one problem (it
-/// runs no preprocessor, so nothing partitions them). A release build
-/// takes about 2 s on it on a 2-thread host, at least ten times the
-/// 100 ms deadline below. One copy of 720 variables takes as long, but a
-/// debug build overflows a test thread's stack building or parsing its
-/// 720-term sum.
+/// reliably interrupt it mid-solve: eight threshold-reach copies of 120
+/// variables, linked by one clause over a free atom of each copy. The
+/// link makes it one component, so the daemon's solve does not split it
+/// into eight short ones. A debug build takes seconds on it, many times
+/// the 100 ms deadline below. One copy of 720 variables takes as long,
+/// but a debug build overflows a test thread's stack building or parsing
+/// its 720-term sum.
 fn slow_problem_text() -> String {
-    parser::write(&decomposable_problem(8, 120))
+    let copies = decomposable_problem(8, 120);
+    let link: Vec<_> = Partition::of(&copies)
+        .components()
+        .iter()
+        .map(|c| Var::new(c.bools[0]).positive())
+        .collect();
+    assert_eq!(link.len(), 8);
+    parser::write(&copies.with_clause(link))
 }
 
 const EASY_SAT: &str =
