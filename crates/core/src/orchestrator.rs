@@ -762,7 +762,8 @@ impl Orchestrator {
     /// # Errors
     ///
     /// Returns [`SolveError::IterationLimit`] if the Boolean loop exceeds
-    /// the configured iteration cap; the cap applies to each component.
+    /// the configured iteration cap; the cap bounds the whole call, its
+    /// components' loops together.
     pub fn solve(&mut self, problem: &AbProblem) -> Result<Outcome, SolveError> {
         let started = Instant::now();
         let pre = self.run_preprocessor(problem);

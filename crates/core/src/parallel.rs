@@ -210,10 +210,14 @@ impl<'a> Run<'a> {
 
     /// The per-shard loop: solves items on `orc` until the queue is empty
     /// or an item is decisive, errs, is cancelled or runs out of time. A
-    /// decisive item raises the token that stops the other shards.
+    /// decisive item raises the token that stops the other shards. The
+    /// caller's iteration cap bounds the shard's items together: each
+    /// item may run what the earlier ones left, and one that runs out
+    /// reports the caller's cap.
     fn shard(&self, shard: usize, orc: &mut Orchestrator) -> ShardReport {
         let caller_deadline = orc.deadline;
         orc.set_deadline(earliest(caller_deadline, self.deadline));
+        let cap = orc.options.max_iterations;
         let mut report = ShardReport::default();
         let mut pinned_next = shard;
         loop {
@@ -231,7 +235,11 @@ impl<'a> Run<'a> {
                 report.stats.cancelled = true;
                 break;
             }
-            let result = (self.solve)(orc, item);
+            orc.options.max_iterations = cap.saturating_sub(report.stats.boolean_iterations);
+            let result = match (self.solve)(orc, item) {
+                Err(SolveError::IterationLimit(_)) => Err(SolveError::IterationLimit(cap)),
+                result => result,
+            };
             let run = orc.stats();
             report.stats.accumulate(&run);
             let decisive = (self.decisive)(&result);
@@ -247,6 +255,7 @@ impl<'a> Run<'a> {
         if report.stats.cancelled {
             report.latency = self.board.claimed().map(|(_, at)| at.elapsed());
         }
+        orc.options.max_iterations = cap;
         orc.set_deadline(caller_deadline);
         report
     }
@@ -469,7 +478,8 @@ impl Orchestrator {
     /// # Errors
     ///
     /// Returns [`SolveError::IterationLimit`] if a shard exceeds the
-    /// iteration cap and no shard found a definitive verdict.
+    /// iteration cap, which bounds the items of each shard together, and
+    /// no shard found a definitive verdict.
     pub fn solve_parallel(
         &mut self,
         problem: &AbProblem,

@@ -233,7 +233,8 @@ pub struct Cascade<'a> {
     /// HC4 target interval of each constraint (precomputed — the rational
     /// RHS conversion is not free).
     targets: Vec<Interval>,
-    /// RHS enclosure of each constraint, for entailment classification.
+    /// RHS enclosure of each constraint, for entailment and refutation
+    /// classification (HC4 revises and BC3 probes).
     rhs_ivs: Vec<Interval>,
     /// Constraints with trigonometric subterms — the ones HC4's backward
     /// pass cannot narrow through, so only BC3 can contract them.
@@ -473,8 +474,10 @@ impl<'a> Cascade<'a> {
     }
 
     /// Shaves provably-infeasible slices off both ends of `boxes[v]`
-    /// w.r.t. constraint `ci`. Sound: a slice is removed only when
-    /// [`NlConstraint::check_box`] proves it contains no solution.
+    /// w.r.t. constraint `ci`. Sound: a slice is removed only when the
+    /// slice's enclosure of the LHS is refuted against the cached RHS
+    /// enclosure — exactly where [`NlConstraint::check_box`] answers
+    /// `CertainlyFalse`, without recomputing the RHS on every probe.
     fn shave(&mut self, ci: usize, v: usize, boxes: &mut [Interval]) -> Contraction {
         let domain = boxes[v];
         let w = domain.width();
@@ -482,6 +485,8 @@ impl<'a> Cascade<'a> {
             return Contraction::Unchanged;
         }
         let c = &self.constraints[ci];
+        let rhs = self.rhs_ivs[ci];
+        let refuted = |boxes: &[Interval]| refuted_by(c.op, rhs, c.tape().eval_interval(boxes));
         let (mut lo, mut hi) = (domain.lo(), domain.hi());
         // Lower bound: find the largest prefix proven infeasible.
         let mut frac = 0.5;
@@ -491,8 +496,7 @@ impl<'a> Cascade<'a> {
                 break;
             }
             boxes[v] = Interval::new(lo, m);
-            let verdict = c.check_box(boxes);
-            if verdict == crate::constraint::IntervalVerdict::CertainlyFalse {
+            if refuted(boxes) {
                 lo = m;
                 frac = 0.5;
             } else {
@@ -507,8 +511,7 @@ impl<'a> Cascade<'a> {
                 break;
             }
             boxes[v] = Interval::new(m, hi);
-            let verdict = c.check_box(boxes);
-            if verdict == crate::constraint::IntervalVerdict::CertainlyFalse {
+            if refuted(boxes) {
                 hi = m;
                 frac = 0.5;
             } else {
@@ -585,9 +588,12 @@ pub fn bc3_revise(constraint: &NlConstraint, v: usize, boxes: &mut [Interval]) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::IntervalVerdict;
     use crate::expr::Expr;
     use crate::hc4::hc4_revise;
+    use crate::proptests::wild_expr_gen;
     use absolver_num::Rational;
+    use absolver_testkit::{domain, gen, property, Gen};
 
     fn x() -> Expr {
         Expr::var(0)
@@ -739,6 +745,58 @@ mod tests {
         assert_eq!(out, Contraction::Unchanged);
         assert!(active.is_empty(), "entailed constraint must be dropped");
         assert_eq!(bx[0], Interval::new(0.0, 2.0));
+    }
+
+    /// One side of a box: empty, a point, or a range that may lie below,
+    /// around or above zero, so `sqrt`, `ln` and quotients give empty,
+    /// point and unbounded enclosures over it.
+    fn box_side() -> Gen<Interval> {
+        Gen::new(|src| match gen::ints(0u32..4).generate(src) {
+            0 => Interval::EMPTY,
+            1 => Interval::point(gen::ints(-3i64..=3).generate(src) as f64),
+            2 => Interval::point(gen::f64_in(-4.0, 4.0).generate(src)),
+            _ => {
+                let (a, b) = (
+                    gen::f64_in(-4.0, 4.0).generate(src),
+                    gen::f64_in(-4.0, 4.0).generate(src),
+                );
+                Interval::new(a.min(b), a.max(b))
+            }
+        })
+    }
+
+    property! {
+        #![cases = 256]
+
+        /// The cascade's classification of an LHS enclosure against the
+        /// RHS enclosure, which BC3's probes and HC4's revises use,
+        /// refutes exactly where [`NlConstraint::check_box`] answers
+        /// `CertainlyFalse` and entails exactly where it answers
+        /// `CertainlyTrue`, empty enclosures and widened (non-dyadic)
+        /// right-hand sides included.
+        fn classification_matches_check_box(
+            e in wild_expr_gen(3),
+            op in domain::cmp_op(),
+            rhs in gen::one_of(vec![domain::rational_int(-3..=3), domain::rational(-20..=20, 1..=7)]),
+            bx in box_side(),
+            by in box_side(),
+        ) {
+            let c = NlConstraint::new(e, op, rhs);
+            let boxes = [bx, by];
+            let lhs = c.tape().eval_interval(&boxes);
+            let verdict = c.check_box(&boxes);
+            let rhs = c.rhs_interval();
+            assert_eq!(
+                refuted_by(op, rhs, lhs),
+                verdict == IntervalVerdict::CertainlyFalse,
+                "{c} over {boxes:?}: enclosure {lhs}, check_box {verdict:?}"
+            );
+            assert_eq!(
+                entailed_by(op, rhs, lhs),
+                verdict == IntervalVerdict::CertainlyTrue,
+                "{c} over {boxes:?}: enclosure {lhs}, check_box {verdict:?}"
+            );
+        }
     }
 
     #[test]

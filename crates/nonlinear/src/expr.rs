@@ -9,8 +9,8 @@
 //!
 //! Every expression supports three interpretations: plain `f64` evaluation
 //! (used by the local search), sound interval evaluation (used by the
-//! branch-and-prune prover), and symbolic differentiation (used for
-//! gradients).
+//! branch-and-prune prover), and symbolic differentiation (the reference
+//! for the gradients the term arena derives per node).
 
 use absolver_linear::LinExpr;
 use absolver_num::{Interval, Rational};
@@ -197,6 +197,11 @@ impl Expr {
     ///
     /// `abs` is differentiated as `sign`-free `e·e'/|e|`, which is correct
     /// away from zero (the local search only needs descent directions).
+    ///
+    /// The solver differentiates interned terms instead, once per arena
+    /// node ([`crate::term::derivative_tape`]); this tree form, then
+    /// [`Expr::simplify`], is the reference the arena's results are
+    /// tested against.
     pub fn derivative(&self, x: VarId) -> Expr {
         match self {
             Expr::Const(_) => Expr::zero(),
@@ -231,10 +236,13 @@ impl Expr {
         self.simplify_in(false)
     }
 
-    /// [`Expr::simplify`], except that constants keep the sign of a zero
-    /// as f64 arithmetic gives it: `-0` and `-3 * 0` are −0.0, and
-    /// `1 / -0` is −∞ where `1 / 0` is +∞. The parser normalises atoms
-    /// with this.
+    /// [`Expr::simplify`], except that it keeps every f64 value: constants
+    /// keep the sign of a zero as f64 arithmetic gives it (`-0` and
+    /// `-3 * 0` are −0.0, and `1 / -0` is −∞ where `1 / 0` is +∞), and
+    /// `0 * s` and `s + 0` stay as written unless `s` is a constant: in
+    /// f64 arithmetic the first is NaN where `s` is NaN or infinite and
+    /// −0.0 where it is negative, the second +0.0 where `s` is −0.0. The
+    /// parser normalises atoms with this.
     pub fn simplify_keeping_negative_zero(&self) -> Expr {
         self.simplify_in(true)
     }
@@ -249,7 +257,7 @@ impl Expr {
             },
             Expr::Add(a, b) => match (a.simplify_in(keep), b.simplify_in(keep)) {
                 (Expr::Const(x), Expr::Const(y)) => Expr::Const(x + y),
-                (Expr::Const(x), s) | (s, Expr::Const(x)) if x.is_zero() => s,
+                (Expr::Const(x), s) | (s, Expr::Const(x)) if x.is_zero() && !keep => s,
                 (sa, sb) => Expr::Add(Box::new(sa), Box::new(sb)),
             },
             Expr::Sub(a, b) => match (a.simplify_in(keep), b.simplify_in(keep)) {
@@ -261,7 +269,7 @@ impl Expr {
                 (Expr::Const(x), Expr::Const(y)) => {
                     folded(&x * &y, keep && x.is_negative() != y.is_negative())
                 }
-                (Expr::Const(x), _) | (_, Expr::Const(x)) if x.is_zero() => Expr::zero(),
+                (Expr::Const(x), _) | (_, Expr::Const(x)) if x.is_zero() && !keep => Expr::zero(),
                 (Expr::Const(x), s) | (s, Expr::Const(x)) if x == Rational::one() => s,
                 // e·e ⇒ e²: interval evaluation of Pow knows the result is
                 // non-negative, which plain interval multiplication of two

@@ -9,8 +9,8 @@
 //!   evaluation, symbolic differentiation, and affine-form extraction.
 //! * [`term`] — the global hash-consed term arena: structurally equal
 //!   terms intern to one dense `u32` [`TermId`], every term carries a
-//!   shared flat evaluation tape, and derivatives are memoised per
-//!   `(term, var)`.
+//!   shared flat evaluation tape, and derivatives are derived and
+//!   memoised once per `(node, var)`.
 //! * [`NlConstraint`] — comparisons `expr ⋈ c` with point, tolerance and
 //!   box (three-valued) evaluation, stored in interned form.
 //! * [`hc4`] — the HC4 forward–backward interval contractor, the cheap
@@ -115,7 +115,7 @@ mod proptests {
     /// `0..3`, for points that bind only two variables: division by zero,
     /// negative powers of zero, `ln`/`sqrt` of negative values and
     /// unbound (NaN) variables all occur.
-    fn wild_expr_gen(depth: u32) -> Gen<Expr> {
+    pub(crate) fn wild_expr_gen(depth: u32) -> Gen<Expr> {
         let leaf = gen::one_of(vec![
             gen::ints(-2i64..=2).map(Expr::int),
             gen::ints(0usize..3).map(Expr::var),
@@ -250,17 +250,32 @@ mod proptests {
         /// Every root of a compiled [`term::DagProgram`] — expressions
         /// sharing subterms, and their partial derivatives — has the same
         /// bits as its own tape, or is NaN exactly when the tape is, and
-        /// the program holds one instruction per distinct node.
+        /// the program holds one instruction per distinct node. In the
+        /// one-program form (the expressions as the head, the partials as
+        /// the tail) the values read after the prefix, and the partials
+        /// after the suffix, have the bits of the two separate programs,
+        /// at a first point and again at a second one in the same slots.
         fn dag_program_matches_tapes_bitwise(
             a in wild_expr_gen(3),
             b in wild_expr_gen(3),
             x in gen::one_of(vec![gen::f64_in(-4.0, 4.0), gen::from_slice(&[0.0, -0.0, -1.0])]),
             y in gen::one_of(vec![gen::f64_in(-4.0, 4.0), gen::from_slice(&[0.0, 1.0, -2.0])]),
         ) {
+            // Rust leaves the sign and payload of a NaN that arithmetic
+            // produces unspecified: with two NaN operands of opposite
+            // signs, `a * b` may return either, depending on how the
+            // compiler orders the operands. So NaNs agree as NaNs.
+            let same = |got: f64, want: f64| {
+                if want.is_nan() {
+                    got.is_nan()
+                } else {
+                    got.to_bits() == want.to_bits()
+                }
+            };
             let exprs = [a.clone(), b.clone(), a.clone() + b.clone(), a.clone() * a.clone() / b];
-            let mut roots: Vec<TermId> = exprs.iter().map(term::intern).collect();
-            let partials: Vec<TermId> = roots.iter().map(|&r| term::derivative(r, 0)).collect();
-            roots.extend(partials);
+            let heads: Vec<TermId> = exprs.iter().map(term::intern).collect();
+            let partials: Vec<TermId> = heads.iter().map(|&r| term::derivative(r, 0)).collect();
+            let roots = [heads.clone(), partials.clone()].concat();
             let program = term::compile(&roots);
             assert_eq!(program.len() as u64, term::sharing(&roots).1);
             let point = [x, y];
@@ -269,20 +284,31 @@ mod proptests {
             for (i, &r) in roots.iter().enumerate() {
                 let dag = program.root(&slots, i);
                 let tape = term::tape(r).eval_f64(&point);
-                // Rust leaves the sign and payload of a NaN that arithmetic
-                // produces unspecified: with two NaN operands of opposite
-                // signs, `a * b` may return either, depending on how the
-                // compiler orders the operands. So NaNs agree as NaNs.
-                let same = if tape.is_nan() {
-                    dag.is_nan()
-                } else {
-                    dag.to_bits() == tape.to_bits()
-                };
                 assert!(
-                    same,
+                    same(dag, tape),
                     "root {i} ({}) at {point:?}: program {dag} vs tape {tape}",
                     term::rebuild(r)
                 );
+            }
+
+            let one = term::compile_with_prefix(&heads, &partials);
+            let (values, grads) = (term::compile(&heads), term::compile(&partials));
+            assert_eq!(one.len(), program.len());
+            let (mut at, mut value_slots, mut grad_slots) = (Vec::new(), Vec::new(), Vec::new());
+            for point in [[x, y], [y, x]] {
+                values.eval_f64(&point, &mut value_slots);
+                grads.eval_f64(&point, &mut grad_slots);
+                one.eval_prefix(&point, &mut at);
+                assert_eq!(at.len(), values.len(), "the prefix is the head's program");
+                for i in 0..heads.len() {
+                    let (got, want) = (one.root(&at, i), values.root(&value_slots, i));
+                    assert!(same(got, want), "value {i} at {point:?}: {got} vs {want}");
+                }
+                one.eval_suffix(&point, &mut at);
+                for k in 0..partials.len() {
+                    let (got, want) = (one.root(&at, heads.len() + k), grads.root(&grad_slots, k));
+                    assert!(same(got, want), "partial {k} at {point:?}: {got} vs {want}");
+                }
             }
         }
 

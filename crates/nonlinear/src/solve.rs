@@ -676,13 +676,16 @@ const RESTART_MIN_PROGRESS: f64 = 0.05;
 /// Multistart projected gradient descent on the quadratic penalty
 /// `P(x) = Σ violation(cᵢ, x)²` — the IPOPT-role numerical engine.
 ///
-/// The search runs on two [`term::DagProgram`]s compiled from the term arena:
-/// one over the constraint left-hand sides, evaluated once per point
-/// (satisfaction, violations and the penalty all derive from those
-/// values, computed together), and one over the partials `∂cᵢ/∂v` for the
-/// variables `v` that `cᵢ` mentions (every other partial is exactly zero).
-/// Shared subterms are computed once per point, a rejected step keeps the
-/// gradient of the point it did not leave, and the steps allocate nothing.
+/// The search runs on one [`term::DagProgram`] compiled from the term
+/// arena over the constraint left-hand sides, then the partials `∂cᵢ/∂v`
+/// for the variables `v` that `cᵢ` mentions (every other partial is
+/// exactly zero). Each trial point evaluates only the left-hand sides'
+/// instructions, the program's prefix (satisfaction, violations and the
+/// penalty all derive from those values, computed together); once a point
+/// is accepted, the rest of the program adds the partials into the same
+/// slots, reusing the subterms the two share. Shared subterms are computed
+/// once per point, a rejected step keeps the gradient of the point it did
+/// not leave, and the steps allocate nothing.
 ///
 /// A restart that stalls, whose penalty falls by less than
 /// [`RESTART_MIN_PROGRESS`] over [`RESTART_CHECKPOINT`] steps, is
@@ -699,9 +702,9 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> (Option<Vec<f64>>,
     }
     let cs = &problem.constraints;
     let terms: Vec<TermId> = cs.iter().map(NlConstraint::term).collect();
-    let lhs = term::compile(&terms);
     // The partials, grouped by constraint in ascending variable order:
-    // constraint `ci` owns `partials[spans[ci]..spans[ci + 1]]`.
+    // constraint `ci` owns `partials[spans[ci]..spans[ci + 1]]`, root
+    // `cs.len() + k` of the program is partial `k`.
     let mut partials: Vec<(usize, TermId)> = Vec::new();
     let mut spans = vec![0];
     for c in cs {
@@ -711,7 +714,7 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> (Option<Vec<f64>>,
         spans.push(partials.len());
     }
     let grad_terms: Vec<TermId> = partials.iter().map(|&(_, d)| d).collect();
-    let partial_prog = term::compile(&grad_terms);
+    let prog = term::compile_with_prefix(&terms, &grad_terms);
     let rhs: Vec<f64> = cs.iter().map(|c| c.rhs.to_f64()).collect();
     let ranges: Vec<(f64, f64)> = problem
         .bounds
@@ -725,7 +728,7 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> (Option<Vec<f64>>,
     let assess = |at: &[f64], viol: &mut [f64]| -> (f64, bool) {
         let mut holds = true;
         for (ci, c) in cs.iter().enumerate() {
-            let value = lhs.root(at, ci);
+            let value = prog.root(at, ci);
             viol[ci] = violation(c.op, value, rhs[ci], opts.strict_margin);
             holds &= holds_robust(c.op, value, rhs[ci], opts.tolerance);
         }
@@ -740,10 +743,10 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> (Option<Vec<f64>>,
     let mut norm = 0.0;
     let mut viol_x = vec![0.0f64; cs.len()];
     let mut viol_trial = vec![0.0f64; cs.len()];
-    // Program slots at `x`, at `trial`, and of the partials at `x`.
+    // Program slots at `x` (the partials' too once `moved` is false) and
+    // at `trial` (the prefix only).
     let mut at_x = Vec::new();
     let mut at_trial = Vec::new();
-    let mut partial_at_x = Vec::new();
     for _ in 0..opts.restarts {
         if opts.interrupted() {
             return (None, steps);
@@ -752,7 +755,7 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> (Option<Vec<f64>>,
             *xi = lo + rng.next_f64() * (hi - lo);
         }
         let mut lr = 0.1;
-        lhs.eval_f64(&x, &mut at_x);
+        prog.eval_prefix(&x, &mut at_x);
         let (mut p, mut holds) = assess(&at_x, &mut viol_x);
         let mut checkpoint = p;
         // Whether `grad` and `norm` belong to an earlier `x`.
@@ -777,7 +780,7 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> (Option<Vec<f64>>,
             if moved {
                 // ∇P = Σ 2·violation·(±∇lhs) over active constraints.
                 grad.fill(0.0);
-                partial_prog.eval_f64(&x, &mut partial_at_x);
+                prog.eval_suffix(&x, &mut at_x);
                 for (ci, c) in cs.iter().enumerate() {
                     let viol = viol_x[ci];
                     if viol == 0.0 {
@@ -788,7 +791,7 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> (Option<Vec<f64>>,
                         CmpOp::Lt | CmpOp::Le => 1.0,
                         CmpOp::Gt | CmpOp::Ge => -1.0,
                         CmpOp::Eq => {
-                            if lhs.root(&at_x, ci) >= rhs[ci] {
+                            if prog.root(&at_x, ci) >= rhs[ci] {
                                 1.0
                             } else {
                                 -1.0
@@ -796,7 +799,7 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> (Option<Vec<f64>>,
                         }
                     };
                     for k in spans[ci]..spans[ci + 1] {
-                        let d = partial_prog.root(&partial_at_x, k);
+                        let d = prog.root(&at_x, cs.len() + k);
                         if d.is_finite() {
                             grad[partials[k].0] += 2.0 * viol * sign * d;
                         }
@@ -812,7 +815,7 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> (Option<Vec<f64>>,
             for (((t, &xi), &gi), &(lo, hi)) in trial.iter_mut().zip(&x).zip(&grad).zip(&ranges) {
                 *t = (xi - lr * gi / norm).clamp(lo, hi);
             }
-            lhs.eval_f64(&trial, &mut at_trial);
+            prog.eval_prefix(&trial, &mut at_trial);
             let (p_trial, holds_trial) = assess(&at_trial, &mut viol_trial);
             if p_trial < p {
                 std::mem::swap(&mut x, &mut trial);

@@ -15,15 +15,23 @@
 //!   (interval evaluation, HC4 forward/backward) iterate instead of
 //!   recursing over `Box` nodes, together with precomputed per-term facts
 //!   (variable set, trig-blindness, affine view, constant enclosures);
-//! * simplified symbolic partial derivatives, keyed on `(term, var)` in
-//!   an identity-hash map — Newton compilation and the local search stop
-//!   re-deriving the same gradients on every solve.
+//! * its simplification, and its simplified symbolic partial derivatives
+//!   keyed on `(term, var)` in an identity-hash map. Both are computed
+//!   once per *arena node*: a node's simplification applies one rule of
+//!   [`Expr::simplify`] to its already simplified operands, and its
+//!   derivative combines its operands' memoised derivatives by
+//!   [`Expr::derivative`]'s rule, then simplifies. A subterm shared by
+//!   several terms, or repeated inside one, is differentiated once, and
+//!   the result is the term that differentiating and simplifying the
+//!   expanded tree would intern. The walks use an explicit stack, so
+//!   nesting depth costs no call stack. Newton compilation and the local
+//!   search stop re-deriving the same gradients on every solve.
 //!
 //! A tape expands shared subterms back into tree form. The penalty search
 //! instead evaluates many terms at one point, so it runs on a
-//! [`DagProgram`] ([`compile`]): one straight-line instruction per
-//! *distinct* arena node reachable from a set of roots, so each shared
-//! subterm is computed once per point.
+//! [`DagProgram`] ([`compile`], [`compile_with_prefix`]): one
+//! straight-line instruction per *distinct* arena node reachable from a
+//! set of roots, so each shared subterm is computed once per point.
 //!
 //! Interning takes the single global mutex; the hot paths never do — a
 //! constraint carries its `Arc<TermTape>`, fetched once at intern time.
@@ -301,6 +309,12 @@ enum DagOp {
 /// before their users, so a subterm shared by several roots (or repeated
 /// inside one) is evaluated once per point.
 ///
+/// A program compiled by [`compile_with_prefix`] begins with the
+/// instructions of its head roots. [`DagProgram::eval_prefix`] evaluates
+/// only those, and [`DagProgram::eval_suffix`] adds the tail's remaining
+/// instructions at the same point, reading the head's slots for the
+/// nodes both share.
+///
 /// Every instruction applies the same IEEE operation to the same operand
 /// values as [`TermTape::eval_f64`], so each root's value is
 /// bit-identical to its tape's, and NaN exactly when the tape's is. (A
@@ -309,6 +323,8 @@ enum DagOp {
 pub struct DagProgram {
     ops: Vec<DagOp>,
     roots: Vec<u32>,
+    /// Instructions of the head roots: `ops[..prefix]`.
+    prefix: usize,
 }
 
 impl DagProgram {
@@ -327,32 +343,54 @@ impl DagProgram {
     /// reallocates). Out-of-range variables read as NaN, as on a tape.
     /// Read the results with [`DagProgram::root`].
     pub fn eval_f64(&self, point: &[f64], slots: &mut Vec<f64>) {
-        slots.clear();
-        for op in &self.ops {
-            let at = |s: u32| slots[s as usize];
-            let v = match *op {
-                DagOp::Const(c) => c,
-                DagOp::Var(v) => point.get(v as usize).copied().unwrap_or(f64::NAN),
-                DagOp::Neg(a) => -at(a),
-                DagOp::Add(a, b) => at(a) + at(b),
-                DagOp::Sub(a, b) => at(a) - at(b),
-                DagOp::Mul(a, b) => at(a) * at(b),
-                DagOp::Div(a, b) => at(a) / at(b),
-                DagOp::Pow(a, n) => at(a).powi(n),
-                DagOp::Sin(a) => at(a).sin(),
-                DagOp::Cos(a) => at(a).cos(),
-                DagOp::Exp(a) => at(a).exp(),
-                DagOp::Ln(a) => at(a).ln(),
-                DagOp::Sqrt(a) => at(a).sqrt(),
-                DagOp::Abs(a) => at(a).abs(),
-            };
-            slots.push(v);
-        }
+        self.eval_prefix(point, slots);
+        self.eval_suffix(point, slots);
     }
 
-    /// The value of root `i` in `slots` filled by [`DagProgram::eval_f64`].
+    /// Evaluates the head's instructions at `point` into `slots` (cleared
+    /// first): afterwards the head roots can be read.
+    pub fn eval_prefix(&self, point: &[f64], slots: &mut Vec<f64>) {
+        slots.clear();
+        run(&self.ops[..self.prefix], point, slots);
+    }
+
+    /// Evaluates the remaining instructions at `point` into `slots`,
+    /// which must hold exactly [`DagProgram::eval_prefix`]'s slots at the
+    /// same point: afterwards every root can be read.
+    pub fn eval_suffix(&self, point: &[f64], slots: &mut Vec<f64>) {
+        debug_assert_eq!(slots.len(), self.prefix, "suffix needs the prefix slots");
+        run(&self.ops[self.prefix..], point, slots);
+    }
+
+    /// The value of root `i` in `slots` filled by [`DagProgram::eval_f64`]
+    /// (or, for a head root, by [`DagProgram::eval_prefix`]).
     pub fn root(&self, slots: &[f64], i: usize) -> f64 {
         slots[self.roots[i] as usize]
+    }
+}
+
+/// Evaluates `ops` at `point`, appending one slot per instruction to
+/// `slots`, whose earlier slots the operands index.
+fn run(ops: &[DagOp], point: &[f64], slots: &mut Vec<f64>) {
+    for op in ops {
+        let at = |s: u32| slots[s as usize];
+        let v = match *op {
+            DagOp::Const(c) => c,
+            DagOp::Var(v) => point.get(v as usize).copied().unwrap_or(f64::NAN),
+            DagOp::Neg(a) => -at(a),
+            DagOp::Add(a, b) => at(a) + at(b),
+            DagOp::Sub(a, b) => at(a) - at(b),
+            DagOp::Mul(a, b) => at(a) * at(b),
+            DagOp::Div(a, b) => at(a) / at(b),
+            DagOp::Pow(a, n) => at(a).powi(n),
+            DagOp::Sin(a) => at(a).sin(),
+            DagOp::Cos(a) => at(a).cos(),
+            DagOp::Exp(a) => at(a).exp(),
+            DagOp::Ln(a) => at(a).ln(),
+            DagOp::Sqrt(a) => at(a).sqrt(),
+            DagOp::Abs(a) => at(a).abs(),
+        };
+        slots.push(v);
     }
 }
 
@@ -420,6 +458,8 @@ struct Arena {
     index: HashMap<Node, TermId>,
     /// Lazily built tapes, one slot per term.
     tapes: Vec<Option<Arc<TermTape>>>,
+    /// Lazily computed simplifications, one slot per term.
+    simplified: Vec<Option<TermId>>,
     /// Simplified-derivative memo keyed on mixed `(term, var)`.
     derivs: IdMap<TermId>,
     /// Constraint table: `(term, op, rhs)` → dense id.
@@ -447,6 +487,7 @@ impl Arena {
         let id = TermId(u32::try_from(self.nodes.len()).expect("term arena overflow"));
         self.nodes.push(node.clone());
         self.tapes.push(None);
+        self.simplified.push(None);
         self.index.insert(node, id);
         LOCAL_INTERNED.with(|c| c.set(c.get() + 1));
         id
@@ -638,17 +679,234 @@ impl Arena {
         tape
     }
 
+    /// Calls `visit` on every node of the DAG under `root` that `done`
+    /// does not yet hold, operands before their users. The walk keeps its
+    /// own stack, so a deeply nested term needs no call stack.
+    fn walk(
+        &mut self,
+        root: TermId,
+        done: impl Fn(&Arena, TermId) -> bool,
+        mut visit: impl FnMut(&mut Arena, TermId),
+    ) {
+        let mut stack = vec![(root, false)];
+        while let Some((id, expanded)) = stack.pop() {
+            if done(self, id) {
+                continue;
+            }
+            if expanded {
+                visit(self, id);
+                continue;
+            }
+            stack.push((id, true));
+            let (a, b) = operands(&self.nodes[id.index()]);
+            stack.extend(
+                [b, a]
+                    .into_iter()
+                    .flatten()
+                    .filter(|&x| !done(self, x))
+                    .map(|x| (x, false)),
+            );
+        }
+    }
+
+    /// The simplification of `id` — the term [`Expr::simplify`] gives
+    /// its rebuilt tree — memoised per node.
+    fn simplify(&mut self, id: TermId) -> TermId {
+        self.walk(
+            id,
+            |a, x| a.simplified[x.index()].is_some(),
+            |a, x| {
+                let s = match &a.nodes[x.index()] {
+                    Node::Const(_) | Node::Var(_) => x,
+                    node => {
+                        let node = map_operands(node.clone(), |y| {
+                            a.simplified[y.index()].expect("operands first")
+                        });
+                        a.simplify_node(node)
+                    }
+                };
+                a.simplified[x.index()] = Some(s);
+            },
+        );
+        self.simplified[id.index()].expect("walk visits the root")
+    }
+
+    /// One rule of [`Expr::simplify`] (the mode that does not keep
+    /// negative zeros) applied to a node whose operands are already
+    /// simplified; interns the result. In the arena the rule's structural
+    /// comparison of two operands is a comparison of ids.
+    fn simplify_node(&mut self, node: Node) -> TermId {
+        let one = Rational::one();
+        let node = match node {
+            Node::Neg(a) => match &self.nodes[a.index()] {
+                Node::Const(c) => Node::Const(-c),
+                Node::Neg(inner) => return *inner,
+                _ => Node::Neg(a),
+            },
+            Node::Add(a, b) => match (self.constant(a), self.constant(b)) {
+                (Some(x), Some(y)) => Node::Const(x + y),
+                (Some(x), _) if x.is_zero() => return b,
+                (_, Some(y)) if y.is_zero() => return a,
+                _ => Node::Add(a, b),
+            },
+            Node::Sub(a, b) => match (self.constant(a), self.constant(b)) {
+                (Some(x), Some(y)) => Node::Const(x - y),
+                (_, Some(y)) if y.is_zero() => return a,
+                _ => Node::Sub(a, b),
+            },
+            Node::Mul(a, b) => match (self.constant(a), self.constant(b)) {
+                (Some(x), Some(y)) => Node::Const(x * y),
+                (Some(x), _) | (_, Some(x)) if x.is_zero() => Node::Const(Rational::zero()),
+                (Some(x), _) if *x == one => return b,
+                (_, Some(y)) if *y == one => return a,
+                _ if a == b => Node::Pow(a, 2),
+                _ => Node::Mul(a, b),
+            },
+            Node::Div(a, b) => match (self.constant(a), self.constant(b)) {
+                (Some(x), Some(y)) if !y.is_zero() => Node::Const(x / y),
+                (_, Some(y)) if *y == one => return a,
+                _ => Node::Div(a, b),
+            },
+            Node::Pow(_, 0) => Node::Const(one),
+            Node::Pow(a, 1) => return a,
+            Node::Pow(a, n) => match self.constant(a) {
+                Some(c) if n > 0 => Node::Const(c.powi(n)),
+                _ => Node::Pow(a, n),
+            },
+            Node::Abs(a) => match self.constant(a) {
+                Some(c) => Node::Const(c.abs()),
+                None => Node::Abs(a),
+            },
+            node => node,
+        };
+        self.intern_node(node)
+    }
+
+    /// The constant `id` stands for, if it is one.
+    fn constant(&self, id: TermId) -> Option<&Rational> {
+        match &self.nodes[id.index()] {
+            Node::Const(c) => Some(c),
+            _ => None,
+        }
+    }
+
+    /// The simplified partial derivative `∂id/∂v`: the term that
+    /// `Expr::derivative` then `Expr::simplify` give on the rebuilt tree,
+    /// computed once per `(node, v)` from the operands' memoised
+    /// derivatives and simplifications.
     fn derivative(&mut self, id: TermId, v: VarId) -> TermId {
-        let key = mix(((id.raw() as u64) << 32) | (v as u64 & 0xffff_ffff));
-        if let Some(&d) = self.derivs.get(&key) {
+        if let Some(&d) = self.derivs.get(&deriv_key(id, v)) {
             return d;
         }
-        // Differentiate the rebuilt tree with the legacy symbolic rules —
-        // byte-for-byte the derivative every pre-arena caller computed, so
-        // the differential suites see identical enclosures.
-        let d = self.intern_expr(&self.rebuild(id).derivative(v).simplify());
-        self.derivs.insert(key, d);
-        d
+        self.simplify(id);
+        self.walk(
+            id,
+            |a, x| a.derivs.contains_key(&deriv_key(x, v)),
+            |a, x| {
+                let d = a.derive_node(x, v);
+                a.derivs.insert(deriv_key(x, v), d);
+            },
+        );
+        self.derivs[&deriv_key(id, v)]
+    }
+
+    /// `∂id/∂v` by `Expr::derivative`'s rule for the node `id`, each new
+    /// node simplified as [`Arena::simplify_node`] does. The operands'
+    /// derivatives and simplifications are already memoised.
+    fn derive_node(&mut self, id: TermId, v: VarId) -> TermId {
+        let d = |a: &Arena, x: TermId| a.derivs[&deriv_key(x, v)];
+        let s = |a: &Arena, x: TermId| a.simplified[x.index()].expect("simplified first");
+        let k = |a: &mut Arena, n: i64| a.intern_node(Node::Const(Rational::from_int(n)));
+        match self.nodes[id.index()].clone() {
+            Node::Const(_) => k(self, 0),
+            Node::Var(x) => k(self, i64::from(x == v)),
+            Node::Neg(a) => self.simplify_node(Node::Neg(d(self, a))),
+            Node::Add(a, b) => self.simplify_node(Node::Add(d(self, a), d(self, b))),
+            Node::Sub(a, b) => self.simplify_node(Node::Sub(d(self, a), d(self, b))),
+            Node::Mul(a, b) => {
+                let l = self.simplify_node(Node::Mul(d(self, a), s(self, b)));
+                let r = self.simplify_node(Node::Mul(s(self, a), d(self, b)));
+                self.simplify_node(Node::Add(l, r))
+            }
+            Node::Div(a, b) => {
+                let l = self.simplify_node(Node::Mul(d(self, a), s(self, b)));
+                let r = self.simplify_node(Node::Mul(s(self, a), d(self, b)));
+                let num = self.simplify_node(Node::Sub(l, r));
+                let den = self.simplify_node(Node::Mul(s(self, b), s(self, b)));
+                self.simplify_node(Node::Div(num, den))
+            }
+            Node::Pow(e, n) => {
+                let factor = k(self, i64::from(n));
+                let power = self.simplify_node(Node::Pow(s(self, e), n - 1));
+                let scaled = self.simplify_node(Node::Mul(factor, power));
+                self.simplify_node(Node::Mul(scaled, d(self, e)))
+            }
+            Node::Sin(e) => {
+                let outer = self.simplify_node(Node::Cos(s(self, e)));
+                self.simplify_node(Node::Mul(outer, d(self, e)))
+            }
+            Node::Cos(e) => {
+                let outer = self.simplify_node(Node::Sin(s(self, e)));
+                let prod = self.simplify_node(Node::Mul(outer, d(self, e)));
+                self.simplify_node(Node::Neg(prod))
+            }
+            Node::Exp(e) => {
+                let outer = self.simplify_node(Node::Exp(s(self, e)));
+                self.simplify_node(Node::Mul(outer, d(self, e)))
+            }
+            Node::Ln(e) => self.simplify_node(Node::Div(d(self, e), s(self, e))),
+            Node::Sqrt(e) => {
+                let two = k(self, 2);
+                let root = self.simplify_node(Node::Sqrt(s(self, e)));
+                let den = self.simplify_node(Node::Mul(two, root));
+                self.simplify_node(Node::Div(d(self, e), den))
+            }
+            Node::Abs(e) => {
+                let num = self.simplify_node(Node::Mul(s(self, e), d(self, e)));
+                let den = self.simplify_node(Node::Abs(s(self, e)));
+                self.simplify_node(Node::Div(num, den))
+            }
+        }
+    }
+}
+
+/// The derivative memo's key of `(id, v)`.
+fn deriv_key(id: TermId, v: VarId) -> u64 {
+    mix(((id.raw() as u64) << 32) | (v as u64 & 0xffff_ffff))
+}
+
+/// The operands of `node`, left first.
+fn operands(node: &Node) -> (Option<TermId>, Option<TermId>) {
+    match *node {
+        Node::Const(_) | Node::Var(_) => (None, None),
+        Node::Neg(a)
+        | Node::Pow(a, _)
+        | Node::Sin(a)
+        | Node::Cos(a)
+        | Node::Exp(a)
+        | Node::Ln(a)
+        | Node::Sqrt(a)
+        | Node::Abs(a) => (Some(a), None),
+        Node::Add(a, b) | Node::Sub(a, b) | Node::Mul(a, b) | Node::Div(a, b) => (Some(a), Some(b)),
+    }
+}
+
+/// `node` with each operand replaced by `f(operand)`.
+fn map_operands(node: Node, mut f: impl FnMut(TermId) -> TermId) -> Node {
+    match node {
+        Node::Const(_) | Node::Var(_) => node,
+        Node::Neg(a) => Node::Neg(f(a)),
+        Node::Add(a, b) => Node::Add(f(a), f(b)),
+        Node::Sub(a, b) => Node::Sub(f(a), f(b)),
+        Node::Mul(a, b) => Node::Mul(f(a), f(b)),
+        Node::Div(a, b) => Node::Div(f(a), f(b)),
+        Node::Pow(a, n) => Node::Pow(f(a), n),
+        Node::Sin(a) => Node::Sin(f(a)),
+        Node::Cos(a) => Node::Cos(f(a)),
+        Node::Exp(a) => Node::Exp(f(a)),
+        Node::Ln(a) => Node::Ln(f(a)),
+        Node::Sqrt(a) => Node::Sqrt(f(a)),
+        Node::Abs(a) => Node::Abs(f(a)),
     }
 }
 
@@ -680,14 +938,25 @@ pub fn tape(id: TermId) -> Arc<TermTape> {
 /// Compiles the straight-line program of `roots` (see [`DagProgram`])
 /// under one acquisition of the arena lock.
 pub fn compile(roots: &[TermId]) -> DagProgram {
+    compile_with_prefix(roots, &[])
+}
+
+/// Compiles one program over the roots `head` then `tail` (root `i` of
+/// the tail is root `head.len() + i`) whose first instructions are
+/// exactly those of `compile(head)`, so the head roots can be evaluated
+/// alone ([`DagProgram::eval_prefix`]) and the tail added later at the
+/// same point ([`DagProgram::eval_suffix`]).
+pub fn compile_with_prefix(head: &[TermId], tail: &[TermId]) -> DagProgram {
     let a = lock();
     let mut slot_of: HashMap<u32, u32> = HashMap::new();
     let mut ops = Vec::new();
-    let roots = roots
+    let mut roots: Vec<u32> = head
         .iter()
         .map(|&r| a.emit_dag(r, &mut slot_of, &mut ops))
         .collect();
-    DagProgram { ops, roots }
+    let prefix = ops.len();
+    roots.extend(tail.iter().map(|&r| a.emit_dag(r, &mut slot_of, &mut ops)));
+    DagProgram { ops, roots, prefix }
 }
 
 /// The simplified partial derivative `∂id/∂v` as an interned term —
@@ -729,20 +998,12 @@ pub fn sharing(roots: &[TermId]) -> (u64, u64) {
         if let Some(&n) = seen.get(&id.raw()) {
             return n;
         }
-        let n = 1 + match &a.nodes[id.index()] {
-            Node::Const(_) | Node::Var(_) => 0,
-            Node::Neg(x)
-            | Node::Pow(x, _)
-            | Node::Sin(x)
-            | Node::Cos(x)
-            | Node::Exp(x)
-            | Node::Ln(x)
-            | Node::Sqrt(x)
-            | Node::Abs(x) => walk(a, *x, seen),
-            Node::Add(x, y) | Node::Sub(x, y) | Node::Mul(x, y) | Node::Div(x, y) => {
-                walk(a, *x, seen) + walk(a, *y, seen)
-            }
-        };
+        let (x, y) = operands(&a.nodes[id.index()]);
+        let n = 1 + [x, y]
+            .into_iter()
+            .flatten()
+            .map(|c| walk(a, c, seen))
+            .sum::<u64>();
         seen.insert(id.raw(), n);
         n
     }
@@ -876,6 +1137,52 @@ mod tests {
         for &v in &[0.3, 1.0, 2.5] {
             assert_eq!(dtape.eval_f64(&[v]), legacy.eval_f64(&[v]));
         }
+    }
+
+    /// Terms nested 20 000 levels deep are interned on a thread with a
+    /// large stack (interning recurses), then differentiated on a thread
+    /// with a 256 KiB stack: the per-node walks keep their own stack.
+    #[test]
+    fn deep_terms_differentiate_on_a_small_stack() {
+        const DEPTH: usize = 20_000;
+        let (sum, wave) = std::thread::Builder::new()
+            .stack_size(256 << 20)
+            .spawn(|| {
+                // ((x + 1) + 1) + … and sin(… sin(sin(x) + y) + y …) + y.
+                let (mut sum, mut wave) = (x(), x());
+                for _ in 0..DEPTH {
+                    sum = sum + Expr::int(1);
+                    wave = wave.sin() + y();
+                }
+                (intern(&sum), intern(&wave))
+            })
+            .expect("spawn")
+            .join()
+            .expect("interning on a large stack");
+        let (d_sum, d_wave_x, d_wave_y) = std::thread::Builder::new()
+            .stack_size(256 << 10)
+            .spawn(move || {
+                let d = (derivative(sum, 0), derivative(wave, 0), derivative(wave, 1));
+                assert_eq!(derivative(wave, 0), d.1, "memo hit");
+                d
+            })
+            .expect("spawn")
+            .join()
+            .expect("differentiating on a 256 KiB stack");
+        assert_eq!(d_sum, intern(&Expr::int(1)));
+        // ∂/∂x of sin(w) + y is cos(w) · ∂w/∂x, the `+ 0` simplified away.
+        let a = lock();
+        let Node::Add(sin, _) = a.nodes[wave.index()] else {
+            panic!("wave is a sum")
+        };
+        let Node::Sin(w) = a.nodes[sin.index()] else {
+            panic!("wave's first operand is a sine")
+        };
+        let Node::Mul(cos, _) = a.nodes[d_wave_x.index()] else {
+            panic!("∂wave/∂x is a product")
+        };
+        assert_eq!(a.nodes[cos.index()], Node::Cos(w));
+        assert!(matches!(a.nodes[d_wave_y.index()], Node::Add(..)));
     }
 
     #[test]

@@ -146,6 +146,22 @@ fn iteration_limit_exits_40() {
     );
 }
 
+/// `--max-iterations` caps the whole solve, not each component: the four
+/// components of components 4×40 take 23 Boolean models each, 92 in all,
+/// so a cap of 30 runs out in the second, with or without `--jobs 1`,
+/// and a cap of 200 does not.
+#[test]
+fn iteration_limit_bounds_the_components_together() {
+    let four =
+        absolver::core::parser::write(&absolver_bench::workloads::decomposable_problem(4, 40));
+    for jobs in [&[][..], &["--jobs", "1"][..]] {
+        for (cap, code) in [("30", 40), ("200", 10)] {
+            let args = [jobs, &["--quiet", "--max-iterations", cap][..]].concat();
+            assert_eq!(exit_code(&run_stdin(&args, &four)), code, "{args:?}");
+        }
+    }
+}
+
 #[test]
 fn parse_error_exits_2() {
     let out = run_stdin(&[], "this is not dimacs\n");

@@ -138,6 +138,22 @@ fn regression_negative_zero_divisor() {
     }
 }
 
+/// Counterexamples of value-changing identities: `0 * s` is NaN where
+/// `s` is NaN (`0 / 0`), and `s + 0` is +0.0 where `s` is −0.0, so the
+/// first atom is false and the second, `1 / +0 = +∞`, too. The parser
+/// used to fold them to `0 <= 0` and `1 / -0 <= 0`, both true. The first
+/// is the shrunk case of `TESTKIT_SEED=1 TESTKIT_CASES=3000`.
+#[test]
+fn regression_zero_product_and_zero_sum() {
+    for e in [
+        Expr::int(0) / Expr::int(0) * Expr::int(0),
+        Expr::int(1) / (-Expr::int(0) + Expr::int(0)),
+    ] {
+        let p = one_atom_problem(e, CmpOp::Le, Rational::from_int(0));
+        check_round_trip(&p);
+    }
+}
+
 /// Historical counterexample (from the proptest era): a non-integer
 /// rational constant (`1/6`) inside a nested division/power chain has
 /// to survive the textual format exactly.

@@ -12,7 +12,9 @@
 //! * **Tape evaluation agrees with tree evaluation** — the flat postorder
 //!   tape must reproduce the recursive evaluator bit for bit, on `f64`
 //!   points and on interval boxes, and the memoised derivative tape must
-//!   be exactly the legacy `derivative(v).simplify()`.
+//!   be exactly the legacy `derivative(v).simplify()`, also on terms that
+//!   repeat one subterm many times (where the arena differentiates each
+//!   shared node once).
 
 use absolver::nonlinear::{term, Expr};
 use absolver::num::Interval;
@@ -20,6 +22,59 @@ use absolver_testkit::{domain, gen, property, Gen};
 
 fn expr_gen() -> Gen<Expr> {
     domain::expr(2, 3, domain::ExprProfile::rich())
+}
+
+/// Expressions that repeat one random subterm `s` several times under
+/// products, quotients and powers (as steering repeats
+/// `0.25 * (ws_fl + …)`), with every unary function and powers from −2
+/// to 3. The arena's per-node memos meet `s`, and the nodes built on it,
+/// again and again.
+fn shared_subterm_gen() -> Gen<Expr> {
+    let sub = domain::expr(2, 2, domain::ExprProfile::rich());
+    let steps = gen::vec_of(gen::ints(0u32..8), 2..6);
+    let n = gen::ints(-2i32..4);
+    Gen::new(move |src| {
+        let s = sub.generate(src);
+        let mut e = s.clone();
+        for step in steps.generate(src) {
+            e = match step {
+                0 => e * s.clone(),
+                1 => s.clone() / e,
+                2 => (e + s.clone()).pow(n.generate(src)),
+                3 => e.cos() * s.clone().exp(),
+                4 => (e - s.clone()).ln(),
+                5 => s.clone().sqrt() / e.abs(),
+                6 => -(e.sin() * s.clone()),
+                _ => (s.clone() * Expr::var(1)).pow(2) + e,
+            };
+        }
+        e
+    })
+}
+
+/// The memoised derivative of `e` is exactly the legacy symbolic
+/// derivative (simplified), and stable, and its tape evaluates like the
+/// legacy tree.
+fn check_derivative_matches_legacy(e: &Expr, v: usize) {
+    let id = term::intern(e);
+    let (did, dtape) = term::derivative_tape(id, v);
+    let legacy = e.derivative(v).simplify();
+    assert_eq!(
+        term::rebuild(did),
+        legacy,
+        "∂{e}/∂v{v}: arena derivative diverges from legacy"
+    );
+    // The legacy tree interns to the very same id.
+    assert_eq!(term::intern(&legacy), did, "∂{e}/∂v{v}: ids differ");
+    // And the memo returns the identical id on a second request.
+    let (did2, _) = term::derivative_tape(id, v);
+    assert_eq!(did, did2, "derivative memo must be stable");
+    // Spot-check the tape evaluates like the legacy tree.
+    let p = [0.5, -0.25];
+    assert!(
+        same_f64(dtape.eval_f64(&p), legacy.eval_f64(&p)),
+        "∂{e}/∂v{v}: tape/tree eval diverge at {p:?}"
+    );
 }
 
 /// Bitwise f64 equality with NaN ≡ NaN (evaluation must agree even on
@@ -78,23 +133,16 @@ property! {
     /// derivative (simplified), for both mentioned variables — so the
     /// Newton contractor sees identical partials arena- or tree-side.
     fn derivative_tape_matches_legacy(e in expr_gen(), v in gen::ints(0usize..2)) {
-        let id = term::intern(&e);
-        let (did, dtape) = term::derivative_tape(id, v);
-        let legacy = e.derivative(v).simplify();
-        assert_eq!(
-            term::rebuild(did),
-            legacy,
-            "∂{e}/∂v{v}: arena derivative diverges from legacy"
-        );
-        // And the memo returns the identical id on a second request.
-        let (did2, _) = term::derivative_tape(id, v);
-        assert_eq!(did, did2, "derivative memo must be stable");
-        // Spot-check the tape evaluates like the legacy tree.
-        let p = [0.5, -0.25];
-        assert!(
-            same_f64(dtape.eval_f64(&p), legacy.eval_f64(&p)),
-            "∂{e}/∂v{v}: tape/tree eval diverge at {p:?}"
-        );
+        check_derivative_matches_legacy(&e, v);
+    }
+
+    /// The same on terms that repeat one subterm under products,
+    /// quotients and powers.
+    fn derivative_tape_matches_legacy_on_shared_subterms(
+        e in shared_subterm_gen(),
+        v in gen::ints(0usize..2),
+    ) {
+        check_derivative_matches_legacy(&e, v);
     }
 }
 
