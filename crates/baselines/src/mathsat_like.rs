@@ -288,10 +288,9 @@ impl<'a> TightHook<'a> {
             linear: Some(&mut linear),
             nonlinear: &mut nonlinear,
             budget: TheoryBudget::default(),
-            timing: Default::default(),
+            effort: Default::default(),
             sink: None,
             incremental: None,
-            lin_activity: Default::default(),
             escalate: false,
             escalable: false,
         };

@@ -20,13 +20,13 @@
 //! verdict; an absolute grace of 50ms absorbs scheduler noise on
 //! sub-millisecond runs. It also fails if any deterministic work counter
 //! ([`absolver_bench::harness::WORK_COUNTERS`]: iterations, theory
-//! checks, conflict literals, pivots, linear rows pushed, contractions,
-//! local-search steps, components) differs
+//! checks, conflict literals, pivots, warm starts, linear rows pushed,
+//! contractions, local-search steps, components) differs
 //! from the baseline at all, printing `COUNTER CHANGED: <key> <baseline>
 //! -> <fresh>`; a change that moves a counter refreshes the baseline.
 
 use absolver_bench::harness::{
-    counter_changes, env_seconds, format_duration, regression_limit_us, report_u64,
+    env_seconds, format_duration, print_counter_changes, regression_limit_us, report_u64,
     run_absolver_report,
 };
 use absolver_bench::workloads::bench_suite;
@@ -113,20 +113,7 @@ fn main() {
                 }
             }
             if let Some(baseline) = baseline.as_deref() {
-                let show = |v: Option<u64>| v.map_or_else(|| "missing".into(), |v| v.to_string());
-                let changes = counter_changes(baseline, &report);
-                for (counter, base, fresh) in &changes {
-                    eprintln!(
-                        "  COUNTER CHANGED: {counter} {} -> {}",
-                        show(*base),
-                        show(*fresh)
-                    );
-                }
-                if changes.is_empty() {
-                    eprintln!("  work counters identical to baseline");
-                } else {
-                    failed = true;
-                }
+                failed |= print_counter_changes(baseline, &report);
             }
             if let Some(base_verdict) = baseline.as_deref().and_then(report_verdict) {
                 if base_verdict != m.verdict {

@@ -17,12 +17,15 @@
 //! `ABS_BENCH_DIR` (default `.`) selects the output directory. With
 //! `--check-regress` the run fails (exit 1) unless: the fresh session
 //! time is within the regression limit of the checked-in baseline in
-//! `ABS_BENCH_BASELINE_DIR` (default `.`), the session beats the
+//! `ABS_BENCH_BASELINE_DIR` (default `.`), the session's cumulative work
+//! counters ([`absolver_bench::harness::WORK_COUNTERS`], warm starts
+//! included) equal the baseline's exactly, the session beats the
 //! from-scratch loop outright, and every verdict matches the protocol
-//! (reach SAT, mutex UNSAT at every depth, both modes).
+//! (reach SAT, mutex UNSAT at every depth, both modes). A changed
+//! counter prints `COUNTER CHANGED: <key> <baseline> -> <fresh>`.
 
 use absolver_bench::fischer::FischerStream;
-use absolver_bench::harness::{regression_limit_us, report_u64};
+use absolver_bench::harness::{print_counter_changes, regression_limit_us, report_u64};
 use absolver_core::{AbProblem, Orchestrator, Outcome};
 use absolver_trace::{saturating_micros, JsonObject};
 use std::path::PathBuf;
@@ -150,8 +153,8 @@ fn main() {
     // ---- gates -------------------------------------------------------
     if check_regress {
         let base_path = baseline_dir.join("BENCH_fischer_incremental.json");
-        match std::fs::read_to_string(&base_path)
-            .ok()
+        let baseline = std::fs::read_to_string(&base_path).ok();
+        match baseline
             .as_deref()
             .and_then(|r| report_u64(r, "session_elapsed_us"))
         {
@@ -171,6 +174,9 @@ fn main() {
                 eprintln!("  no usable baseline at {}", base_path.display());
                 failed = true;
             }
+        }
+        if let Some(baseline) = baseline.as_deref() {
+            failed |= print_counter_changes(baseline, &report);
         }
         if session_us >= scratch_us {
             eprintln!(

@@ -194,15 +194,16 @@ pub fn regression_limit_us(baseline_us: u64) -> u64 {
 }
 
 /// The deterministic work counters of a `BENCH_<workload>.json` report.
-/// `bench_json --check-regress` requires each to equal its baseline
-/// value exactly, so a change that moves one must refresh the baseline
-/// on purpose.
-pub const WORK_COUNTERS: [&str; 10] = [
+/// `bench_json --check-regress` and `fischer_incremental
+/// --check-regress` require each to equal its baseline value exactly, so
+/// a change that moves one must refresh the baseline on purpose.
+pub const WORK_COUNTERS: [&str; 11] = [
     "components",
     "boolean_iterations",
     "theory_checks",
     "conflict_literals",
     "simplex_pivots",
+    "simplex_warm_starts",
     "linear_rows_pushed",
     "hc4_contractions",
     "bc3_contractions",
@@ -222,6 +223,25 @@ pub fn counter_changes(
         .map(|&key| (key, report_u64(baseline, key), report_u64(fresh, key)))
         .filter(|(_, base, now)| base.is_none() || base != now)
         .collect()
+}
+
+/// Prints `COUNTER CHANGED: <key> <baseline> -> <fresh>` for each of the
+/// [`counter_changes`] between two reports, or that there are none;
+/// returns whether any counter changed.
+pub fn print_counter_changes(baseline: &str, fresh: &str) -> bool {
+    let show = |v: Option<u64>| v.map_or_else(|| "missing".into(), |v| v.to_string());
+    let changes = counter_changes(baseline, fresh);
+    for (counter, base, now) in &changes {
+        eprintln!(
+            "  COUNTER CHANGED: {counter} {} -> {}",
+            show(*base),
+            show(*now)
+        );
+    }
+    if changes.is_empty() {
+        eprintln!("  work counters identical to baseline");
+    }
+    !changes.is_empty()
 }
 
 /// Reads a duration (seconds) from an environment variable.
@@ -274,12 +294,17 @@ mod tests {
 
     #[test]
     fn counter_changes_flags_any_difference() {
-        let base = r#"{"components":1,"stats":{"boolean_iterations":34,"theory_checks":34,"conflict_literals":5973,"simplex_pivots":861,"linear_rows_pushed":4372,"hc4_contractions":0,"bc3_contractions":0,"newton_contractions":0,"local_search_steps":0}}"#;
+        let base = r#"{"components":1,"stats":{"boolean_iterations":34,"theory_checks":34,"conflict_literals":5973,"simplex_pivots":861,"simplex_warm_starts":33,"linear_rows_pushed":4372,"hc4_contractions":0,"bc3_contractions":0,"newton_contractions":0,"local_search_steps":0}}"#;
         assert!(counter_changes(base, base).is_empty());
         let one_more_pivot = base.replace("861", "862");
         assert_eq!(
             counter_changes(base, &one_more_pivot),
             vec![("simplex_pivots", Some(861), Some(862))]
+        );
+        let one_more_warm_start = base.replace(":33,", ":34,");
+        assert_eq!(
+            counter_changes(base, &one_more_warm_start),
+            vec![("simplex_warm_starts", Some(33), Some(34))]
         );
         let missing = base.replace("\"components\":1,", "");
         assert_eq!(

@@ -17,6 +17,10 @@
 //! | IPOPT        | [`PenaltyNonlinear`] (multistart penalty search)       |
 //! | —            | [`IntervalNonlinear`] (rigorous branch-and-prune)      |
 //! | —            | [`CascadeNonlinear`] (probe pass, then refute pass)     |
+//!
+//! A linear or nonlinear call returns its effort (pivots; boxes,
+//! contractions and local-search steps) with its answer, and no backend
+//! keeps counters of its own.
 
 use absolver_linear::{check_conjunction_counted, AssertionStack, Feasibility, LinearConstraint};
 use absolver_logic::{Assignment, Cnf, Lit};
@@ -92,11 +96,6 @@ impl CdclBoolean {
             phase_seed: Some(seed),
             ..CdclBoolean::default()
         }
-    }
-
-    /// Access to the accumulated CDCL statistics.
-    pub fn stats(&self) -> absolver_sat::SolverStats {
-        self.solver.stats()
     }
 }
 
@@ -179,31 +178,15 @@ impl BooleanSolver for RestartingBoolean {
 // Linear domain
 // ---------------------------------------------------------------------------
 
-/// Cumulative effort counters of a [`LinearBackend`], read by the
-/// orchestrator's observability layer (counters only ever grow; the
-/// orchestrator diffs snapshots to attribute per-run cost).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinearBackendStats {
-    /// Feasibility checks performed.
-    pub checks: u64,
-    /// Simplex pivots across all checks.
-    pub pivots: u64,
-}
-
 /// A linear-arithmetic solver usable by the theory layer (COIN role).
 pub trait LinearBackend: Send {
     /// Human-readable backend name.
     fn name(&self) -> &str;
 
     /// Decides feasibility of a conjunction, returning a witness or a
-    /// conflicting subset (indices into the input).
-    fn check(&mut self, constraints: &[LinearConstraint]) -> Feasibility;
-
-    /// Cumulative effort counters. Backends without instrumentation
-    /// report all-zero stats (the default).
-    fn stats(&self) -> LinearBackendStats {
-        LinearBackendStats::default()
-    }
+    /// conflicting subset (indices into the input), with the simplex
+    /// pivots the check took (0 from a backend that counts none).
+    fn check(&mut self, constraints: &[LinearConstraint]) -> (Feasibility, u64);
 
     /// Opens a persistent assertion-stack session over `num_vars`
     /// problem variables for incremental checking (delta assertion,
@@ -226,14 +209,12 @@ impl fmt::Debug for dyn LinearBackend + '_ {
 /// Exact-rational simplex backend. A conflict is the simplex's row
 /// certificate, returned as is.
 #[derive(Debug, Clone, Default)]
-pub struct SimplexLinear {
-    stats: LinearBackendStats,
-}
+pub struct SimplexLinear;
 
 impl SimplexLinear {
     /// Creates the backend.
     pub fn new() -> SimplexLinear {
-        SimplexLinear::default()
+        SimplexLinear
     }
 }
 
@@ -242,15 +223,8 @@ impl LinearBackend for SimplexLinear {
         "simplex"
     }
 
-    fn check(&mut self, constraints: &[LinearConstraint]) -> Feasibility {
-        self.stats.checks += 1;
-        let (feasibility, pivots) = check_conjunction_counted(constraints);
-        self.stats.pivots += pivots;
-        feasibility
-    }
-
-    fn stats(&self) -> LinearBackendStats {
-        self.stats
+    fn check(&mut self, constraints: &[LinearConstraint]) -> (Feasibility, u64) {
+        check_conjunction_counted(constraints)
     }
 
     fn make_stack(&self, num_vars: usize) -> Option<AssertionStack> {
@@ -262,33 +236,9 @@ impl LinearBackend for SimplexLinear {
 // Nonlinear domain
 // ---------------------------------------------------------------------------
 
-/// Cumulative effort counters of a [`NonlinearBackend`] (counters only
-/// ever grow; the orchestrator diffs snapshots to attribute per-run cost).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NonlinearBackendStats {
-    /// Branch-and-prune boxes explored across all solve calls.
-    pub boxes_explored: u64,
-    /// HC4 revise calls that narrowed (or emptied) a domain.
-    pub hc4_contractions: u64,
-    /// BC3 shaving passes that narrowed (or emptied) a domain.
-    pub bc3_contractions: u64,
-    /// Interval-Newton passes that narrowed (or emptied) a domain.
-    pub newton_contractions: u64,
-    /// Descent steps of the local search across all solve calls.
-    pub local_search_steps: u64,
-}
-
-impl NonlinearBackendStats {
-    fn absorb(&mut self, run: NlSearchStats) {
-        self.boxes_explored += run.boxes_explored;
-        self.hc4_contractions += run.hc4_contractions;
-        self.bc3_contractions += run.bc3_contractions;
-        self.newton_contractions += run.newton_contractions;
-        self.local_search_steps += run.local_search_steps;
-    }
-}
-
-/// A nonlinear solver usable by the theory layer (IPOPT role).
+/// A nonlinear solver usable by the theory layer (IPOPT role). Each call
+/// returns its verdict with the search effort it took; a backend keeps
+/// no counters of its own.
 pub trait NonlinearBackend: Send {
     /// Human-readable backend name.
     fn name(&self) -> &str;
@@ -296,7 +246,7 @@ pub trait NonlinearBackend: Send {
     /// Attempts to decide feasibility of the problem. For a two-pass
     /// backend this is the cheap first pass; see
     /// [`NonlinearBackend::escalate`].
-    fn solve(&mut self, problem: &NlProblem) -> NlVerdict;
+    fn solve(&mut self, problem: &NlProblem) -> (NlVerdict, NlSearchStats);
 
     /// Whether [`NonlinearBackend::escalate`] is stronger than `solve`.
     /// The orchestrator saves a Boolean model whose check ended `Unknown`
@@ -310,7 +260,7 @@ pub trait NonlinearBackend: Send {
     /// orchestrator runs that pass only once the Boolean side has no more
     /// models. The default is `solve` itself: a backend whose
     /// [`NonlinearBackend::escalates`] is false has nothing stronger.
-    fn escalate(&mut self, problem: &NlProblem) -> NlVerdict {
+    fn escalate(&mut self, problem: &NlProblem) -> (NlVerdict, NlSearchStats) {
         self.solve(problem)
     }
 
@@ -320,12 +270,6 @@ pub trait NonlinearBackend: Send {
     /// happens between engine calls.
     fn set_interrupt(&mut self, cancel: Option<Arc<AtomicBool>>, deadline: Option<Instant>) {
         let _ = (cancel, deadline);
-    }
-
-    /// Cumulative effort counters. Backends without instrumentation
-    /// report all-zero stats (the default).
-    fn stats(&self) -> NonlinearBackendStats {
-        NonlinearBackendStats::default()
     }
 }
 
@@ -340,16 +284,12 @@ impl fmt::Debug for dyn NonlinearBackend + '_ {
 pub struct IntervalNonlinear {
     /// Engine options.
     pub options: NlOptions,
-    stats: NonlinearBackendStats,
 }
 
 impl IntervalNonlinear {
     /// A backend with explicit engine options.
     pub fn with_options(options: NlOptions) -> IntervalNonlinear {
-        IntervalNonlinear {
-            options,
-            stats: NonlinearBackendStats::default(),
-        }
+        IntervalNonlinear { options }
     }
 }
 
@@ -358,19 +298,13 @@ impl NonlinearBackend for IntervalNonlinear {
         "interval"
     }
 
-    fn solve(&mut self, problem: &NlProblem) -> NlVerdict {
-        let (verdict, run) = branch_and_prune_stats(problem, &self.options);
-        self.stats.absorb(run);
-        verdict
+    fn solve(&mut self, problem: &NlProblem) -> (NlVerdict, NlSearchStats) {
+        branch_and_prune_stats(problem, &self.options)
     }
 
     fn set_interrupt(&mut self, cancel: Option<Arc<AtomicBool>>, deadline: Option<Instant>) {
         self.options.cancel = cancel;
         self.options.deadline = deadline;
-    }
-
-    fn stats(&self) -> NonlinearBackendStats {
-        self.stats
     }
 }
 
@@ -380,16 +314,12 @@ impl NonlinearBackend for IntervalNonlinear {
 pub struct PenaltyNonlinear {
     /// Engine options.
     pub options: NlOptions,
-    stats: NonlinearBackendStats,
 }
 
 impl PenaltyNonlinear {
     /// A backend with explicit engine options.
     pub fn with_options(options: NlOptions) -> PenaltyNonlinear {
-        PenaltyNonlinear {
-            options,
-            stats: NonlinearBackendStats::default(),
-        }
+        PenaltyNonlinear { options }
     }
 }
 
@@ -398,22 +328,22 @@ impl NonlinearBackend for PenaltyNonlinear {
         "penalty"
     }
 
-    fn solve(&mut self, problem: &NlProblem) -> NlVerdict {
+    fn solve(&mut self, problem: &NlProblem) -> (NlVerdict, NlSearchStats) {
         let (witness, steps) = local_search(problem, &self.options);
-        self.stats.local_search_steps += steps;
-        match witness {
+        let verdict = match witness {
             Some(witness) => NlVerdict::Sat(witness),
             None => NlVerdict::Unknown,
-        }
+        };
+        let effort = NlSearchStats {
+            local_search_steps: steps,
+            ..NlSearchStats::default()
+        };
+        (verdict, effort)
     }
 
     fn set_interrupt(&mut self, cancel: Option<Arc<AtomicBool>>, deadline: Option<Instant>) {
         self.options.cancel = cancel;
         self.options.deadline = deadline;
-    }
-
-    fn stats(&self) -> NonlinearBackendStats {
-        self.stats
     }
 }
 
@@ -425,16 +355,12 @@ impl NonlinearBackend for PenaltyNonlinear {
 pub struct CascadeNonlinear {
     /// Engine options.
     pub options: NlOptions,
-    stats: NonlinearBackendStats,
 }
 
 impl CascadeNonlinear {
     /// A backend with explicit engine options.
     pub fn with_options(options: NlOptions) -> CascadeNonlinear {
-        CascadeNonlinear {
-            options,
-            stats: NonlinearBackendStats::default(),
-        }
+        CascadeNonlinear { options }
     }
 }
 
@@ -443,29 +369,21 @@ impl NonlinearBackend for CascadeNonlinear {
         "interval+penalty"
     }
 
-    fn solve(&mut self, problem: &NlProblem) -> NlVerdict {
-        let (verdict, run) = problem.probe(&self.options);
-        self.stats.absorb(run);
-        verdict
+    fn solve(&mut self, problem: &NlProblem) -> (NlVerdict, NlSearchStats) {
+        problem.probe(&self.options)
     }
 
     fn escalates(&self) -> bool {
         true
     }
 
-    fn escalate(&mut self, problem: &NlProblem) -> NlVerdict {
-        let (verdict, run) = problem.solve_with_stats(&self.options);
-        self.stats.absorb(run);
-        verdict
+    fn escalate(&mut self, problem: &NlProblem) -> (NlVerdict, NlSearchStats) {
+        problem.solve_with_stats(&self.options)
     }
 
     fn set_interrupt(&mut self, cancel: Option<Arc<AtomicBool>>, deadline: Option<Instant>) {
         self.options.cancel = cancel;
         self.options.deadline = deadline;
-    }
-
-    fn stats(&self) -> NonlinearBackendStats {
-        self.stats
     }
 }
 
@@ -539,22 +457,22 @@ mod tests {
         let mut feasible = NlProblem::new(1);
         feasible.add_constraint(NlConstraint::new(Expr::var(0).pow(2), CmpOp::Le, q(4)));
         feasible.bound_var(0, Interval::new(-10.0, 10.0));
-        assert!(IntervalNonlinear::default().solve(&feasible).is_sat());
-        assert!(PenaltyNonlinear::default().solve(&feasible).is_sat());
+        assert!(IntervalNonlinear::default().solve(&feasible).0.is_sat());
+        assert!(PenaltyNonlinear::default().solve(&feasible).0.is_sat());
         // Infeasible: only the interval engine can *prove* it.
         let mut infeasible = NlProblem::new(1);
         infeasible.add_constraint(NlConstraint::new(Expr::var(0).pow(2), CmpOp::Le, q(-1)));
         infeasible.bound_var(0, Interval::new(-10.0, 10.0));
         assert_eq!(
-            IntervalNonlinear::default().solve(&infeasible),
+            IntervalNonlinear::default().solve(&infeasible).0,
             NlVerdict::Unsat
         );
         assert_eq!(
-            PenaltyNonlinear::default().solve(&infeasible),
+            PenaltyNonlinear::default().solve(&infeasible).0,
             NlVerdict::Unknown
         );
         assert_eq!(
-            CascadeNonlinear::default().solve(&infeasible),
+            CascadeNonlinear::default().solve(&infeasible).0,
             NlVerdict::Unsat
         );
         // Single-pass backends have nothing stronger to escalate to.
@@ -577,12 +495,12 @@ mod tests {
         problem.bound_var(1, Interval::new(-10.0, 10.0));
         let mut cascade = CascadeNonlinear::default();
         assert!(cascade.escalates());
-        assert_eq!(cascade.solve(&problem), NlVerdict::Unknown);
-        let probed = cascade.stats().boxes_explored;
-        assert!(probed <= absolver_nonlinear::PROBE_BOXES as u64 + 1);
-        assert_eq!(cascade.escalate(&problem), NlVerdict::Unsat);
-        let escalated = cascade.stats().boxes_explored - probed;
-        assert!(escalated > 2 * absolver_nonlinear::PROBE_BOXES as u64);
+        let (probed, probe) = cascade.solve(&problem);
+        assert_eq!(probed, NlVerdict::Unknown);
+        assert!(probe.boxes_explored <= absolver_nonlinear::PROBE_BOXES as u64 + 1);
+        let (escalated, full) = cascade.escalate(&problem);
+        assert_eq!(escalated, NlVerdict::Unsat);
+        assert!(full.boxes_explored > 2 * absolver_nonlinear::PROBE_BOXES as u64);
     }
 
     #[test]
@@ -607,6 +525,9 @@ mod tests {
         let boxes_only = absolver_nonlinear::branch_and_prune_stats(&problem, &options);
         assert_eq!(boxes_only.0, NlVerdict::Unknown);
         let mut cascade = CascadeNonlinear::default();
-        assert_eq!(cascade.escalate(&problem), NlVerdict::Sat(vec![10.0, 10.0]));
+        assert_eq!(
+            cascade.escalate(&problem).0,
+            NlVerdict::Sat(vec![10.0, 10.0])
+        );
     }
 }

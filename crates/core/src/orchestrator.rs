@@ -25,15 +25,14 @@
 //! backend supports native enumeration (Sec. 4's LSAT discussion).
 
 use crate::backends::{
-    BooleanSolver, CascadeNonlinear, CdclBoolean, LinearBackend, LinearBackendStats,
-    NonlinearBackend, NonlinearBackendStats, SimplexLinear,
+    BooleanSolver, CascadeNonlinear, CdclBoolean, LinearBackend, NonlinearBackend, SimplexLinear,
 };
 use crate::preprocess::{PreprocessSummary, Preprocessed, ProblemPreprocessor};
 use crate::problem::{AbModel, AbProblem, VarKind};
 use crate::structure::Partition;
 use crate::theory::{
-    check, prepare_defs, IncrementalLinear, LinActivity, PreparedConstraint, TheoryBudget,
-    TheoryContext, TheoryItem, TheoryTiming, TheoryVerdict,
+    check, prepare_defs, CheckEffort, IncrementalLinear, PreparedConstraint, TheoryBudget,
+    TheoryContext, TheoryItem, TheoryVerdict,
 };
 use absolver_logic::{Assignment, Clause, Lit, Tri, Var};
 use absolver_num::Interval;
@@ -311,18 +310,6 @@ impl OrchestratorStats {
         }
     }
 
-    /// Fraction of intern requests during the call that were structural
-    /// duplicates answered by an existing arena node (`0.0` when nothing
-    /// was interned).
-    pub fn term_dedup_rate(&self) -> f64 {
-        let total = self.terms_interned + self.term_dedup_hits;
-        if total == 0 {
-            0.0
-        } else {
-            self.term_dedup_hits as f64 / total as f64
-        }
-    }
-
     /// Serialises the statistics as a single JSON object (the payload of
     /// `--stats json` and the `BENCH_*.json` reports). Times are reported
     /// in integer microseconds; the per-phase ones are nested under
@@ -402,15 +389,6 @@ impl Default for OrchestratorOptions {
             theory_cache: true,
         }
     }
-}
-
-/// Snapshot of the incremental assertion stack's cumulative effort
-/// counters, for per-call delta attribution when the stack persists
-/// across calls (incremental sessions).
-#[derive(Debug, Clone, Copy, Default)]
-struct StackCounters {
-    pivots: u64,
-    warm_starts: u64,
 }
 
 /// What one [`crate::session::Session`] check asks of the orchestrator —
@@ -654,66 +632,11 @@ impl Orchestrator {
         self.stats
     }
 
-    /// The linear backend's cumulative counters (for snapshot-diff
-    /// attribution of per-call cost).
-    fn linear_snapshot(&self) -> LinearBackendStats {
-        self.linear.as_ref().map(|b| b.stats()).unwrap_or_default()
-    }
-
-    /// Sum of the nonlinear backends' cumulative counters.
-    fn nonlinear_snapshot(&self) -> NonlinearBackendStats {
-        let mut total = NonlinearBackendStats::default();
-        for b in &self.nonlinear {
-            let s = b.stats();
-            total.boxes_explored += s.boxes_explored;
-            total.hc4_contractions += s.hc4_contractions;
-            total.bc3_contractions += s.bc3_contractions;
-            total.newton_contractions += s.newton_contractions;
-            total.local_search_steps += s.local_search_steps;
-        }
-        total
-    }
-
-    /// Cumulative effort counters of the incremental assertion stack.
-    /// [`Orchestrator::call_window`] snapshots them once the call's setup
-    /// has run: the one-shot `solve*` entry points build a fresh stack per
-    /// call, so the snapshot reads zero, while a persistent session's
-    /// stack survives across checks and only the delta is folded in.
-    fn stack_counters(&self) -> StackCounters {
-        match &self.incremental {
-            Some(inc) => StackCounters {
-                pivots: inc.stack().pivots(),
-                warm_starts: inc.warm_starts(),
-            },
-            None => StackCounters::default(),
-        }
-    }
-
-    /// Folds the counter deltas since the snapshots `(lin0, nl0, stk0,
-    /// term0)` into `self.stats`: the backends', the assertion stack's
-    /// (its checks bypass the one-shot backends entirely, so they are not
-    /// in the backend snapshots) and the term arena's.
-    fn absorb_deltas_since(
-        &mut self,
-        lin0: LinearBackendStats,
-        nl0: NonlinearBackendStats,
-        stk0: StackCounters,
-        term0: (u64, u64),
-    ) {
-        let lin1 = self.linear_snapshot();
-        let nl1 = self.nonlinear_snapshot();
-        self.stats.simplex_pivots += lin1.pivots.saturating_sub(lin0.pivots);
-        self.stats.hc4_contractions += nl1.hc4_contractions.saturating_sub(nl0.hc4_contractions);
-        self.stats.bc3_contractions += nl1.bc3_contractions.saturating_sub(nl0.bc3_contractions);
-        self.stats.newton_contractions += nl1
-            .newton_contractions
-            .saturating_sub(nl0.newton_contractions);
-        self.stats.local_search_steps += nl1
-            .local_search_steps
-            .saturating_sub(nl0.local_search_steps);
-        let stk1 = self.stack_counters();
-        self.stats.simplex_pivots += stk1.pivots.saturating_sub(stk0.pivots);
-        self.stats.simplex_warm_starts += stk1.warm_starts.saturating_sub(stk0.warm_starts);
+    /// Folds the term arena's interning since the snapshot `term0` into
+    /// `self.stats` and traces it as `term.intern`. Interning also happens
+    /// outside theory checks (parsing, component extraction, the
+    /// definition pool), so it is counted by snapshot.
+    fn absorb_interning_since(&mut self, term0: (u64, u64)) {
         let (int1, ded1) = absolver_nonlinear::term::local_counters();
         let interned = int1.saturating_sub(term0.0);
         let dedup = ded1.saturating_sub(term0.1);
@@ -875,26 +798,21 @@ impl Orchestrator {
     }
 
     /// The call window every solve entry point runs in: resets the
-    /// stats, emits `solve.start` (extended by `start`), runs `setup`,
-    /// snapshots the backend and assertion-stack counters, runs `body`,
-    /// then stamps `elapsed`, folds the counter deltas since those
-    /// snapshots and the arena snapshot `term0` into the stats and emits
-    /// `solve.end` (extended by `end`). The stack is snapshotted after
-    /// `setup` because setup may replace it.
+    /// stats, emits `solve.start` (extended by `start`), runs `body`,
+    /// then stamps `elapsed`, folds the interning since the arena
+    /// snapshot `term0` into the stats and emits `solve.end` (extended by
+    /// `end`). The theory checks in `body` fold their own effort.
     fn call_window<T>(
         &mut self,
         problem: &AbProblem,
         term0: (u64, u64),
         start: impl FnOnce(TraceEvent) -> TraceEvent,
-        setup: impl FnOnce(&mut Self),
         body: impl FnOnce(&mut Self, Instant) -> T,
         end: impl FnOnce(&T, TraceEvent) -> TraceEvent,
     ) -> T {
         let started = Instant::now();
         self.stats = OrchestratorStats::default();
         self.undecided = Undecided::default();
-        let lin0 = self.linear_snapshot();
-        let nl0 = self.nonlinear_snapshot();
         self.trace(|| {
             start(
                 TraceEvent::new("solve.start")
@@ -902,11 +820,9 @@ impl Orchestrator {
                     .field_u64("num_defs", problem.defs().count() as u64),
             )
         });
-        setup(self);
-        let stk0 = self.stack_counters();
         let out = body(self, started);
         self.stats.elapsed = started.elapsed();
-        self.absorb_deltas_since(lin0, nl0, stk0, term0);
+        self.absorb_interning_since(term0);
         self.trace(|| {
             end(&out, TraceEvent::new("solve.end"))
                 .field_u64("iterations", self.stats.boolean_iterations)
@@ -927,8 +843,8 @@ impl Orchestrator {
             problem,
             term0,
             |e| e.field("mode", "solve"),
-            |orc| orc.prepare_session(problem),
             |orc, started| {
+                orc.prepare_session(problem);
                 orc.boolean.load(problem.cnf());
                 orc.run_loop(problem, started)
             },
@@ -956,7 +872,7 @@ impl Orchestrator {
             problem,
             absolver_nonlinear::term::local_counters(),
             |e| e.field("mode", "session"),
-            |orc| {
+            |orc, started| {
                 if args.rebuild_defs {
                     orc.intern_defs(problem);
                 }
@@ -973,8 +889,6 @@ impl Orchestrator {
                 if needs_stack {
                     orc.incremental = orc.make_incremental((num_arith * 2).max(4));
                 }
-            },
-            |orc, started| {
                 orc.session_lemmas = Some(Vec::new());
                 let trivially_unsat = if args.reload {
                     orc.boolean.load(problem.cnf());
@@ -1039,8 +953,8 @@ impl Orchestrator {
             problem,
             absolver_nonlinear::term::local_counters(),
             |e| e.field("mode", "solve_all"),
-            |orc| orc.prepare_session(problem),
             |orc, started| {
+                orc.prepare_session(problem);
                 orc.boolean.load(problem.cnf());
                 let mut models = Vec::new();
                 // Project on all Boolean variables so distinct Boolean
@@ -1380,19 +1294,24 @@ impl Orchestrator {
                     .map(|b| b as &mut dyn LinearBackend),
                 nonlinear: &mut self.nonlinear,
                 budget,
-                timing: TheoryTiming::default(),
+                effort: CheckEffort::default(),
                 sink,
                 incremental: self.incremental.as_mut(),
-                lin_activity: LinActivity::default(),
                 escalate,
                 escalable: false,
             };
             let verdict = check(&items, &mut ctx);
-            let timing = ctx.timing;
-            self.stats.linear_rows_pushed += ctx.lin_activity.pushed;
             escalable |= ctx.escalable;
-            self.stats.linear_time += timing.linear;
-            self.stats.nonlinear_time += timing.nonlinear;
+            let effort = ctx.effort;
+            self.stats.linear_time += effort.linear_time;
+            self.stats.nonlinear_time += effort.nonlinear_time;
+            self.stats.simplex_pivots += effort.pivots;
+            self.stats.simplex_warm_starts += effort.warm_starts;
+            self.stats.linear_rows_pushed += effort.pushed_rows;
+            self.stats.hc4_contractions += effort.search.hc4_contractions;
+            self.stats.bc3_contractions += effort.search.bc3_contractions;
+            self.stats.newton_contractions += effort.search.newton_contractions;
+            self.stats.local_search_steps += effort.search.local_search_steps;
             match verdict {
                 TheoryVerdict::Sat(m) => return (TheoryVerdict::Sat(m), false),
                 TheoryVerdict::Unknown => any_unknown = true,

@@ -28,7 +28,7 @@ use absolver_linear::{
     AssertionStack, CmpOp, Feasibility, LinExpr, LinearConstraint, RowId, StackResult,
 };
 use absolver_logic::Var;
-use absolver_nonlinear::{NlConstraint, NlProblem, NlVerdict};
+use absolver_nonlinear::{NlConstraint, NlProblem, NlSearchStats, NlVerdict};
 use absolver_num::{BigInt, Interval, Rational};
 use absolver_trace::{TraceEvent, TraceSink};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -283,15 +283,36 @@ impl TheoryBudget {
     }
 }
 
-/// Wall-clock time a theory check spent in each phase. [`check`]
-/// accumulates into this; the orchestrator reads it back to attribute
-/// run time to simplex vs. the nonlinear engines.
+/// What one theory check spent, phase by phase. [`check`] fills it in;
+/// the orchestrator folds it into its statistics, and the check's
+/// `phase.linear`, `contract.*` and `local_search.steps` trace events are
+/// rendered from it, so the two cannot disagree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TheoryTiming {
+pub struct CheckEffort {
     /// Time in the linear phase (simplex + branch-and-bound + splits).
-    pub linear: Duration,
+    pub linear_time: Duration,
     /// Time in the nonlinear phase (branch-and-prune + local search).
-    pub nonlinear: Duration,
+    pub nonlinear_time: Duration,
+    /// Simplex pivots of the linear phase.
+    pub pivots: u64,
+    /// Stack checks that started from rows an earlier check left behind:
+    /// every check of a warm phase, and every branch-and-bound re-check
+    /// of a cold one.
+    pub warm_starts: u64,
+    /// The linear phase started on a stack that already held rows of an
+    /// earlier phase, even one that ended in a conflict before any stack
+    /// check.
+    pub warm: bool,
+    /// Rows of the previous check kept on the stack, wherever they sit.
+    pub reused_rows: u64,
+    /// Rows pushed for this check (a row rejected at assertion counts).
+    /// Branch-and-bound and disequality-split rows are not counted.
+    pub pushed_rows: u64,
+    /// Rows of the previous check retracted because this one does not
+    /// want them.
+    pub retracted_rows: u64,
+    /// The nonlinear backends' effort, summed over the check's calls.
+    pub search: NlSearchStats,
 }
 
 /// A persistent incremental linear session: the simplex assertion stack
@@ -308,8 +329,6 @@ pub struct IncrementalLinear {
     /// The tag of each base row, by stack handle; `None` for the rows of
     /// branch-and-bound and disequality splits, and for free handles.
     owner: Vec<Option<usize>>,
-    /// Stack checks that started from rows an earlier check left behind.
-    warm_starts: u64,
 }
 
 /// A row on the stack for the check's own items.
@@ -332,20 +351,12 @@ impl IncrementalLinear {
             stack,
             base: Vec::new(),
             owner: Vec::new(),
-            warm_starts: 0,
         }
     }
 
-    /// The underlying stack, for its effort counters (pivots, checks).
+    /// The underlying stack.
     pub fn stack(&self) -> &AssertionStack {
         &self.stack
-    }
-
-    /// Stack checks so far that reused rows of an earlier check: every
-    /// check of a warm phase (see [`LinActivity::warm`]), and every
-    /// branch-and-bound re-check of a cold one.
-    pub fn warm_starts(&self) -> u64 {
-        self.warm_starts
     }
 }
 
@@ -360,24 +371,7 @@ impl std::fmt::Debug for IncrementalLinear {
     }
 }
 
-/// Delta-assertion activity of the most recent linear phase, reported
-/// through [`TheoryContext`] for the `phase.linear` trace event. All
-/// fields stay zero/false on the from-scratch path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinActivity {
-    /// The phase started on a stack that already held rows of an earlier
-    /// phase, even one that ended in a conflict before any stack check.
-    pub warm: bool,
-    /// Rows of the previous check kept on the stack, wherever they sit.
-    pub reused: u64,
-    /// Rows pushed for this check (a row rejected at assertion counts).
-    pub pushed: u64,
-    /// Rows of the previous check retracted because this one does not
-    /// want them.
-    pub retracted: u64,
-}
-
-/// The context a theory check runs in.
+/// The context a theory check runs in; one context serves one check.
 pub struct TheoryContext<'a> {
     /// Number of arithmetic variables.
     pub num_vars: usize,
@@ -392,16 +386,15 @@ pub struct TheoryContext<'a> {
     pub nonlinear: &'a mut [Box<dyn NonlinearBackend>],
     /// Budgets.
     pub budget: TheoryBudget,
-    /// Per-phase wall-clock accumulator, filled in by [`check`].
-    pub timing: TheoryTiming,
+    /// The check's effort, filled in by [`check`]. The row counts and
+    /// warm starts stay zero on the from-scratch linear path.
+    pub effort: CheckEffort,
     /// Trace sink for phase spans (`phase.linear` / `phase.nonlinear`).
     pub sink: Option<&'a dyn TraceSink>,
     /// Incremental linear session. When present, the linear phase runs
     /// delta assertion + warm-started checks on it instead of building a
     /// fresh tableau per check.
     pub incremental: Option<&'a mut IncrementalLinear>,
-    /// Filled by the last linear phase: delta-assertion activity.
-    pub lin_activity: LinActivity,
     /// Run the nonlinear backends' full check
     /// ([`crate::backends::NonlinearBackend::escalate`]) instead of their
     /// first pass. The orchestrator sets it when it re-checks the Boolean
@@ -465,21 +458,15 @@ pub fn check(items: &[TheoryItem], ctx: &mut TheoryContext<'_>) -> TheoryVerdict
     let lin_started = Instant::now();
     let lin_verdict = solve_linear(&norm, ctx);
     let lin_elapsed = lin_started.elapsed();
-    ctx.timing.linear += lin_elapsed;
+    ctx.effort.linear_time += lin_elapsed;
     if let Some(sink) = ctx.sink.filter(|s| s.enabled()) {
+        let effort = &ctx.effort;
         sink.emit(
             &TraceEvent::new("phase.linear")
-                .field(
-                    "start",
-                    if ctx.lin_activity.warm {
-                        "warm"
-                    } else {
-                        "cold"
-                    },
-                )
-                .field_u64("reused_rows", ctx.lin_activity.reused)
-                .field_u64("pushed_rows", ctx.lin_activity.pushed)
-                .field_u64("retracted_rows", ctx.lin_activity.retracted)
+                .field("start", if effort.warm { "warm" } else { "cold" })
+                .field_u64("reused_rows", effort.reused_rows)
+                .field_u64("pushed_rows", effort.pushed_rows)
+                .field_u64("retracted_rows", effort.retracted_rows)
                 .duration(lin_elapsed),
         );
     }
@@ -494,50 +481,26 @@ pub fn check(items: &[TheoryItem], ctx: &mut TheoryContext<'_>) -> TheoryVerdict
 
     // Phase 2: full system to the nonlinear backend(s).
     let nl_started = Instant::now();
-    let nl0 = nonlinear_stat_totals(ctx.nonlinear);
     let verdict = solve_nonlinear(&norm, ctx);
     let nl_elapsed = nl_started.elapsed();
-    ctx.timing.nonlinear += nl_elapsed;
+    ctx.effort.nonlinear_time += nl_elapsed;
     if let Some(sink) = ctx.sink.filter(|s| s.enabled()) {
         sink.emit(&TraceEvent::new("phase.nonlinear").duration(nl_elapsed));
-        // Aggregate per-contractor and local-search effort of this check,
-        // from the backend-counter deltas.
-        let nl1 = nonlinear_stat_totals(ctx.nonlinear);
-        let deltas = [
-            ("contract.hc4", nl1.hc4_contractions - nl0.hc4_contractions),
-            ("contract.bc3", nl1.bc3_contractions - nl0.bc3_contractions),
-            (
-                "contract.newton",
-                nl1.newton_contractions - nl0.newton_contractions,
-            ),
-            (
-                "local_search.steps",
-                nl1.local_search_steps - nl0.local_search_steps,
-            ),
+        // Per-contractor and local-search effort of this check.
+        let search = &ctx.effort.search;
+        let counts = [
+            ("contract.hc4", search.hc4_contractions),
+            ("contract.bc3", search.bc3_contractions),
+            ("contract.newton", search.newton_contractions),
+            ("local_search.steps", search.local_search_steps),
         ];
-        for (kind, count) in deltas {
+        for (kind, count) in counts {
             if count > 0 {
                 sink.emit(&TraceEvent::new(kind).field_u64("count", count));
             }
         }
     }
     verdict
-}
-
-/// Sum of the nonlinear backends' cumulative counters (for trace-event
-/// deltas around one check).
-fn nonlinear_stat_totals(
-    backends: &[Box<dyn NonlinearBackend>],
-) -> crate::backends::NonlinearBackendStats {
-    let mut total = crate::backends::NonlinearBackendStats::default();
-    for b in backends {
-        let s = b.stats();
-        total.hc4_contractions += s.hc4_contractions;
-        total.bc3_contractions += s.bc3_contractions;
-        total.newton_contractions += s.newton_contractions;
-        total.local_search_steps += s.local_search_steps;
-    }
-    total
 }
 
 fn pad(mut v: Vec<Rational>, n: usize) -> Vec<Rational> {
@@ -556,7 +519,6 @@ enum LinOutcome {
 }
 
 fn solve_linear(norm: &Normalised, ctx: &mut TheoryContext<'_>) -> LinOutcome {
-    ctx.lin_activity = LinActivity::default();
     if let Some(tag) = norm.refuted {
         return LinOutcome::Unsat(vec![tag]);
     }
@@ -587,22 +549,26 @@ fn solve_linear(norm: &Normalised, ctx: &mut TheoryContext<'_>) -> LinOutcome {
 }
 
 /// The incremental linear path: delta assertion against the session's
-/// previous rows, then warm-started branch-and-bound on the stack.
+/// previous rows, then warm-started branch-and-bound on the stack. Counts
+/// the pivots and warm starts of this check into its effort.
 fn solve_linear_incremental(
     inc: &mut IncrementalLinear,
     norm: &Normalised,
     ctx: &mut TheoryContext<'_>,
 ) -> LinOutcome {
     let warm = !inc.base.is_empty();
-    ctx.lin_activity.warm = warm;
-    if let Err(tags) = assert_delta(inc, &norm.lin_asserts, &mut ctx.lin_activity) {
-        return LinOutcome::Unsat(tags);
-    }
-    let before = inc.stack.checks();
-    let mut nodes = ctx.budget.max_nodes;
-    let out = rec_linear_inc(inc, &norm.lin_diseqs, ctx, &mut nodes);
-    let checks = inc.stack.checks() - before;
-    inc.warm_starts += if warm {
+    ctx.effort.warm = warm;
+    let (pivots, checks) = (inc.stack.pivots(), inc.stack.checks());
+    let out = match assert_delta(inc, &norm.lin_asserts, &mut ctx.effort) {
+        Err(tags) => LinOutcome::Unsat(tags),
+        Ok(()) => {
+            let mut nodes = ctx.budget.max_nodes;
+            rec_linear_inc(inc, &norm.lin_diseqs, ctx, &mut nodes)
+        }
+    };
+    let checks = inc.stack.checks() - checks;
+    ctx.effort.pivots += inc.stack.pivots() - pivots;
+    ctx.effort.warm_starts += if warm {
         checks
     } else {
         checks.saturating_sub(1)
@@ -618,7 +584,7 @@ fn solve_linear_incremental(
 fn assert_delta(
     inc: &mut IncrementalLinear,
     desired: &[(usize, &Arc<LinearConstraint>)],
-    activity: &mut LinActivity,
+    effort: &mut CheckEffort,
 ) -> Result<(), Vec<usize>> {
     // Chain the base rows by tag, then match each wanted row against its
     // tag's chain: by pointer first, by value for a row prepared again.
@@ -650,7 +616,7 @@ fn assert_delta(
     for (b, _) in inc.base.iter().zip(&kept).filter(|(_, &k)| !k) {
         inc.stack.retract(b.id);
         inc.owner[b.id] = None;
-        activity.retracted += 1;
+        effort.retracted_rows += 1;
     }
     let mut old: Vec<Option<BaseRow>> = std::mem::take(&mut inc.base)
         .into_iter()
@@ -666,7 +632,7 @@ fn assert_delta(
             }
         }
     }
-    activity.reused = matched.iter().flatten().count() as u64;
+    effort.reused_rows = matched.iter().flatten().count() as u64;
     let mut conflict = None;
     for (rank, ((tag, row), i)) in desired.iter().zip(&matched).enumerate() {
         if let Some(i) = i {
@@ -676,7 +642,7 @@ fn assert_delta(
         if conflict.is_some() {
             continue;
         }
-        activity.pushed += 1;
+        effort.pushed_rows += 1;
         match inc.stack.push_ranked(row, rank as u64) {
             Ok(id) => {
                 if inc.owner.len() <= id {
@@ -804,10 +770,11 @@ fn rec_linear(
     }
     *nodes -= 1;
 
-    let feasibility = match ctx.linear.as_deref_mut() {
+    let (feasibility, pivots) = match ctx.linear.as_deref_mut() {
         Some(backend) => backend.check(constraints),
-        None => absolver_linear::check_conjunction(constraints),
+        None => (absolver_linear::check_conjunction(constraints), 0),
     };
+    ctx.effort.pivots += pivots;
 
     let model = match feasibility {
         Feasibility::Infeasible(core) => {
@@ -956,11 +923,13 @@ fn rec_nonlinear(
 
     let mut verdict = NlVerdict::Unknown;
     for backend in ctx.nonlinear.iter_mut() {
-        verdict = if ctx.escalate {
+        let (answer, effort) = if ctx.escalate {
             backend.escalate(&problem)
         } else {
             backend.solve(&problem)
         };
+        ctx.effort.search.add(&effort);
+        verdict = answer;
         if verdict != NlVerdict::Unknown {
             break; // "the preceding solvers failed to provide a decent result"
         }
@@ -1085,18 +1054,36 @@ mod tests {
         run_counted(Some(inc), items, kinds, ranges).0
     }
 
-    /// Checks `items` from scratch or, given a session, incrementally, and
-    /// counts the simplex checks the linear phase made: one per node, so
-    /// more than one means it branched.
+    /// [`SimplexLinear`], counting its checks.
+    #[derive(Default)]
+    struct CountingLinear {
+        checks: u64,
+    }
+
+    impl LinearBackend for CountingLinear {
+        fn name(&self) -> &str {
+            "counting-simplex"
+        }
+
+        fn check(&mut self, constraints: &[LinearConstraint]) -> (Feasibility, u64) {
+            self.checks += 1;
+            SimplexLinear::new().check(constraints)
+        }
+    }
+
+    /// Checks `items` from scratch or, given a session, incrementally.
+    /// Returns the verdict, the simplex checks the linear phase made (one
+    /// per node, so more than one means it branched) and the check's
+    /// effort.
     fn run_counted(
         inc: Option<&mut IncrementalLinear>,
         items: &[TheoryItem],
         kinds: Vec<VarKind>,
         ranges: Vec<Interval>,
-    ) -> (TheoryVerdict, u64) {
+    ) -> (TheoryVerdict, u64, CheckEffort) {
         let items = prepared(items, &kinds);
         let stack_checks = inc.as_ref().map(|inc| inc.stack().checks());
-        let mut linear = SimplexLinear::new();
+        let mut linear = CountingLinear::default();
         let mut nonlinear: Vec<Box<dyn NonlinearBackend>> =
             vec![Box::new(CascadeNonlinear::default())];
         let mut ctx = TheoryContext {
@@ -1106,19 +1093,19 @@ mod tests {
             linear: Some(&mut linear),
             nonlinear: &mut nonlinear,
             budget: TheoryBudget::default(),
-            timing: TheoryTiming::default(),
+            effort: CheckEffort::default(),
             sink: None,
             incremental: inc,
-            lin_activity: LinActivity::default(),
             escalate: false,
             escalable: false,
         };
         let verdict = check(&items, &mut ctx);
+        let effort = ctx.effort;
         let checks = match (stack_checks, &ctx.incremental) {
             (Some(before), Some(inc)) => inc.stack().checks() - before,
-            _ => linear.stats().checks,
+            _ => linear.checks,
         };
-        (verdict, checks)
+        (verdict, checks, effort)
     }
 
     fn reals(n: usize) -> (Vec<VarKind>, Vec<Interval>) {
@@ -1226,7 +1213,7 @@ mod tests {
         items.extend(boxed(1, 0, 0, 1));
         items.extend(boxed(3, 1, 0, 1));
         let mut inc = IncrementalLinear::new(AssertionStack::new(2));
-        for (path, (verdict, lp_checks)) in [
+        for (path, (verdict, lp_checks, _)) in [
             ("scratch", run_counted(None, &items, k.clone(), r.clone())),
             ("stack", run_counted(Some(&mut inc), &items, k, r)),
         ] {
@@ -1268,7 +1255,7 @@ mod tests {
         let mut items = vec![item(0, coprime_row(), true)];
         items.extend(boxed(1, 0, -3, 3));
         let mut inc = IncrementalLinear::new(AssertionStack::new(2));
-        for (path, (verdict, lp_checks)) in [
+        for (path, (verdict, lp_checks, _)) in [
             ("scratch", run_counted(None, &items, k.clone(), r.clone())),
             ("stack", run_counted(Some(&mut inc), &items, k, r)),
         ] {
@@ -1543,10 +1530,12 @@ mod tests {
         // sat, both only after branching.
         let branching = queries.len();
         queries.extend([refuted, integral]);
+        let mut warm_starts = 0;
         for (i, items) in queries.iter().enumerate() {
-            let (scratch, scratch_checks) = run_counted(None, items, k.clone(), r.clone());
-            let (incremental, stack_checks) =
+            let (scratch, scratch_checks, _) = run_counted(None, items, k.clone(), r.clone());
+            let (incremental, stack_checks, effort) =
                 run_counted(Some(&mut inc), items, k.clone(), r.clone());
+            warm_starts += effort.warm_starts;
             match (&scratch, &incremental) {
                 (TheoryVerdict::Sat(_), TheoryVerdict::Sat(_)) => {}
                 (TheoryVerdict::Unsat(a), TheoryVerdict::Unsat(b)) => assert_eq!(a, b),
@@ -1560,7 +1549,7 @@ mod tests {
             }
         }
         // The session really did warm-start: one cold check, then reuse.
-        assert!(inc.warm_starts() > 0);
+        assert!(warm_starts > 0);
     }
 
     /// An affine item `Σ aᵢxᵢ ⋈ c` as `(terms (var, aᵢ), ⋈, c, positive)`.

@@ -30,6 +30,7 @@
 use crate::constraint::NlConstraint;
 use crate::hc4::{hc4_revise_scratch, Contraction, ReviseScratch};
 use crate::newton::NewtonConstraint;
+use crate::solve::NlSearchStats;
 use absolver_linear::CmpOp;
 use absolver_num::Interval;
 use std::fmt;
@@ -166,17 +167,6 @@ impl ActiveSet {
     }
 }
 
-/// Per-contractor effort counters of one cascade lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CascadeStats {
-    /// HC4 revise calls that narrowed or emptied a domain.
-    pub hc4_contractions: u64,
-    /// BC3 shaving passes that narrowed or emptied a domain.
-    pub bc3_contractions: u64,
-    /// Newton passes that narrowed or emptied a domain.
-    pub newton_contractions: u64,
-}
-
 /// Maximum dichotomy probes per BC3 bound.
 const BC3_PROBES: usize = 8;
 
@@ -243,8 +233,9 @@ pub struct Cascade<'a> {
     newton: Vec<Option<NewtonConstraint>>,
     has_newton: bool,
     config: ContractorConfig,
-    /// Effort counters, drained by the caller after the run.
-    pub stats: CascadeStats,
+    /// Per-contractor contraction counts so far (the other fields stay
+    /// zero); the caller adds them to its run's after the run.
+    pub stats: NlSearchStats,
     min_width: f64,
     // Reusable scratch to keep the hot path allocation-free.
     queue: Vec<usize>,
@@ -289,7 +280,7 @@ impl<'a> Cascade<'a> {
             newton,
             has_newton,
             config,
-            stats: CascadeStats::default(),
+            stats: NlSearchStats::default(),
             min_width,
             queue: Vec::new(),
             in_queue: vec![false; constraints.len()],

@@ -54,9 +54,7 @@ pub mod newton;
 mod solve;
 pub mod term;
 
-pub use cascade::{
-    bc3_revise, cascade_contract, ActiveSet, Cascade, CascadeStats, ContractorConfig,
-};
+pub use cascade::{bc3_revise, cascade_contract, ActiveSet, Cascade, ContractorConfig};
 pub use constraint::{IntervalVerdict, NlConstraint};
 pub use expr::{Expr, VarId};
 pub use newton::{newton_revise, NewtonConstraint};

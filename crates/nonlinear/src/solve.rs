@@ -45,11 +45,14 @@ pub struct NlSearchStats {
 }
 
 impl NlSearchStats {
-    /// Folds one cascade engine's counters into the run totals.
-    fn absorb_cascade(&mut self, c: &crate::cascade::CascadeStats) {
-        self.hc4_contractions += c.hc4_contractions;
-        self.bc3_contractions += c.bc3_contractions;
-        self.newton_contractions += c.newton_contractions;
+    /// Adds `other`'s counts to these: a cascade engine's to its run's,
+    /// or one backend call's to its theory check's.
+    pub fn add(&mut self, other: &NlSearchStats) {
+        self.boxes_explored += other.boxes_explored;
+        self.hc4_contractions += other.hc4_contractions;
+        self.bc3_contractions += other.bc3_contractions;
+        self.newton_contractions += other.newton_contractions;
+        self.local_search_steps += other.local_search_steps;
     }
 }
 
@@ -488,7 +491,7 @@ fn branch_and_prune_inner(
             }
         }
     }
-    stats.absorb_cascade(&engine.stats);
+    stats.add(&engine.stats);
     let verdict = early.unwrap_or(if inconclusive {
         NlVerdict::Unknown
     } else {
@@ -619,7 +622,7 @@ fn parallel_branch_and_prune(
                     pending.fetch_sub(1, Ordering::AcqRel);
                 }
                 let mut t = totals.lock().expect("totals lock");
-                t.absorb_cascade(&engine.stats);
+                t.add(&engine.stats);
             });
         }
     });

@@ -9,8 +9,8 @@
 //! identical problems (same clauses, definitions, variables, and ranges —
 //! whitespace and comment differences do not matter, literal order does).
 //! A cached verdict and model, or a cached static-analysis result, are
-//! then simply the memoized answer. `Unknown` is never cached: it
-//! reflects a budget, not a fact. The keys are exact values, not lossy
+//! then simply the memoized answer. The server never caches `Unknown`:
+//! it reflects a budget, not a fact. The keys are exact values, not lossy
 //! hashes, so collisions are impossible.
 //!
 //! The key leans on the hash-consed term arena: a constraint is
@@ -20,7 +20,7 @@
 //! and comparing keys compares ids, not trees. (Ids are process-local,
 //! which is exactly the scope of these in-process caches.)
 
-use absolver_core::{AbProblem, Outcome, VarKind};
+use absolver_core::{AbProblem, VarKind};
 use absolver_logic::Clause;
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -85,91 +85,37 @@ pub fn problem_key(problem: &AbProblem) -> ProblemKey {
     }
 }
 
-/// Bounded map from [`ProblemKey`] to the cached [`Outcome`]. Eviction
-/// is FIFO by insertion — the cache is a memo table, not a working set,
-/// and FIFO keeps it allocation-cheap and predictable.
+/// Bounded map from [`ProblemKey`] to a memoized answer: the server keeps
+/// one of verdicts ([`absolver_core::Outcome`]) and one of
+/// static-analysis results (`true` when the interval-dataflow fixpoint
+/// refuted the problem). Eviction is FIFO by insertion — the cache is a
+/// memo table, not a working set, and FIFO keeps it allocation-cheap and
+/// predictable.
 #[derive(Debug)]
-pub struct VerdictCache {
-    map: HashMap<ProblemKey, Outcome>,
+pub struct FifoCache<V> {
+    map: HashMap<ProblemKey, V>,
     order: VecDeque<ProblemKey>,
     capacity: usize,
 }
 
-impl VerdictCache {
-    /// Creates a cache holding at most `capacity` verdicts (min 1).
-    pub fn new(capacity: usize) -> VerdictCache {
-        VerdictCache {
+impl<V> FifoCache<V> {
+    /// Creates a cache holding at most `capacity` answers (min 1).
+    pub fn new(capacity: usize) -> FifoCache<V> {
+        FifoCache {
             map: HashMap::new(),
             order: VecDeque::new(),
             capacity: capacity.max(1),
         }
     }
 
-    /// Looks up the verdict for a problem key.
-    pub fn get(&self, key: &ProblemKey) -> Option<&Outcome> {
+    /// The cached answer for a problem key, if any.
+    pub fn get(&self, key: &ProblemKey) -> Option<&V> {
         self.map.get(key)
     }
 
-    /// Inserts a verdict. `Unknown` outcomes are ignored — re-solving
-    /// with a fresh budget may well decide them.
-    pub fn insert(&mut self, key: ProblemKey, outcome: Outcome) {
-        if matches!(outcome, Outcome::Unknown) || self.map.contains_key(&key) {
-            return;
-        }
-        while self.map.len() >= self.capacity {
-            match self.order.pop_front() {
-                Some(old) => {
-                    self.map.remove(&old);
-                }
-                None => break,
-            }
-        }
-        self.order.push_back(key.clone());
-        self.map.insert(key, outcome);
-    }
-
-    /// Number of cached verdicts.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// Bounded map from [`ProblemKey`] to the static-analysis verdict: `true`
-/// when the interval-dataflow fixpoint refuted the problem (statically
-/// unsatisfiable), `false` when the analysis passed it through to the
-/// solver. Both polarities are cached so a resubmission skips the
-/// analysis entirely; a `true` hit is answered at submission without
-/// occupying a worker. Eviction is FIFO, like [`VerdictCache`].
-#[derive(Debug)]
-pub struct AnalysisCache {
-    map: HashMap<ProblemKey, bool>,
-    order: VecDeque<ProblemKey>,
-    capacity: usize,
-}
-
-impl AnalysisCache {
-    /// Creates a cache holding at most `capacity` analysis results
-    /// (min 1).
-    pub fn new(capacity: usize) -> AnalysisCache {
-        AnalysisCache {
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// The cached analysis verdict for a problem key, if any.
-    pub fn get(&self, key: &ProblemKey) -> Option<bool> {
-        self.map.get(key).copied()
-    }
-
-    /// Records the analysis verdict for a problem key.
-    pub fn insert(&mut self, key: ProblemKey, statically_unsat: bool) {
+    /// Caches the answer for a key not cached yet, evicting the oldest
+    /// entry when full. A key already cached keeps its answer.
+    pub fn insert(&mut self, key: ProblemKey, value: V) {
         if self.map.contains_key(&key) {
             return;
         }
@@ -182,10 +128,10 @@ impl AnalysisCache {
             }
         }
         self.order.push_back(key.clone());
-        self.map.insert(key, statically_unsat);
+        self.map.insert(key, value);
     }
 
-    /// Number of cached analysis verdicts.
+    /// Number of cached answers.
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -230,39 +176,22 @@ mod tests {
     }
 
     #[test]
-    fn verdict_cache_never_stores_unknown_and_evicts_fifo() {
+    fn cache_keeps_the_first_answer_and_evicts_fifo() {
         let (a, b, c) = (
             problem_key(&keyed(1)),
             problem_key(&keyed(2)),
             problem_key(&keyed(3)),
         );
-        let mut cache = VerdictCache::new(2);
-        cache.insert(a.clone(), Outcome::Unknown);
-        assert!(cache.is_empty());
-        cache.insert(a.clone(), Outcome::Unsat);
-        cache.insert(b, Outcome::Unsat);
-        cache.insert(c.clone(), Outcome::Unsat);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get(&a).is_none());
-        assert!(cache.get(&c).is_some());
-    }
-
-    #[test]
-    fn analysis_cache_stores_both_polarities_and_evicts_fifo() {
-        let (a, b, c) = (
-            problem_key(&keyed(1)),
-            problem_key(&keyed(2)),
-            problem_key(&keyed(3)),
-        );
-        let mut cache = AnalysisCache::new(2);
+        let mut cache = FifoCache::new(2);
         assert_eq!(cache.get(&a), None);
         cache.insert(a.clone(), true);
+        cache.insert(a.clone(), false);
         cache.insert(b.clone(), false);
-        assert_eq!(cache.get(&a), Some(true));
-        assert_eq!(cache.get(&b), Some(false));
+        assert_eq!(cache.get(&a), Some(&true), "a cached key keeps its answer");
+        assert_eq!(cache.get(&b), Some(&false));
         cache.insert(c.clone(), true);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.get(&a), None, "FIFO evicts the oldest entry");
-        assert_eq!(cache.get(&c), Some(true));
+        assert_eq!(cache.get(&c), Some(&true));
     }
 }

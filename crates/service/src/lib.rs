@@ -14,7 +14,7 @@
 //!                                       (catch_unwind each)
 //!                                                │
 //!                          ┌─────────────────────┼──────────────────┐
-//!                    VerdictCache          AnalysisCache      Orchestrator::solve
+//!                    problem cache        analysis cache      Orchestrator::solve
 //!                  (same problem ⇒        (static-unsat ⇒     (a miss on both:
 //!                   cached answer)         no solve/worker)     one-shot solve)
 //! ```
@@ -29,8 +29,8 @@
 //!   rendering, total over arbitrary input.
 //! * [`queue`] — the bounded three-band priority queue; a full queue is
 //!   backpressure (`overload` + retry hint), never a stall.
-//! * [`cache`] — the two warm-state layers and their soundness
-//!   argument.
+//! * [`cache`] — the bounded FIFO map both warm-state layers use, its
+//!   problem key, and their soundness argument.
 //! * [`server`] — the worker pool tying it together: per-request
 //!   deadlines, cooperative cancellation, and panic containment (a
 //!   worker panic becomes an `internal` error response and an `aborts`
@@ -44,7 +44,7 @@ pub mod protocol;
 pub mod queue;
 pub mod server;
 
-pub use cache::{problem_key, AnalysisCache, ProblemKey, VerdictCache};
+pub use cache::{problem_key, FifoCache, ProblemKey};
 pub use protocol::{
     CacheTier, ClientFrame, ErrCode, Priority, ProtoError, RequestDecoder, Response, SolveFrame,
     MAX_BODY_BYTES,

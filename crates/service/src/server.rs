@@ -7,7 +7,7 @@
 //! `catch_unwind`, so a panic becomes an `internal` error response plus
 //! an `aborts` counter tick (the request's orchestrator dies with it).
 
-use crate::cache::{problem_key, AnalysisCache, VerdictCache};
+use crate::cache::{problem_key, FifoCache};
 use crate::protocol::{CacheTier, ErrCode, Response, SolveFrame};
 use crate::queue::JobQueue;
 use absolver_analyze::{dataflow, DataflowVerdict};
@@ -153,8 +153,10 @@ struct Job {
 /// The two caches, coordinated under one lock (taken briefly before and
 /// after a solve, never across one).
 struct Caches {
-    problems: VerdictCache,
-    analysis: AnalysisCache,
+    /// Verdict and model of each problem solved to `sat` or `unsat`.
+    problems: FifoCache<Outcome>,
+    /// Whether the interval-dataflow fixpoint refuted each problem.
+    analysis: FifoCache<bool>,
 }
 
 struct Shared {
@@ -245,8 +247,8 @@ impl Server {
         let shared = Arc::new(Shared {
             queue: JobQueue::new(options.queue_capacity),
             caches: Mutex::new(Caches {
-                problems: VerdictCache::new(PROBLEM_CACHE_CAPACITY),
-                analysis: AnalysisCache::new(PROBLEM_CACHE_CAPACITY),
+                problems: FifoCache::new(PROBLEM_CACHE_CAPACITY),
+                analysis: FifoCache::new(PROBLEM_CACHE_CAPACITY),
             }),
             stats: ServerStats::default(),
             sink,
@@ -299,7 +301,7 @@ impl Server {
         let parse_dedup = dedup1.saturating_sub(term0.1);
         if let Ok(problem) = &problem {
             let key = problem_key(problem);
-            if lock_caches(shared).analysis.get(&key) == Some(true) {
+            if lock_caches(shared).analysis.get(&key) == Some(&true) {
                 stats.bump(&stats.received);
                 stats.bump(&stats.completed);
                 stats.bump(&stats.static_unsat);
@@ -572,7 +574,7 @@ fn handle_request(shared: &Shared, job: &Job) -> Response {
     // reaching a worker at all).
     // (Bind the cache lookup first: a guard inside the match scrutinee
     // would live across the arms and deadlock against the insert below.)
-    let cached_analysis = lock_caches(shared).analysis.get(&canonical);
+    let cached_analysis = lock_caches(shared).analysis.get(&canonical).copied();
     let statically_unsat = match cached_analysis {
         Some(cached) => cached,
         None => {
@@ -639,7 +641,11 @@ fn handle_request(shared: &Shared, job: &Job) -> Response {
         },
         Ok(outcome) => {
             let response = ok_response(job.id, problem, &outcome, CacheTier::Cold);
-            lock_caches(shared).problems.insert(canonical, outcome);
+            // `Unknown` reflects a budget, not a fact: a resubmission
+            // solves again, and a fresh budget may well decide it.
+            if !matches!(outcome, Outcome::Unknown) {
+                lock_caches(shared).problems.insert(canonical, outcome);
+            }
             response
         }
         Err(SolveError::IterationLimit(n)) => Response::Err {
@@ -750,6 +756,39 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert_eq!(server.stats().problem_hits.load(Ordering::Relaxed), 1);
+        server.shutdown();
+    }
+
+    /// `(x − y)² < −0.5`: neither pass refutes it, so it answers
+    /// `unknown`.
+    const UNKNOWN: &str = "p cnf 1 1\n1 0\nc def real 1 x * x - 2 * x * y + y * y < -0.5\n\
+        c range x -10 10\nc range y -10 10\n";
+
+    #[test]
+    fn unknown_verdicts_are_not_cached() {
+        let server = Server::new(ServerOptions {
+            workers: 1,
+            ..Default::default()
+        });
+        for id in 1..=2 {
+            let response = serve_one(
+                &server,
+                SolveFrame {
+                    id,
+                    timeout_ms: None,
+                    priority: Priority::Normal,
+                    text: UNKNOWN.to_string(),
+                },
+            );
+            match &response[0] {
+                Response::Ok { verdict, cache, .. } => {
+                    assert_eq!(*verdict, "unknown");
+                    assert_eq!(*cache, CacheTier::Cold, "request {id} is solved");
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        assert_eq!(server.stats().problem_hits.load(Ordering::Relaxed), 0);
         server.shutdown();
     }
 

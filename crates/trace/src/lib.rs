@@ -15,7 +15,10 @@
 //!
 //! Event vocabulary used by the solver (the `kind` field). Span-shaped
 //! events carry `duration_us`; every event emitted inside a parallel
-//! shard also carries `shard`.
+//! shard also carries `shard`. `phase.linear`, `contract.*` and
+//! `local_search.steps` report the theory check's own effort record, the
+//! one the orchestrator's statistics fold, so over a solve their counts
+//! sum to the matching `--stats` counters.
 //!
 //! | kind             | emitted by          | payload                        |
 //! |------------------|---------------------|--------------------------------|
@@ -30,12 +33,12 @@
 //! | `term.intern`    | orchestrator        | `interned`, `dedup_hits`, `arena_terms` |
 //! | `boolean.model`  | orchestrator        | `iteration`, `duration_us`     |
 //! | `theory.check`   | orchestrator        | `verdict`, `obligations`, `pass` (`probe` for a model's first check, `refute` for the second pass once the Boolean side runs out), `duration_us` |
-//! | `phase.linear`   | theory layer        | `start` (`warm` when the stack already held rows of an earlier phase, else `cold`), `reused_rows` (rows of the previous check kept), `pushed_rows`, `retracted_rows`, `duration_us` |
+//! | `phase.linear`   | theory layer        | `start` (`warm` when the stack already held rows of an earlier phase, else `cold`), `reused_rows` (rows of the previous check kept), `pushed_rows` (sums to `linear_rows_pushed`), `retracted_rows`, `duration_us` |
 //! | `phase.nonlinear`| theory layer        | `duration_us`                  |
-//! | `contract.hc4`   | theory layer        | `count` (HC4 revisions this check) |
-//! | `contract.bc3`   | theory layer        | `count` (BC3 bound shavings this check) |
-//! | `contract.newton`| theory layer        | `count` (interval-Newton steps this check) |
-//! | `local_search.steps` | theory layer    | `count` (local-search descent steps this check) |
+//! | `contract.hc4`   | theory layer        | `count` (HC4 revisions this check; sums to `hc4_contractions`) |
+//! | `contract.bc3`   | theory layer        | `count` (BC3 bound shavings this check; sums to `bc3_contractions`) |
+//! | `contract.newton`| theory layer        | `count` (interval-Newton steps this check; sums to `newton_contractions`) |
+//! | `local_search.steps` | theory layer    | `count` (local-search descent steps this check; sums to `local_search_steps`) |
 //! | `conflict`       | orchestrator        | `literals`                     |
 //! | `shard.start`    | shard driver        | `strategy` (`portfolio`/`components`) |
 //! | `shard.end`      | shard driver        | `items`, `iterations`, `duration_us` |

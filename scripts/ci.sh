@@ -124,7 +124,8 @@ done
 ABS_BENCH_DIR="$OBS_TMP" ABS_COMPONENTS_INSTANCES=2 ABS_COMPONENTS_SIZE=20 \
     ABS_TIMEOUT_SECS=60 ./target/release/components
 # Streaming-session BMC gate: the persistent-session Fischer run must
-# stay within the baseline limit, beat the from-scratch loop outright,
+# stay within the baseline limit, report the baseline's work counters
+# exactly (warm starts included), beat the from-scratch loop outright,
 # and answer every check as the protocol expects.
 ABS_BENCH_DIR="$OBS_TMP" ABS_BENCH_BASELINE_DIR=. \
     ./target/release/fischer_incremental --check-regress

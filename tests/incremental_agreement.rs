@@ -18,7 +18,7 @@ impl LinearBackend for ScratchLinear {
         "scratch-simplex"
     }
 
-    fn check(&mut self, constraints: &[LinearConstraint]) -> Feasibility {
+    fn check(&mut self, constraints: &[LinearConstraint]) -> (Feasibility, u64) {
         self.0.check(constraints)
     }
     // Default `make_stack` returns `None`: no incremental session.

@@ -1,18 +1,20 @@
 //! Integration tests for the observability layer: per-phase timing
 //! invariants, counter monotonicity across model enumeration, the
 //! warm/cold labels of linear phases, the trace crate's event table
-//! against what the solver emits, the interning a component's extraction
-//! does, and a differential test pinning a one-job parallel run to the
-//! sequential solve, trace-event by trace-event.
+//! against what the solver emits, trace events summing to the stats
+//! counters, the interning a component's extraction does, and a
+//! differential test pinning a one-job parallel run to the sequential
+//! solve, trace-event by trace-event.
 
 use absolver::analyze::Simplifier;
 use absolver::core::{
-    parser, AbProblem, Orchestrator, OrchestratorOptions, ParallelOptions, Session, VarKind,
+    parser, AbProblem, Orchestrator, OrchestratorOptions, OrchestratorStats, ParallelOptions,
+    Session, VarKind,
 };
 use absolver::linear::CmpOp;
 use absolver::nonlinear::Expr;
-use absolver::num::Rational;
-use absolver::trace::{CollectingSink, TraceSink};
+use absolver::num::{Interval, Rational};
+use absolver::trace::{CollectingSink, TraceEvent, TraceSink};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -450,4 +452,132 @@ fn refute_pass_checks_are_traced_and_counted_alike() {
     assert!(stats
         .to_json()
         .contains(&format!("\"escalated_checks\":{}", stats.escalated_checks)));
+}
+
+/// The effort a trace reports, as `[HC4, BC3, Newton, local-search
+/// steps, linear rows pushed]`: the summed `count` of each `contract.*`
+/// and `local_search.steps` event, and the summed `pushed_rows` of
+/// `phase.linear`.
+fn traced_effort(events: &[TraceEvent]) -> [u64; 5] {
+    let sum = |kind: &str, key: &str| -> u64 {
+        events
+            .iter()
+            .filter(|e| e.kind == kind)
+            .map(|e| {
+                e.get(key)
+                    .unwrap_or_else(|| panic!("`{kind}` carries `{key}`"))
+                    .parse::<u64>()
+                    .expect("u64")
+            })
+            .sum()
+    };
+    [
+        sum("contract.hc4", "count"),
+        sum("contract.bc3", "count"),
+        sum("contract.newton", "count"),
+        sum("local_search.steps", "count"),
+        sum("phase.linear", "pushed_rows"),
+    ]
+}
+
+/// The same effort as the stats count it, in [`traced_effort`]'s order.
+fn counted_effort(stats: &OrchestratorStats) -> [u64; 5] {
+    [
+        stats.hc4_contractions,
+        stats.bc3_contractions,
+        stats.newton_contractions,
+        stats.local_search_steps,
+        stats.linear_rows_pushed,
+    ]
+}
+
+/// A traced solve's effort events sum to its stats counters. Between
+/// them the inputs emit every effort event kind: the two-pass
+/// `(x − y)² < −4 ∨ x ≥ 20` input runs the local search and escalates
+/// one check, the trigonometric sum needs BC3 to be refuted, and the
+/// circle-and-cubic system takes interval-Newton steps.
+#[test]
+fn trace_effort_events_sum_to_the_stats_counters() {
+    let inputs = [
+        "p cnf 2 1\n1 2 0\n\
+         c def real 1 x * x - 2 * x * y + y * y < -4\nc def real 2 x >= 20\n\
+         c range x -10 10\nc range y -10 10\n",
+        "p cnf 1 1\n1 0\n\
+         c def real 1 sin(x) * cos(y) + sin(y) * cos(x) >= 1.2\n\
+         c range x -3 3\nc range y -3 3\n",
+        "p cnf 2 2\n1 0\n2 0\n\
+         c def real 1 x * x + y * y = 1\nc def real 2 x * x * x - y = 0.3\n\
+         c range x -2 2\nc range y -2 2\n",
+    ];
+    let mut exercised = [0u64; 5];
+    let mut escalated = 0;
+    for text in inputs {
+        let problem: AbProblem = text.parse().expect("parses");
+        let sink = Arc::new(CollectingSink::new());
+        let mut orc =
+            Orchestrator::with_defaults().with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
+        orc.solve(&problem).expect("solve");
+        let stats = orc.stats();
+        let traced = traced_effort(&sink.events());
+        assert_eq!(traced, counted_effort(&stats), "{text}\n{stats}");
+        for (total, count) in exercised.iter_mut().zip(traced) {
+            *total += count;
+        }
+        escalated += stats.escalated_checks;
+    }
+    assert!(
+        exercised.iter().all(|&count| count > 0),
+        "some effort event never fired: {exercised:?}"
+    );
+    assert!(escalated > 0, "no check reached the second pass");
+}
+
+/// Each check of a persistent session reports its own effort: its trace
+/// events sum to that check's stats, and the two checks together to the
+/// session's cumulative stats.
+#[test]
+fn each_session_check_traces_its_own_effort() {
+    let sink = Arc::new(CollectingSink::new());
+    let mut session = Session::with_orchestrator(
+        Orchestrator::with_defaults().with_trace_sink(sink.clone() as Arc<dyn TraceSink>),
+    );
+    let x = session.arith_var("x", VarKind::Real).expect("declare");
+    let y = session.arith_var("y", VarKind::Real).expect("declare");
+    for v in [x, y] {
+        session
+            .assert_range(v, Interval::new(-2.0, 2.0))
+            .expect("range");
+    }
+    let (ex, ey) = (Expr::var(x), Expr::var(y));
+    let circle = ex.clone() * ex.clone() + ey.clone() * ey.clone();
+    let cubic = ex.clone() * ex.clone() * ex.clone() - ey.clone();
+    let q = |n: i64, d: i64| Rational::new(n, d);
+    for (lhs, op, rhs) in [
+        (circle, CmpOp::Eq, q(1, 1)),
+        (cubic, CmpOp::Eq, q(3, 10)),
+        (ex, CmpOp::Ge, q(0, 1)),
+    ] {
+        let atom = session.atom(lhs, op, rhs).expect("atom");
+        session.require(atom.positive());
+    }
+    // On the circle with x ≥ 0, y = x³ − 0.3 ≤ 0 forces x² + y² < 1.
+    let mut total = [0u64; 5];
+    for frame in 0..2 {
+        if frame == 1 {
+            session.push();
+            let below = session.atom(ey.clone(), CmpOp::Le, q(0, 1)).expect("atom");
+            session.require(below.positive());
+        }
+        sink.clear();
+        let outcome = session.check().expect("check");
+        assert_eq!(outcome.is_sat(), frame == 0, "check {frame}: {outcome:?}");
+        let stats = session.check_stats();
+        let traced = traced_effort(&sink.events());
+        assert_eq!(traced, counted_effort(&stats), "check {frame}: {stats}");
+        assert!(traced.iter().any(|&count| count > 0), "check {frame}");
+        for (sum, count) in total.iter_mut().zip(traced) {
+            *sum += count;
+        }
+    }
+    assert_eq!(total, counted_effort(&session.cumulative_stats()));
 }
