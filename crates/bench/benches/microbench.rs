@@ -22,6 +22,9 @@ fn bench_num(b: &mut Bench) {
     let p = Rational::new(355, 113);
     let q = Rational::new(-22, 7);
     b.bench("rational_add_reduce", || black_box(&p) + black_box(&q));
+    let m = Rational::from_int(355);
+    let n = Rational::from_int(-22);
+    b.bench("rational_add_int", || black_box(&m) + black_box(&n));
 }
 
 fn bench_sat(b: &mut Bench) {

@@ -37,6 +37,7 @@ use crate::theory::{
 use absolver_logic::{Assignment, Clause, Lit, Tri, Var};
 use absolver_num::Interval;
 use absolver_trace::{saturating_micros, JsonObject, NullSink, TraceEvent, TraceSink};
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -132,6 +133,10 @@ pub struct OrchestratorStats {
     pub timed_out: bool,
     /// Whether the last call was stopped by a cancellation token.
     pub cancelled: bool,
+    /// Wall-clock time of the call's setup: definition preparation, CNF
+    /// load and assertion-stack creation (for a session check, the pool
+    /// rebuild, stack regrowth and Boolean reload or new clauses).
+    pub setup_time: Duration,
     /// Wall-clock time spent in the Boolean solver (`next_model`).
     pub boolean_time: Duration,
     /// Wall-clock time spent in the linear theory phase (simplex +
@@ -215,7 +220,7 @@ impl fmt::Display for OrchestratorStats {
              escalated={} timed_out={} cancelled={} pivots={} warm_starts={} \
              rows_pushed={} contractions={}/{}/{} local_search_steps={} terms_interned={} term_dedup={} pre_vars={} pre_clauses={} \
              pre_atoms={} pre_ranges={} subsumed={} components={} static_unsat={} preprocess={:?} \
-             boolean={:?} linear={:?} nonlinear={:?} conflict_min={:?} elapsed={:?}",
+             setup={:?} boolean={:?} linear={:?} nonlinear={:?} conflict_min={:?} elapsed={:?}",
             self.boolean_iterations,
             self.theory_checks,
             self.conflicts_fed_back,
@@ -245,6 +250,7 @@ impl fmt::Display for OrchestratorStats {
             self.components,
             self.static_unsat,
             self.preprocess_time,
+            self.setup_time,
             self.boolean_time,
             self.linear_time,
             self.nonlinear_time,
@@ -268,6 +274,7 @@ impl OrchestratorStats {
         self.escalated_checks += other.escalated_checks;
         self.timed_out |= other.timed_out;
         self.cancelled |= other.cancelled;
+        self.setup_time += other.setup_time;
         self.boolean_time += other.boolean_time;
         self.linear_time += other.linear_time;
         self.nonlinear_time += other.nonlinear_time;
@@ -317,6 +324,7 @@ impl OrchestratorStats {
     pub fn to_json(&self) -> String {
         let mut phase = JsonObject::new();
         phase
+            .field_u64("setup_us", saturating_micros(self.setup_time))
             .field_u64("boolean_us", saturating_micros(self.boolean_time))
             .field_u64("linear_us", saturating_micros(self.linear_time))
             .field_u64("nonlinear_us", saturating_micros(self.nonlinear_time))
@@ -659,12 +667,16 @@ impl Orchestrator {
         self.interned = prepare_defs(problem);
     }
 
-    /// Per-call setup of the one-shot entry points: rebuilds the interned
-    /// constraint pool and opens a fresh incremental linear session (when
-    /// the linear backend provides one).
+    /// Per-call setup of the one-shot entry points, timed as the setup
+    /// phase: rebuilds the interned constraint pool, opens a fresh
+    /// incremental linear session (when the linear backend provides one)
+    /// and loads the CNF into the Boolean solver.
     fn prepare_session(&mut self, problem: &AbProblem) {
-        self.intern_defs(problem);
-        self.incremental = self.make_incremental(problem.arith_vars().len());
+        self.setup(problem, |orc| {
+            orc.intern_defs(problem);
+            orc.incremental = orc.make_incremental(problem.arith_vars().len());
+            orc.boolean.load(problem.cnf());
+        });
     }
 
     /// A fresh incremental linear session over `num_vars` columns, if the
@@ -831,6 +843,22 @@ impl Orchestrator {
         out
     }
 
+    /// Runs a call's setup `work`, timed into
+    /// [`OrchestratorStats::setup_time`] and traced as `phase.setup` with
+    /// the problem's definition count.
+    fn setup<T>(&mut self, problem: &AbProblem, work: impl FnOnce(&mut Self) -> T) -> T {
+        let started = Instant::now();
+        let out = work(self);
+        let elapsed = started.elapsed();
+        self.stats.setup_time += elapsed;
+        self.trace(|| {
+            TraceEvent::new("phase.setup")
+                .field_u64("defs", problem.num_defs() as u64)
+                .duration(elapsed)
+        });
+        out
+    }
+
     /// One control-loop run on `problem` as given: no preprocessing, no
     /// partitioning. [`Orchestrator::solve`] and every shard item end here.
     /// Interning since the arena snapshot `term0` counts as the run's.
@@ -845,7 +873,6 @@ impl Orchestrator {
             |e| e.field("mode", "solve"),
             |orc, started| {
                 orc.prepare_session(problem);
-                orc.boolean.load(problem.cnf());
                 orc.run_loop(problem, started)
             },
             |outcome, e| e.field("outcome", outcome_label(outcome)),
@@ -873,34 +900,36 @@ impl Orchestrator {
             absolver_nonlinear::term::local_counters(),
             |e| e.field("mode", "session"),
             |orc, started| {
-                if args.rebuild_defs {
-                    orc.intern_defs(problem);
-                }
-                // The assertion stack survives across checks (that is
-                // where the cross-check warm starts come from); rebuild it
-                // only when the arithmetic variable count outgrew its
-                // columns, with headroom so a streaming deepening does not
-                // re-tableau on every step.
-                let num_arith = problem.arith_vars().len();
-                let needs_stack = match &orc.incremental {
-                    Some(inc) => inc.stack().num_vars() < num_arith,
-                    None => true,
-                };
-                if needs_stack {
-                    orc.incremental = orc.make_incremental((num_arith * 2).max(4));
-                }
-                orc.session_lemmas = Some(Vec::new());
-                let trivially_unsat = if args.reload {
-                    orc.boolean.load(problem.cnf());
-                    args.lemmas
-                        .iter()
-                        .any(|lemma| !orc.boolean.add_clause(lemma))
-                } else {
-                    orc.boolean.reserve_vars(problem.cnf().num_vars());
-                    args.new_clauses
-                        .iter()
-                        .any(|c| !orc.boolean.add_clause(c.lits()))
-                };
+                let trivially_unsat = orc.setup(problem, |orc| {
+                    if args.rebuild_defs {
+                        orc.intern_defs(problem);
+                    }
+                    // The assertion stack survives across checks (that is
+                    // where the cross-check warm starts come from); rebuild
+                    // it only when the arithmetic variable count outgrew its
+                    // columns, with headroom so a streaming deepening does
+                    // not re-tableau on every step.
+                    let num_arith = problem.arith_vars().len();
+                    let needs_stack = match &orc.incremental {
+                        Some(inc) => inc.stack().num_vars() < num_arith,
+                        None => true,
+                    };
+                    if needs_stack {
+                        orc.incremental = orc.make_incremental((num_arith * 2).max(4));
+                    }
+                    orc.session_lemmas = Some(Vec::new());
+                    if args.reload {
+                        orc.boolean.load(problem.cnf());
+                        args.lemmas
+                            .iter()
+                            .any(|lemma| !orc.boolean.add_clause(lemma))
+                    } else {
+                        orc.boolean.reserve_vars(problem.cnf().num_vars());
+                        args.new_clauses
+                            .iter()
+                            .any(|c| !orc.boolean.add_clause(c.lits()))
+                    }
+                });
                 if trivially_unsat {
                     // A clause (or replayed lemma) already contradicts the
                     // formula at the root — sound, because lemmas are
@@ -955,7 +984,6 @@ impl Orchestrator {
             |e| e.field("mode", "solve_all"),
             |orc, started| {
                 orc.prepare_session(problem);
-                orc.boolean.load(problem.cnf());
                 let mut models = Vec::new();
                 // Project on all Boolean variables so distinct Boolean
                 // models are enumerated (theory atoms and skeleton alike).
@@ -1259,22 +1287,28 @@ impl Orchestrator {
         let mut any_unknown = false;
         let mut escalable = false;
         for combo in 0..combos.max(1) {
-            let mut items: Vec<TheoryItem> = ob.fixed.to_vec();
-            let mut rest = combo;
-            for (lit, alts) in &ob.choices {
-                let pick = rest % alts.len();
-                rest /= alts.len();
-                let tag = ob
-                    .involved
-                    .iter()
-                    .position(|l| l == lit)
-                    .expect("choice literal is involved");
-                items.push(TheoryItem {
-                    tag,
-                    constraint: Arc::clone(&alts[pick]),
-                    positive: false,
-                });
-            }
+            // Only a choice adds items: without one, check the fixed list.
+            let items: Cow<'_, [TheoryItem]> = if ob.choices.is_empty() {
+                Cow::Borrowed(&ob.fixed)
+            } else {
+                let mut items = ob.fixed.clone();
+                let mut rest = combo;
+                for (lit, alts) in &ob.choices {
+                    let pick = rest % alts.len();
+                    rest /= alts.len();
+                    let tag = ob
+                        .involved
+                        .iter()
+                        .position(|l| l == lit)
+                        .expect("choice literal is involved");
+                    items.push(TheoryItem {
+                        tag,
+                        constraint: Arc::clone(&alts[pick]),
+                        positive: false,
+                    });
+                }
+                Cow::Owned(items)
+            };
             self.stats.theory_checks += 1;
             let mut budget = self.options.theory.clone();
             budget.deadline = env.deadline;

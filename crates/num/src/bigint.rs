@@ -1,10 +1,12 @@
 //! Arbitrary-precision signed integers.
 //!
-//! [`BigInt`] is a compact sign-and-magnitude big integer over 64-bit limbs
-//! (least-significant limb first). It implements exactly the operations the
-//! exact-rational simplex in `absolver-linear` needs — ring arithmetic,
-//! Euclidean division, gcd, comparisons and decimal I/O — with no external
-//! dependencies.
+//! [`BigInt`] keeps every value in `i64` range inline, with no heap
+//! allocation, and runs arithmetic on two inline operands in `i128`, which
+//! cannot overflow. Only values outside `i64` range hold a sign and a heap
+//! magnitude of 64-bit limbs (least-significant limb first). It implements
+//! exactly the operations the exact-rational simplex in `absolver-linear`
+//! needs — ring arithmetic, Euclidean division, gcd, comparisons and
+//! decimal I/O — with no external dependencies.
 //!
 //! ```
 //! use absolver_num::BigInt;
@@ -16,10 +18,10 @@
 
 use std::cmp::Ordering;
 use std::fmt;
-use std::ops::{Add, AddAssign, Div, Mul, Neg, Rem, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Deref, Div, Mul, Neg, Rem, Sub, SubAssign};
 use std::str::FromStr;
 
-/// Sign of a [`BigInt`]. Zero is always represented with [`Sign::Plus`].
+/// Sign of a heap [`BigInt`], which is never zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Sign {
     Plus,
@@ -37,114 +39,149 @@ impl Sign {
 
 /// An arbitrary-precision signed integer.
 ///
-/// Invariants: the magnitude has no trailing zero limbs, and zero is
-/// represented by an empty magnitude with positive sign.
+/// The form is canonical: a value in `i64` range is always inline, so the
+/// derived equality and hash are structural.
 #[derive(Clone, PartialEq, Eq, Hash)]
-pub struct BigInt {
-    sign: Sign,
-    /// Magnitude, least-significant limb first, no trailing zeros.
-    mag: Vec<u64>,
+pub struct BigInt(Repr);
+
+#[derive(Clone, PartialEq, Eq, Hash)]
+enum Repr {
+    /// Every value in `i64` range.
+    Small(i64),
+    /// Only values outside `i64` range: the sign and the magnitude,
+    /// least-significant limb first, with no trailing zero limbs.
+    Large(Sign, Vec<u64>),
+}
+
+/// A magnitude viewed as limbs. An inline value's magnitude is one limb
+/// held in the view, so looking at it allocates nothing.
+enum Limbs<'a> {
+    One(u64),
+    Many(&'a [u64]),
+}
+
+impl Deref for Limbs<'_> {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        match self {
+            Limbs::One(0) => &[],
+            Limbs::One(m) => std::slice::from_ref(m),
+            Limbs::Many(mag) => mag,
+        }
+    }
 }
 
 impl BigInt {
     /// The integer `0`.
     pub fn zero() -> BigInt {
-        BigInt {
-            sign: Sign::Plus,
-            mag: Vec::new(),
-        }
+        BigInt(Repr::Small(0))
     }
 
     /// The integer `1`.
     pub fn one() -> BigInt {
-        BigInt::from(1u64)
+        BigInt(Repr::Small(1))
     }
 
     /// Returns `true` if `self` is zero.
     pub fn is_zero(&self) -> bool {
-        self.mag.is_empty()
+        matches!(self.0, Repr::Small(0))
     }
 
     /// Returns `true` if `self` is strictly negative.
     pub fn is_negative(&self) -> bool {
-        self.sign == Sign::Minus
+        match &self.0 {
+            Repr::Small(v) => *v < 0,
+            Repr::Large(sign, _) => *sign == Sign::Minus,
+        }
     }
 
     /// Returns `true` if `self` is strictly positive.
     pub fn is_positive(&self) -> bool {
-        self.sign == Sign::Plus && !self.is_zero()
+        match &self.0 {
+            Repr::Small(v) => *v > 0,
+            Repr::Large(sign, _) => *sign == Sign::Plus,
+        }
     }
 
     /// Returns `true` if `self` is `1`.
     pub fn is_one(&self) -> bool {
-        self.sign == Sign::Plus && self.mag.len() == 1 && self.mag[0] == 1
+        matches!(self.0, Repr::Small(1))
     }
 
     /// Sign as `-1`, `0` or `1`.
     pub fn signum(&self) -> i32 {
-        if self.is_zero() {
-            0
-        } else if self.sign == Sign::Plus {
-            1
-        } else {
-            -1
+        match &self.0 {
+            Repr::Small(v) => v.signum() as i32,
+            Repr::Large(Sign::Plus, _) => 1,
+            Repr::Large(Sign::Minus, _) => -1,
         }
     }
 
     /// Absolute value.
     pub fn abs(&self) -> BigInt {
-        BigInt {
-            sign: Sign::Plus,
-            mag: self.mag.clone(),
+        match &self.0 {
+            Repr::Small(v) => BigInt::from((*v as i128).abs()),
+            Repr::Large(_, mag) => BigInt::from_mag(Sign::Plus, mag.clone()),
         }
     }
 
     /// Number of bits in the magnitude (0 for zero).
     pub fn bits(&self) -> u64 {
-        match self.mag.last() {
+        let (_, mag) = self.parts();
+        match mag.last() {
             None => 0,
-            Some(&top) => (self.mag.len() as u64 - 1) * 64 + (64 - top.leading_zeros() as u64),
+            Some(&top) => (mag.len() as u64 - 1) * 64 + (64 - top.leading_zeros() as u64),
         }
     }
 
     /// Converts to `i64` if the value fits.
     pub fn to_i64(&self) -> Option<i64> {
-        match self.mag.len() {
-            0 => Some(0),
-            1 => {
-                let m = self.mag[0];
-                match self.sign {
-                    Sign::Plus if m <= i64::MAX as u64 => Some(m as i64),
-                    Sign::Minus if m <= i64::MAX as u64 + 1 => {
-                        Some((m as i128).wrapping_neg() as i64)
-                    }
-                    _ => None,
-                }
-            }
-            _ => None,
+        match self.0 {
+            Repr::Small(v) => Some(v),
+            Repr::Large(..) => None,
         }
     }
 
     /// Converts to `f64`, rounding to nearest; very large values saturate to
     /// `±inf`.
     pub fn to_f64(&self) -> f64 {
+        let (sign, mag) = match &self.0 {
+            Repr::Small(v) => return *v as f64,
+            Repr::Large(sign, mag) => (sign, mag),
+        };
         let mut v = 0.0f64;
-        for &limb in self.mag.iter().rev() {
+        for &limb in mag.iter().rev() {
             v = v * 1.8446744073709552e19 + limb as f64;
         }
-        if self.sign == Sign::Minus {
+        if *sign == Sign::Minus {
             -v
         } else {
             v
         }
     }
 
+    /// The sign and the magnitude as limbs; zero is `Plus` with no limbs.
+    fn parts(&self) -> (Sign, Limbs<'_>) {
+        match &self.0 {
+            Repr::Small(v) if *v < 0 => (Sign::Minus, Limbs::One(v.unsigned_abs())),
+            Repr::Small(v) => (Sign::Plus, Limbs::One(v.unsigned_abs())),
+            Repr::Large(sign, mag) => (*sign, Limbs::Many(mag)),
+        }
+    }
+
+    /// The canonical form of a sign and a magnitude: trailing zero limbs
+    /// trimmed, and inline when the value fits in `i64`.
     fn from_mag(sign: Sign, mut mag: Vec<u64>) -> BigInt {
         while mag.last() == Some(&0) {
             mag.pop();
         }
-        let sign = if mag.is_empty() { Sign::Plus } else { sign };
-        BigInt { sign, mag }
+        match *mag {
+            [] => BigInt::zero(),
+            [m] if sign == Sign::Plus && m <= i64::MAX as u64 => BigInt(Repr::Small(m as i64)),
+            [m] if sign == Sign::Minus && m <= 1 << 63 => BigInt::from(-(m as i128)),
+            _ => BigInt(Repr::Large(sign, mag)),
+        }
     }
 
     fn cmp_mag(a: &[u64], b: &[u64]) -> Ordering {
@@ -191,6 +228,18 @@ impl BigInt {
             out.pop();
         }
         out
+    }
+
+    /// `a + b` over signs and magnitudes (the limb path of `+` and `−`).
+    fn add_parts(a_sign: Sign, a: &[u64], b_sign: Sign, b: &[u64]) -> BigInt {
+        if a_sign == b_sign {
+            return BigInt::from_mag(a_sign, BigInt::add_mag(a, b));
+        }
+        match BigInt::cmp_mag(a, b) {
+            Ordering::Equal => BigInt::zero(),
+            Ordering::Greater => BigInt::from_mag(a_sign, BigInt::sub_mag(a, b)),
+            Ordering::Less => BigInt::from_mag(b_sign, BigInt::sub_mag(b, a)),
+        }
     }
 
     fn mul_mag(a: &[u64], b: &[u64]) -> Vec<u64> {
@@ -346,15 +395,23 @@ impl BigInt {
     ///
     /// Panics if `other` is zero.
     pub fn div_rem(&self, other: &BigInt) -> (BigInt, BigInt) {
-        let (q_mag, r_mag) = Self::divrem_mag(&self.mag, &other.mag);
-        let q_sign = if self.sign == other.sign {
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &other.0) {
+            assert!(*b != 0, "division by zero");
+            // In i128 `i64::MIN / -1` is exact.
+            let (a, b) = (*a as i128, *b as i128);
+            return (BigInt::from(a / b), BigInt::from(a % b));
+        }
+        let (a_sign, a_mag) = self.parts();
+        let (b_sign, b_mag) = other.parts();
+        let (q_mag, r_mag) = Self::divrem_mag(&a_mag, &b_mag);
+        let q_sign = if a_sign == b_sign {
             Sign::Plus
         } else {
             Sign::Minus
         };
         (
             BigInt::from_mag(q_sign, q_mag),
-            BigInt::from_mag(self.sign, r_mag),
+            BigInt::from_mag(a_sign, r_mag),
         )
     }
 
@@ -374,14 +431,21 @@ impl BigInt {
 
     /// `self * 2^k`.
     pub fn shl(&self, k: u64) -> BigInt {
+        if let Repr::Small(v) = self.0 {
+            if k < 64 {
+                // |v| ≤ 2^63, so the shifted value stays below 2^127.
+                return BigInt::from((v as i128) << k);
+            }
+        }
         if self.is_zero() {
             return BigInt::zero();
         }
+        let (sign, mag) = self.parts();
         let limbs = (k / 64) as usize;
         let bits = (k % 64) as u32;
-        let mut mag = vec![0u64; limbs];
-        mag.extend(Self::shl_mag(&self.mag, bits));
-        BigInt::from_mag(self.sign, mag)
+        let mut shifted = vec![0u64; limbs];
+        shifted.extend(Self::shl_mag(&mag, bits));
+        BigInt::from_mag(sign, shifted)
     }
 
     /// Raises `self` to the power `exp`.
@@ -411,11 +475,7 @@ macro_rules! impl_from_unsigned {
     ($($t:ty),*) => {$(
         impl From<$t> for BigInt {
             fn from(v: $t) -> BigInt {
-                if v == 0 {
-                    BigInt::zero()
-                } else {
-                    BigInt { sign: Sign::Plus, mag: vec![v as u64] }
-                }
+                BigInt::from(v as u128)
             }
         }
     )*};
@@ -426,32 +486,33 @@ macro_rules! impl_from_signed {
     ($($t:ty),*) => {$(
         impl From<$t> for BigInt {
             fn from(v: $t) -> BigInt {
-                let sign = if v < 0 { Sign::Minus } else { Sign::Plus };
-                let mag = (v as i128).unsigned_abs() as u64;
-                if mag == 0 {
-                    BigInt::zero()
-                } else {
-                    BigInt { sign, mag: vec![mag] }
-                }
+                BigInt(Repr::Small(v as i64))
             }
         }
     )*};
 }
 impl_from_signed!(i8, i16, i32, i64, isize);
 
+/// The canonical form: inline when the value fits in `i64`.
 impl From<i128> for BigInt {
     fn from(v: i128) -> BigInt {
-        let sign = if v < 0 { Sign::Minus } else { Sign::Plus };
-        let m = v.unsigned_abs();
-        let lo = m as u64;
-        let hi = (m >> 64) as u64;
-        BigInt::from_mag(sign, vec![lo, hi])
+        match i64::try_from(v) {
+            Ok(small) => BigInt(Repr::Small(small)),
+            Err(_) => {
+                let sign = if v < 0 { Sign::Minus } else { Sign::Plus };
+                let m = v.unsigned_abs();
+                BigInt::from_mag(sign, vec![m as u64, (m >> 64) as u64])
+            }
+        }
     }
 }
 
 impl From<u128> for BigInt {
     fn from(v: u128) -> BigInt {
-        BigInt::from_mag(Sign::Plus, vec![v as u64, (v >> 64) as u64])
+        i128::try_from(v).map_or_else(
+            |_| BigInt::from_mag(Sign::Plus, vec![v as u64, (v >> 64) as u64]),
+            BigInt::from,
+        )
     }
 }
 
@@ -463,11 +524,23 @@ impl PartialOrd for BigInt {
 
 impl Ord for BigInt {
     fn cmp(&self, other: &Self) -> Ordering {
-        match (self.sign, other.sign) {
-            (Sign::Plus, Sign::Minus) => Ordering::Greater,
-            (Sign::Minus, Sign::Plus) => Ordering::Less,
-            (Sign::Plus, Sign::Plus) => Self::cmp_mag(&self.mag, &other.mag),
-            (Sign::Minus, Sign::Minus) => Self::cmp_mag(&other.mag, &self.mag),
+        match (&self.0, &other.0) {
+            (Repr::Small(a), Repr::Small(b)) => a.cmp(b),
+            // A heap value lies outside i64 range, beyond every inline one.
+            (Repr::Small(_), Repr::Large(sign, _)) => match sign {
+                Sign::Plus => Ordering::Less,
+                Sign::Minus => Ordering::Greater,
+            },
+            (Repr::Large(sign, _), Repr::Small(_)) => match sign {
+                Sign::Plus => Ordering::Greater,
+                Sign::Minus => Ordering::Less,
+            },
+            (Repr::Large(a_sign, a), Repr::Large(b_sign, b)) => match (a_sign, b_sign) {
+                (Sign::Plus, Sign::Minus) => Ordering::Greater,
+                (Sign::Minus, Sign::Plus) => Ordering::Less,
+                (Sign::Plus, Sign::Plus) => Self::cmp_mag(a, b),
+                (Sign::Minus, Sign::Minus) => Self::cmp_mag(b, a),
+            },
         }
     }
 }
@@ -475,60 +548,63 @@ impl Ord for BigInt {
 impl Neg for &BigInt {
     type Output = BigInt;
     fn neg(self) -> BigInt {
-        if self.is_zero() {
-            BigInt::zero()
-        } else {
-            BigInt {
-                sign: self.sign.flip(),
-                mag: self.mag.clone(),
-            }
+        match &self.0 {
+            Repr::Small(v) => BigInt::from(-(*v as i128)),
+            // −2^63 is inline again.
+            Repr::Large(sign, mag) => BigInt::from_mag(sign.flip(), mag.clone()),
         }
     }
 }
 
 impl Neg for BigInt {
     type Output = BigInt;
-    fn neg(mut self) -> BigInt {
-        if !self.is_zero() {
-            self.sign = self.sign.flip();
+    fn neg(self) -> BigInt {
+        match self.0 {
+            Repr::Small(v) => BigInt::from(-(v as i128)),
+            Repr::Large(sign, mag) => BigInt::from_mag(sign.flip(), mag),
         }
-        self
     }
 }
 
 impl Add for &BigInt {
     type Output = BigInt;
     fn add(self, rhs: &BigInt) -> BigInt {
-        if self.sign == rhs.sign {
-            BigInt::from_mag(self.sign, BigInt::add_mag(&self.mag, &rhs.mag))
-        } else {
-            match BigInt::cmp_mag(&self.mag, &rhs.mag) {
-                Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => {
-                    BigInt::from_mag(self.sign, BigInt::sub_mag(&self.mag, &rhs.mag))
-                }
-                Ordering::Less => BigInt::from_mag(rhs.sign, BigInt::sub_mag(&rhs.mag, &self.mag)),
-            }
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &rhs.0) {
+            return BigInt::from(*a as i128 + *b as i128);
         }
+        let (a_sign, a) = self.parts();
+        let (b_sign, b) = rhs.parts();
+        BigInt::add_parts(a_sign, &a, b_sign, &b)
     }
 }
 
 impl Sub for &BigInt {
     type Output = BigInt;
     fn sub(self, rhs: &BigInt) -> BigInt {
-        self + &(-rhs)
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &rhs.0) {
+            return BigInt::from(*a as i128 - *b as i128);
+        }
+        let (a_sign, a) = self.parts();
+        let (b_sign, b) = rhs.parts();
+        BigInt::add_parts(a_sign, &a, b_sign.flip(), &b)
     }
 }
 
 impl Mul for &BigInt {
     type Output = BigInt;
     fn mul(self, rhs: &BigInt) -> BigInt {
-        let sign = if self.sign == rhs.sign {
+        if let (Repr::Small(a), Repr::Small(b)) = (&self.0, &rhs.0) {
+            // |a·b| ≤ 2^126.
+            return BigInt::from(*a as i128 * *b as i128);
+        }
+        let (a_sign, a) = self.parts();
+        let (b_sign, b) = rhs.parts();
+        let sign = if a_sign == b_sign {
             Sign::Plus
         } else {
             Sign::Minus
         };
-        BigInt::from_mag(sign, BigInt::mul_mag(&self.mag, &rhs.mag))
+        BigInt::from_mag(sign, BigInt::mul_mag(&a, &b))
     }
 }
 
@@ -578,12 +654,13 @@ impl SubAssign<&BigInt> for BigInt {
 
 impl fmt::Display for BigInt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_zero() {
-            return f.write_str("0");
-        }
+        let (sign, mag) = match &self.0 {
+            Repr::Small(v) => return write!(f, "{v}"),
+            Repr::Large(sign, mag) => (sign, mag),
+        };
         // Peel off 19 decimal digits at a time.
         const CHUNK: u64 = 10_000_000_000_000_000_000;
-        let mut mag = self.mag.clone();
+        let mut mag = mag.clone();
         let mut parts: Vec<u64> = Vec::new();
         while !mag.is_empty() {
             let (q, r) = BigInt::divrem_mag_limb(&mag, CHUNK);
@@ -591,7 +668,7 @@ impl fmt::Display for BigInt {
             mag = q;
         }
         let mut s = String::new();
-        if self.sign == Sign::Minus {
+        if *sign == Sign::Minus {
             s.push('-');
         }
         s.push_str(&parts.last().unwrap().to_string());
@@ -768,7 +845,230 @@ mod tests {
         assert_eq!(big.to_f64(), 2f64.powi(100));
     }
 
+    /// Checks the canonical form: a heap value is outside `i64` range and
+    /// has no trailing zero limb.
+    fn assert_canonical(v: &BigInt) {
+        if let Repr::Large(sign, mag) = &v.0 {
+            assert!(
+                mag.last().is_some_and(|&top| top != 0),
+                "{v:?} has trailing zero limbs"
+            );
+            let fits = match (sign, mag.as_slice()) {
+                (Sign::Plus, [m]) => *m <= i64::MAX as u64,
+                (Sign::Minus, [m]) => *m <= 1 << 63,
+                _ => false,
+            };
+            assert!(!fits, "{v:?} is in i64 range but on the heap");
+        }
+    }
+
+    /// The value as an `i128`, read off the limbs rather than computed by
+    /// the arithmetic under test; `None` outside `i128` range.
+    fn as_i128(v: &BigInt) -> Option<i128> {
+        let (sign, mag) = v.parts();
+        let m = match *mag {
+            [] => 0,
+            [lo] => lo as u128,
+            [lo, hi] => (hi as u128) << 64 | lo as u128,
+            _ => return None,
+        };
+        match sign {
+            Sign::Plus => i128::try_from(m).ok(),
+            Sign::Minus => 0i128.checked_sub_unsigned(m),
+        }
+    }
+
+    fn hash_of(v: &BigInt) -> u64 {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut h = DefaultHasher::new();
+        v.hash(&mut h);
+        h.finish()
+    }
+
+    /// Operands near the inline/heap boundary — `i64::MIN`, `i64::MAX`,
+    /// ±2^63 and ±2^64, each plus or minus a small offset — mixed with
+    /// random values of 1 to 4 limbs.
+    fn operand() -> gen::Gen<BigInt> {
+        let anchor = gen::from_slice(&[
+            0,
+            i64::MIN as i128,
+            i64::MAX as i128,
+            1 << 63,
+            -(1 << 63),
+            1 << 64,
+            -(1 << 64),
+        ]);
+        let offset = gen::ints(-3i64..=3);
+        let near =
+            gen::Gen::new(move |src| bi(anchor.generate(src) + offset.generate(src) as i128));
+        let limbs = gen::vec_of(gen::u64_any(), 1..=4);
+        let negative = gen::bool_any();
+        let wide = gen::Gen::new(move |src| {
+            let mag = limbs.generate(src);
+            let sign = if negative.generate(src) {
+                Sign::Minus
+            } else {
+                Sign::Plus
+            };
+            BigInt::from_mag(sign, mag)
+        });
+        gen::one_of(vec![near, wide])
+    }
+
+    #[test]
+    fn inline_form_keeps_the_old_size() {
+        assert_eq!(std::mem::size_of::<BigInt>(), 32);
+    }
+
+    #[test]
+    fn limb_path_results_in_i64_range_are_inline() {
+        let two_64 = BigInt::one().shl(64);
+        let five = &(&two_64 + &bi(5)) - &two_64;
+        assert!(matches!(five.0, Repr::Small(5)));
+        assert_eq!(five, bi(5));
+        assert_eq!(hash_of(&five), hash_of(&bi(5)));
+
+        let min = BigInt::from(i64::MIN);
+        let flipped = -&min;
+        assert!(matches!(flipped.0, Repr::Large(Sign::Plus, _)));
+        assert_eq!(flipped, bi(1 << 63));
+        let back = -flipped;
+        assert!(matches!(back.0, Repr::Small(i64::MIN)));
+        assert_eq!(back, min);
+        assert_eq!(hash_of(&back), hash_of(&min));
+
+        let q = (&two_64 * &bi(-7)).div_rem(&two_64).0;
+        assert!(matches!(q.0, Repr::Small(-7)));
+        assert_eq!(
+            BigInt::from(i64::MIN).div_rem(&bi(-1)),
+            (bi(1 << 63), bi(0))
+        );
+        assert_eq!(BigInt::from(i64::MIN).gcd(&bi(0)), bi(1 << 63));
+        assert_eq!(BigInt::from(u64::MAX).to_i64(), None);
+    }
+
     property! {
+        fn boundary_ring_ops_are_exact(a in operand(), b in operand()) {
+            let sum = &a + &b;
+            let diff = &a - &b;
+            let prod = &a * &b;
+            for v in [&sum, &diff, &prod] {
+                assert_canonical(v);
+            }
+            if let (Some(x), Some(y)) = (as_i128(&a), as_i128(&b)) {
+                if let Some(s) = x.checked_add(y) {
+                    assert_eq!(sum, bi(s));
+                }
+                if let Some(d) = x.checked_sub(y) {
+                    assert_eq!(diff, bi(d));
+                }
+                if let Some(p) = x.checked_mul(y) {
+                    assert_eq!(prod, bi(p));
+                }
+            }
+            assert_eq!(&sum - &b, a);
+            assert_eq!(&diff + &b, a);
+            assert_eq!(&b + &a, sum);
+            assert_eq!(&b * &a, prod);
+            if !b.is_zero() {
+                assert_eq!(prod.div_rem(&b), (a.clone(), BigInt::zero()));
+            }
+        }
+
+        fn boundary_div_rem_is_exact(a in operand(), b in operand()) {
+            absolver_testkit::assume!(!b.is_zero());
+            let (q, r) = a.div_rem(&b);
+            assert_canonical(&q);
+            assert_canonical(&r);
+            if let (Some(x), Some(y)) = (as_i128(&a), as_i128(&b)) {
+                if let Some(qi) = x.checked_div(y) {
+                    assert_eq!((q.clone(), r.clone()), (bi(qi), bi(x % y)));
+                }
+            }
+            assert_eq!(&(&q * &b) + &r, a);
+            assert!(r.abs() < b.abs());
+            assert!(r.is_zero() || r.is_negative() == a.is_negative());
+        }
+
+        fn boundary_gcd_is_the_greatest_divisor(a in operand(), b in operand()) {
+            let g = a.gcd(&b);
+            assert_canonical(&g);
+            assert!(!g.is_negative());
+            if let (Some(x), Some(y)) = (as_i128(&a), as_i128(&b)) {
+                let (mut m, mut n) = (x.unsigned_abs(), y.unsigned_abs());
+                while n != 0 {
+                    (m, n) = (n, m % n);
+                }
+                assert_eq!(g, BigInt::from(m));
+            }
+            if g.is_zero() {
+                assert!(a.is_zero() && b.is_zero());
+            } else {
+                assert!((&a % &g).is_zero() && (&b % &g).is_zero());
+                assert!((&a / &g).gcd(&(&b / &g)).is_one());
+            }
+        }
+
+        fn boundary_cmp_neg_abs_are_exact(a in operand(), b in operand()) {
+            let neg = -&a;
+            let abs = a.abs();
+            assert_canonical(&neg);
+            assert_canonical(&abs);
+            if let (Some(x), Some(y)) = (as_i128(&a), as_i128(&b)) {
+                assert_eq!(a.cmp(&b), x.cmp(&y));
+                if let Some(n) = x.checked_neg() {
+                    assert_eq!(neg, bi(n));
+                    assert_eq!(abs, bi(n.max(x)));
+                }
+            }
+            assert_eq!(a.cmp(&b), (&a - &b).signum().cmp(&0));
+            assert_eq!(-neg.clone(), a);
+            assert!((&a + &neg).is_zero());
+            assert!(!abs.is_negative() && (abs == a || abs == neg));
+        }
+
+        fn boundary_shl_and_pow_are_exact(
+            a in operand(),
+            k in gen::ints(0u64..130),
+            e in gen::ints(0u32..5),
+        ) {
+            let shifted = a.shl(k);
+            let power = a.pow(e);
+            assert_canonical(&shifted);
+            assert_canonical(&power);
+            if let Some(x) = as_i128(&a) {
+                let scale = (k < 127).then(|| 1i128 << k);
+                if let Some(s) = scale.and_then(|m| x.checked_mul(m)) {
+                    assert_eq!(shifted, bi(s));
+                }
+                if let Some(p) = x.checked_pow(e) {
+                    assert_eq!(power, bi(p));
+                }
+            }
+            assert_eq!(shifted, &a * &bi(2).pow(k as u32));
+            if e > 0 {
+                assert_eq!(power, &a * &a.pow(e - 1));
+            }
+        }
+
+        fn boundary_conversions_round_trip(a in operand()) {
+            let x = as_i128(&a);
+            assert_eq!(a.to_i64(), x.and_then(|x| i64::try_from(x).ok()));
+            if let Some(x) = x {
+                let exact = x as f64;
+                if i64::try_from(x).is_ok() {
+                    assert_eq!(a.to_f64(), exact);
+                } else {
+                    assert!((a.to_f64() - exact).abs() <= exact.abs() * f64::EPSILON);
+                }
+                assert_eq!(a.to_string(), x.to_string());
+            }
+            assert_eq!((-&a).to_f64(), -a.to_f64());
+            let parsed: BigInt = a.to_string().parse().unwrap();
+            assert_canonical(&parsed);
+            assert_eq!(parsed, a);
+        }
+
         fn add_matches_i128(a in gen::i64_any(), b in gen::i64_any()) {
             assert_eq!(bi(a as i128) + bi(b as i128), bi(a as i128 + b as i128));
         }

@@ -3,7 +3,8 @@
 //! This crate provides the three number domains the solver stack is built
 //! on, with no external dependencies:
 //!
-//! * [`BigInt`] — arbitrary-precision signed integers (sign + 64-bit limbs).
+//! * [`BigInt`] — arbitrary-precision signed integers: inline for every
+//!   value in `i64` range, sign + 64-bit heap limbs beyond it.
 //! * [`Rational`] — exact rationals, the coefficient field of the simplex
 //!   solvers in `absolver-linear`.
 //! * [`Interval`] — outward-rounded `f64` intervals, the sound evaluation

@@ -2,7 +2,9 @@
 //!
 //! [`Rational`] is the coefficient domain of the simplex solvers in
 //! `absolver-linear`: every value is kept fully reduced, so comparisons and
-//! sign tests are exact no matter how many pivots have happened.
+//! sign tests are exact no matter how many pivots have happened. Sums,
+//! differences and products of two integers, and comparisons over one
+//! denominator, skip the cross-multiplication and the gcd.
 //!
 //! ```
 //! use absolver_num::Rational;
@@ -264,6 +266,9 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         // a/b ? c/d  <=>  a*d ? c*b  (b, d > 0)
         (&self.num * &other.den).cmp(&(&other.num * &self.den))
     }
@@ -292,6 +297,9 @@ impl Neg for Rational {
 impl Add for &Rational {
     type Output = Rational;
     fn add(self, rhs: &Rational) -> Rational {
+        if self.is_integer() && rhs.is_integer() {
+            return Rational::from(&self.num + &rhs.num);
+        }
         Rational::from_big(
             &self.num * &rhs.den + &rhs.num * &self.den,
             &self.den * &rhs.den,
@@ -302,6 +310,9 @@ impl Add for &Rational {
 impl Sub for &Rational {
     type Output = Rational;
     fn sub(self, rhs: &Rational) -> Rational {
+        if self.is_integer() && rhs.is_integer() {
+            return Rational::from(&self.num - &rhs.num);
+        }
         Rational::from_big(
             &self.num * &rhs.den - &rhs.num * &self.den,
             &self.den * &rhs.den,
@@ -312,6 +323,9 @@ impl Sub for &Rational {
 impl Mul for &Rational {
     type Output = Rational;
     fn mul(self, rhs: &Rational) -> Rational {
+        if self.is_integer() && rhs.is_integer() {
+            return Rational::from(&self.num * &rhs.num);
+        }
         Rational::from_big(&self.num * &rhs.num, &self.den * &rhs.den)
     }
 }
@@ -516,7 +530,55 @@ mod tests {
         assert_eq!(r(-1, 3).to_string(), "-1/3");
     }
 
+    /// `n/d` reduced with a positive denominator, in `i128`.
+    fn reduced(n: i128, d: i128) -> (i128, i128) {
+        let (mut a, mut b) = (n.unsigned_abs(), d.unsigned_abs());
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        let g = a as i128;
+        let (n, d) = (n / g, d / g);
+        if d < 0 {
+            (-n, -d)
+        } else {
+            (n, d)
+        }
+    }
+
+    /// Checks `q` against the exact fraction `n/d`, and that it is
+    /// reduced with a positive denominator.
+    fn assert_exact(q: &Rational, n: i128, d: i128) {
+        let (n, d) = reduced(n, d);
+        assert_eq!((q.numer(), q.denom()), (&BigInt::from(n), &BigInt::from(d)));
+        assert!(q.denom().is_positive());
+        assert!(q.numer().gcd(q.denom()).is_one());
+    }
+
+    /// Rationals with small denominators, integers about half the time.
+    /// Numerators are small or span `i64`, so integer sums and products
+    /// cross into the heap form.
+    fn operand() -> gen::Gen<(i64, i64)> {
+        let num = gen::one_of(vec![gen::ints(-1000i64..=1000), gen::i64_any()]);
+        let den = gen::one_of(vec![gen::ints(1i64..=1), gen::ints(-60i64..=60)]);
+        gen::Gen::new(move |src| (num.generate(src), den.generate(src))).filter(|&(_, d)| d != 0)
+    }
+
     property! {
+        fn arithmetic_matches_an_exact_fraction(a in operand(), b in operand()) {
+            let (an, ad) = (a.0 as i128, a.1 as i128);
+            let (bn, bd) = (b.0 as i128, b.1 as i128);
+            let (x, y) = (r(a.0, a.1), r(b.0, b.1));
+            assert_exact(&x, an, ad);
+            assert_exact(&(&x + &y), an * bd + bn * ad, ad * bd);
+            assert_exact(&(&x - &y), an * bd - bn * ad, ad * bd);
+            assert_exact(&(&x * &y), an * bn, ad * bd);
+            if bn != 0 {
+                assert_exact(&(&x / &y), an * bd, ad * bn);
+            }
+            let sign = if ad * bd > 0 { 1 } else { -1 };
+            assert_eq!(x.cmp(&y), (sign * (an * bd)).cmp(&(sign * (bn * ad))));
+        }
+
         fn field_axioms(
             an in gen::ints(-1000i64..1000), ad in gen::ints(1i64..100),
             bn in gen::ints(-1000i64..1000), bd in gen::ints(1i64..100),

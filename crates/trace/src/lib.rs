@@ -29,6 +29,7 @@
 //! | `component.start` | shard driver       | `component`, `size`            |
 //! | `component.end`  | shard driver        | `component`, `outcome`, `duration_us` |
 //! | `solve.start`    | orchestrator        | `num_vars`, `num_defs`, `mode` (`solve`/`solve_all`/`session`) |
+//! | `phase.setup`    | orchestrator        | `defs` (the problem's definitions), `duration_us` (definition preparation, CNF load, stack creation; sums to `setup_us`) |
 //! | `solve.end`      | orchestrator        | `outcome`, `models` (`solve_all`), `iterations`, `duration_us` |
 //! | `term.intern`    | orchestrator        | `interned`, `dedup_hits`, `arena_terms` |
 //! | `boolean.model`  | orchestrator        | `iteration`, `duration_us`     |

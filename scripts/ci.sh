@@ -91,7 +91,7 @@ TESTKIT_SEED=1 TESTKIT_CASES=3000 cargo test -q --offline --test format_round_tr
 # program and prefix/suffix), the cascade's enclosure classification
 # against `check_box`, and the assertion stack's retraction differential.
 TESTKIT_SEED=0xAB501BE5 cargo test -q --offline -p absolver-core -p absolver-nonlinear \
-    -p absolver-linear --lib
+    -p absolver-linear -p absolver-num --lib
 
 echo "== observability gate (--stats json, --trace, differential test) =="
 OBS_TMP=$(mktemp -d)

@@ -21,7 +21,10 @@
 //!   --nl-jobs N              worker threads for the nonlinear box search
 //!   --all-models N           enumerate up to N models (N >= 1)
 //!   --time-limit SECS        wall-clock budget
-//!   --max-iterations N       cap on Boolean models examined
+//!   --max-iterations N       cap on Boolean models examined (under --jobs,
+//!                            per shard; without --deterministic the shards
+//!                            draw components in a varying order, so a
+//!                            capped run can end differently each time)
 //!   --jobs N                 solve with N parallel shards (not with
 //!                            --boolean, --nonlinear, --contractors or
 //!                            --nl-jobs: each shard picks its own backends)

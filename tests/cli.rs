@@ -154,7 +154,13 @@ fn iteration_limit_exits_40() {
 fn iteration_limit_bounds_the_components_together() {
     let four =
         absolver::core::parser::write(&absolver_bench::workloads::decomposable_problem(4, 40));
-    for jobs in [&[][..], &["--jobs", "1"][..]] {
+    // Unpinned shards draw components in an order that varies run to run,
+    // so only `--deterministic` makes a capped `--jobs 2` run repeatable.
+    for jobs in [
+        &[][..],
+        &["--jobs", "1"][..],
+        &["--jobs", "2", "--deterministic"][..],
+    ] {
         for (cap, code) in [("30", 40), ("200", 10)] {
             let args = [jobs, &["--quiet", "--max-iterations", cap][..]].concat();
             assert_eq!(exit_code(&run_stdin(&args, &four)), code, "{args:?}");
@@ -249,6 +255,7 @@ fn stats_json_emits_one_valid_object_with_phase_timings() {
         "\"hc4_contractions\":",
         "\"local_search_steps\":",
         "\"phase\":{",
+        "\"setup_us\":",
         "\"boolean_us\":",
         "\"linear_us\":",
         "\"nonlinear_us\":",
@@ -259,6 +266,26 @@ fn stats_json_emits_one_valid_object_with_phase_timings() {
     }
     // No pretty-printing, no trailing garbage: exactly one object.
     assert_eq!(json_line.matches("\"elapsed_us\":").count(), 1);
+
+    // The human line on stderr names the same phases.
+    let out = absolver()
+        .args(["--stats", "human", FIG2])
+        .output()
+        .expect("run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("c stats: "))
+        .expect("a human stats line on stderr");
+    for key in [
+        " setup=",
+        " boolean=",
+        " linear=",
+        " nonlinear=",
+        " elapsed=",
+    ] {
+        assert!(line.contains(key), "missing {key} in {line}");
+    }
 }
 
 #[test]

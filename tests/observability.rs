@@ -69,6 +69,25 @@ fn phase_times_are_bounded_by_elapsed() {
     assert!(stats.hc4_contractions > 0, "HC4 must have contracted");
     assert!(stats.linear_time.as_nanos() > 0);
     assert!(stats.nonlinear_time.as_nanos() > 0);
+
+    // The setup (definition preparation, CNF load, stack creation) is a
+    // phase of its own, disjoint from the other three.
+    let mut orc = Orchestrator::with_defaults();
+    orc.solve(&absolver_bench::workloads::threshold_problem(60))
+        .expect("solve");
+    let stats = orc.stats();
+    assert!(stats.setup_time.as_nanos() > 0, "setup must be timed");
+    let phase_sum =
+        stats.setup_time + stats.boolean_time + stats.linear_time + stats.nonlinear_time;
+    assert!(
+        phase_sum <= stats.elapsed,
+        "setup {:?} + boolean {:?} + linear {:?} + nonlinear {:?} = {phase_sum:?} > elapsed {:?}",
+        stats.setup_time,
+        stats.boolean_time,
+        stats.linear_time,
+        stats.nonlinear_time,
+        stats.elapsed
+    );
 }
 
 #[test]
@@ -399,6 +418,7 @@ fn emitted_trace_events_match_the_documented_table() {
         "component.start",
         "component.end",
         "term.intern",
+        "phase.setup",
         "shard.start",
         "shard.end",
         "session.push",
@@ -572,7 +592,13 @@ fn each_session_check_traces_its_own_effort() {
         let outcome = session.check().expect("check");
         assert_eq!(outcome.is_sat(), frame == 0, "check {frame}: {outcome:?}");
         let stats = session.check_stats();
-        let traced = traced_effort(&sink.events());
+        let events = sink.events();
+        // Each check times its own setup (pool rebuild, stack regrowth,
+        // Boolean reload or new clauses) once.
+        assert!(!stats.setup_time.is_zero(), "check {frame}: {stats}");
+        let setups = events.iter().filter(|e| e.kind == "phase.setup").count();
+        assert_eq!(setups, 1, "check {frame}");
+        let traced = traced_effort(&events);
         assert_eq!(traced, counted_effort(&stats), "check {frame}: {stats}");
         assert!(traced.iter().any(|&count| count > 0), "check {frame}");
         for (sum, count) in total.iter_mut().zip(traced) {
