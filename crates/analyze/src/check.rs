@@ -44,15 +44,19 @@ pub fn check_problem(problem: &AbProblem, map: &SourceMap) -> Report {
     report
 }
 
-/// Renders a constraint with the problem's variable names in place of the
-/// internal `v<id>` placeholders (descending id so `v12` is not clobbered
-/// by `v1`).
+/// Renders a constraint with the problem's variable names.
 fn pretty(problem: &AbProblem, constraint: &absolver_nonlinear::NlConstraint) -> String {
-    let mut s = constraint.to_string();
-    for &id in constraint.variables().iter().rev() {
-        s = s.replace(&format!("v{id}"), &problem.arith_vars()[id].name);
-    }
-    s
+    let names: Vec<String> = problem
+        .arith_vars()
+        .iter()
+        .map(|v| v.name.clone())
+        .collect();
+    format!(
+        "{} {} {}",
+        constraint.expr().with_names(&names),
+        constraint.op,
+        constraint.rhs
+    )
 }
 
 /// First `def` directive span per Boolean variable.

@@ -7,7 +7,7 @@
 //!   (`solve_all` for one model, which never partitions);
 //! * **partitioned** — the default `solve`: one sub-solve per connected
 //!   component, models stitched back;
-//! * **parallel** — `solve_parallel` with one shard per component.
+//! * **parallel** — `solve` with one job (shard) per component.
 //!
 //! ```text
 //! cargo run --release -p absolver-bench --bin components
@@ -22,9 +22,7 @@
 
 use absolver_bench::harness::{env_seconds, format_duration, print_table};
 use absolver_bench::workloads::decomposable_problem;
-use absolver_core::{
-    AbProblem, Orchestrator, OrchestratorOptions, Outcome, ParallelOptions, Partition, SolveError,
-};
+use absolver_core::{AbProblem, Orchestrator, OrchestratorOptions, Outcome, Partition, SolveError};
 use absolver_trace::{saturating_micros, JsonObject};
 use std::path::PathBuf;
 
@@ -87,17 +85,15 @@ fn main() {
     let seq_stats = seq.stats();
 
     // One shard per component.
-    let popts = ParallelOptions {
-        jobs: instances.max(2),
+    let jobs = instances.max(2);
+    let mut par = Orchestrator::with_defaults().with_options(OrchestratorOptions {
+        jobs,
         deterministic: true,
-        ..Default::default()
-    };
-    let mut par = Orchestrator::with_defaults().with_options(options);
-    let (par_outcome, par_stats) = match par.solve_parallel(&problem, &popts) {
-        Ok((outcome, stats)) => (Ok(outcome), stats),
-        Err(e) => (Err(e), Default::default()),
-    };
+        ..options
+    });
+    let par_outcome = par.solve(&problem);
     let par_verdict = verdict(&par_outcome, &problem);
+    let par_stats = par.stats();
     let par_elapsed = par_stats.elapsed;
 
     print_table(
@@ -138,7 +134,7 @@ fn main() {
         )
         .field_str("parallel_verdict", &par_verdict)
         .field_u64("parallel_elapsed_us", saturating_micros(par_elapsed))
-        .field_u64("parallel_jobs", popts.jobs as u64);
+        .field_u64("parallel_jobs", jobs as u64);
     let report = obj.finish();
     let path = out_dir.join("BENCH_components.json");
     if let Err(e) = std::fs::write(&path, format!("{report}\n")) {

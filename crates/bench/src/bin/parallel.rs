@@ -1,4 +1,5 @@
-//! Sequential-vs-parallel speedup benchmark for `solve_parallel`.
+//! Sequential-vs-parallel speedup benchmark for `Orchestrator::solve`
+//! at several job counts.
 //!
 //! Compares the sequential control loop against the portfolio at two job
 //! counts on three workloads:
@@ -18,22 +19,20 @@
 use absolver_bench::harness::{env_seconds, format_duration, print_table, run_absolver};
 use absolver_bench::sudoku::{encode_mixed, generate, Difficulty};
 use absolver_bench::workloads::threshold_problem;
-use absolver_core::{AbProblem, Orchestrator, OrchestratorOptions, Outcome, ParallelOptions};
+use absolver_core::{AbProblem, Orchestrator, OrchestratorOptions, Outcome};
 use absolver_model::steering_problem;
 use std::time::Duration;
 
 fn run_parallel(problem: &AbProblem, jobs: usize, time_limit: Duration) -> (String, Duration) {
-    let opts = ParallelOptions {
+    let mut orc = Orchestrator::with_defaults().with_options(OrchestratorOptions {
         jobs,
         deterministic: true,
-        base: OrchestratorOptions {
-            time_limit: Some(time_limit),
-            ..Default::default()
-        },
-    };
-    let mut orc = Orchestrator::with_defaults();
-    match orc.solve_parallel(problem, &opts) {
-        Ok((outcome, stats)) => {
+        time_limit: Some(time_limit),
+        ..Default::default()
+    });
+    match orc.solve(problem) {
+        Ok(outcome) => {
+            let stats = orc.stats();
             let verdict = match outcome {
                 Outcome::Sat(model) => {
                     debug_assert!(model.satisfies(problem, 1e-5), "model must validate");

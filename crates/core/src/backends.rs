@@ -25,13 +25,10 @@
 use absolver_linear::{check_conjunction_counted, AssertionStack, Feasibility, LinearConstraint};
 use absolver_logic::{Assignment, Cnf, Lit};
 use absolver_nonlinear::{
-    branch_and_prune_stats, local_search, NlOptions, NlProblem, NlSearchStats, NlVerdict,
+    branch_and_prune_stats, local_search, Interrupt, NlOptions, NlProblem, NlSearchStats, NlVerdict,
 };
 use absolver_sat::{SolveResult, Solver};
 use std::fmt;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
-use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Boolean domain
@@ -237,8 +234,9 @@ impl LinearBackend for SimplexLinear {
 // ---------------------------------------------------------------------------
 
 /// A nonlinear solver usable by the theory layer (IPOPT role). Each call
-/// returns its verdict with the search effort it took; a backend keeps
-/// no counters of its own.
+/// receives the theory check's [`Interrupt`], which the engines poll
+/// mid-search, and returns its verdict with the search effort it took; a
+/// backend keeps no counters of its own.
 pub trait NonlinearBackend: Send {
     /// Human-readable backend name.
     fn name(&self) -> &str;
@@ -246,7 +244,7 @@ pub trait NonlinearBackend: Send {
     /// Attempts to decide feasibility of the problem. For a two-pass
     /// backend this is the cheap first pass; see
     /// [`NonlinearBackend::escalate`].
-    fn solve(&mut self, problem: &NlProblem) -> (NlVerdict, NlSearchStats);
+    fn solve(&mut self, problem: &NlProblem, interrupt: &Interrupt) -> (NlVerdict, NlSearchStats);
 
     /// Whether [`NonlinearBackend::escalate`] is stronger than `solve`.
     /// The orchestrator saves a Boolean model whose check ended `Unknown`
@@ -260,16 +258,20 @@ pub trait NonlinearBackend: Send {
     /// orchestrator runs that pass only once the Boolean side has no more
     /// models. The default is `solve` itself: a backend whose
     /// [`NonlinearBackend::escalates`] is false has nothing stronger.
-    fn escalate(&mut self, problem: &NlProblem) -> (NlVerdict, NlSearchStats) {
-        self.solve(problem)
+    fn escalate(
+        &mut self,
+        problem: &NlProblem,
+        interrupt: &Interrupt,
+    ) -> (NlVerdict, NlSearchStats) {
+        self.solve(problem, interrupt)
     }
+}
 
-    /// Installs a cooperative cancellation token and wall-clock deadline
-    /// the engine should poll mid-search. Backends that cannot interrupt
-    /// themselves may ignore this (the default); interruption then only
-    /// happens between engine calls.
-    fn set_interrupt(&mut self, cancel: Option<Arc<AtomicBool>>, deadline: Option<Instant>) {
-        let _ = (cancel, deadline);
+/// `options` under a call's `interrupt`.
+fn interrupted_by(options: &NlOptions, interrupt: &Interrupt) -> NlOptions {
+    NlOptions {
+        interrupt: interrupt.clone(),
+        ..options.clone()
     }
 }
 
@@ -298,13 +300,8 @@ impl NonlinearBackend for IntervalNonlinear {
         "interval"
     }
 
-    fn solve(&mut self, problem: &NlProblem) -> (NlVerdict, NlSearchStats) {
-        branch_and_prune_stats(problem, &self.options)
-    }
-
-    fn set_interrupt(&mut self, cancel: Option<Arc<AtomicBool>>, deadline: Option<Instant>) {
-        self.options.cancel = cancel;
-        self.options.deadline = deadline;
+    fn solve(&mut self, problem: &NlProblem, interrupt: &Interrupt) -> (NlVerdict, NlSearchStats) {
+        branch_and_prune_stats(problem, &interrupted_by(&self.options, interrupt))
     }
 }
 
@@ -328,8 +325,8 @@ impl NonlinearBackend for PenaltyNonlinear {
         "penalty"
     }
 
-    fn solve(&mut self, problem: &NlProblem) -> (NlVerdict, NlSearchStats) {
-        let (witness, steps) = local_search(problem, &self.options);
+    fn solve(&mut self, problem: &NlProblem, interrupt: &Interrupt) -> (NlVerdict, NlSearchStats) {
+        let (witness, steps) = local_search(problem, &interrupted_by(&self.options, interrupt));
         let verdict = match witness {
             Some(witness) => NlVerdict::Sat(witness),
             None => NlVerdict::Unknown,
@@ -339,11 +336,6 @@ impl NonlinearBackend for PenaltyNonlinear {
             ..NlSearchStats::default()
         };
         (verdict, effort)
-    }
-
-    fn set_interrupt(&mut self, cancel: Option<Arc<AtomicBool>>, deadline: Option<Instant>) {
-        self.options.cancel = cancel;
-        self.options.deadline = deadline;
     }
 }
 
@@ -369,21 +361,20 @@ impl NonlinearBackend for CascadeNonlinear {
         "interval+penalty"
     }
 
-    fn solve(&mut self, problem: &NlProblem) -> (NlVerdict, NlSearchStats) {
-        problem.probe(&self.options)
+    fn solve(&mut self, problem: &NlProblem, interrupt: &Interrupt) -> (NlVerdict, NlSearchStats) {
+        problem.probe(&interrupted_by(&self.options, interrupt))
     }
 
     fn escalates(&self) -> bool {
         true
     }
 
-    fn escalate(&mut self, problem: &NlProblem) -> (NlVerdict, NlSearchStats) {
-        problem.solve_with_stats(&self.options)
-    }
-
-    fn set_interrupt(&mut self, cancel: Option<Arc<AtomicBool>>, deadline: Option<Instant>) {
-        self.options.cancel = cancel;
-        self.options.deadline = deadline;
+    fn escalate(
+        &mut self,
+        problem: &NlProblem,
+        interrupt: &Interrupt,
+    ) -> (NlVerdict, NlSearchStats) {
+        problem.solve_with_stats(&interrupted_by(&self.options, interrupt))
     }
 }
 
@@ -453,26 +444,33 @@ mod tests {
 
     #[test]
     fn nonlinear_backends_division_of_labour() {
+        let none = Interrupt::default();
         // Feasible circle: both find it.
         let mut feasible = NlProblem::new(1);
         feasible.add_constraint(NlConstraint::new(Expr::var(0).pow(2), CmpOp::Le, q(4)));
         feasible.bound_var(0, Interval::new(-10.0, 10.0));
-        assert!(IntervalNonlinear::default().solve(&feasible).0.is_sat());
-        assert!(PenaltyNonlinear::default().solve(&feasible).0.is_sat());
+        assert!(IntervalNonlinear::default()
+            .solve(&feasible, &none)
+            .0
+            .is_sat());
+        assert!(PenaltyNonlinear::default()
+            .solve(&feasible, &none)
+            .0
+            .is_sat());
         // Infeasible: only the interval engine can *prove* it.
         let mut infeasible = NlProblem::new(1);
         infeasible.add_constraint(NlConstraint::new(Expr::var(0).pow(2), CmpOp::Le, q(-1)));
         infeasible.bound_var(0, Interval::new(-10.0, 10.0));
         assert_eq!(
-            IntervalNonlinear::default().solve(&infeasible).0,
+            IntervalNonlinear::default().solve(&infeasible, &none).0,
             NlVerdict::Unsat
         );
         assert_eq!(
-            PenaltyNonlinear::default().solve(&infeasible).0,
+            PenaltyNonlinear::default().solve(&infeasible, &none).0,
             NlVerdict::Unknown
         );
         assert_eq!(
-            CascadeNonlinear::default().solve(&infeasible).0,
+            CascadeNonlinear::default().solve(&infeasible, &none).0,
             NlVerdict::Unsat
         );
         // Single-pass backends have nothing stronger to escalate to.
@@ -482,6 +480,7 @@ mod tests {
 
     #[test]
     fn cascade_defers_deep_refutations_to_its_second_pass() {
+        let none = Interrupt::default();
         // (x − y)² < −4 over [−10, 10]²: the refutation needs more boxes
         // than the probe may explore, so only the second pass proves it.
         let (x, y) = (Expr::var(0), Expr::var(1));
@@ -495,16 +494,17 @@ mod tests {
         problem.bound_var(1, Interval::new(-10.0, 10.0));
         let mut cascade = CascadeNonlinear::default();
         assert!(cascade.escalates());
-        let (probed, probe) = cascade.solve(&problem);
+        let (probed, probe) = cascade.solve(&problem, &none);
         assert_eq!(probed, NlVerdict::Unknown);
         assert!(probe.boxes_explored <= absolver_nonlinear::PROBE_BOXES as u64 + 1);
-        let (escalated, full) = cascade.escalate(&problem);
+        let (escalated, full) = cascade.escalate(&problem, &none);
         assert_eq!(escalated, NlVerdict::Unsat);
         assert!(full.boxes_explored > 2 * absolver_nonlinear::PROBE_BOXES as u64);
     }
 
     #[test]
     fn cascade_second_pass_finds_the_witness_only_the_local_search_finds() {
+        let none = Interrupt::default();
         // x² ≥ 100 ∧ y² − 20y + 100 + 10 − x ≤ 0 over [−10, 10]²: the only
         // solution is the corner (10, 10). No box midpoint reaches it, but
         // the local search does, by clamping to the bounds. The second
@@ -526,7 +526,7 @@ mod tests {
         assert_eq!(boxes_only.0, NlVerdict::Unknown);
         let mut cascade = CascadeNonlinear::default();
         assert_eq!(
-            cascade.escalate(&problem).0,
+            cascade.escalate(&problem, &none).0,
             NlVerdict::Sat(vec![10.0, 10.0])
         );
     }

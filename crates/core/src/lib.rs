@@ -55,7 +55,7 @@
 pub mod backends;
 mod circuit;
 mod orchestrator;
-pub mod parallel;
+mod parallel;
 pub mod parser;
 pub mod preprocess;
 mod problem;
@@ -70,7 +70,6 @@ pub use backends::{
 };
 pub use circuit::{Circuit, Gate, NoOutputError, NodeId, TseitinCnf};
 pub use orchestrator::{Orchestrator, OrchestratorOptions, OrchestratorStats, Outcome, SolveError};
-pub use parallel::{ParallelOptions, ParallelStats};
 pub use parser::{
     parse_session_constraint, parse_spanned, DefSite, ParseAbError, RangeSite, SourceMap, Span,
 };

@@ -35,6 +35,7 @@ use crate::theory::{
     TheoryContext, TheoryItem, TheoryVerdict,
 };
 use absolver_logic::{Assignment, Clause, Lit, Tri, Var};
+use absolver_nonlinear::Interrupt;
 use absolver_num::Interval;
 use absolver_trace::{saturating_micros, JsonObject, NullSink, TraceEvent, TraceSink};
 use std::borrow::Cow;
@@ -385,6 +386,17 @@ pub struct OrchestratorOptions {
     /// Kept so code that sets it still compiles until the benchmark drops
     /// it.
     pub theory_cache: bool,
+    /// Worker threads of [`Orchestrator::solve`] (`0` counts as `1`). At 1
+    /// the receiver's own backends solve on the caller's thread. At 2 or
+    /// more, spawned shards solve the components, or the portfolio when
+    /// the problem does not split, each on a stack it builds itself: the
+    /// receiver's backends are used only at 1. [`Orchestrator::solve_all`]
+    /// and sessions run one loop whatever this says.
+    pub jobs: usize,
+    /// Pin components to shards round-robin instead of drawing them from
+    /// a shared queue, so that each shard solves an input-determined set
+    /// of components whatever the scheduling.
+    pub deterministic: bool,
 }
 
 impl Default for OrchestratorOptions {
@@ -395,6 +407,8 @@ impl Default for OrchestratorOptions {
             theory: TheoryBudget::default(),
             time_limit: None,
             theory_cache: true,
+            jobs: 1,
+            deterministic: false,
         }
     }
 }
@@ -432,7 +446,8 @@ struct Obligations {
 struct CheckEnv {
     kinds: Vec<VarKind>,
     ranges: Vec<Interval>,
-    deadline: Option<Instant>,
+    /// The call's cancellation token and its effective deadline.
+    interrupt: Interrupt,
 }
 
 /// The Boolean models of the current call window whose first theory
@@ -460,7 +475,7 @@ pub struct Orchestrator {
     nonlinear: Vec<Box<dyn NonlinearBackend>>,
     pub(crate) options: OrchestratorOptions,
     pub(crate) stats: OrchestratorStats,
-    cancel: Option<Arc<AtomicBool>>,
+    pub(crate) cancel: Option<Arc<AtomicBool>>,
     pub(crate) deadline: Option<Instant>,
     sink: Arc<dyn TraceSink>,
     /// Prepared per-def constraint pool, rebuilt at each solve entry:
@@ -585,7 +600,7 @@ impl Orchestrator {
     }
 
     /// Installs an absolute wall-clock deadline shared across subsequent
-    /// calls (parallel shards use this so a per-call `time_limit` cannot
+    /// calls (the shard driver uses this so a per-call `time_limit` cannot
     /// restart the clock on every component). `None` clears it; the
     /// per-call [`OrchestratorOptions::time_limit`] still applies
     /// independently.
@@ -691,14 +706,18 @@ impl Orchestrator {
     /// Solves an AB-problem: the installed preprocessor, if any, then
     /// [`Partition::of`], then one control-loop run for one component or
     /// one per component with the models stitched into one, then the lift
-    /// of a preprocessed SAT witness. [`OrchestratorStats::elapsed`] spans
-    /// the whole call.
+    /// of a preprocessed SAT witness. With [`OrchestratorOptions::jobs`]
+    /// ≥ 2 the components, or a portfolio of diversified stacks when the
+    /// problem does not split, are solved on that many threads.
+    /// [`OrchestratorStats::elapsed`] spans the whole call; the other
+    /// counters and phase times sum over its components and shards.
     ///
     /// # Errors
     ///
     /// Returns [`SolveError::IterationLimit`] if the Boolean loop exceeds
-    /// the configured iteration cap; the cap bounds the whole call, its
-    /// components' loops together.
+    /// the configured iteration cap and no definitive verdict settled the
+    /// call. The cap bounds the whole call, its components' loops
+    /// together; with `jobs` ≥ 2 it bounds each shard's.
     pub fn solve(&mut self, problem: &AbProblem) -> Result<Outcome, SolveError> {
         let started = Instant::now();
         let pre = self.run_preprocessor(problem);
@@ -720,10 +739,10 @@ impl Orchestrator {
         };
         let partition = Partition::of(target);
         self.trace_partition(&partition);
-        let outcome = if partition.is_trivial() {
+        let outcome = if partition.is_trivial() && self.options.jobs <= 1 {
             self.solve_loop(target, absolver_nonlinear::term::local_counters())
         } else {
-            crate::parallel::component_loop(self, target, &partition)
+            crate::parallel::solve_sharded(self, target, &partition)
         };
         // The control loop resets the stats: the call's own come after.
         self.stats.components = partition.len().max(1) as u64;
@@ -1056,18 +1075,15 @@ impl Orchestrator {
         CheckEnv {
             kinds: problem.arith_vars().iter().map(|v| v.kind).collect(),
             ranges: problem.arith_vars().iter().map(|v| v.range).collect(),
-            deadline: self.effective_deadline(started),
+            interrupt: Interrupt {
+                cancel: self.cancel.clone(),
+                deadline: self.effective_deadline(started),
+            },
         }
     }
 
     fn run_loop(&mut self, problem: &AbProblem, started: Instant) -> Result<Outcome, SolveError> {
         let env = self.check_env(problem, started);
-        // Let the nonlinear engines poll the token/deadline mid-search —
-        // a 10-million-box branch-and-prune must not outlive the wall clock.
-        for backend in self.nonlinear.iter_mut() {
-            backend.set_interrupt(self.cancel.clone(), env.deadline);
-        }
-
         // Every exit below that finds the Boolean side out of models
         // settles the saved models first (`settle_saved`).
         loop {
@@ -1078,7 +1094,7 @@ impl Orchestrator {
                 self.stats.cancelled = true;
                 return Ok(Outcome::Unknown);
             }
-            if let Some(deadline) = env.deadline {
+            if let Some(deadline) = env.interrupt.deadline {
                 if Instant::now() >= deadline {
                     self.stats.timed_out = true;
                     return Ok(Outcome::Unknown);
@@ -1130,7 +1146,7 @@ impl Orchestrator {
                         self.stats.cancelled = true;
                         return Ok(Outcome::Unknown);
                     }
-                    if env.deadline.is_some_and(|d| Instant::now() >= d) {
+                    if env.interrupt.deadline.is_some_and(|d| Instant::now() >= d) {
                         self.stats.timed_out = true;
                         return Ok(Outcome::Unknown);
                     }
@@ -1231,7 +1247,7 @@ impl Orchestrator {
                 self.stats.cancelled = true;
                 return Outcome::Unknown;
             }
-            if env.deadline.is_some_and(|d| Instant::now() >= d) {
+            if env.interrupt.deadline.is_some_and(|d| Instant::now() >= d) {
                 self.stats.timed_out = true;
                 return Outcome::Unknown;
             }
@@ -1310,9 +1326,13 @@ impl Orchestrator {
                 Cow::Owned(items)
             };
             self.stats.theory_checks += 1;
-            let mut budget = self.options.theory.clone();
-            budget.deadline = env.deadline;
-            budget.cancel = self.cancel.clone();
+            // The engines poll the check's interrupt mid-search: a
+            // 10-million-box branch-and-prune must not outlive the wall
+            // clock.
+            let budget = TheoryBudget {
+                interrupt: env.interrupt.clone(),
+                ..self.options.theory.clone()
+            };
             let sink: Option<&dyn TraceSink> = if self.sink.enabled() {
                 Some(&*self.sink)
             } else {

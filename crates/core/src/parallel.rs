@@ -4,25 +4,24 @@
 //! A *shard* takes work items from a queue and solves each with the
 //! sequential [`Orchestrator`] control loop. The driver owns what the
 //! shards of one run share: the queue (round-robin under
-//! [`ParallelOptions::deterministic`], a shared counter otherwise), one
-//! wall-clock deadline for the whole call, and the token that stops every
-//! shard once one of them has a decisive result. Three paths use it, each
-//! with its own reduction of the item verdicts:
+//! [`OrchestratorOptions::deterministic`], a shared counter otherwise),
+//! one wall-clock deadline for the whole call, and the token that stops
+//! every shard once one of them has a decisive result. [`Orchestrator::solve`]
+//! runs through it whenever the call has more than one item, with one of
+//! two reductions of the item verdicts:
 //!
-//! * **Portfolio** — `jobs` diversified solver stacks (Boolean backend ×
-//!   nonlinear backend × decision-phase seed) each solve the whole
-//!   problem; the first decisive verdict (Sat or Unsat) wins and cancels
-//!   the rest. Sat and Unsat cannot disagree between shards, so the
-//!   verdict is deterministic even when the winning shard is not.
 //! * **Component shards** — a problem that splits into independent
 //!   components ([`Partition`]) queues one item per component. A refuted
 //!   component refutes the conjunction and cancels the rest; an undecided
 //!   one leaves it undecided; otherwise the witnesses are stitched into
-//!   one model.
-//! * **The sequential component loop** of [`Orchestrator::solve`] is the
-//!   one-shard case of the component path: it runs on the caller's
-//!   orchestrator, on the caller's thread. Both entry points partition
-//!   the same problem, at every job count.
+//!   one model. At [`OrchestratorOptions::jobs`] 1 this is the sequential
+//!   component loop: one shard, on the caller's orchestrator and thread.
+//! * **Portfolio** — a problem that does not split, at `jobs` ≥ 2: `jobs`
+//!   diversified solver stacks (Boolean backend × nonlinear backend ×
+//!   decision-phase seed) each solve the whole problem; the first
+//!   decisive verdict (Sat or Unsat) wins and cancels the rest. Sat and
+//!   Unsat cannot disagree between shards, so the verdict is
+//!   deterministic even when the winning shard is not.
 //!
 //! Spawned shards build their solver stacks inside their threads; only
 //! the problem, the queue and the token are shared. Cancellation is
@@ -43,116 +42,13 @@ use crate::orchestrator::{
 use crate::problem::{AbModel, AbProblem};
 use crate::structure::Partition;
 use absolver_trace::{ShardSink, TraceEvent, TraceSink};
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration of a [`Orchestrator::solve_parallel`] run.
-#[derive(Debug, Clone)]
-pub struct ParallelOptions {
-    /// Number of worker threads (shards). `0` is treated as `1`.
-    pub jobs: usize,
-    /// Deterministic mode: components are assigned round-robin by shard
-    /// index instead of through a shared work queue, so each shard solves
-    /// an input-determined component set regardless of scheduling.
-    pub deterministic: bool,
-    /// Control-loop options every shard starts from (the portfolio
-    /// diversifies the *backends*, not these budgets). A `time_limit`
-    /// here becomes one wall-clock deadline for the whole parallel call,
-    /// shared by all shards and components.
-    pub base: OrchestratorOptions,
-}
-
-impl Default for ParallelOptions {
-    fn default() -> Self {
-        ParallelOptions {
-            jobs: 2,
-            deterministic: false,
-            base: OrchestratorOptions::default(),
-        }
-    }
-}
-
-/// Aggregated statistics of a parallel run.
-#[derive(Debug, Clone, Default)]
-pub struct ParallelStats {
-    /// Worker threads used.
-    pub jobs: usize,
-    /// Independent connected components of the problem, as
-    /// [`OrchestratorStats::components`] counts them for
-    /// [`Orchestrator::solve`]: each solved as its own item, or 1 for a
-    /// portfolio run, whose shards each solve the whole problem.
-    pub components: usize,
-    /// Each shard's control-loop statistics, folded over the items it
-    /// solved with [`OrchestratorStats::accumulate`], in shard order.
-    pub shards: Vec<OrchestratorStats>,
-    /// How many items (the whole problem, or components) each shard
-    /// solved, in shard order.
-    pub items: Vec<usize>,
-    /// Index of the shard that produced the winning verdict, if any
-    /// shard won outright.
-    pub winner: Option<usize>,
-    /// Longest time any losing shard took to observe the cancellation
-    /// token after it was raised.
-    pub cancel_latency: Option<Duration>,
-    /// Whether the run hit the wall-clock deadline.
-    pub timed_out: bool,
-    /// Wall-clock time of the whole parallel call.
-    pub elapsed: Duration,
-}
-
-impl fmt::Display for ParallelStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let iterations: u64 = self.shards.iter().map(|s| s.boolean_iterations).sum();
-        write!(
-            f,
-            "jobs={} components={} iterations={} winner={} elapsed={:?}",
-            self.jobs,
-            self.components,
-            iterations,
-            match self.winner {
-                Some(i) => i.to_string(),
-                None => "-".to_string(),
-            },
-            self.elapsed,
-        )?;
-        if let Some(latency) = self.cancel_latency {
-            write!(f, " cancel_latency={latency:?}")?;
-        }
-        Ok(())
-    }
-}
-
-/// First-verdict bookkeeping shared by all shards.
-struct WinnerBoard {
-    cancel: Arc<AtomicBool>,
-    state: Mutex<Option<(usize, Instant)>>,
-}
-
-impl WinnerBoard {
-    fn new() -> WinnerBoard {
-        WinnerBoard {
-            cancel: Arc::new(AtomicBool::new(false)),
-            state: Mutex::new(None),
-        }
-    }
-
-    /// Claims the win for `shard` and raises the cancel token, unless
-    /// another shard claimed it first.
-    fn claim(&self, shard: usize) {
-        let mut state = self.state.lock().expect("winner board poisoned");
-        if state.is_none() {
-            *state = Some((shard, Instant::now()));
-            self.cancel.store(true, Ordering::Relaxed);
-        }
-    }
-
-    /// The winning shard and when it raised the token, if any did.
-    fn claimed(&self) -> Option<(usize, Instant)> {
-        *self.state.lock().expect("winner board poisoned")
-    }
-}
+/// How often the calling thread of a spawned run polls the caller's own
+/// cancellation token, which the shards do not see.
+const CALLER_POLL: Duration = Duration::from_millis(1);
 
 /// A work item: solves item `index` on a shard's orchestrator.
 type Solve<'a> = dyn Fn(&mut Orchestrator, usize) -> Result<Outcome, SolveError> + Sync + 'a;
@@ -162,16 +58,12 @@ type Solve<'a> = dyn Fn(&mut Orchestrator, usize) -> Result<Outcome, SolveError>
 #[derive(Default)]
 struct ShardReport {
     stats: OrchestratorStats,
-    /// How long after the token was raised the shard noticed, if it was
-    /// cancelled.
-    latency: Option<Duration>,
     results: Vec<(usize, Result<Outcome, SolveError>)>,
 }
 
 /// One run of the shard driver: `items` work items shared by `jobs`
 /// shards.
 struct Run<'a> {
-    started: Instant,
     items: usize,
     jobs: usize,
     /// Shard `s` takes items `s`, `s + jobs`, …; otherwise shards take the
@@ -179,30 +71,34 @@ struct Run<'a> {
     pinned: bool,
     next: AtomicUsize,
     deadline: Option<Instant>,
-    board: WinnerBoard,
+    /// Raised by the first decisive item, or for the caller's own token:
+    /// stops every shard.
+    cancel: Arc<AtomicBool>,
     /// Whether an item's result settles the whole run.
     decisive: fn(&Result<Outcome, SolveError>) -> bool,
     solve: &'a Solve<'a>,
 }
 
 impl<'a> Run<'a> {
+    /// A run of `items` items on `jobs` shards, pinned or from the shared
+    /// queue, for the call of `orc`, under one deadline: the earlier of
+    /// `orc`'s `time_limit` from now and its installed deadline.
     fn new(
+        orc: &Orchestrator,
         items: usize,
         jobs: usize,
         pinned: bool,
-        time_limit: Option<Duration>,
         decisive: fn(&Result<Outcome, SolveError>) -> bool,
         solve: &'a Solve<'a>,
     ) -> Run<'a> {
-        let started = Instant::now();
+        let limit = orc.options.time_limit.map(|limit| Instant::now() + limit);
         Run {
-            started,
             items,
             jobs: jobs.max(1),
             pinned,
             next: AtomicUsize::new(0),
-            deadline: time_limit.map(|limit| started + limit),
-            board: WinnerBoard::new(),
+            deadline: earliest(limit, orc.deadline),
+            cancel: Arc::new(AtomicBool::new(false)),
             decisive,
             solve,
         }
@@ -216,7 +112,7 @@ impl<'a> Run<'a> {
     /// reports the caller's cap.
     fn shard(&self, shard: usize, orc: &mut Orchestrator) -> ShardReport {
         let caller_deadline = orc.deadline;
-        orc.set_deadline(earliest(caller_deadline, self.deadline));
+        orc.set_deadline(self.deadline);
         let cap = orc.options.max_iterations;
         let mut report = ShardReport::default();
         let mut pinned_next = shard;
@@ -231,7 +127,7 @@ impl<'a> Run<'a> {
             if item >= self.items {
                 break;
             }
-            if self.board.cancel.load(Ordering::Relaxed) {
+            if self.cancel.load(Ordering::Relaxed) {
                 report.stats.cancelled = true;
                 break;
             }
@@ -244,7 +140,7 @@ impl<'a> Run<'a> {
             report.stats.accumulate(&run);
             let decisive = (self.decisive)(&result);
             if decisive {
-                self.board.claim(shard);
+                self.cancel.store(true, Ordering::Relaxed);
             }
             let stop = decisive || result.is_err() || run.cancelled || run.timed_out;
             report.results.push((item, result));
@@ -252,34 +148,42 @@ impl<'a> Run<'a> {
                 break;
             }
         }
-        if report.stats.cancelled {
-            report.latency = self.board.claimed().map(|(_, at)| at.elapsed());
-        }
         orc.options.max_iterations = cap;
         orc.set_deadline(caller_deadline);
         report
     }
 
-    /// Runs the shards on their own threads, shard `s` on the stack
-    /// `build(s)` with `base` options, and returns their reports in shard
-    /// order. Every event a shard emits is stamped with its index.
-    fn spawn(
+    /// Runs the shards for the call of `caller`, on its thread when there
+    /// is one shard and on their own threads otherwise, and leaves their
+    /// statistics folded in `caller`'s. A spawned shard `s` solves on the
+    /// stack `build(s)` with the caller's options, at one job, and every
+    /// event it emits is stamped with its index. Returns the reports in
+    /// shard order.
+    fn run(
         &self,
         strategy: &str,
         build: fn(usize) -> Orchestrator,
-        base: &OrchestratorOptions,
-        sink: &Arc<dyn TraceSink>,
+        caller: &mut Orchestrator,
     ) -> Vec<ShardReport> {
-        // The run's deadline replaces a per-item limit that would restart
-        // on every item.
+        if self.jobs == 1 {
+            // The caller's own token is the shard's.
+            let reports = vec![self.shard(0, caller)];
+            caller.stats = self.fold(&reports, reports[0].stats.cancelled);
+            return reports;
+        }
+        // Shards do not recurse into shards of their own, and the run's
+        // deadline replaces a per-item limit that would restart on every
+        // item.
         let options = OrchestratorOptions {
+            jobs: 1,
             time_limit: None,
-            ..base.clone()
+            ..caller.options.clone()
         };
-        std::thread::scope(|scope| {
+        let sink = caller.trace_sink();
+        let (reports, stopped) = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..self.jobs)
                 .map(|shard| {
-                    let options = &options;
+                    let (options, sink) = (&options, &sink);
                     scope.spawn(move || {
                         let sink: Arc<dyn TraceSink> =
                             Arc::new(ShardSink::new(Arc::clone(sink), shard));
@@ -288,7 +192,7 @@ impl<'a> Run<'a> {
                         }
                         let started = Instant::now();
                         let mut orc = build(shard).with_options(options.clone());
-                        orc.set_cancel_token(Some(Arc::clone(&self.board.cancel)));
+                        orc.set_cancel_token(Some(Arc::clone(&self.cancel)));
                         orc.set_trace_sink(Arc::clone(&sink));
                         let report = self.shard(shard, &mut orc);
                         if sink.enabled() {
@@ -303,31 +207,49 @@ impl<'a> Run<'a> {
                     })
                 })
                 .collect();
-            handles
+            // The shards poll only the run's token: relay the caller's.
+            let mut stopped = false;
+            if let Some(token) = &caller.cancel {
+                while !handles.iter().all(|h| h.is_finished()) {
+                    if token.load(Ordering::Relaxed) {
+                        stopped = !self.cancel.swap(true, Ordering::Relaxed);
+                        break;
+                    }
+                    std::thread::sleep(CALLER_POLL);
+                }
+            }
+            let reports: Vec<ShardReport> = handles
                 .into_iter()
                 .map(|h| h.join().expect("a solver shard panicked"))
-                .collect()
-        })
+                .collect();
+            (reports, stopped)
+        });
+        caller.stats = self.fold(&reports, stopped);
+        reports
     }
 
-    fn stats(&self, reports: &[ShardReport], components: usize) -> ParallelStats {
-        ParallelStats {
-            jobs: self.jobs,
-            components,
-            shards: reports.iter().map(|r| r.stats).collect(),
-            items: reports.iter().map(|r| r.results.len()).collect(),
-            winner: self.board.claimed().map(|(shard, _)| shard),
-            cancel_latency: reports.iter().filter_map(|r| r.latency).max(),
-            timed_out: reports.iter().any(|r| r.stats.timed_out),
-            elapsed: self.started.elapsed(),
+    /// The call's statistics: every shard's counters and phase times
+    /// summed. `cancelled` is set only when the caller's token stopped the
+    /// run (`caller_stopped`), not when a decisive item stopped the other
+    /// shards, and `timed_out` only when no item settled the run.
+    fn fold(&self, reports: &[ShardReport], caller_stopped: bool) -> OrchestratorStats {
+        let mut stats = OrchestratorStats::default();
+        for report in reports {
+            stats.accumulate(&report.stats);
         }
+        let settled = reports
+            .iter()
+            .flat_map(|r| &r.results)
+            .any(|(_, result)| (self.decisive)(result));
+        stats.timed_out &= !settled;
+        stats.cancelled = caller_stopped && !settled;
+        stats
     }
 }
 
 /// Builds the solver stack of portfolio shard `index`. Shard 0 is the
-/// exact sequential default stack, so a 1-job portfolio degenerates to
-/// plain [`Orchestrator::solve`]; higher shards rotate the Boolean
-/// backend, the nonlinear backend, and the decision-phase seed.
+/// default stack; higher shards rotate the Boolean backend, the
+/// nonlinear backend, and the decision-phase seed.
 fn portfolio_shard(index: usize) -> Orchestrator {
     let seed = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(index as u64);
     let orc = match index % 4 {
@@ -443,74 +365,37 @@ fn reduce_components(
     }))
 }
 
-/// The sequential component loop of [`Orchestrator::solve`]: one shard,
-/// on `orc` and the caller's thread, solves the components of `problem`
-/// in order. Leaves the statistics of every component solve, folded, in
-/// `orc`'s stats; the caller stamps the call's own `elapsed`.
-pub(crate) fn component_loop(
+/// Solves `problem`, split as `partition`, for [`Orchestrator::solve`]
+/// through the shard driver: one item per component on
+/// `min(jobs, components)` shards, or, for a problem that does not split,
+/// the portfolio on `jobs` shards. Leaves every shard's statistics folded
+/// in `orc`'s; the caller stamps the call's own `components` and
+/// `elapsed`.
+pub(crate) fn solve_sharded(
     orc: &mut Orchestrator,
     problem: &AbProblem,
     partition: &Partition,
 ) -> Result<Outcome, SolveError> {
-    let solve = component_item(problem, partition);
-    let run = Run::new(
-        partition.len(),
-        1,
-        true,
-        orc.options.time_limit,
-        refutes,
-        &solve,
-    );
-    let report = run.shard(0, orc);
-    orc.stats = report.stats;
-    reduce_components(partition, vec![report])
-}
-
-impl Orchestrator {
-    /// Solves an AB-problem with `jobs` worker threads. A problem that
-    /// splits into independent components gets one queued item per
-    /// component, at every job count; any other problem runs the
-    /// portfolio, one whole-problem item per shard. The receiver's own
-    /// backends are not used — shards build their stacks from
-    /// [`ParallelOptions::base`], shard 0's the default one, so one job
-    /// replays [`Orchestrator::solve`] on the same problem.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError::IterationLimit`] if a shard exceeds the
-    /// iteration cap, which bounds the items of each shard together, and
-    /// no shard found a definitive verdict.
-    pub fn solve_parallel(
-        &mut self,
-        problem: &AbProblem,
-        options: &ParallelOptions,
-    ) -> Result<(Outcome, ParallelStats), SolveError> {
-        let sink = self.trace_sink();
-        let partition = Partition::of(problem);
-        self.trace_partition(&partition);
-        if !partition.is_trivial() {
-            let solve = component_item(problem, &partition);
-            let run = Run::new(
-                partition.len(),
-                options.jobs.min(partition.len()),
-                options.deterministic,
-                options.base.time_limit,
-                refutes,
-                &solve,
-            );
-            let reports = run.spawn("components", component_shard, &options.base, &sink);
-            let stats = run.stats(&reports, partition.len());
-            return reduce_components(&partition, reports).map(|o| (o, stats));
-        }
-        // One whole-problem item per shard, pinned so that each shard
-        // solves it on its own stack.
-        let jobs = options.jobs.max(1);
-        let solve = |orc: &mut Orchestrator, _: usize| {
-            orc.solve_loop(problem, absolver_nonlinear::term::local_counters())
-        };
-        let run = Run::new(jobs, jobs, true, options.base.time_limit, decides, &solve);
-        let reports = run.spawn("portfolio", portfolio_shard, &options.base, &sink);
-        let stats = run.stats(&reports, 1);
-        reduce_portfolio(reports).map(|o| (o, stats))
+    let jobs = orc.options.jobs.max(1);
+    if !partition.is_trivial() {
+        let solve = component_item(problem, partition);
+        let pinned = orc.options.deterministic;
+        let run = Run::new(
+            orc,
+            partition.len(),
+            jobs.min(partition.len()),
+            pinned,
+            refutes,
+            &solve,
+        );
+        let reports = run.run("components", component_shard, orc);
+        return reduce_components(partition, reports);
     }
+    // One whole-problem item per shard, pinned so that each shard solves
+    // it on its own stack.
+    let solve = |orc: &mut Orchestrator, _: usize| {
+        orc.solve_loop(problem, absolver_nonlinear::term::local_counters())
+    };
+    let run = Run::new(orc, jobs, jobs, true, decides, &solve);
+    reduce_portfolio(run.run("portfolio", portfolio_shard, orc))
 }

@@ -822,133 +822,6 @@ impl FromStr for AbProblem {
 // Writing
 // ---------------------------------------------------------------------------
 
-/// Formats an expression using the problem's variable names (instead of the
-/// positional `v0, v1, …` of [`Expr`]'s `Display`).
-pub fn format_expr(expr: &Expr, names: &[String]) -> String {
-    fn go(e: &Expr, names: &[String], min_prec: u8, out: &mut String) {
-        let prec = match e {
-            Expr::Add(..) | Expr::Sub(..) => 1,
-            Expr::Mul(..) | Expr::Div(..) => 2,
-            // Negative constants print with a leading minus, so they bind
-            // like a negation (`-4 ^ 2` must not re-parse as `-(4^2)`).
-            Expr::Neg(_) => 3,
-            Expr::Const(c) if c.is_negative() => 3,
-            // `^` does not chain in the grammar, so a Pow base must sit
-            // strictly above it (atoms are 5).
-            Expr::Pow(..) => 4,
-            _ => 5,
-        };
-        let paren = prec < min_prec;
-        if paren {
-            out.push_str("( ");
-        }
-        match e {
-            Expr::Const(c) => {
-                if c.is_integer() {
-                    out.push_str(&c.to_string());
-                } else {
-                    // Prefer decimal when exact, else a/b.
-                    out.push_str(&rational_to_source(c));
-                }
-            }
-            Expr::Var(v) => out.push_str(names.get(*v).map(String::as_str).unwrap_or("_unknown_")),
-            Expr::Neg(a) => {
-                out.push('-');
-                go(a, names, 4, out);
-            }
-            Expr::Add(a, b) => {
-                go(a, names, 1, out);
-                out.push_str(" + ");
-                go(b, names, 2, out);
-            }
-            Expr::Sub(a, b) => {
-                go(a, names, 1, out);
-                out.push_str(" - ");
-                go(b, names, 2, out);
-            }
-            Expr::Mul(a, b) => {
-                go(a, names, 2, out);
-                out.push_str(" * ");
-                go(b, names, 3, out);
-            }
-            Expr::Div(a, b) => {
-                go(a, names, 2, out);
-                out.push_str(" / ");
-                go(b, names, 3, out);
-            }
-            Expr::Pow(a, n) => {
-                go(a, names, 5, out);
-                out.push_str(&format!(" ^ {n}"));
-            }
-            Expr::Sin(a) => fun("sin", a, names, out),
-            Expr::Cos(a) => fun("cos", a, names, out),
-            Expr::Exp(a) => fun("exp", a, names, out),
-            Expr::Ln(a) => fun("ln", a, names, out),
-            Expr::Sqrt(a) => fun("sqrt", a, names, out),
-            Expr::Abs(a) => fun("abs", a, names, out),
-        }
-        if paren {
-            out.push_str(" )");
-        }
-    }
-    fn fun(name: &str, arg: &Expr, names: &[String], out: &mut String) {
-        out.push_str(name);
-        out.push_str(" ( ");
-        go(arg, names, 0, out);
-        out.push_str(" )");
-    }
-    let mut s = String::new();
-    go(expr, names, 0, &mut s);
-    s
-}
-
-/// Renders a rational as source text: a decimal literal when the
-/// denominator is of the form `2ᵃ·5ᵇ` (finite decimal expansion), else the
-/// always-correct division form `a / b`.
-fn rational_to_source(q: &Rational) -> String {
-    use absolver_num::BigInt;
-    if q.is_integer() {
-        return q.to_string();
-    }
-    // Count factors of 2 and 5 in the denominator.
-    let mut rest = q.denom().clone();
-    let (two, five) = (BigInt::from(2u64), BigInt::from(5u64));
-    let mut a = 0u32;
-    let mut b = 0u32;
-    loop {
-        let (d, r) = rest.div_rem(&two);
-        if r.is_zero() {
-            rest = d;
-            a += 1;
-        } else {
-            break;
-        }
-    }
-    loop {
-        let (d, r) = rest.div_rem(&five);
-        if r.is_zero() {
-            rest = d;
-            b += 1;
-        } else {
-            break;
-        }
-    }
-    if rest.is_one() && a.max(b) <= 30 {
-        let digits = a.max(b);
-        let scale = BigInt::from(10u64).pow(digits);
-        let scaled = q.numer() * &scale / q.denom();
-        let neg = scaled.is_negative();
-        let s = scaled.abs().to_string();
-        let s = format!("{:0>width$}", s, width = digits as usize + 1);
-        let (int_part, frac_part) = s.split_at(s.len() - digits as usize);
-        format!("{}{}.{}", if neg { "-" } else { "" }, int_part, frac_part)
-    } else {
-        // Division form: parenthesised, because the text embeds a `/`
-        // operator that must not associate with surrounding factors.
-        format!("( {} / {} )", q.numer(), q.denom())
-    }
-}
-
 /// Serialises a problem in the extended DIMACS format. The output parses
 /// back to an equivalent problem (round-trip).
 pub fn write(problem: &AbProblem) -> String {
@@ -980,7 +853,7 @@ pub fn write(problem: &AbProblem) -> String {
                 "def {} {} {} {} {}",
                 kind,
                 var.index() + 1,
-                format_expr(&constraint.expr(), &names),
+                constraint.expr().with_names(&names),
                 constraint.op,
                 rational_to_source_rhs(&constraint.rhs),
             ));

@@ -28,10 +28,9 @@ use absolver_linear::{
     AssertionStack, CmpOp, Feasibility, LinExpr, LinearConstraint, RowId, StackResult,
 };
 use absolver_logic::Var;
-use absolver_nonlinear::{NlConstraint, NlProblem, NlSearchStats, NlVerdict};
+use absolver_nonlinear::{Interrupt, NlConstraint, NlProblem, NlSearchStats, NlVerdict};
 use absolver_num::{BigInt, Interval, Rational};
 use absolver_trace::{TraceEvent, TraceSink};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -244,14 +243,14 @@ pub struct TheoryBudget {
     pub max_nodes: usize,
     /// Maximum disequality splits on the nonlinear path.
     pub max_nl_splits: usize,
-    /// Wall-clock deadline: past it, the theory engines abandon the check
-    /// at their next node and report `Unknown`. This is what makes a
-    /// `time_limit` a real deadline instead of a between-iterations hint —
-    /// a single long branch-and-bound tree cannot blow past the wall clock.
-    pub deadline: Option<Instant>,
-    /// Cooperative cancellation token (parallel solving): once it reads
-    /// `true`, the check is abandoned at the next node with `Unknown`.
-    pub cancel: Option<Arc<AtomicBool>>,
+    /// The check's cancellation token and wall-clock deadline, which the
+    /// orchestrator fills in for every check: once it is interrupted, the
+    /// theory engines abandon the check at their next node and report
+    /// `Unknown`. This is what makes a `time_limit` a real deadline
+    /// instead of a between-iterations hint — a single long
+    /// branch-and-bound tree cannot blow past the wall clock. The
+    /// nonlinear backends receive it with each call.
+    pub interrupt: Interrupt,
 }
 
 impl Default for TheoryBudget {
@@ -259,27 +258,8 @@ impl Default for TheoryBudget {
         TheoryBudget {
             max_nodes: 50_000,
             max_nl_splits: 16,
-            deadline: None,
-            cancel: None,
+            interrupt: Interrupt::default(),
         }
-    }
-}
-
-impl TheoryBudget {
-    /// Returns `true` when the cancel token is set or the deadline has
-    /// passed. Checked at every linear node and nonlinear split.
-    pub fn interrupted(&self) -> bool {
-        if let Some(token) = &self.cancel {
-            if token.load(Ordering::Relaxed) {
-                return true;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -689,7 +669,7 @@ fn rec_linear_inc(
     ctx: &mut TheoryContext<'_>,
     nodes: &mut usize,
 ) -> LinOutcome {
-    if *nodes == 0 || ctx.budget.interrupted() {
+    if *nodes == 0 || ctx.budget.interrupt.interrupted() {
         return LinOutcome::Unknown;
     }
     *nodes -= 1;
@@ -765,7 +745,7 @@ fn rec_linear(
     ctx: &mut TheoryContext<'_>,
     nodes: &mut usize,
 ) -> LinOutcome {
-    if *nodes == 0 || ctx.budget.interrupted() {
+    if *nodes == 0 || ctx.budget.interrupt.interrupted() {
         return LinOutcome::Unknown;
     }
     *nodes -= 1;
@@ -895,7 +875,7 @@ fn solve_nonlinear(norm: &Normalised, ctx: &mut TheoryContext<'_>) -> TheoryVerd
     let verdict = rec_nonlinear(constraints, &diseqs, &all_tags, ctx, &mut splits);
     if !ctx.escalate
         && verdict == TheoryVerdict::Unknown
-        && !ctx.budget.interrupted()
+        && !ctx.budget.interrupt.interrupted()
         && ctx.nonlinear.iter().any(|b| b.escalates())
     {
         ctx.escalable = true;
@@ -910,7 +890,7 @@ fn rec_nonlinear(
     ctx: &mut TheoryContext<'_>,
     splits: &mut usize,
 ) -> TheoryVerdict {
-    if ctx.budget.interrupted() {
+    if ctx.budget.interrupt.interrupted() {
         return TheoryVerdict::Unknown;
     }
     let mut problem = NlProblem::new(ctx.num_vars);
@@ -924,9 +904,9 @@ fn rec_nonlinear(
     let mut verdict = NlVerdict::Unknown;
     for backend in ctx.nonlinear.iter_mut() {
         let (answer, effort) = if ctx.escalate {
-            backend.escalate(&problem)
+            backend.escalate(&problem, &ctx.budget.interrupt)
         } else {
-            backend.solve(&problem)
+            backend.solve(&problem, &ctx.budget.interrupt)
         };
         ctx.effort.search.add(&effort);
         verdict = answer;

@@ -403,82 +403,127 @@ impl Expr {
         }
     }
 
-    fn precedence(&self) -> u8 {
-        match self {
-            Expr::Add(..) | Expr::Sub(..) => 1,
-            Expr::Mul(..) | Expr::Div(..) => 2,
-            Expr::Neg(_) => 3,
-            _ => 4,
+    /// The expression in the input syntax, with `names[v]` for variable
+    /// `v` (`_unknown_` past the end), which the parser reads back as the
+    /// same expression. `Display` prints the same text with `v<id>` names.
+    pub fn with_names<'a>(&'a self, names: &'a [String]) -> impl fmt::Display + 'a {
+        Printer {
+            expr: self,
+            names: Some(names),
         }
     }
+}
 
-    fn fmt_prec(&self, f: &mut fmt::Formatter<'_>, min_prec: u8) -> fmt::Result {
-        let prec = self.precedence();
+/// The one printer of [`Expr`]: the input syntax, with `names[v]` for
+/// variable `v`, or `v<id>` without names.
+struct Printer<'a> {
+    expr: &'a Expr,
+    names: Option<&'a [String]>,
+}
+
+impl Printer<'_> {
+    fn write(&self, e: &Expr, f: &mut fmt::Formatter<'_>, min_prec: u8) -> fmt::Result {
+        let prec = match e {
+            Expr::Add(..) | Expr::Sub(..) => 1,
+            Expr::Mul(..) | Expr::Div(..) => 2,
+            // Negative constants print with a leading minus, so they bind
+            // like a negation (`-4 ^ 2` must not re-parse as `-(4^2)`).
+            Expr::Neg(_) => 3,
+            Expr::Const(c) if c.is_negative() => 3,
+            // `^` does not chain in the grammar, so a Pow base must sit
+            // strictly above it (atoms are 5).
+            Expr::Pow(..) => 4,
+            _ => 5,
+        };
         let paren = prec < min_prec;
         if paren {
             f.write_str("( ")?;
         }
-        match self {
-            Expr::Const(c) => write!(f, "{c}")?,
-            Expr::Var(v) => write!(f, "v{v}")?,
-            Expr::Neg(e) => {
+        let infix = |f: &mut fmt::Formatter<'_>, a: &Expr, op: &str, b: &Expr, left: u8| {
+            self.write(a, f, left)?;
+            f.write_str(op)?;
+            self.write(b, f, left + 1)
+        };
+        let call = |f: &mut fmt::Formatter<'_>, name: &str, arg: &Expr| {
+            write!(f, "{name} ( ")?;
+            self.write(arg, f, 0)?;
+            f.write_str(" )")
+        };
+        match e {
+            Expr::Const(c) => write_const(c, f)?,
+            Expr::Var(v) => match self.names {
+                Some(names) => f.write_str(names.get(*v).map_or("_unknown_", String::as_str))?,
+                None => write!(f, "v{v}")?,
+            },
+            Expr::Neg(a) => {
                 f.write_str("-")?;
-                e.fmt_prec(f, 4)?;
+                self.write(a, f, 4)?;
             }
-            Expr::Add(a, b) => {
-                a.fmt_prec(f, 1)?;
-                f.write_str(" + ")?;
-                b.fmt_prec(f, 2)?;
+            Expr::Add(a, b) => infix(f, a, " + ", b, 1)?,
+            Expr::Sub(a, b) => infix(f, a, " - ", b, 1)?,
+            Expr::Mul(a, b) => infix(f, a, " * ", b, 2)?,
+            Expr::Div(a, b) => infix(f, a, " / ", b, 2)?,
+            Expr::Pow(a, n) => {
+                self.write(a, f, 5)?;
+                write!(f, " ^ {n}")?;
             }
-            Expr::Sub(a, b) => {
-                a.fmt_prec(f, 1)?;
-                f.write_str(" - ")?;
-                b.fmt_prec(f, 2)?;
-            }
-            Expr::Mul(a, b) => {
-                a.fmt_prec(f, 2)?;
-                f.write_str(" * ")?;
-                b.fmt_prec(f, 3)?;
-            }
-            Expr::Div(a, b) => {
-                a.fmt_prec(f, 2)?;
-                f.write_str(" / ")?;
-                b.fmt_prec(f, 3)?;
-            }
-            Expr::Pow(e, n) => {
-                e.fmt_prec(f, 4)?;
-                write!(f, "^{n}")?;
-            }
-            Expr::Sin(e) => {
-                f.write_str("sin ")?;
-                e.fmt_prec(f, 4)?;
-            }
-            Expr::Cos(e) => {
-                f.write_str("cos ")?;
-                e.fmt_prec(f, 4)?;
-            }
-            Expr::Exp(e) => {
-                f.write_str("exp ")?;
-                e.fmt_prec(f, 4)?;
-            }
-            Expr::Ln(e) => {
-                f.write_str("ln ")?;
-                e.fmt_prec(f, 4)?;
-            }
-            Expr::Sqrt(e) => {
-                f.write_str("sqrt ")?;
-                e.fmt_prec(f, 4)?;
-            }
-            Expr::Abs(e) => {
-                f.write_str("abs ")?;
-                e.fmt_prec(f, 4)?;
-            }
+            Expr::Sin(a) => call(f, "sin", a)?,
+            Expr::Cos(a) => call(f, "cos", a)?,
+            Expr::Exp(a) => call(f, "exp", a)?,
+            Expr::Ln(a) => call(f, "ln", a)?,
+            Expr::Sqrt(a) => call(f, "sqrt", a)?,
+            Expr::Abs(a) => call(f, "abs", a)?,
         }
         if paren {
             f.write_str(" )")?;
         }
         Ok(())
     }
+}
+
+impl fmt::Display for Printer<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(self.expr, f, 0)
+    }
+}
+
+/// Writes a constant as source text: an integer as is, a decimal literal
+/// when the denominator is of the form `2ᵃ·5ᵇ` (finite decimal
+/// expansion), else the always-correct division form `( a / b )`.
+fn write_const(q: &Rational, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    use absolver_num::BigInt;
+    if q.is_integer() {
+        return write!(f, "{q}");
+    }
+    // Count factors of 2 and 5 in the denominator.
+    let mut rest = q.denom().clone();
+    let mut digits = [0u32; 2];
+    for (count, factor) in digits.iter_mut().zip([2u64, 5]) {
+        let factor = BigInt::from(factor);
+        loop {
+            let (d, r) = rest.div_rem(&factor);
+            if !r.is_zero() {
+                break;
+            }
+            rest = d;
+            *count += 1;
+        }
+    }
+    let digits = digits[0].max(digits[1]);
+    if !rest.is_one() || digits > 30 {
+        // Parenthesised, because the text embeds a `/` operator that must
+        // not associate with surrounding factors.
+        return write!(f, "( {} / {} )", q.numer(), q.denom());
+    }
+    let scaled = q.numer() * &BigInt::from(10u64).pow(digits) / q.denom();
+    let s = format!(
+        "{:0>width$}",
+        scaled.abs().to_string(),
+        width = digits as usize + 1
+    );
+    let (int_part, frac_part) = s.split_at(s.len() - digits as usize);
+    let sign = if scaled.is_negative() { "-" } else { "" };
+    write!(f, "{sign}{int_part}.{frac_part}")
 }
 
 /// A folded constant: `value`, or −0.0 (a negated zero) when the value
@@ -493,7 +538,11 @@ fn folded(value: Rational, negative: bool) -> Expr {
 
 impl fmt::Display for Expr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.fmt_prec(f, 0)
+        Printer {
+            expr: self,
+            names: None,
+        }
+        .fmt(f)
     }
 }
 
@@ -649,9 +698,9 @@ mod tests {
         assert_eq!(e.to_string(), "( v0 + v1 ) * 2");
         let d = x() / (y() - Expr::int(1));
         assert_eq!(d.to_string(), "v0 / ( v1 - 1 )");
-        assert_eq!(x().sin().to_string(), "sin v0");
+        assert_eq!(x().sin().to_string(), "sin ( v0 )");
         assert_eq!((-x()).to_string(), "-v0");
-        assert_eq!(x().pow(3).to_string(), "v0^3");
+        assert_eq!(x().pow(3).to_string(), "v0 ^ 3");
     }
 
     /// Symbolic derivatives of partial functions (√, ln, |·|, division)

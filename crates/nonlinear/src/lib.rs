@@ -59,8 +59,8 @@ pub use constraint::{IntervalVerdict, NlConstraint};
 pub use expr::{Expr, VarId};
 pub use newton::{newton_revise, NewtonConstraint};
 pub use solve::{
-    branch_and_prune, branch_and_prune_stats, local_search, NlOptions, NlProblem, NlSearchStats,
-    NlVerdict, PROBE_BOXES,
+    branch_and_prune, branch_and_prune_stats, local_search, Interrupt, NlOptions, NlProblem,
+    NlSearchStats, NlVerdict, PROBE_BOXES,
 };
 pub use term::{ArenaStats, ConstraintId, TermId, TermTape};
 

@@ -26,6 +26,36 @@ use crate::hc4::Contraction;
 use crate::term::{self, TermId};
 use absolver_linear::CmpOp;
 use absolver_num::Interval;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// When a search must stop early: a cooperative cancellation token and a
+/// wall-clock deadline. The theory checks' budget and the nonlinear
+/// engines' options each hold one.
+#[derive(Debug, Clone, Default)]
+pub struct Interrupt {
+    /// Cooperative cancellation token: once it reads `true`, the search
+    /// is abandoned at its next check point.
+    pub cancel: Option<Arc<AtomicBool>>,
+    /// Wall-clock deadline: past it, the search is abandoned at its next
+    /// check point.
+    pub deadline: Option<Instant>,
+}
+
+impl Interrupt {
+    /// Returns `true` when the cancel token is set or the deadline has
+    /// passed. Polled periodically inside the search loops, so that a
+    /// single large budget cannot block a caller past its wall clock.
+    pub fn interrupted(&self) -> bool {
+        self.cancel
+            .as_ref()
+            .is_some_and(|token| token.load(std::sync::atomic::Ordering::Relaxed))
+            || self
+                .deadline
+                .is_some_and(|deadline| Instant::now() >= deadline)
+    }
+}
 
 /// Search-effort counters of one [`branch_and_prune_stats`] run, or of
 /// one [`NlProblem::probe`] or [`NlProblem::solve_with_stats`] (box search
@@ -99,12 +129,9 @@ pub struct NlOptions {
     pub strict_margin: f64,
     /// Seed for the deterministic multistart sampler.
     pub seed: u64,
-    /// Cooperative cancellation token: once it reads `true`, the engines
-    /// abandon the search at their next check point and report `Unknown`.
-    pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Wall-clock deadline: past it, the engines abandon the search at
-    /// their next check point and report `Unknown`.
-    pub deadline: Option<std::time::Instant>,
+    /// When the engines abandon the search and report `Unknown`. The
+    /// solver's nonlinear backends replace it with each theory check's.
+    pub interrupt: Interrupt,
     /// Which contractors the cascade runs (HC4 is always on; BC3 and
     /// Newton default on).
     pub contractors: ContractorConfig,
@@ -114,25 +141,6 @@ pub struct NlOptions {
     /// Worker threads for the box search. `1` (the default) keeps the
     /// deterministic sequential depth-first exploration.
     pub nl_jobs: usize,
-}
-
-impl NlOptions {
-    /// Returns `true` when the cancel token is set or the deadline has
-    /// passed. Polled periodically inside the engine loops so that a
-    /// single large budget cannot block a caller past its wall clock.
-    pub fn interrupted(&self) -> bool {
-        if let Some(token) = &self.cancel {
-            if token.load(std::sync::atomic::Ordering::Relaxed) {
-                return true;
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if std::time::Instant::now() >= deadline {
-                return true;
-            }
-        }
-        false
-    }
 }
 
 impl Default for NlOptions {
@@ -145,8 +153,7 @@ impl Default for NlOptions {
             tolerance: 1e-6,
             strict_margin: 1e-7,
             seed: 0x5EED_AB50,
-            cancel: None,
-            deadline: None,
+            interrupt: Interrupt::default(),
             contractors: ContractorConfig::default(),
             contraction_cache: true,
             nl_jobs: 1,
@@ -464,7 +471,7 @@ fn branch_and_prune_inner(
             early = Some(NlVerdict::Unknown);
             break;
         }
-        if explored.is_multiple_of(64) && opts.interrupted() {
+        if explored.is_multiple_of(64) && opts.interrupt.interrupted() {
             early = Some(NlVerdict::Unknown);
             break;
         }
@@ -561,7 +568,8 @@ fn parallel_branch_and_prune(
                     };
                     idle_spins = 0;
                     let seen = explored.fetch_add(1, Ordering::Relaxed) + 1;
-                    if seen > max_boxes || (seen.is_multiple_of(32) && opts.interrupted()) {
+                    if seen > max_boxes || (seen.is_multiple_of(32) && opts.interrupt.interrupted())
+                    {
                         out_of_budget.store(true, Ordering::Relaxed);
                         done.store(true, Ordering::Relaxed);
                         pending.fetch_sub(1, Ordering::AcqRel);
@@ -751,7 +759,7 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> (Option<Vec<f64>>,
     let mut at_x = Vec::new();
     let mut at_trial = Vec::new();
     for _ in 0..opts.restarts {
-        if opts.interrupted() {
+        if opts.interrupt.interrupted() {
             return (None, steps);
         }
         for (xi, &(lo, hi)) in x.iter_mut().zip(&ranges) {
@@ -767,7 +775,7 @@ pub fn local_search(problem: &NlProblem, opts: &NlOptions) -> (Option<Vec<f64>>,
             if holds {
                 return (Some(x), steps);
             }
-            if step % 64 == 63 && opts.interrupted() {
+            if step % 64 == 63 && opts.interrupt.interrupted() {
                 return (None, steps);
             }
             if !p.is_finite() {

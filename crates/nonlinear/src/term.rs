@@ -812,12 +812,18 @@ impl Arena {
 
     /// `∂id/∂v` by `Expr::derivative`'s rule for the node `id`, each new
     /// node simplified as [`Arena::simplify_node`] does. The operands'
-    /// derivatives and simplifications are already memoised.
+    /// derivatives and simplifications are already memoised. A chain rule
+    /// whose product a zero inner derivative makes zero answers zero
+    /// before it interns the outer factor it would discard.
     fn derive_node(&mut self, id: TermId, v: VarId) -> TermId {
         let d = |a: &Arena, x: TermId| a.derivs[&deriv_key(x, v)];
         let s = |a: &Arena, x: TermId| a.simplified[x.index()].expect("simplified first");
         let k = |a: &mut Arena, n: i64| a.intern_node(Node::Const(Rational::from_int(n)));
+        let zero_inner = |a: &Arena, e: TermId| a.constant(d(a, e)).is_some_and(Rational::is_zero);
         match self.nodes[id.index()].clone() {
+            Node::Pow(e, _) | Node::Sin(e) | Node::Cos(e) | Node::Exp(e) if zero_inner(self, e) => {
+                k(self, 0)
+            }
             Node::Const(_) => k(self, 0),
             Node::Var(x) => k(self, i64::from(x == v)),
             Node::Neg(a) => self.simplify_node(Node::Neg(d(self, a))),
@@ -1137,6 +1143,23 @@ mod tests {
         for &v in &[0.3, 1.0, 2.5] {
             assert_eq!(dtape.eval_f64(&[v]), legacy.eval_f64(&[v]));
         }
+    }
+
+    /// A chain rule whose inner derivative is zero answers zero without
+    /// interning the outer factor: `∂/∂y` of `sin x + x³ + exp x + y`
+    /// interns at most the constants 0 and 1, not `cos x`, `x²` or
+    /// `3 · x²`. The variables are used by no other test, so those nodes
+    /// would be new to the arena.
+    #[test]
+    fn a_zero_inner_derivative_interns_no_outer_factor() {
+        let (x, y) = (Expr::var(7919), Expr::var(7920));
+        let e = x.clone().sin() + x.clone().pow(3) + x.exp() + y;
+        let id = intern(&e);
+        let before = local_counters().0;
+        let d = derivative(id, 7920);
+        assert!(local_counters().0 - before <= 2);
+        assert_eq!(rebuild(d), e.derivative(7920).simplify());
+        assert_eq!(rebuild(d), Expr::int(1));
     }
 
     /// Terms nested 20 000 levels deep are interned on a thread with a

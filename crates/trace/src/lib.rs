@@ -25,7 +25,7 @@
 //! | `preprocess.start` | orchestrator      | `pass`, `num_vars`, `num_clauses`, `num_defs` |
 //! | `preprocess.end` | orchestrator        | `result` (`shrunk`/`trivially-unsat`), `vars_eliminated`, `clauses_eliminated`, `atoms_eliminated`, `ranges_tightened`, `duration_us` |
 //! | `analyze.static_unsat` | orchestrator  | `pass`, `duration_us`          |
-//! | `analyze.partition` | orchestrator, `solve_parallel` | `components`, `sizes` (comma-separated) |
+//! | `analyze.partition` | orchestrator        | `components`, `sizes` (comma-separated) |
 //! | `component.start` | shard driver       | `component`, `size`            |
 //! | `component.end`  | shard driver        | `component`, `outcome`, `duration_us` |
 //! | `solve.start`    | orchestrator        | `num_vars`, `num_defs`, `mode` (`solve`/`solve_all`/`session`) |

@@ -44,7 +44,7 @@ echo "== benchmark harness tests (perfbench, its own cargo workspace) =="
 # time.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "== parallel differential suite (solve_parallel at jobs 1/2/4) =="
+echo "== parallel differential suite (solve at jobs 1/2/4) =="
 cargo test -q --offline --test parallel_agreement
 
 echo "== partition differential suite (component solving vs whole-problem) =="
@@ -107,6 +107,20 @@ set -e
 grep '^{' "$OBS_TMP/fig2.out" > "$OBS_TMP/fig2.stats.json"
 [ "$(wc -l < "$OBS_TMP/fig2.stats.json")" -eq 1 ] \
     || { echo "expected exactly one JSON stats line"; exit 1; }
+# `--jobs 2` has the same schema: exit 10 and exactly one JSON line whose
+# sorted `"key":` list is the sequential line's.
+set +e
+./target/release/absolver --jobs 2 --stats json examples/fig2.dimacs \
+    > "$OBS_TMP/fig2.jobs2.out"
+code=$?
+set -e
+[ "$code" -eq 10 ] || { echo "expected exit 10 (sat) under --jobs 2, got $code"; exit 1; }
+grep '^{' "$OBS_TMP/fig2.jobs2.out" > "$OBS_TMP/fig2.jobs2.stats.json"
+[ "$(wc -l < "$OBS_TMP/fig2.jobs2.stats.json")" -eq 1 ] \
+    || { echo "expected exactly one JSON stats line under --jobs 2"; exit 1; }
+json_keys() { grep -o '"[a-z0-9_]*":' "$1" | sort; }
+[ "$(json_keys "$OBS_TMP/fig2.jobs2.stats.json")" = "$(json_keys "$OBS_TMP/fig2.stats.json")" ] \
+    || { echo "--jobs 2 --stats json keys differ from the sequential line's"; exit 1; }
 # Bench workloads end-to-end into scratch BENCH_*.json files, compared
 # against the checked-in baselines: >15% slower (plus a 50ms absolute
 # grace for the micro-runs), a verdict flip, or a changed work counter
@@ -153,8 +167,9 @@ else
     grep -q '"workload":"fischer"' "$OBS_TMP/BENCH_fischer.json"
     grep -q '"kind":"solve.start"' "$OBS_TMP/fig2.trace.jsonl"
 fi
-# The trace-equivalence differential suite (sequential solve vs a one-job
-# parallel run) plus the CLI exit-code contract.
+# The trace-equivalence differential suite (sequential solve vs a two-job
+# component run), two-job stats against their shard events, and the CLI
+# exit-code contract with its one `--stats json` schema.
 cargo test -q --offline --test observability --test cli
 
 echo "== analyzer gate (absolver check + the simplifier's differential) =="

@@ -72,12 +72,12 @@
 use absolver::core::script::{parse_script_line, ScriptCommand};
 use absolver::core::{
     parse_session_constraint, AbProblem, CascadeNonlinear, CdclBoolean, IntervalNonlinear,
-    Orchestrator, OrchestratorOptions, Outcome, ParallelOptions, ParallelStats, PenaltyNonlinear,
-    RestartingBoolean, Session, SimplexLinear, Span,
+    Orchestrator, OrchestratorOptions, Outcome, PenaltyNonlinear, RestartingBoolean, Session,
+    SimplexLinear, Span,
 };
 use absolver::nonlinear::{ContractorConfig, NlOptions};
 use absolver::num::Interval;
-use absolver::trace::{saturating_micros, FileSink, JsonObject};
+use absolver::trace::{FileSink, JsonObject};
 use std::fmt::Display;
 use std::io::{self, Read, StdoutLock, Write};
 use std::process::ExitCode;
@@ -317,6 +317,8 @@ fn build_orchestrator(config: &Config) -> Orchestrator {
     };
     let mut options = OrchestratorOptions {
         time_limit: config.time_limit,
+        jobs: config.jobs.unwrap_or(1),
+        deterministic: config.deterministic,
         ..Default::default()
     };
     if let Some(n) = config.max_iterations {
@@ -679,34 +681,14 @@ fn print_model(out: &mut Out, problem: &AbProblem, model: &absolver::core::AbMod
     }
 }
 
-/// Prints the sequential statistics in the requested format. JSON goes to
-/// stdout (it is the machine-readable payload); the human form stays on
-/// stderr as a `c`-prefixed comment.
+/// Prints the statistics in the requested format. JSON goes to stdout (it
+/// is the machine-readable payload); the human form stays on stderr as a
+/// `c`-prefixed comment.
 fn print_stats(out: &mut Out, orc: &Orchestrator, format: StatsFormat) {
     match format {
         StatsFormat::Human => eprintln!("c stats: {}", orc.stats()),
         StatsFormat::Json => out.line(orc.stats().to_json()),
     }
-}
-
-/// JSON for a parallel run: the per-shard aggregate (phase times are not
-/// meaningful across racing shards, so the object carries the shard
-/// totals instead).
-fn parallel_stats_json(stats: &ParallelStats) -> String {
-    let iterations: u64 = stats.shards.iter().map(|s| s.boolean_iterations).sum();
-    let theory_checks: u64 = stats.shards.iter().map(|s| s.theory_checks).sum();
-    let mut obj = JsonObject::new();
-    obj.field_u64("jobs", stats.jobs as u64)
-        .field_u64("components", stats.components as u64)
-        .field_u64("boolean_iterations", iterations)
-        .field_u64("theory_checks", theory_checks)
-        .field_bool("timed_out", stats.timed_out)
-        .field_u64("elapsed_us", saturating_micros(stats.elapsed));
-    match stats.winner {
-        Some(w) => obj.field_u64("winner", w as u64),
-        None => obj.field_raw("winner", "null"),
-    };
-    obj.finish()
 }
 
 fn main() -> ExitCode {
@@ -800,61 +782,19 @@ fn main() -> ExitCode {
         }
     }
 
-    let outcome = if let Some(jobs) = config.jobs {
-        let mut base = OrchestratorOptions {
-            time_limit: config.time_limit,
-            ..Default::default()
-        };
-        if let Some(n) = config.max_iterations {
-            base.max_iterations = n;
-        }
-        let popts = ParallelOptions {
-            jobs,
-            deterministic: config.deterministic,
-            base,
-        };
-        match orc.solve_parallel(&problem, &popts) {
-            Ok((o, pstats)) => {
-                match config.stats {
-                    Some(StatsFormat::Human) => {
-                        eprintln!("c parallel: {pstats}");
-                        for (i, (s, items)) in pstats.shards.iter().zip(&pstats.items).enumerate() {
-                            eprintln!(
-                                "c shard {i}: items={items} iterations={}{}{}",
-                                s.boolean_iterations,
-                                if s.cancelled { " cancelled" } else { "" },
-                                if s.timed_out { " timed-out" } else { "" },
-                            );
-                        }
-                    }
-                    Some(StatsFormat::Json) => out.line(parallel_stats_json(&pstats)),
-                    None => {}
-                }
-                o
+    let outcome = match orc.solve(&problem) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("{e}");
+            if let Some(format) = config.stats {
+                print_stats(&mut out, &orc, format);
             }
-            Err(e) => {
-                eprintln!("{e}");
-                flush_trace();
-                return ExitCode::from(EXIT_ITERATION_LIMIT);
-            }
-        }
-    } else {
-        match orc.solve(&problem) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("{e}");
-                if let Some(format) = config.stats {
-                    print_stats(&mut out, &orc, format);
-                }
-                flush_trace();
-                return out.exit(EXIT_ITERATION_LIMIT);
-            }
+            flush_trace();
+            return out.exit(EXIT_ITERATION_LIMIT);
         }
     };
-    if config.jobs.is_none() {
-        if let Some(format) = config.stats {
-            print_stats(&mut out, &orc, format);
-        }
+    if let Some(format) = config.stats {
+        print_stats(&mut out, &orc, format);
     }
     flush_trace();
     let (msg, code) = verdict_line(&outcome);

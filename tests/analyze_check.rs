@@ -97,3 +97,24 @@ fn declared_range_miss_fixture_matches_golden_json() {
     );
     assert_eq!(report.errors(), 0, "AB018 is suspicion, not refutation");
 }
+
+/// Diagnostics print constraints with the problem's own names, even names
+/// that look like the internal `v<id>` ones: here `v1` is variable 0 and
+/// `v0` variable 1.
+#[test]
+fn diagnostics_keep_names_that_look_like_variable_ids() {
+    let input = "p cnf 1 1\n1 0\nc var real v1\nc var real v0\n\
+                 c def real 1 v0 + 2 * v1 >= 1\nc def real 1 v0 + 2 * v1 >= 1\n";
+    let report = check_source(input);
+    let d = report
+        .diagnostics
+        .iter()
+        .find(|d| d.code == Code::AB002)
+        .expect("the repeated constraint triggers AB002");
+    assert!(
+        d.message
+            .ends_with("repeats the constraint `v0 + 2 * v1 >= 1`"),
+        "{}",
+        d.message
+    );
+}

@@ -330,28 +330,64 @@ fn int_witness_is_snapped_and_rechecked() {
     }
 }
 
+/// The `--stats json` line of a run on `input` with `args`, which must
+/// exit `code`.
+fn stats_json(args: &[&str], input: &str, code: i32) -> String {
+    let out = run_stdin(args, input);
+    assert_eq!(exit_code(&out), code, "{args:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lines: Vec<&str> = stdout.lines().filter(|l| l.starts_with('{')).collect();
+    assert_eq!(lines.len(), 1, "{args:?}: one JSON line in {stdout}");
+    lines[0].to_string()
+}
+
+/// The sorted `"key":` list of a JSON line, nested keys included.
+fn json_keys(json: &str) -> Vec<String> {
+    let mut keys: Vec<String> = json
+        .split('"')
+        .collect::<Vec<_>>()
+        .windows(2)
+        .filter(|w| w[1].starts_with(':'))
+        .map(|w| w[0].to_string())
+        .collect();
+    keys.sort();
+    keys
+}
+
+/// `json` with the value of every `*_us` key replaced by `0`.
+fn without_times(json: &str) -> String {
+    let mut out = String::new();
+    let mut rest = json;
+    while let Some(at) = rest.find("_us\":") {
+        let (head, tail) = rest.split_at(at + "_us\":".len());
+        out.push_str(head);
+        out.push('0');
+        rest = tail.trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
 #[test]
 fn stats_json_works_in_parallel_mode() {
-    let out = absolver()
-        .args(["--jobs", "2", "--stats", "json", FIG2])
-        .output()
-        .expect("run");
-    assert_eq!(exit_code(&out), 10);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    let json_line = stdout
-        .lines()
-        .find(|l| l.starts_with('{'))
-        .expect("a JSON stats line on stdout");
-    for key in [
-        "\"jobs\":",
-        "\"components\":",
-        "\"boolean_iterations\":",
-        "\"theory_checks\":",
-        "\"timed_out\":",
-        "\"elapsed_us\":",
-        "\"winner\":",
-    ] {
-        assert!(json_line.contains(key), "missing {key} in {json_line}");
+    // One schema: a two-job run prints the sequential run's keys.
+    let sequential = stats_json(&["--stats", "json", FIG2], "", 10);
+    let parallel = stats_json(&["--jobs", "2", "--stats", "json", FIG2], "", 10);
+    assert_eq!(json_keys(&parallel), json_keys(&sequential), "{parallel}");
+    assert!(json_keys(&sequential).len() > 25, "{sequential}");
+    assert!(parallel.contains("\"components\":2"), "{parallel}");
+}
+
+/// `--jobs 1` is the default solve: its `--stats json` line is the
+/// default's apart from the times.
+#[test]
+fn jobs_1_stats_json_is_the_default() {
+    let four =
+        absolver::core::parser::write(&absolver_bench::workloads::decomposable_problem(4, 40));
+    for input in [std::fs::read_to_string(FIG2).expect("fig2"), four] {
+        let default = stats_json(&["--stats", "json", "--quiet"], &input, 10);
+        let one_job = stats_json(&["--jobs", "1", "--stats", "json", "--quiet"], &input, 10);
+        assert_eq!(without_times(&one_job), without_times(&default));
     }
 }
 

@@ -58,7 +58,7 @@ property! {
         raw_clauses in gen::vec_of(gen::vec_of(gen::ints(-4i64..=4), 0..4), 0..6),
         jobs in gen::ints(1usize..=4),
     ) {
-        use absolver::core::{Orchestrator, ParallelOptions};
+        use absolver::core::{Orchestrator, OrchestratorOptions};
         let mut text = String::new();
         let clauses: Vec<Vec<i64>> = raw_clauses
             .into_iter()
@@ -79,13 +79,12 @@ property! {
         }
         let problem: absolver::core::AbProblem = text.parse().unwrap();
         let sequential = Orchestrator::with_defaults().solve(&problem).unwrap();
-        let opts = ParallelOptions {
+        let opts = OrchestratorOptions {
             jobs,
             deterministic: true,
             ..Default::default()
         };
-        let (outcome, _) =
-            Orchestrator::with_defaults().solve_parallel(&problem, &opts).unwrap();
+        let outcome = Orchestrator::with_defaults().with_options(opts).solve(&problem).unwrap();
         assert_eq!(sequential.is_sat(), outcome.is_sat(), "jobs={jobs}: {text}");
         assert_eq!(sequential.is_unsat(), outcome.is_unsat(), "jobs={jobs}: {text}");
     }
@@ -94,16 +93,15 @@ property! {
     /// CNF skeleton is already unsatisfiable (refuted before any theory
     /// check happens).
     fn parallel_solve_survives_bool_unsat_with_atoms(jobs in gen::ints(1usize..=4)) {
-        use absolver::core::{Orchestrator, ParallelOptions};
+        use absolver::core::{Orchestrator, OrchestratorOptions};
         let text = "p cnf 2 3\n1 0\n-1 0\n2 0\nc def real 2 x >= 0\n";
         let problem: absolver::core::AbProblem = text.parse().unwrap();
-        let opts = ParallelOptions {
+        let opts = OrchestratorOptions {
             jobs,
             deterministic: true,
             ..Default::default()
         };
-        let (outcome, _) =
-            Orchestrator::with_defaults().solve_parallel(&problem, &opts).unwrap();
+        let outcome = Orchestrator::with_defaults().with_options(opts).solve(&problem).unwrap();
         assert!(outcome.is_unsat());
     }
 }

@@ -2,14 +2,14 @@
 //! invariants, counter monotonicity across model enumeration, the
 //! warm/cold labels of linear phases, the trace crate's event table
 //! against what the solver emits, trace events summing to the stats
-//! counters, the interning a component's extraction does, and a
-//! differential test pinning a one-job parallel run to the sequential
-//! solve, trace-event by trace-event.
+//! counters, the interning a component's extraction does, a differential
+//! test pinning a two-job component run to the sequential solve,
+//! trace-event by trace-event, and the folded statistics of two-job runs
+//! against their shard events.
 
 use absolver::analyze::Simplifier;
 use absolver::core::{
-    parser, AbProblem, Orchestrator, OrchestratorOptions, OrchestratorStats, ParallelOptions,
-    Session, VarKind,
+    parser, AbProblem, Orchestrator, OrchestratorOptions, OrchestratorStats, Session, VarKind,
 };
 use absolver::linear::CmpOp;
 use absolver::nonlinear::Expr;
@@ -166,67 +166,160 @@ fn iteration_counter_is_strictly_monotone_across_solve_all() {
     assert_eq!(orc.stats().boolean_iterations, *iterations.last().unwrap());
 }
 
-/// The solver-visible event stream of a one-job deterministic parallel
-/// run must match the sequential solve exactly: both partition Fig. 2
-/// into the same two components, and the one component shard runs the
-/// default stack, so any divergence in the (kind, iteration) sequence is
-/// an instrumentation or diversification bug.
-#[test]
-fn single_shard_component_run_traces_like_the_sequential_solve() {
-    let problem = fig2();
-    let solver_kinds = [
+/// Options for a two-job solve, components pinned or drawn from the
+/// shared queue.
+fn two_jobs(deterministic: bool) -> OrchestratorOptions {
+    OrchestratorOptions {
+        jobs: 2,
+        deterministic,
+        ..Default::default()
+    }
+}
+
+/// The solver-visible events (`kind`, or `kind@iteration`) of `events`.
+fn solver_events<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> Vec<String> {
+    const SOLVER_KINDS: [&str; 5] = [
         "boolean.model",
         "theory.check",
         "phase.linear",
         "phase.nonlinear",
         "conflict",
     ];
-    let filter = |sink: &CollectingSink| -> Vec<String> {
-        sink.events()
-            .iter()
-            .filter(|e| solver_kinds.contains(&e.kind.as_str()))
-            .map(|e| match e.get("iteration") {
-                Some(it) => format!("{}@{it}", e.kind),
-                None => e.kind.clone(),
-            })
-            .collect()
-    };
+    events
+        .into_iter()
+        .filter(|e| SOLVER_KINDS.contains(&e.kind.as_str()))
+        .map(|e| match e.get("iteration") {
+            Some(it) => format!("{}@{it}", e.kind),
+            None => e.kind.clone(),
+        })
+        .collect()
+}
 
+/// A two-job deterministic run of Fig. 2 pins one of its two components
+/// to each shard. Every event a shard emits carries its id, and
+/// `shard.start`/`shard.end` bracket each shard's events. Shard 0 runs
+/// the default stack on component 0, so its solver events replay the
+/// sequential solve's events for that component exactly.
+#[test]
+fn two_shard_component_run_traces_like_the_sequential_solve() {
+    let problem = fig2();
     let seq_sink = Arc::new(CollectingSink::new());
     let mut seq =
         Orchestrator::with_defaults().with_trace_sink(seq_sink.clone() as Arc<dyn TraceSink>);
     let seq_outcome = seq.solve(&problem).expect("sequential solve");
 
     let par_sink = Arc::new(CollectingSink::new());
-    let mut par =
-        Orchestrator::with_defaults().with_trace_sink(par_sink.clone() as Arc<dyn TraceSink>);
-    let opts = ParallelOptions {
-        jobs: 1,
-        deterministic: true,
-        base: OrchestratorOptions::default(),
-    };
-    let (par_outcome, par_stats) = par.solve_parallel(&problem, &opts).expect("parallel solve");
+    let mut par = Orchestrator::with_defaults()
+        .with_options(two_jobs(true))
+        .with_trace_sink(par_sink.clone() as Arc<dyn TraceSink>);
+    let par_outcome = par.solve(&problem).expect("two-job solve");
 
-    assert_eq!(seq_outcome, par_outcome);
+    assert_eq!(seq_outcome.is_sat(), par_outcome.is_sat());
     assert_eq!(seq.stats().components, 2);
-    assert_eq!(par_stats.components, 2);
-    let seq_trace = filter(&seq_sink);
-    let par_trace = filter(&par_sink);
-    assert!(!seq_trace.is_empty());
+    assert_eq!(par.stats().components, 2);
+    let par_events = par_sink.events();
+    assert!(!solver_events(&par_events).is_empty());
+    // Only the partition is announced outside a shard.
+    for e in &par_events {
+        assert!(
+            e.shard.is_some() || e.kind == "analyze.partition",
+            "{e:?} carries no shard id"
+        );
+    }
+    for shard in [0, 1] {
+        let own: Vec<&TraceEvent> = par_events
+            .iter()
+            .filter(|e| e.shard == Some(shard))
+            .collect();
+        let kinds: Vec<&str> = own.iter().map(|e| e.kind.as_str()).collect();
+        assert_eq!(
+            kinds.first(),
+            Some(&"shard.start"),
+            "shard {shard}: {kinds:?}"
+        );
+        assert_eq!(kinds.last(), Some(&"shard.end"), "shard {shard}: {kinds:?}");
+        let count = |kind: &str| kinds.iter().filter(|k| **k == kind).count();
+        assert_eq!(
+            (count("shard.start"), count("shard.end")),
+            (1, 1),
+            "{kinds:?}"
+        );
+        assert_eq!(own[own.len() - 2].kind, "component.end", "{kinds:?}");
+        assert_eq!(
+            own[own.len() - 2].get("component"),
+            Some(shard.to_string().as_str())
+        );
+    }
+    // The sequential solve's events of component 0.
+    let seq_events = seq_sink.events();
+    let component_0: Vec<&TraceEvent> = seq_events
+        .iter()
+        .skip_while(|e| e.kind != "component.start")
+        .take_while(|e| e.kind != "component.end")
+        .collect();
+    assert_eq!(component_0[0].get("component"), Some("0"));
+    let shard_0 = par_events.iter().filter(|e| e.shard == Some(0));
     assert_eq!(
-        seq_trace, par_trace,
+        solver_events(shard_0),
+        solver_events(component_0),
         "shard 0 must replay the sequential stack"
     );
-    // The parallel run additionally stamps shard ids on every event.
-    assert!(par_sink
-        .events()
+}
+
+/// The `iterations` of every `shard.end` event of a two-job run, and the
+/// strategy of its shards.
+fn shard_iterations(events: &[TraceEvent]) -> (Vec<u64>, String) {
+    let iterations = events
         .iter()
-        .filter(|e| solver_kinds.contains(&e.kind.as_str()))
-        .all(|e| e.shard == Some(0)));
-    // ... and brackets the run in shard lifecycle events.
-    let kinds = par_sink.kinds();
-    assert!(kinds.iter().any(|k| k == "shard.start"));
-    assert!(kinds.iter().any(|k| k == "shard.end"));
+        .filter(|e| e.kind == "shard.end")
+        .map(|e| {
+            e.get("iterations")
+                .expect("iterations")
+                .parse()
+                .expect("u64")
+        })
+        .collect();
+    let strategy = events
+        .iter()
+        .find(|e| e.kind == "shard.start")
+        .and_then(|e| e.get("strategy"))
+        .expect("a shard.start event")
+        .to_string();
+    (iterations, strategy)
+}
+
+/// With two jobs, `solve` folds every shard's effort into its one
+/// statistics record: `boolean_iterations` is the sum of the shard.end
+/// events' `iterations`, for component shards (pinned or not) and for
+/// the portfolio. A decided portfolio run was not cancelled and did not
+/// time out, though its losing shard was stopped.
+#[test]
+fn two_job_stats_sum_the_shard_events() {
+    let components = absolver_bench::workloads::decomposable_problem(4, 40);
+    let threshold = absolver_bench::workloads::threshold_problem(60);
+    for (problem, deterministic, strategy, count) in [
+        (&components, true, "components", 4),
+        (&components, false, "components", 4),
+        (&threshold, false, "portfolio", 1),
+    ] {
+        let sink = Arc::new(CollectingSink::new());
+        let mut orc = Orchestrator::with_defaults()
+            .with_options(two_jobs(deterministic))
+            .with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
+        assert!(orc.solve(problem).expect("solve").is_sat());
+        let stats = orc.stats();
+        let (iterations, run_strategy) = shard_iterations(&sink.events());
+        assert_eq!(run_strategy, strategy);
+        assert_eq!(iterations.len(), 2, "{iterations:?}");
+        assert_eq!(
+            stats.boolean_iterations,
+            iterations.iter().sum::<u64>(),
+            "{strategy}: {stats}"
+        );
+        assert_eq!(stats.components, count, "{stats}");
+        assert!(!stats.cancelled, "{strategy}: {stats}");
+        assert!(!stats.timed_out, "{strategy}: {stats}");
+    }
 }
 
 /// Extracting a component re-interns its remapped constraints before the
@@ -369,14 +462,11 @@ fn emitted_trace_events_match_the_documented_table() {
         preprocessed().solve(problem).expect("solve");
     }
     traced().solve_all(&fig2(), 3).expect("solve_all");
-    let opts = ParallelOptions {
-        jobs: 2,
-        ..Default::default()
-    };
     for problem in [&fig2(), &two_components] {
         traced()
-            .solve_parallel(problem, &opts)
-            .expect("solve_parallel");
+            .with_options(two_jobs(false))
+            .solve(problem)
+            .expect("two-job solve");
     }
     let mut session = Session::with_orchestrator(traced());
     let x = session.arith_var("x", VarKind::Real).expect("declare");

@@ -1,11 +1,12 @@
-//! Differential testing of the parallel subsystem: `solve_parallel` at
-//! several job counts must agree with the sequential control loop, cancellation must be observed within a bounded number of
-//! iterations even from deep inside a theory check, and `--time-limit`
-//! must hold as a wall-clock deadline rather than a per-iteration hint.
+//! Differential testing of the parallel subsystem: `solve` at several job
+//! counts must agree with the sequential control loop, cancellation must
+//! be observed within a bounded number of iterations even from deep
+//! inside a theory check, and `--time-limit` must hold as a wall-clock
+//! deadline rather than a per-iteration hint.
 
 use absolver::core::{
-    AbProblem, CdclBoolean, Orchestrator, OrchestratorOptions, Outcome, ParallelOptions,
-    PenaltyNonlinear, SimplexLinear, VarKind,
+    AbProblem, CdclBoolean, Orchestrator, OrchestratorOptions, Outcome, PenaltyNonlinear,
+    SimplexLinear, VarKind,
 };
 use absolver::linear::CmpOp;
 use absolver::logic::Tri;
@@ -100,7 +101,7 @@ fn linear_problem_gen() -> Gen<AbProblem> {
 property! {
     #![cases = 100]
 
-    /// `solve_parallel` at 1, 2, and 4 jobs returns the same SAT/UNSAT
+    /// `solve` at 1, 2, and 4 jobs returns the same SAT/UNSAT
     /// verdict as the sequential control loop, and every Sat model
     /// satisfies the three-valued Boolean circuit *and* the arithmetic
     /// constraints.
@@ -113,12 +114,13 @@ property! {
         );
 
         for jobs in [1usize, 2, 4] {
-            let opts = ParallelOptions {
+            let mut par = Orchestrator::with_defaults().with_options(OrchestratorOptions {
                 jobs,
                 deterministic: true,
                 ..Default::default()
-            };
-            let (outcome, stats) = orc.solve_parallel(&problem, &opts).unwrap();
+            });
+            let outcome = par.solve(&problem).unwrap();
+            let stats = par.stats();
             assert_eq!(
                 sequential.is_sat(),
                 outcome.is_sat(),
@@ -227,19 +229,15 @@ fn time_limit_interrupts_a_deep_theory_check() {
 #[test]
 fn time_limit_bounds_parallel_runs() {
     let problem = heavy_nonlinear_problem();
-    let opts = ParallelOptions {
+    let mut orc = Orchestrator::with_defaults().with_options(OrchestratorOptions {
         jobs: 2,
-        base: OrchestratorOptions {
-            time_limit: Some(Duration::from_millis(200)),
-            ..Default::default()
-        },
+        time_limit: Some(Duration::from_millis(200)),
         ..Default::default()
-    };
+    });
     let started = Instant::now();
-    let (outcome, stats) = Orchestrator::with_defaults()
-        .solve_parallel(&problem, &opts)
-        .unwrap();
+    let outcome = orc.solve(&problem).unwrap();
     let elapsed = started.elapsed();
+    let stats = orc.stats();
     // The interval engine proves this UNSAT instantly, so the default
     // portfolio stacks may legitimately finish inside the limit; what is
     // forbidden is running long or claiming Sat.
@@ -250,31 +248,22 @@ fn time_limit_bounds_parallel_runs() {
     );
 }
 
-/// A cancelled parallel run reports its cancellation latency, and the
-/// token round-trip stays within the cooperative-polling bound.
+/// The caller's own token stops a `jobs` ≥ 2 solve, whose shards poll
+/// only their run's token: a token raised before the call reaches every
+/// component shard, and the call reports the cancellation, which no
+/// decisive item settled.
 #[test]
-fn portfolio_reports_cancel_latency() {
-    // Satisfiable linear problem: some shard wins quickly and cancels
-    // the rest.
-    let problem: AbProblem = "p cnf 2 1\n1 2 0\nc def real 1 x >= 0\nc def real 2 x <= 100\n"
-        .parse()
-        .unwrap();
-    let opts = ParallelOptions {
-        jobs: 4,
-        ..Default::default()
-    };
-    let (outcome, stats) = Orchestrator::with_defaults()
-        .solve_parallel(&problem, &opts)
-        .unwrap();
-    assert!(outcome.is_sat());
-    assert!(
-        stats.winner.is_some(),
-        "someone must claim the win: {stats}"
-    );
-    if let Some(latency) = stats.cancel_latency {
-        assert!(
-            latency < Duration::from_secs(5),
-            "cancellation latency {latency:?} exceeds the cooperative bound"
-        );
-    }
+fn caller_token_stops_a_parallel_solve() {
+    let problem = absolver_bench::workloads::decomposable_problem(4, 120);
+    let mut orc = Orchestrator::with_defaults()
+        .with_options(OrchestratorOptions {
+            jobs: 2,
+            ..Default::default()
+        })
+        .with_cancel_token(Arc::new(AtomicBool::new(true)));
+    assert_eq!(orc.solve(&problem).unwrap(), Outcome::Unknown);
+    let stats = orc.stats();
+    assert!(stats.cancelled, "{stats}");
+    assert!(!stats.timed_out, "{stats}");
+    assert_eq!(stats.components, 4, "{stats}");
 }

@@ -1,6 +1,6 @@
 //! Differential testing of the structural-partition subsystem: solving a
 //! problem component-by-component (sequentially under `solve`,
-//! concurrently under `solve_parallel`, or by hand via
+//! concurrently under `solve` with two jobs, or by hand via
 //! [`Partition::extract`]/[`Partition::stitch`]) must agree verdict-for-
 //! verdict with solving the whole problem at once, and every stitched
 //! model must satisfy the *original* conjunction — the Boolean circuit
@@ -13,7 +13,7 @@
 
 use absolver::analyze::Simplifier;
 use absolver::core::{
-    AbModel, AbProblem, Orchestrator, Outcome, ParallelOptions, Partition, VarKind,
+    AbModel, AbProblem, Orchestrator, OrchestratorOptions, Outcome, Partition, VarKind,
 };
 use absolver::linear::CmpOp;
 use absolver::logic::Tri;
@@ -155,16 +155,11 @@ property! {
             assert_model_valid(&problem, m, "sequential component loop");
         }
 
-        // Parallel component shards (gated on >= 2 components inside
-        // `solve_parallel`; single-component problems fall back to the
+        // Parallel component shards (single-component problems run the
         // portfolio, which the parallel_agreement suite already pins).
-        let opts = ParallelOptions {
-            jobs: 2,
-            deterministic: true,
-            ..Default::default()
-        };
-        let mut par = Orchestrator::with_defaults();
-        let (par_outcome, pstats) = par.solve_parallel(&problem, &opts).unwrap();
+        let mut par = two_jobs();
+        let par_outcome = par.solve(&problem).unwrap();
+        let pstats = par.stats();
         assert_eq!(
             whole.is_sat(),
             par_outcome.is_sat(),
@@ -179,7 +174,7 @@ property! {
         // model against the *whole* problem.
         let partition = Partition::of(&problem);
         if partition.len() >= 2 {
-            assert_eq!(pstats.components, partition.len(), "parallel stats miscount");
+            assert_eq!(pstats.components, partition.len() as u64, "parallel stats miscount");
             let mut models = Vec::new();
             let mut any_unsat = false;
             for idx in 0..partition.len() {
@@ -205,6 +200,15 @@ property! {
             }
         }
     }
+}
+
+/// The default stack at two jobs, components pinned to shards.
+fn two_jobs() -> Orchestrator {
+    Orchestrator::with_defaults().with_options(OrchestratorOptions {
+        jobs: 2,
+        deterministic: true,
+        ..Default::default()
+    })
 }
 
 /// A deliberately disconnected two-component problem: component A pins
@@ -246,13 +250,9 @@ fn sequential_component_loop_reports_components_and_traces() {
 fn parallel_component_shards_solve_disconnected_problems() {
     let problem: AbProblem = TWO_COMPONENTS.parse().unwrap();
     let sink = Arc::new(CollectingSink::new());
-    let mut orc = Orchestrator::with_defaults().with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
-    let opts = ParallelOptions {
-        jobs: 2,
-        deterministic: true,
-        ..Default::default()
-    };
-    let (outcome, stats) = orc.solve_parallel(&problem, &opts).unwrap();
+    let mut orc = two_jobs().with_trace_sink(sink.clone() as Arc<dyn TraceSink>);
+    let outcome = orc.solve(&problem).unwrap();
+    let stats = orc.stats();
     assert!(outcome.is_sat(), "fixture is satisfiable: {stats}");
     if let Outcome::Sat(m) = &outcome {
         assert_model_valid(&problem, m, "parallel two-component fixture");
@@ -283,15 +283,7 @@ c def real 3 y >= 5
     let problem: AbProblem = text.parse().unwrap();
     let whole = Orchestrator::with_defaults().solve(&problem).unwrap();
     assert!(whole.is_unsat());
-    let opts = ParallelOptions {
-        jobs: 2,
-        deterministic: true,
-        ..Default::default()
-    };
-    let (outcome, _) = Orchestrator::with_defaults()
-        .solve_parallel(&problem, &opts)
-        .unwrap();
-    assert!(outcome.is_unsat());
+    assert!(two_jobs().solve(&problem).unwrap().is_unsat());
 }
 
 /// A statically-unsatisfiable problem is answered `Unsat` by the
